@@ -173,8 +173,7 @@ replayAtRate(double level, double rate_eps, double horizon_s,
  * Parse the one CLI flag: --window <seconds> (or --window=<seconds>)
  * replaces the per-workload derived admission window. Leaves *out at 0
  * when absent; returns false (after printing usage to the suite's
- * stderr sink) on malformed input — the suite exits 2, where the
- * standalone binary used to call std::exit(2).
+ * stderr sink) on malformed input — the suite then exits 2.
  */
 bool
 parseWindowOverride(ebs::bench::SuiteContext &ctx, double *out)

@@ -253,7 +253,6 @@ run(ebs::bench::SuiteContext &ctx)
     }
 
     ctx.emitSharedServiceSummary("fig7 scalability fleet");
-    ctx.emitPhaseWallSummary();
     return 0;
 }
 

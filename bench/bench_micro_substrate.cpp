@@ -5,9 +5,8 @@
  * RRT motion planning, memory retrieval, the token counter, and the LLM
  * engine's sampling path.
  *
- * Honors smoke mode (ctx.smoke(), set by `run_all --smoke` or
- * EBS_BENCH_SMOKE standalone) by clamping --benchmark_min_time to a few
- * milliseconds so the suite stops dominating smoke runs. Full runs use
+ * Honors smoke mode (ctx.smoke(), set by `run_all --smoke`) by clamping
+ * --benchmark_min_time to a few milliseconds so the suite stops dominating smoke runs. Full runs use
  * a 0.05 s window instead of Google Benchmark's 0.5 s default — every
  * op here is ns-to-µs scale, so that still means 1e4-1e7 iterations per
  * measurement while keeping `run_all` wall-clock dominated by the
@@ -173,7 +172,10 @@ run(ebs::bench::SuiteContext &ctx)
     // way it captures every other suite's.
     std::ostringstream report;
     std::ostringstream errors;
-    benchmark::ConsoleReporter reporter;
+    // OO_Tabular without OO_Color: the report lands in a log file, so
+    // it must carry no ANSI escapes.
+    benchmark::ConsoleReporter reporter(
+        benchmark::ConsoleReporter::OO_Tabular);
     reporter.SetOutputStream(&report);
     reporter.SetErrorStream(&errors);
     benchmark::RunSpecifiedBenchmarks(&reporter);

@@ -163,7 +163,6 @@ run(ebs::bench::SuiteContext &ctx)
                     spec_exec_s > 0.0 ? serial_exec_s / spec_exec_s : 0.0,
                     spec_case.specExecSpeedup());
     }
-    ctx.emitPhaseWallSummary();
     return 0;
 }
 

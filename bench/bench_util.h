@@ -1,50 +1,24 @@
 #ifndef EBS_BENCH_BENCH_UTIL_H
 #define EBS_BENCH_BENCH_UTIL_H
 
-#include <cctype>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 
 #include "runner/run_stats.h"
 #include "stats/host_clock.h"
 
 /**
- * Pure bench helpers: formatting, host timing, and the smoke-mode env
- * parse. Everything that *emits* suite output (EBS_METRIC lines,
- * tables, EBS_PHASE_WALL) lives on bench::SuiteContext (suite.h) so all
- * suite I/O flows through the per-suite sinks — the `suite-io` lint
- * rule bans direct stream writes under bench/ to keep it that way.
+ * Pure bench helpers: formatting and host timing. Everything that
+ * *emits* suite output (EBS_METRIC lines, tables) lives on
+ * bench::SuiteContext (suite.h) so all suite I/O flows through the
+ * per-suite sinks — the `suite-io` lint rule bans direct stream writes
+ * under bench/ to keep it that way.
  */
 namespace ebs::bench {
 
 /** Averaged episode metrics (promoted into the library in PR 2). */
 using runner::RunStats;
-
-/**
- * Smoke mode from the environment (EBS_BENCH_SMOKE=1, set for children
- * of `run_all --spawn --smoke`): run every suite with a single seed so
- * the whole fleet finishes in CI-friendly time. A falsy value ("", "0",
- * "false", "off", "no") leaves smoke mode disabled. The in-process
- * fleet never reads this — run_all passes smoke through SuiteContext;
- * only the standalone wrapper (suite_main.cpp) consults the env.
- */
-inline bool
-smokeMode()
-{
-    static const bool on = [] {
-        const char *v = std::getenv("EBS_BENCH_SMOKE");
-        if (!v)
-            return false;
-        std::string s(v);
-        for (char &c : s)
-            c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
-        return !(s.empty() || s == "0" || s == "false" || s == "off" ||
-                 s == "no");
-    }();
-    return on;
-}
 
 /**
  * Host (not simulated) wall-clock of `fn`, in seconds. Suites print

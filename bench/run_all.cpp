@@ -1,27 +1,21 @@
 /**
  * @file
- * Benchmark fleet driver. Default mode runs every suite **in-process**:
- * suites are library functions registered in bench::SuiteRegistry (see
- * suite.h), and the driver submits the whole fleet as one dependency-free
- * sched::TaskGraph onto a single FleetScheduler pool of `--jobs` workers.
- * There is no static budget split any more — a suite's episodes fan onto
- * the same shared pool its siblings run on, so when a short suite drains,
- * its workers immediately start absorbing the straggler's episodes.
+ * Benchmark fleet driver — the one way to run a suite. Suites are library
+ * functions registered in bench::SuiteRegistry (see suite.h); the driver
+ * submits the selected suites as one dependency-free sched::TaskGraph
+ * onto a single FleetScheduler pool of `--jobs` workers. A suite's
+ * episodes fan onto the same shared pool its siblings run on, so when a
+ * short suite drains, its workers immediately start absorbing the
+ * straggler's episodes.
  *
  * Each suite writes its stdout sink to `<logs>/<suite>.log` and its
- * stderr sink to `<logs>/<suite>.err.log`; the logs are byte-identical
- * to what the suite's standalone binary would have printed (the
- * SuiteContext contract, pinned by the fleet equivalence test). The
- * captured stdout is scanned for `EBS_METRIC {...}` lines and folded
- * into `BENCH_results.json` (suite -> paper_metrics) so successive PRs
- * have a perf trajectory; the scheduler's task timeline becomes the
- * per-suite wall-clock / straggler summary and `BENCH_timeline.json`.
- *
- * `--spawn` keeps the legacy posix_spawn fleet as a transition oracle:
- * each `bench_*` binary next to this executable runs as a child process
- * under the old static budget split (C = min(J, suites) children x
- * EBS_JOBS = max(1, J / C) each), with the same per-suite log layout so
- * `diff_metrics` and byte-comparison can pin in-process == spawned.
+ * stderr sink to `<logs>/<suite>.err.log`; the stdout logs are
+ * byte-identical at any `--jobs` (the SuiteContext contract, pinned by
+ * the fleet equivalence test). The captured stdout is scanned for
+ * `EBS_METRIC {...}` lines and folded into `BENCH_results.json` (suite
+ * -> paper_metrics) so successive PRs have a perf trajectory; the
+ * scheduler's task timeline plus each suite's phase-wall clock become
+ * the per-suite wall-clock / straggler summary and `BENCH_timeline.json`.
  *
  * Flags:
  *   --smoke        run each suite with tiny iteration counts
@@ -29,7 +23,6 @@
  *                  hardware concurrency)
  *   --serial       suites one at a time (each still using the whole
  *                  pool for its own episodes)
- *   --spawn        legacy mode: run each suite as a child process
  *   --out PATH     output JSON path (default: BENCH_results.json in cwd)
  *   --logs DIR     per-suite logs (default: BENCH_logs in cwd)
  *   --timeline P   scheduler timeline JSON (default: BENCH_timeline.json)
@@ -40,6 +33,9 @@
  *                  misses fail with near-miss suggestions)
  *   --list         print the selected suite names and exit
  *   --list-suites  print every registered suite with its description
+ *   -- ARGS...     suite arguments (CSV directory, --window, Google
+ *                  Benchmark flags); the selection must be exactly one
+ *                  suite
  */
 
 #include <algorithm>
@@ -54,20 +50,15 @@
 #include <string>
 #include <vector>
 
-#include <fcntl.h>
-#include <spawn.h>
 #include <sys/resource.h>
-#include <sys/wait.h>
-#include <unistd.h>
 
 #include "core/sync.h"
 #include "fleet_plan.h"
 #include "obs/trace.h"
 #include "sched/fleet_scheduler.h"
 #include "stats/host_clock.h"
+#include "stats/phase_wall.h"
 #include "suite.h"
-
-extern char **environ;
 
 namespace {
 
@@ -82,14 +73,10 @@ struct SuiteResult
     double sys_seconds = 0.0;
     long max_rss_kb = 0;
     std::vector<std::string> paper_metrics; ///< raw EBS_METRIC objects
-
-    /** Host compute/execute phase split reported by the suite's last
-     * `EBS_PHASE_WALL` stderr line (see suite.h); absent when the
-     * suite does not run episodes or predates the reporting. */
-    bool has_phase_wall = false;
-    double phase_compute_s = 0.0;
-    double phase_execute_s = 0.0;
-    long long phase_episodes = 0;
+    /** Host compute/execute phase split of the suite's episodes, read
+     * from its SuiteContext once it finished (episodes == 0 when the
+     * suite runs none). */
+    ebs::stats::PhaseWallClock::Snapshot phase_wall;
 };
 
 /**
@@ -119,196 +106,15 @@ collectMetricLines(const fs::path &log_path)
 }
 
 /**
- * Parse the *last* `EBS_PHASE_WALL {...}` line of a suite's captured
- * stderr log into the result's phase split. The clock accumulates
- * monotonically over the suite, so the last line is the suite total.
- *
- * Anchored on the *whole line*, not a substring scan: a candidate line
- * must start with the prefix and the remainder must be exactly one flat
- * balanced `{...}` object with nothing after it (modulo a trailing CR).
- * stderr is unbuffered, so a child thread racing the summary write can
- * fuse two lines into one ("EBS_PHASE_WALL {..}warning: ..."); the old
- * substring scan would happily pull values out of the wreckage, while a
- * fused or truncated line must simply not count.
- */
-void
-readPhaseWall(const fs::path &err_path, SuiteResult &result)
-{
-    static const std::string kPrefix = "EBS_PHASE_WALL ";
-    std::ifstream log(err_path);
-    std::string line, last;
-    while (std::getline(log, line)) {
-        if (line.rfind(kPrefix, 0) != 0)
-            continue;
-        std::string payload = line.substr(kPrefix.size());
-        if (!payload.empty() && payload.back() == '\r')
-            payload.pop_back();
-        const bool whole_flat_object =
-            payload.size() >= 2 && payload.front() == '{' &&
-            payload.find('{', 1) == std::string::npos &&
-            payload.find('}') == payload.size() - 1;
-        if (whole_flat_object)
-            last = std::move(payload);
-    }
-    if (last.empty())
-        return;
-    const auto field = [&last](const char *key, double &out) {
-        const std::size_t at = last.find(key);
-        if (at == std::string::npos)
-            return false;
-        // A key with a malformed value ("compute_s":oops) must report
-        // "absent", not silently 0.0: strtod has to consume at least one
-        // character and stop at a JSON delimiter.
-        const char *start = last.c_str() + at + std::strlen(key);
-        char *end = nullptr;
-        const double value = std::strtod(start, &end);
-        if (end == start ||
-            (*end != '\0' && *end != ',' && *end != '}' && *end != ' '))
-            return false;
-        out = value;
-        return true;
-    };
-    double episodes = 0.0;
-    result.has_phase_wall =
-        field("\"compute_s\":", result.phase_compute_s) &&
-        field("\"execute_s\":", result.phase_execute_s) &&
-        field("\"episodes\":", episodes);
-    result.phase_episodes = static_cast<long long>(episodes);
-}
-
-/** Directory containing this executable (where the bench binaries live). */
-fs::path
-selfDirectory(const char *argv0)
-{
-    std::error_code ec;
-    const fs::path self = fs::read_symlink("/proc/self/exe", ec);
-    if (!ec)
-        return self.parent_path();
-    const fs::path fallback = fs::absolute(argv0, ec);
-    return ec ? fs::current_path() : fallback.parent_path();
-}
-
-bool
-isExecutableFile(const fs::path &p)
-{
-    std::error_code ec;
-    return fs::is_regular_file(p, ec) &&
-           ::access(p.c_str(), X_OK) == 0;
-}
-
-/**
- * The environment block every `--spawn` suite child receives: the
- * parent's environment minus the fleet knobs, plus the driver-chosen
- * values. Built once before scheduling — with suite tasks running on
- * scheduler threads, children must not mutate the (non-thread-safe)
- * parent environment between fork and exec; posix_spawn with an
- * explicit envp sidesteps the problem entirely.
- */
-class ChildEnvironment
-{
-  public:
-    /** `extra` entries ("KEY=value") are appended after the driver's
-     * own knobs — per-suite trace routing (EBS_TRACE_OUT and friends)
-     * travels through here. */
-    ChildEnvironment(bool smoke, int child_jobs,
-                     std::vector<std::string> extra = {})
-    {
-        for (char **e = environ; *e != nullptr; ++e) {
-            const std::string entry(*e);
-            if (entry.rfind("EBS_BENCH_SMOKE=", 0) == 0 ||
-                entry.rfind("EBS_JOBS=", 0) == 0 ||
-                entry.rfind("EBS_TRACE_OUT=", 0) == 0 ||
-                entry.rfind("EBS_TRACE_NAME=", 0) == 0 ||
-                entry.rfind("EBS_TRACE_PID_BASE=", 0) == 0)
-                continue; // a stale value would silently override ours
-            storage_.push_back(entry);
-        }
-        if (smoke)
-            storage_.push_back("EBS_BENCH_SMOKE=1");
-        storage_.push_back("EBS_JOBS=" + std::to_string(child_jobs));
-        for (auto &entry : extra)
-            storage_.push_back(std::move(entry));
-        for (auto &entry : storage_)
-            pointers_.push_back(entry.data());
-        pointers_.push_back(nullptr);
-    }
-
-    ChildEnvironment(const ChildEnvironment &) = delete;
-    ChildEnvironment &operator=(const ChildEnvironment &) = delete;
-
-    char *const *envp() const { return pointers_.data(); }
-
-  private:
-    std::vector<std::string> storage_;
-    std::vector<char *> pointers_;
-};
-
-/** Run one benchmark binary as a child process (`--spawn`), capturing
- * stdout/stderr to separate per-suite logs and resource usage from
- * wait4 — the transition oracle the in-process path is compared to. */
-SuiteResult
-runSuiteSpawned(const fs::path &binary, const fs::path &log_path,
-                const fs::path &err_path, const ChildEnvironment &env)
-{
-    SuiteResult result;
-    result.name = binary.filename().string();
-
-    posix_spawn_file_actions_t actions;
-    posix_spawn_file_actions_init(&actions);
-    posix_spawn_file_actions_addopen(&actions, STDOUT_FILENO,
-                                     log_path.c_str(),
-                                     O_CREAT | O_WRONLY | O_TRUNC, 0644);
-    // stderr gets its own capture: stdout must stay byte-comparable to
-    // the in-process sink, and host-timing diagnostics interleaved by
-    // dup2 would break that.
-    posix_spawn_file_actions_addopen(&actions, STDERR_FILENO,
-                                     err_path.c_str(),
-                                     O_CREAT | O_WRONLY | O_TRUNC, 0644);
-
-    char *const argv[] = {const_cast<char *>(binary.c_str()), nullptr};
-    pid_t pid = -1;
-    const double start = ebs::stats::hostNow();
-    const int rc = ::posix_spawn(&pid, binary.c_str(), &actions, nullptr,
-                                 argv, env.envp());
-    posix_spawn_file_actions_destroy(&actions);
-    if (rc != 0) {
-        std::fprintf(stderr, "run_all: spawn %s failed: %s\n",
-                     binary.c_str(), std::strerror(rc));
-        return result;
-    }
-
-    int status = 0;
-    struct rusage usage{};
-    if (::wait4(pid, &status, 0, &usage) < 0) {
-        std::fprintf(stderr, "run_all: wait4 failed: %s\n",
-                     std::strerror(errno));
-        return result;
-    }
-    const double end = ebs::stats::hostNow();
-
-    result.exit_code = WIFEXITED(status) ? WEXITSTATUS(status)
-                       : WIFSIGNALED(status)
-                           ? 128 + WTERMSIG(status)
-                           : -1;
-    result.wall_seconds = end - start;
-    result.user_seconds = static_cast<double>(usage.ru_utime.tv_sec) +
-                          usage.ru_utime.tv_usec / 1e6;
-    result.sys_seconds = static_cast<double>(usage.ru_stime.tv_sec) +
-                         usage.ru_stime.tv_usec / 1e6;
-    result.max_rss_kb = usage.ru_maxrss;
-    return result;
-}
-
-/**
- * Run one registered suite in-process through its SuiteContext. The
- * suite function's sinks are already bound to the per-suite log files;
- * this wrapper adds what the process boundary used to provide: wall
- * clock, CPU accounting, an RSS reading, and exception containment (a
- * throwing suite must report a failing exit code, not kill the fleet).
+ * Run one registered suite through its SuiteContext. The suite
+ * function's sinks are already bound to the per-suite log files; this
+ * wrapper adds wall clock, CPU accounting, an RSS reading, and exception
+ * containment (a throwing suite must report a failing exit code, not
+ * kill the fleet).
  */
 SuiteResult
-runSuiteInProcess(const ebs::bench::SuiteInfo &suite,
-                  ebs::bench::SuiteContext &context)
+runSuite(const ebs::bench::SuiteInfo &suite,
+         ebs::bench::SuiteContext &context)
 {
     SuiteResult result;
     result.name = suite.name;
@@ -386,17 +192,12 @@ writeJson(const fs::path &out_path, const std::vector<SuiteResult> &results,
 
 /**
  * The scheduler-side view of the fleet run: how the suite tasks packed
- * onto the pool, who the straggler was, and how busy the capacity
- * stayed. In-process the capacity is the single shared pool (`budget`
- * workers); under --spawn it is the legacy static split (`concurrent`
- * child processes).
+ * onto the single shared pool (`budget` workers), who the straggler was,
+ * and how busy the capacity stayed.
  */
 struct FleetSummary
 {
     int budget = 1;
-    bool spawn = false;
-    int concurrent_suites = 1; ///< spawn only: the static C
-    int jobs_per_child = 1;    ///< spawn only: EBS_JOBS per child
     double makespan_s = 0.0;
     double busy_s = 0.0; ///< summed per-suite wall inside the schedule
     double utilization = 0.0;
@@ -404,14 +205,10 @@ struct FleetSummary
 };
 
 FleetSummary
-summarize(const std::vector<ebs::sched::TaskTiming> &timings, int budget,
-          bool spawn, int concurrent, int child_jobs)
+summarize(const std::vector<ebs::sched::TaskTiming> &timings, int budget)
 {
     FleetSummary s;
     s.budget = budget;
-    s.spawn = spawn;
-    s.concurrent_suites = concurrent;
-    s.jobs_per_child = child_jobs;
     if (timings.empty())
         return s;
     double first_start = timings[0].start_s;
@@ -425,13 +222,9 @@ summarize(const std::vector<ebs::sched::TaskTiming> &timings, int budget,
             s.straggler = i;
     }
     s.makespan_s = last_end - first_start;
-    // Capacity: spawn children own disjoint worker shares, so suite
-    // walls against C slots is exact; in-process suites share one pool
-    // and their episodes interleave, so "suite wall over budget slots"
-    // is a lower bound on pool business.
-    const double slots =
-        spawn ? double(s.concurrent_suites) : double(budget);
-    const double capacity = s.makespan_s * slots;
+    // Suites share one pool and their episodes interleave, so "suite
+    // wall over budget slots" is a lower bound on pool business.
+    const double capacity = s.makespan_s * budget;
     s.utilization = capacity > 0.0 ? s.busy_s / capacity : 0.0;
     return s;
 }
@@ -452,22 +245,13 @@ writeTimeline(const fs::path &path,
     std::fprintf(f,
                  "{\n"
                  "  \"budget\": %d,\n"
-                 "  \"mode\": \"%s\",\n",
-                 s.budget, s.spawn ? "spawn" : "in-process");
-    if (s.spawn)
-        std::fprintf(f,
-                     "  \"concurrent_suites\": %d,\n"
-                     "  \"jobs_per_child\": %d,\n",
-                     s.concurrent_suites, s.jobs_per_child);
-    else
-        std::fprintf(f, "  \"pool_workers\": %d,\n", s.budget);
-    std::fprintf(f,
+                 "  \"pool_workers\": %d,\n"
                  "  \"makespan_seconds\": %.6f,\n"
                  "  \"busy_seconds\": %.6f,\n"
                  "  \"utilization\": %.4f,\n"
                  "  \"straggler\": \"%s\",\n"
                  "  \"suites\": [",
-                 s.makespan_s, s.busy_s, s.utilization,
+                 s.budget, s.budget, s.makespan_s, s.busy_s, s.utilization,
                  timings.empty() ? "" : timings[s.straggler].label.c_str());
     for (std::size_t i = 0; i < timings.size(); ++i) {
         // Timings are in submission (schedule) order; map each back to
@@ -481,12 +265,13 @@ writeTimeline(const fs::path &path,
                      timings[i].start_s, timings[i].end_s,
                      timings[i].duration(), result.exit_code,
                      result.max_rss_kb);
-        if (result.has_phase_wall)
+        if (result.phase_wall.episodes > 0)
             std::fprintf(f,
                          ", \"phase_compute_s\": %.6f, "
                          "\"phase_execute_s\": %.6f, \"episodes\": %lld",
-                         result.phase_compute_s, result.phase_execute_s,
-                         result.phase_episodes);
+                         result.phase_wall.compute_s,
+                         result.phase_wall.execute_s,
+                         result.phase_wall.episodes);
         std::fprintf(f, "}");
     }
     std::fprintf(f, "\n  ]\n}\n");
@@ -544,57 +329,13 @@ writeTraceFile(const fs::path &trace_path,
 }
 
 /**
- * Merge the per-suite Chrome trace files `--spawn` children exported
- * (each suite ran with EBS_TRACE_OUT=<logs>/<suite>.trace.json and a
- * disjoint EBS_TRACE_PID_BASE, see obs/trace.h) into one
- * Perfetto-loadable BENCH_trace.json, plus the driver's fleet-level
- * view. The child writer emits one event per line between a fixed
- * header and footer, so the merge is a pure line concatenation — no
- * JSON parser in the driver.
+ * The merged fleet trace: the driver's suite slices, every suite's
+ * private Tracer rendered in memory under its own disjoint 10 + 10*i pid
+ * block, and the shared Tracer's scheduler host-task track — the single
+ * pool every suite's episodes actually ran on.
  */
 void
-writeMergedTraceSpawn(const fs::path &trace_path,
-                      const std::vector<fs::path> &suite_traces,
-                      const std::vector<ebs::sched::TaskTiming> &timings,
-                      const std::vector<SuiteResult> &results,
-                      const std::vector<std::size_t> &order)
-{
-    std::vector<std::string> lines =
-        fleetTraceLines(timings, results, order);
-    for (const fs::path &child : suite_traces) {
-        std::ifstream in(child);
-        if (!in) {
-            std::fprintf(stderr,
-                         "run_all: no trace from %s (suite crashed before "
-                         "its atexit exporter?)\n",
-                         child.c_str());
-            continue;
-        }
-        std::string line;
-        while (std::getline(in, line)) {
-            if (!line.empty() && line.back() == '\r')
-                line.pop_back();
-            // Keep only event lines: skip the header/footer brackets.
-            if (line.empty() || line[0] != '{' ||
-                line.rfind("{ \"traceEvents\"", 0) == 0)
-                continue;
-            if (line.back() == ',')
-                line.pop_back();
-            lines.push_back(std::move(line));
-        }
-    }
-    writeTraceFile(trace_path, lines);
-}
-
-/**
- * The in-process replacement for stitching child trace files: every
- * suite's private Tracer renders its lines in memory (same disjoint
- * 10 + 10*i pid block a spawned child would have exported under), and
- * the shared Tracer contributes the scheduler's host-task track — the
- * single pool every suite's episodes actually ran on.
- */
-void
-writeMergedTraceInProcess(
+writeMergedTrace(
     const fs::path &trace_path,
     const std::vector<ebs::sched::TaskTiming> &timings,
     const std::vector<SuiteResult> &results,
@@ -623,9 +364,9 @@ main(int argc, char **argv)
     bool list_only = false;
     bool list_suites = false;
     bool serial = false;
-    bool spawn = false;
     std::string filter;
     std::string suites_arg;
+    std::vector<std::string> suite_args; // everything after `--`
     int budget = 0; // 0 = EBS_JOBS / hardware default
     fs::path out_path = "BENCH_results.json";
     fs::path log_dir = "BENCH_logs";
@@ -634,7 +375,10 @@ main(int argc, char **argv)
 
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
-        if (arg == "--smoke") {
+        if (arg == "--") {
+            suite_args.assign(argv + i + 1, argv + argc);
+            break;
+        } else if (arg == "--smoke") {
             smoke = true;
         } else if (arg == "--list") {
             list_only = true;
@@ -642,8 +386,6 @@ main(int argc, char **argv)
             list_suites = true;
         } else if (arg == "--serial") {
             serial = true;
-        } else if (arg == "--spawn") {
-            spawn = true;
         } else if (arg == "--out" && i + 1 < argc) {
             out_path = argv[++i];
         } else if (arg == "--logs" && i + 1 < argc) {
@@ -672,10 +414,10 @@ main(int argc, char **argv)
         } else {
             std::fprintf(stderr,
                          "usage: run_all [--smoke] [--list] "
-                         "[--list-suites] [--serial] [--spawn] "
+                         "[--list-suites] [--serial] "
                          "[--out PATH] [--logs DIR] [--timeline PATH] "
                          "[--trace-out PATH] [--filter STR] "
-                         "[--suites a,b,c] [--jobs N]\n");
+                         "[--suites a,b,c] [--jobs N] [-- SUITE_ARGS...]\n");
             return arg == "--help" || arg == "-h" ? 0 : 2;
         }
     }
@@ -690,34 +432,12 @@ main(int argc, char **argv)
         return 0;
     }
 
-    // The suite universe: the linked registry (in-process, the default)
-    // or the bench_* binaries next to this executable (--spawn).
     std::vector<std::string> names;
-    std::vector<fs::path> spawn_binaries;
-    const fs::path bench_dir = selfDirectory(argv[0]);
-    if (spawn) {
-        for (const auto &entry : fs::directory_iterator(bench_dir)) {
-            const std::string name = entry.path().filename().string();
-            if (name.rfind("bench_", 0) == 0 &&
-                isExecutableFile(entry.path()))
-                spawn_binaries.push_back(entry.path());
-        }
-        std::sort(spawn_binaries.begin(), spawn_binaries.end());
-        for (const auto &binary : spawn_binaries)
-            names.push_back(binary.filename().string());
-        if (names.empty()) {
-            std::fprintf(stderr,
-                         "run_all: no bench_* binaries found in %s\n",
-                         bench_dir.c_str());
-            return 1;
-        }
-    } else {
-        for (const auto &suite : registry.suites())
-            names.push_back(suite.name);
-        if (names.empty()) {
-            std::fprintf(stderr, "run_all: no suites registered\n");
-            return 1;
-        }
+    for (const auto &suite : registry.suites())
+        names.push_back(suite.name);
+    if (names.empty()) {
+        std::fprintf(stderr, "run_all: no suites registered\n");
+        return 1;
     }
 
     // --suites: an explicit, validated selection in list order; a miss
@@ -760,6 +480,16 @@ main(int argc, char **argv)
             return 1;
         }
     }
+    // Suite arguments mean one suite's command line (a CSV directory,
+    // --window, Google Benchmark flags); handing them to several suites
+    // at once would be a guess.
+    if (!suite_args.empty() && selected.size() != 1) {
+        std::fprintf(stderr,
+                     "run_all: suite arguments after '--' need exactly one "
+                     "selected suite, got %zu (use --suites NAME)\n",
+                     selected.size());
+        return 2;
+    }
     if (list_only) {
         for (const std::size_t i : selected)
             std::printf("%s\n", names[i].c_str());
@@ -792,245 +522,127 @@ main(int argc, char **argv)
     const std::vector<std::size_t> order =
         ebs::bench::scheduleOrder(sel_names, previous_durations);
 
-    const bool tracing = ebs::obs::traceEnabled();
+    // One shared FleetScheduler pool for the suite tasks AND every
+    // suite's episode fan-out. The pool is built here (not
+    // FleetScheduler::shared()) so --jobs sizes it regardless of when
+    // EBS_JOBS was read. No budget split: a draining suite's workers
+    // immediately absorb the straggler's episodes.
+    std::printf("[run_all] fleet: %zu suites, budget %d "
+                "(one shared pool%s)\n",
+                n_suites, budget, serial ? ", --serial" : "");
+    if (!previous_durations.empty())
+        std::printf("[run_all] schedule seeded from %s "
+                    "(longest suite first)\n",
+                    timeline_path.c_str());
+
+    ebs::sched::FleetScheduler scheduler(budget);
+    std::vector<const ebs::bench::SuiteInfo *> infos;
+    std::vector<std::FILE *> outs(n_suites, nullptr);
+    std::vector<std::FILE *> errs(n_suites, nullptr);
+    std::vector<std::unique_ptr<ebs::bench::SuiteContext>> contexts;
+    for (std::size_t i = 0; i < n_suites; ++i) {
+        infos.push_back(registry.find(sel_names[i]));
+        outs[i] = std::fopen(log_paths[i].c_str(), "w");
+        errs[i] = std::fopen(err_paths[i].c_str(), "w");
+        if (outs[i] == nullptr || errs[i] == nullptr) {
+            std::fprintf(stderr, "run_all: cannot open logs for %s: %s\n",
+                         sel_names[i].c_str(), std::strerror(errno));
+            return 1;
+        }
+        ebs::bench::SuiteContext::Config config;
+        config.out = outs[i];
+        config.err = errs[i];
+        config.smoke = smoke;
+        config.args = suite_args;
+        config.scheduler = &scheduler;
+        config.jobs = budget;
+        contexts.push_back(
+            std::make_unique<ebs::bench::SuiteContext>(config));
+    }
+
     std::vector<SuiteResult> results(n_suites);
-    std::vector<ebs::sched::TaskTiming> timings;
     ebs::core::Mutex print_mutex;
+    ebs::sched::TaskGraph graph;
+    for (const std::size_t i : order) {
+        graph.add(
+            [&, i] {
+                results[i] = runSuite(*infos[i], *contexts[i]);
+                std::fflush(outs[i]);
+                std::fflush(errs[i]);
+                ebs::core::MutexLock lock(print_mutex);
+                std::printf("[run_all] %-32s exit=%d wall=%.2fs\n",
+                            results[i].name.c_str(), results[i].exit_code,
+                            results[i].wall_seconds);
+                std::fflush(stdout);
+            },
+            sel_names[i]);
+    }
+    // Cap at the pool width so the help-executing run() caller cannot
+    // add a (budget+1)-th in-flight suite; --serial runs suites one at a
+    // time, each still fanning episodes across the whole pool.
+    const std::vector<ebs::sched::TaskTiming> timings =
+        scheduler.run(std::move(graph), serial ? 1 : budget);
 
-    if (spawn) {
-        // Legacy static split: C children at once, each child's episode
-        // fan-out capped by its own EBS_JOBS share.
-        const int concurrent =
-            serial ? 1 : std::min<int>(budget, int(n_suites));
-        const int child_jobs = std::max(1, budget / concurrent);
-        std::printf("[run_all] fleet: %zu suites, budget %d "
-                    "(--spawn: %d concurrent x %d jobs/child%s)\n",
-                    n_suites, budget, concurrent, child_jobs,
-                    serial ? ", --serial" : "");
-        if (!previous_durations.empty())
-            std::printf("[run_all] schedule seeded from %s "
-                        "(longest suite first)\n",
-                        timeline_path.c_str());
+    for (std::size_t i = 0; i < n_suites; ++i) {
+        std::fclose(outs[i]);
+        std::fclose(errs[i]);
+        results[i].paper_metrics = collectMetricLines(log_paths[i]);
+        results[i].phase_wall = contexts[i]->phaseWall().snapshot();
+    }
 
-        // Tracing: each child exports its trace to a per-suite file in
-        // the log dir, under a disjoint pid block, and the driver
-        // merges them after the fleet drains.
-        std::vector<fs::path> suite_traces;
-        std::vector<std::unique_ptr<ChildEnvironment>> child_envs;
-        child_envs.reserve(n_suites);
-        for (std::size_t i = 0; i < n_suites; ++i) {
-            std::vector<std::string> extra;
-            if (tracing) {
-                const fs::path child_trace =
-                    log_dir / (sel_names[i] + ".trace.json");
-                suite_traces.push_back(child_trace);
-                extra.push_back("EBS_TRACE_OUT=" + child_trace.string());
-                extra.push_back("EBS_TRACE_NAME=" + sel_names[i]);
-                extra.push_back("EBS_TRACE_PID_BASE=" +
-                                std::to_string(10 + 10 * i));
-            }
-            child_envs.push_back(std::make_unique<ChildEnvironment>(
-                smoke, child_jobs, std::move(extra)));
-        }
-
-        // A node per suite, no edges: each node blocks in wait4 while
-        // the child burns the actual CPU, so pool threads are cheap
-        // placeholders for the child's budget share.
-        ebs::sched::FleetScheduler scheduler(concurrent);
-        ebs::sched::TaskGraph graph;
-        for (const std::size_t i : order) {
-            graph.add(
-                [&, i] {
-                    results[i] = runSuiteSpawned(
-                        spawn_binaries[selected[i]], log_paths[i],
-                        err_paths[i], *child_envs[i]);
-                    results[i].paper_metrics =
-                        collectMetricLines(log_paths[i]);
-                    readPhaseWall(err_paths[i], results[i]);
-                    ebs::core::MutexLock lock(print_mutex);
-                    std::printf(
-                        "[run_all] %-32s exit=%d wall=%.2fs rss=%ldKB\n",
-                        results[i].name.c_str(), results[i].exit_code,
-                        results[i].wall_seconds, results[i].max_rss_kb);
-                    std::fflush(stdout);
-                },
-                sel_names[i]);
-        }
-        // The cap matters even with a right-sized pool: the run()
-        // caller help-executes while waiting, which would otherwise add
-        // a budget-breaching (concurrent+1)-th suite.
-        timings = scheduler.run(std::move(graph), concurrent);
-
-        const FleetSummary summary =
-            summarize(timings, budget, true, concurrent, child_jobs);
-        std::printf("[run_all] schedule: makespan %.2fs, suite wall sum "
-                    "%.2fs, pool busy %.0f%%\n",
-                    summary.makespan_s, summary.busy_s,
-                    100.0 * summary.utilization);
-        if (!timings.empty()) {
-            const auto &straggler = timings[summary.straggler];
-            std::printf(
-                "[run_all] straggler: %s (%.2fs, %.0f%% of makespan)\n",
-                straggler.label.c_str(), straggler.duration(),
-                summary.makespan_s > 0.0
-                    ? 100.0 * straggler.duration() / summary.makespan_s
-                    : 0.0);
-        }
-        writeTimeline(timeline_path, timings, results, summary, order);
-        if (tracing) {
-            writeMergedTraceSpawn(trace_path, suite_traces, timings,
-                                  results, order);
-            std::printf("[run_all] wrote %s (merged %zu suite traces)\n",
-                        trace_path.c_str(), suite_traces.size());
-        }
-    } else {
-        // In-process fleet: one shared FleetScheduler pool for the suite
-        // tasks AND every suite's episode fan-out. The pool is built
-        // here (not FleetScheduler::shared()) so --jobs sizes it
-        // regardless of when EBS_JOBS was read. No budget split: a
-        // draining suite's workers immediately absorb the straggler's
-        // episodes.
-        std::printf("[run_all] fleet: %zu suites, budget %d "
-                    "(in-process, one shared pool%s)\n",
-                    n_suites, budget, serial ? ", --serial" : "");
-        if (!previous_durations.empty())
-            std::printf("[run_all] schedule seeded from %s "
-                        "(longest suite first)\n",
-                        timeline_path.c_str());
-
-        ebs::sched::FleetScheduler scheduler(budget);
-        std::vector<const ebs::bench::SuiteInfo *> infos;
-        std::vector<std::FILE *> outs(n_suites, nullptr);
-        std::vector<std::FILE *> errs(n_suites, nullptr);
-        std::vector<std::unique_ptr<ebs::bench::SuiteContext>> contexts;
-        for (std::size_t i = 0; i < n_suites; ++i) {
-            const auto *info = registry.find(sel_names[i]);
-            if (info == nullptr) { // unreachable: names came from it
-                std::fprintf(stderr, "run_all: suite %s vanished from "
-                                     "the registry\n",
-                             sel_names[i].c_str());
-                return 1;
-            }
-            infos.push_back(info);
-            outs[i] = std::fopen(log_paths[i].c_str(), "w");
-            errs[i] = std::fopen(err_paths[i].c_str(), "w");
-            if (outs[i] == nullptr || errs[i] == nullptr) {
-                std::fprintf(stderr,
-                             "run_all: cannot open logs for %s: %s\n",
-                             sel_names[i].c_str(), std::strerror(errno));
-                return 1;
-            }
-            ebs::bench::SuiteContext::Config config;
-            config.out = outs[i];
-            config.err = errs[i];
-            config.smoke = smoke;
-            config.scheduler = &scheduler;
-            config.jobs = budget;
-            // config.tracer stays null: each context owns a private
-            // Tracer, so episode ids and trace tracks are per-suite —
-            // exactly what a spawned child's process-wide tracer was.
-            contexts.push_back(std::make_unique<ebs::bench::SuiteContext>(
-                config));
-        }
-
-        ebs::sched::TaskGraph graph;
-        for (const std::size_t i : order) {
-            graph.add(
-                [&, i] {
-                    results[i] =
-                        runSuiteInProcess(*infos[i], *contexts[i]);
-                    std::fflush(outs[i]);
-                    std::fflush(errs[i]);
-                    ebs::core::MutexLock lock(print_mutex);
-                    std::printf(
-                        "[run_all] %-32s exit=%d wall=%.2fs rss=%ldKB\n",
-                        results[i].name.c_str(), results[i].exit_code,
-                        results[i].wall_seconds, results[i].max_rss_kb);
-                    std::fflush(stdout);
-                },
-                sel_names[i]);
-        }
-        // Cap at the pool width so the help-executing run() caller
-        // cannot add a (budget+1)-th in-flight suite; --serial runs
-        // suites one at a time, each still fanning episodes across the
-        // whole pool.
-        timings = scheduler.run(std::move(graph), serial ? 1 : budget);
-
-        for (std::size_t i = 0; i < n_suites; ++i) {
-            std::fclose(outs[i]);
-            std::fclose(errs[i]);
-            results[i].paper_metrics = collectMetricLines(log_paths[i]);
-            readPhaseWall(err_paths[i], results[i]);
-        }
-
-        const FleetSummary summary =
-            summarize(timings, budget, false, 1, 0);
-        std::printf("[run_all] schedule: makespan %.2fs, suite wall sum "
-                    "%.2fs, single shared pool (%d workers)\n",
-                    summary.makespan_s, summary.busy_s, budget);
-        if (!timings.empty()) {
-            const auto &straggler = timings[summary.straggler];
-            std::printf(
-                "[run_all] straggler: %s (%.2fs, %.0f%% of makespan)\n",
-                straggler.label.c_str(), straggler.duration(),
-                summary.makespan_s > 0.0
-                    ? 100.0 * straggler.duration() / summary.makespan_s
-                    : 0.0);
-        }
-        writeTimeline(timeline_path, timings, results, summary, order);
-        if (tracing) {
-            writeMergedTraceInProcess(trace_path, timings, results,
-                                      order, sel_names, contexts);
-            std::printf("[run_all] wrote %s (merged %zu suite tracks)\n",
-                        trace_path.c_str(), contexts.size());
-        }
+    const FleetSummary summary = summarize(timings, budget);
+    std::printf("[run_all] schedule: makespan %.2fs, suite wall sum "
+                "%.2fs, single shared pool (%d workers)\n",
+                summary.makespan_s, summary.busy_s, budget);
+    if (!timings.empty()) {
+        const auto &straggler = timings[summary.straggler];
+        std::printf("[run_all] straggler: %s (%.2fs, %.0f%% of makespan)\n",
+                    straggler.label.c_str(), straggler.duration(),
+                    summary.makespan_s > 0.0
+                        ? 100.0 * straggler.duration() / summary.makespan_s
+                        : 0.0);
+    }
+    writeTimeline(timeline_path, timings, results, summary, order);
+    if (ebs::obs::traceEnabled()) {
+        writeMergedTrace(trace_path, timings, results, order, sel_names,
+                         contexts);
+        std::printf("[run_all] wrote %s (merged %zu suite tracks)\n",
+                    trace_path.c_str(), contexts.size());
     }
 
     int failures = 0;
     for (const auto &r : results)
         failures += r.exit_code != 0;
 
-    // Memory high-water mark of the fleet. Spawn children are separate
-    // processes, so the per-suite peaks are independent and the fleet
-    // peak is the max; in-process every value is the one process's
-    // monotone high-water mark, so the max is simply the final reading.
-    if (!results.empty()) {
-        std::size_t peak = 0;
-        for (std::size_t i = 1; i < results.size(); ++i)
-            if (results[i].max_rss_kb > results[peak].max_rss_kb)
-                peak = i;
-        if (spawn)
-            std::printf("[run_all] peak rss: %s (%ld KB)\n",
-                        results[peak].name.c_str(),
-                        results[peak].max_rss_kb);
-        else
-            std::printf("[run_all] peak rss: %ld KB (process high-water; "
-                        "last reader %s)\n",
-                        results[peak].max_rss_kb,
-                        results[peak].name.c_str());
-    }
-    // Per-episode compute/execute host split across the suites that
-    // report one (EBS_PHASE_WALL): makes the speculative execute-phase
-    // win visible at fleet level and in BENCH_timeline.json.
+    // Memory high-water mark of the fleet: suites share one process, so
+    // there is one peak and no suite to credit it to.
+    struct rusage usage{};
+    ::getrusage(RUSAGE_SELF, &usage);
+    std::printf("[run_all] peak rss: %ld KB (process high-water)\n",
+                usage.ru_maxrss);
+
+    // Per-episode compute/execute host split across every suite that
+    // ran episodes: makes the speculative execute-phase win visible at
+    // fleet level and in BENCH_timeline.json.
     {
-        double compute_s = 0.0, execute_s = 0.0;
-        long long episodes = 0;
+        ebs::stats::PhaseWallClock::Snapshot total;
         int reporting = 0;
         for (const auto &r : results) {
-            if (!r.has_phase_wall)
+            if (r.phase_wall.episodes == 0)
                 continue;
-            compute_s += r.phase_compute_s;
-            execute_s += r.phase_execute_s;
-            episodes += r.phase_episodes;
+            total.compute_s += r.phase_wall.compute_s;
+            total.execute_s += r.phase_wall.execute_s;
+            total.episodes += r.phase_wall.episodes;
             ++reporting;
         }
-        if (episodes > 0)
+        if (total.episodes > 0)
             std::printf("[run_all] phase wall (%d suites, %lld episodes): "
                         "compute %.2fs + execute %.2fs "
                         "(%.1fms + %.1fms per episode)\n",
-                        reporting, episodes, compute_s, execute_s,
-                        1000.0 * compute_s / episodes,
-                        1000.0 * execute_s / episodes);
+                        reporting, total.episodes, total.compute_s,
+                        total.execute_s,
+                        1000.0 * total.compute_s / total.episodes,
+                        1000.0 * total.execute_s / total.episodes);
     }
 
     writeJson(out_path, results, smoke);

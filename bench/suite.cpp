@@ -11,8 +11,7 @@ SuiteContext::SuiteContext(const Config &config)
       scheduler_(config.scheduler != nullptr
                      ? config.scheduler
                      : &sched::FleetScheduler::shared()),
-      tracer_(config.tracer != nullptr ? config.tracer : &own_tracer_),
-      runner_(config.jobs, scheduler_, tracer_)
+      runner_(config.jobs, scheduler_, &tracer_)
 {
 }
 
@@ -52,7 +51,7 @@ SuiteContext::stamped(runner::EpisodeJob job)
     if (job.phase_wall == &stats::PhaseWallClock::shared())
         job.phase_wall = &phase_wall_;
     if (job.tracer == nullptr)
-        job.tracer = tracer_;
+        job.tracer = &tracer_;
     return job;
 }
 
@@ -170,16 +169,6 @@ SuiteContext::emitSharedServiceSummary(const std::string &bench_case)
            usage.calls, stats.batches, stats.cross_agent_batches,
            stats.occupancy());
     emitScalarMetric(bench_case, "batch_occupancy", stats.occupancy());
-}
-
-void
-SuiteContext::emitPhaseWallSummary()
-{
-    const auto wall = phase_wall_.snapshot();
-    eprintf("EBS_PHASE_WALL {\"compute_s\":%s,\"execute_s\":%s,"
-            "\"episodes\":%lld}\n",
-            jsonNum(wall.compute_s, 3).c_str(),
-            jsonNum(wall.execute_s, 3).c_str(), wall.episodes);
 }
 
 SuiteRegistry &

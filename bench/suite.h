@@ -14,29 +14,28 @@
 #include "stats/phase_wall.h"
 
 /**
- * The in-process suite registry (PR 10). Every bench is a library
- * function `int fn(SuiteContext &)` registered under its binary name;
- * `run_all` runs the whole registry as one dependency-free TaskGraph on
- * a single FleetScheduler pool, and a thin generated wrapper
- * (suite_main.cpp) keeps each `bench_*` target runnable standalone.
+ * The suite registry. Every bench is a library function
+ * `int fn(SuiteContext &)` registered under its suite name; `run_all`
+ * (the one entry point) runs the selected suites as one dependency-free
+ * TaskGraph on a single FleetScheduler pool.
  *
- * SuiteContext carries everything that used to be process-global when
- * suites were posix_spawn children:
+ * SuiteContext carries everything a suite would otherwise take from
+ * process-global state:
  *
  *  - the **output sinks**: all stdout emission (tables, EBS_METRIC
- *    lines) goes through ctx.printf()/ctx.vprintf() and all stderr
- *    diagnostics (host timings, EBS_PHASE_WALL) through ctx.eprintf(),
- *    so a suite's captured log is byte-identical whether it runs
- *    in-process or spawned (the `suite-io` lint rule bans direct
- *    printf/stdout writes under bench/ to keep it that way);
- *  - **smoke mode** as a flag instead of the EBS_BENCH_SMOKE env read;
+ *    lines) goes through ctx.printf()/ctx.write() and all stderr
+ *    diagnostics (host timings) through ctx.eprintf(), so a suite's
+ *    captured log never interleaves with its siblings' (the `suite-io`
+ *    lint rule bans direct printf/stdout writes under bench/ to keep it
+ *    that way);
+ *  - **smoke mode** and the suite's **arguments** (`run_all -- ARGS`);
  *  - the **scheduler** episodes fan out on (one shared pool for the
- *    whole fleet in-process — stragglers absorb freed capacity);
+ *    whole fleet — stragglers absorb freed capacity);
  *  - a per-suite **LlmEngineService**, **PhaseWallClock**, and
  *    **Tracer**, substituted for the process-wide defaults when a
- *    variant/job left them at `::shared()`, so per-suite service
- *    summaries, phase-wall splits, and trace tracks survive the loss of
- *    process isolation bit-for-bit.
+ *    variant/job left them at `::shared()`, so service summaries,
+ *    phase-wall splits, and trace tracks stay per-suite while every
+ *    suite shares one process.
  */
 namespace ebs::bench {
 
@@ -50,17 +49,12 @@ class SuiteContext
         // EBS_LINT_ALLOW(suite-io): the sink defaults themselves
         std::FILE *err = stderr; ///< stderr sink (diagnostics log)
         bool smoke = false;      ///< single-seed CI mode
-        /** Suite arguments (argv[1..] standalone; empty under run_all,
-         * which never passes per-suite arguments — matching spawn). */
+        /** Suite arguments: what follows `--` on the run_all command
+         * line (empty unless exactly one suite was selected). */
         std::vector<std::string> args;
         /** Pool episodes fan out on; nullptr = FleetScheduler::shared().
          * run_all passes its own budget-sized pool. */
         sched::FleetScheduler *scheduler = nullptr;
-        /** Trace sink; nullptr = the context owns a private Tracer (the
-         * in-process default). The standalone wrapper passes
-         * &obs::Tracer::shared() so the EBS_TRACE_OUT atexit exporter
-         * keeps working for the `--spawn` legacy path. */
-        obs::Tracer *tracer = nullptr;
         /** In-flight episode cap of the context's runner; <= 0 selects
          * EpisodeRunner::defaultJobs() (EBS_JOBS). */
         int jobs = 0;
@@ -80,11 +74,10 @@ class SuiteContext
     /** Suite arguments (never includes the program name). */
     const std::vector<std::string> &args() const { return args_; }
 
-    /** The suite's stdout sink — every byte a spawned child would have
-     * written to stdout goes here. */
+    /** The suite's stdout sink (the captured `<suite>.log`). */
     std::FILE *out() const { return out_; }
 
-    /** The suite's stderr sink (host timings, EBS_PHASE_WALL). */
+    /** The suite's stderr sink (host timings, usage errors). */
     std::FILE *err() const { return err_; }
 
     /** printf to the suite's stdout sink. */
@@ -110,17 +103,19 @@ class SuiteContext
     /** The suite's episode runner: bound to scheduler() and tracer(). */
     const runner::EpisodeRunner &runner() const { return runner_; }
 
-    /** The suite's engine service — what LlmEngineService::shared() was
-     * to a spawned child. Variants/jobs left at the shared default are
-     * re-pointed here by the stamping runners below. */
+    /** The suite's engine service. Variants/jobs left at
+     * LlmEngineService::shared() are re-pointed here by the stamping
+     * runners below. */
     llm::LlmEngineService &engineService() { return service_; }
 
-    /** The suite's phase-wall accumulator (see engineService()). */
+    /** The suite's phase-wall accumulator (see engineService()); run_all
+     * reads its snapshot into the phase-wall summary and
+     * BENCH_timeline.json once the suite finished. */
     stats::PhaseWallClock &phaseWall() { return phase_wall_; }
 
     /** The suite's trace sink; run_all merges its chromeLines() into
      * BENCH_trace.json after the fleet completes. */
-    obs::Tracer &tracer() { return *tracer_; }
+    obs::Tracer &tracer() { return tracer_; }
 
     /**
      * Re-point a job's process-global defaults at this suite's
@@ -179,16 +174,11 @@ class SuiteContext
 
     /**
      * Report what this suite's engine service saw (call volume,
-     * cross-agent batch occupancy). The printed label predates the
-     * in-process registry — a spawned child's "shared" service saw
-     * exactly one suite's traffic, which is exactly what engineService()
-     * sees here, so the wording (and the bytes) are unchanged.
+     * cross-agent batch occupancy). "Shared" means shared across the
+     * suite's agents and episodes: engineService() sees exactly one
+     * suite's traffic.
      */
     void emitSharedServiceSummary(const std::string &bench_case);
-
-    /** Report the suite's compute/execute host wall-clock split to the
-     * stderr sink as one EBS_PHASE_WALL line. */
-    void emitPhaseWallSummary();
 
   private:
     std::FILE *out_;
@@ -196,16 +186,14 @@ class SuiteContext
     bool smoke_;
     std::vector<std::string> args_;
     sched::FleetScheduler *scheduler_;
-    obs::Tracer own_tracer_;
-    obs::Tracer *tracer_;
+    obs::Tracer tracer_;
     llm::LlmEngineService service_;
     stats::PhaseWallClock phase_wall_;
     runner::EpisodeRunner runner_;
 };
 
 /** A registered suite: its fn plus what --list-suites prints. The name
- * doubles as the standalone binary name (bench/<name> in the build
- * tree). */
+ * is what `run_all --suites` resolves and names the suite's logs. */
 struct SuiteInfo
 {
     std::string name;
@@ -216,8 +204,7 @@ struct SuiteInfo
 /**
  * The process-wide suite registry. Registration happens from static
  * initializers (EBS_BENCH_SUITE), so link order decides insertion
- * order; suites() sorts by name, matching the sorted directory scan the
- * spawn driver used.
+ * order; suites() sorts by name so the fleet order is stable.
  */
 class SuiteRegistry
 {

@@ -1,8 +1,9 @@
 #include "core/coordinator.h"
 
 #include <algorithm>
-#include <cassert>
 #include <memory>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "env/spec.h"
@@ -765,7 +766,11 @@ EpisodeResult
 runSingleAgent(env::Environment &environment, const AgentConfig &config,
                const EpisodeOptions &options)
 {
-    assert(environment.world().agentCount() == 1);
+    const int agents = environment.world().agentCount();
+    if (agents != 1)
+        throw std::invalid_argument(
+            "runSingleAgent needs exactly one agent, the environment has " +
+            std::to_string(agents));
     Harness harness(environment, config, options);
     Agent &agent = harness.agent(0);
 

@@ -69,7 +69,8 @@ struct EpisodeOptions
  * Run a single-agent episode in the modularized paradigm (paper Fig. 1b):
  * per step, sense -> (memory retrieve) -> plan -> execute -> reflect.
  *
- * The environment must contain exactly one agent body.
+ * The environment must contain exactly one agent body; any other count
+ * throws std::invalid_argument (in every build type).
  */
 EpisodeResult runSingleAgent(env::Environment &environment,
                              const AgentConfig &config,

@@ -10,7 +10,8 @@ namespace ebs::obs {
 
 namespace {
 
-/** Same falsy parse as the benches' EBS_BENCH_SMOKE. */
+/** Unset, "", "0", "false", "off" and "no" are false; anything else is
+ * true. */
 bool
 envTruthy(const char *value)
 {
@@ -149,36 +150,6 @@ Tracer &
 Tracer::shared()
 {
     static Tracer instance;
-    // Registered *after* the instance's construction completed, so the
-    // atexit handler runs before the (trivial) destructor would.
-    static const bool exporter_registered = [] {
-        // NOLINTNEXTLINE(concurrency-mt-unsafe)
-        const char *out = std::getenv("EBS_TRACE_OUT");
-        if (!traceEnabled() || out == nullptr || out[0] == '\0')
-            return false;
-        std::atexit([] {
-            // NOLINTNEXTLINE(concurrency-mt-unsafe)
-            const char *path = std::getenv("EBS_TRACE_OUT");
-            if (path == nullptr || path[0] == '\0')
-                return;
-            // NOLINTNEXTLINE(concurrency-mt-unsafe)
-            const char *name = std::getenv("EBS_TRACE_NAME");
-            // NOLINTNEXTLINE(concurrency-mt-unsafe)
-            const char *base = std::getenv("EBS_TRACE_PID_BASE");
-            int pid_base = 1;
-            if (base != nullptr) {
-                const long parsed = std::strtol(base, nullptr, 10);
-                if (parsed > 0 &&
-                    parsed < std::numeric_limits<int>::max() - 2)
-                    pid_base = static_cast<int>(parsed);
-            }
-            Tracer::shared().writeChromeJson(
-                path, name != nullptr && name[0] != '\0' ? name : "ebs",
-                pid_base);
-        });
-        return true;
-    }();
-    (void)exporter_registered;
     return instance;
 }
 

@@ -43,7 +43,7 @@ namespace ebs::obs {
  */
 
 /** True when `EBS_TRACE` requests tracing (any value other than empty,
- * "0", "false", "off", "no" — the same falsy parse as EBS_BENCH_SMOKE).
+ * "0", "false", "off", "no").
  * Memoized at first call; setTraceEnabled() overrides it for tests. */
 bool traceEnabled();
 
@@ -124,24 +124,22 @@ class EpisodeTraceLog
  *
  * Reading (simStream / writeChromeJson / clear) requires quiescence: no
  * episode in flight, scheduler workers idle. Every caller satisfies
- * this structurally — the atexit exporter runs after main, tests read
- * after EpisodeRunner::run() returned (task completion is published
+ * this structurally — run_all reads after the fleet graph drained, tests
+ * read after EpisodeRunner::run() returned (task completion is published
  * through the scheduler mutex, so the buffers are safely visible).
  */
 class Tracer
 {
   public:
-    /** Tracers are also directly constructible: run_all's in-process
-     * fleet gives every suite its own instance so episode-id streams and
-     * trace tracks stay per-suite (matching what a spawned child's
-     * process-wide tracer produced). Only the shared() instance may
-     * receive hostTask() — the scheduler's emission point — because the
-     * per-thread buffer slot is process-global (see threadBuffer()). */
+    /** Tracers are also directly constructible: run_all gives every
+     * suite its own instance so episode-id streams and trace tracks stay
+     * per-suite. Only the shared() instance may receive hostTask() — the
+     * scheduler's emission point — because the per-thread buffer slot is
+     * process-global (see threadBuffer()). */
     Tracer() = default;
 
-    /** The process-wide instance. First touch with tracing enabled and
-     * `EBS_TRACE_OUT` set registers an atexit exporter that writes the
-     * Chrome JSON to that path (see writeChromeJson for the env knobs). */
+    /** The process-wide instance: the scheduler's host-task sink and the
+     * trace sink of episodes run without a tracer of their own. */
     static Tracer &shared();
 
     /**
@@ -176,10 +174,9 @@ class Tracer
 
     /**
      * Write Chrome trace-event JSON: one event object per line between
-     * a `{ "traceEvents": [` header and a `] }` footer (run_all merges
-     * per-suite files line-wise). Three process tracks: `pid_base` =
-     * sim-time episodes, +1 = host-time phase projection, +2 = host
-     * scheduler tasks; `process_label` names them. Per-track timestamps
+     * a `{ "traceEvents": [` header and a `] }` footer. Three process
+     * tracks: `pid_base` = sim-time episodes, +1 = host-time phase
+     * projection, +2 = host scheduler tasks; `process_label` names them. Per-track timestamps
      * are emitted sorted, and begin/end events balance — the invariants
      * tools/trace_summarize --validate checks. Returns false on I/O
      * failure.
@@ -191,10 +188,9 @@ class Tracer
     /**
      * The body lines of writeChromeJson() without the header/footer or
      * any file I/O: one Chrome trace-event JSON object per element, in
-     * emission order. run_all's in-process fleet concatenates every
-     * suite tracer's lines (distinct pid_base per suite) plus the shared
-     * tracer's scheduler track into one merged file — the in-memory
-     * replacement for stitching per-child trace files.
+     * emission order. run_all concatenates every suite tracer's lines
+     * (distinct pid_base per suite) plus the shared tracer's scheduler
+     * track into one merged BENCH_trace.json.
      */
     std::vector<std::string>
     chromeLines(const std::string &process_label,

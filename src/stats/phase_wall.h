@@ -10,8 +10,8 @@ namespace ebs::stats {
  * Process-wide *host* wall-clock accumulator for the two phase families
  * of the episode loop: compute phases (sense/plan/comm/reflect fan-outs)
  * and execute phases (env mutation, now speculated). This is diagnostic
- * timing — it feeds the stderr `EBS_PHASE_WALL` line and run_all's
- * straggler summary / BENCH_timeline.json, never stdout metrics, because
+ * timing — run_all reads each suite's snapshot into its phase-wall
+ * summary and BENCH_timeline.json, never into stdout metrics, because
  * host time varies run to run while every stdout metric must stay
  * byte-identical at any EBS_JOBS.
  *
@@ -58,8 +58,8 @@ class PhaseWallClock
     }
 
     /** Zero every bucket — tests bracket a measured section with
-     * reset()/snapshot(); benches never reset (the stderr summary is
-     * cumulative per process). */
+     * reset()/snapshot(); suites never reset (run_all reports
+     * each suite's cumulative total). */
     void
     reset() EBS_EXCLUDES(mu_)
     {

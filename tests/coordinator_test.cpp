@@ -1,4 +1,6 @@
 #include <algorithm>
+#include <stdexcept>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -36,6 +38,25 @@ TEST(SingleAgent, PerfectPlannerSolvesEasyTransport)
     EXPECT_DOUBLE_EQ(result.final_progress, 1.0);
     EXPECT_GT(result.sim_seconds, 0.0);
     EXPECT_GT(result.llm.calls, 0u);
+}
+
+TEST(SingleAgent, RejectsAgentCountOtherThanOne)
+{
+    for (const int agents : {0, 2}) {
+        envs::TransportEnv environment(env::Difficulty::Easy, agents,
+                                       sim::Rng(3));
+        EpisodeOptions options;
+        options.seed = 3;
+        try {
+            runSingleAgent(environment, goodConfig(), options);
+            ADD_FAILURE() << agents << "-agent environment accepted";
+        } catch (const std::invalid_argument &e) {
+            EXPECT_NE(std::string(e.what()).find(
+                          "has " + std::to_string(agents)),
+                      std::string::npos)
+                << e.what();
+        }
+    }
 }
 
 TEST(SingleAgent, DeterministicForSameSeed)

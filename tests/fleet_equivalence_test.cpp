@@ -6,26 +6,27 @@
 #include <sstream>
 #include <string>
 #include <utility>
-#include <vector>
+
+#include <sys/wait.h>
 
 #include <gtest/gtest.h>
 
 #include "stats/metric_diff.h"
 
 /**
- * The in-process-vs-spawn transition gate: the smoke fleet must produce
- * byte-identical per-suite stdout and exactly equal paper metrics
- * whether suites run as registered library functions on the shared
- * scheduler pool (the default) or as posix_spawn children (--spawn, the
- * legacy oracle) — and identically at --jobs 1 and --jobs 8 in both
- * modes (the determinism contract).
+ * The fleet determinism gate: the smoke fleet must produce byte-identical
+ * per-suite stdout and exactly equal paper metrics at --jobs 1 and
+ * --jobs 8 — suite tasks and every suite's episode fan-out share one
+ * scheduler pool, and the worker count must never leak into a result.
  *
  * bench_micro_substrate is excluded from the *byte* comparison: its
  * stdout is Google Benchmark's console report of host timings, not
  * byte-stable across runs by design (it emits no EBS_METRIC lines, so
- * the metric comparison is unaffected). The `.err.log` diagnostics
- * (host timings, EBS_PHASE_WALL) are likewise host-dependent and
- * deliberately outside the determinism contract.
+ * the metric comparison is unaffected). The `.err.log` diagnostics (host
+ * timings) are likewise host-dependent and outside the contract.
+ *
+ * The FleetArgs cases pin `run_all --suites NAME -- ARGS...`, the one
+ * spelling of suite arguments.
  */
 
 namespace {
@@ -34,30 +35,36 @@ namespace fs = std::filesystem;
 
 struct FleetRun
 {
+    int exit_code = -1;
+    fs::path dir;
     fs::path json;
     fs::path logs;
 };
 
 fs::path
-benchBinary(const std::string &name)
+runAllBinary()
 {
-    return fs::path(EBS_BENCH_BIN_DIR) / name;
+    return fs::path(EBS_BENCH_BIN_DIR) / "run_all";
 }
 
+/** Run `run_all --smoke FLAGS` with every output inside a fresh
+ * per-label temp directory. */
 FleetRun
 runFleet(const std::string &label, const std::string &flags)
 {
-    const fs::path dir = fs::path(testing::TempDir()) / ("fleet_" + label);
-    fs::remove_all(dir);
-    fs::create_directories(dir);
-    FleetRun run{dir / "results.json", dir / "logs"};
+    FleetRun run;
+    run.dir = fs::path(testing::TempDir()) / ("fleet_" + label);
+    fs::remove_all(run.dir);
+    fs::create_directories(run.dir);
+    run.json = run.dir / "results.json";
+    run.logs = run.dir / "logs";
     std::ostringstream cmd;
-    cmd << benchBinary("run_all") << " --smoke " << flags << " --out "
-        << run.json << " --logs " << run.logs << " --timeline "
-        << (dir / "timeline.json") << " > " << (dir / "driver.out")
-        << " 2> " << (dir / "driver.err");
-    const int rc = std::system(cmd.str().c_str());
-    EXPECT_EQ(rc, 0) << cmd.str();
+    cmd << runAllBinary() << " --smoke --out " << run.json << " --logs "
+        << run.logs << " --timeline " << (run.dir / "timeline.json")
+        << " " << flags << " > " << (run.dir / "driver.out") << " 2> "
+        << (run.dir / "driver.err");
+    const int status = std::system(cmd.str().c_str());
+    run.exit_code = WIFEXITED(status) ? WEXITSTATUS(status) : -1;
     return run;
 }
 
@@ -70,16 +77,16 @@ readFile(const fs::path &path)
     return buffer.str();
 }
 
-/** The byte-compared per-suite stdout logs of one fleet run. */
+/** The per-suite stdout logs of one fleet run (optionally without the
+ * host-timing bench_micro_substrate report). */
 std::set<std::string>
-suiteLogs(const FleetRun &run)
+suiteLogs(const FleetRun &run, bool byte_stable_only)
 {
     std::set<std::string> names;
     for (const auto &entry : fs::directory_iterator(run.logs)) {
         const std::string name = entry.path().filename().string();
-        if (name.size() > 4 && name.ends_with(".log") &&
-            !name.ends_with(".err.log") &&
-            name != "bench_micro_substrate.log")
+        if (name.ends_with(".log") && !name.ends_with(".err.log") &&
+            !(byte_stable_only && name == "bench_micro_substrate.log"))
             names.insert(name);
     }
     return names;
@@ -102,34 +109,84 @@ paperMetrics(const fs::path &json_path)
     return by_case;
 }
 
-TEST(FleetEquivalence, InProcessMatchesSpawnAtZeroTolerance)
+std::size_t
+occurrences(const std::string &text, const std::string &needle)
 {
-    if (!fs::exists(benchBinary("run_all")))
+    std::size_t count = 0;
+    for (std::size_t at = text.find(needle); at != std::string::npos;
+         at = text.find(needle, at + needle.size()))
+        ++count;
+    return count;
+}
+
+TEST(FleetEquivalence, JobsOneMatchesJobsEightAtZeroTolerance)
+{
+    if (!fs::exists(runAllBinary()))
         GTEST_SKIP() << "bench targets not built";
 
-    const FleetRun baseline = runFleet("spawn8", "--spawn --jobs 8");
-    const std::vector<std::pair<std::string, FleetRun>> others = {
-        {"in-process --jobs 8", runFleet("ip8", "--jobs 8")},
-        {"in-process --jobs 1", runFleet("ip1", "--jobs 1")},
-        {"--spawn --jobs 1", runFleet("spawn1", "--spawn --jobs 1")},
-    };
+    const FleetRun wide = runFleet("j8", "--jobs 8");
+    const FleetRun serial = runFleet("j1", "--jobs 1");
+    ASSERT_EQ(wide.exit_code, 0);
+    ASSERT_EQ(serial.exit_code, 0);
 
-    const auto baseline_logs = suiteLogs(baseline);
-    ASSERT_GE(baseline_logs.size(), 10u)
-        << "smoke fleet unexpectedly small";
-    const auto baseline_metrics = paperMetrics(baseline.json);
-    ASSERT_GE(baseline_metrics.size(), 50u)
-        << "paper metrics unexpectedly sparse";
+    const auto logs = suiteLogs(wide, true);
+    ASSERT_GE(logs.size(), 10u) << "smoke fleet unexpectedly small";
+    EXPECT_EQ(suiteLogs(serial, true), logs);
+    for (const auto &name : logs)
+        EXPECT_EQ(readFile(serial.logs / name), readFile(wide.logs / name))
+            << "per-suite stdout diverged in " << name;
 
-    for (const auto &[label, run] : others) {
-        EXPECT_EQ(suiteLogs(run), baseline_logs) << label;
-        for (const auto &name : baseline_logs)
-            EXPECT_EQ(readFile(run.logs / name),
-                      readFile(baseline.logs / name))
-                << label << ": per-suite stdout diverged in " << name;
-        // Exact equality — the zero-tolerance paper-metric gate.
-        EXPECT_EQ(paperMetrics(run.json), baseline_metrics) << label;
-    }
+    // Exact equality — the zero-tolerance paper-metric gate.
+    const auto metrics = paperMetrics(wide.json);
+    ASSERT_GE(metrics.size(), 50u) << "paper metrics unexpectedly sparse";
+    EXPECT_EQ(paperMetrics(serial.json), metrics);
+
+    // Logs are files, not terminals: no ANSI escapes anywhere.
+    for (const auto &name : suiteLogs(wide, false))
+        EXPECT_EQ(readFile(wide.logs / name).find('\x1b'),
+                  std::string::npos)
+            << name << " carries terminal escapes";
+
+    // Every suite that runs episodes reports its phase split.
+    const std::string timeline = readFile(wide.dir / "timeline.json");
+    const std::size_t with_episodes = occurrences(timeline, "\"episodes\":");
+    EXPECT_GE(with_episodes, 10u) << timeline;
+    EXPECT_EQ(occurrences(timeline, "\"phase_compute_s\":"), with_episodes);
+    EXPECT_EQ(occurrences(timeline, "\"phase_execute_s\":"), with_episodes);
+}
+
+TEST(FleetArgs, MalformedWindowFailsTheSuite)
+{
+    if (!fs::exists(runAllBinary()))
+        GTEST_SKIP() << "bench targets not built";
+    const FleetRun run =
+        runFleet("bad_window", "--suites engine_service -- --window=oops");
+    EXPECT_NE(run.exit_code, 0);
+    EXPECT_NE(readFile(run.logs / "bench_engine_service.err.log")
+                  .find("--window"),
+              std::string::npos);
+}
+
+TEST(FleetArgs, NeedExactlyOneSuite)
+{
+    if (!fs::exists(runAllBinary()))
+        GTEST_SKIP() << "bench targets not built";
+    EXPECT_EQ(runFleet("two_suites", "--suites fig2,fig3 -- x").exit_code, 2);
+}
+
+TEST(FleetArgs, Fig7WritesCsvIntoTheArgDirectory)
+{
+    if (!fs::exists(runAllBinary()))
+        GTEST_SKIP() << "bench targets not built";
+    const fs::path csv_dir = fs::path(testing::TempDir()) / "fleet_fig7_csv";
+    fs::remove_all(csv_dir);
+    fs::create_directories(csv_dir);
+    const FleetRun run =
+        runFleet("fig7_csv", "--suites fig7 -- " + csv_dir.string());
+    EXPECT_EQ(run.exit_code, 0);
+    const std::string csv = readFile(csv_dir / "fig7_scalability.csv");
+    EXPECT_EQ(csv.rfind("system,paradigm,difficulty,agents", 0), 0u)
+        << csv.substr(0, 200);
 }
 
 } // namespace

@@ -134,14 +134,8 @@ TEST(SuiteContext, StampingRepointsSharedDefaultsOnly)
     const auto kept = ctx.stamped(pinned);
     EXPECT_EQ(kept.engine_service, &private_service);
 
-    // Without a caller-provided tracer the context owns a private one
-    // (per-suite trace tracks); a provided tracer is used as-is.
-    SuiteContext own_tracer_ctx({});
-    EXPECT_NE(&own_tracer_ctx.tracer(), &ebs::obs::Tracer::shared());
-    SuiteContext::Config shared_config;
-    shared_config.tracer = &ebs::obs::Tracer::shared();
-    SuiteContext shared_tracer_ctx(shared_config);
-    EXPECT_EQ(&shared_tracer_ctx.tracer(), &ebs::obs::Tracer::shared());
+    // The context owns a private tracer (per-suite trace tracks).
+    EXPECT_NE(&ctx.tracer(), &ebs::obs::Tracer::shared());
 }
 
 TEST(SuiteContext, MetricEmissionFormat)

@@ -183,6 +183,28 @@ TEST(TraceSummarize, RollsUpPathsAndInstantArgs)
     EXPECT_NE(out.find("8"), std::string::npos) << out;
 }
 
+TEST(TraceSummarize, SchedulerTasksRollUpAcrossSeeds)
+{
+    const auto result = parseTraceText(wrap(
+        R"({"ph":"X","pid":3,"tid":0,"ts":0,"dur":1000000,"cat":"sched","name":"COMBO#8919"},)"
+        "\n"
+        R"({"ph":"X","pid":3,"tid":0,"ts":1000000,"dur":2000000,"cat":"sched","name":"COMBO#17"},)"
+        "\n"
+        R"({"ph":"X","pid":3,"tid":1,"ts":0,"dur":500000,"cat":"sched","name":"CoELA#17"},)"
+        "\n"
+        R"({"ph":"X","pid":3,"tid":1,"ts":500000,"dur":500000,"cat":"sched","name":"tag#v2"})"));
+    ASSERT_TRUE(result.ok) << result.error;
+    const std::string out = summarize(result.events);
+    // Both COMBO episodes land in one row with their durations summed.
+    EXPECT_NE(out.find("2x  total_s=3.000000  COMBO\n"), std::string::npos)
+        << out;
+    EXPECT_NE(out.find("1x  total_s=0.500000  CoELA\n"), std::string::npos)
+        << out;
+    EXPECT_EQ(out.find("#8919"), std::string::npos) << out;
+    // Only an all-digit suffix is a seed.
+    EXPECT_NE(out.find("tag#v2"), std::string::npos) << out;
+}
+
 TEST(TraceRoundTrip, TracerJsonParsesAndValidatesClean)
 {
     ebs::obs::setTraceEnabled(true);

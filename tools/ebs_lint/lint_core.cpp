@@ -294,16 +294,16 @@ matchDelim(const std::vector<Token> &toks, std::size_t open,
 /**
  * Files the suite-io rule applies to: the benchmark suites themselves
  * (bench_*.cpp / bench_*.h anywhere) plus the SuiteContext
- * implementation and the standalone wrapper. The fleet driver
- * (run_all.cpp), diff_metrics, and fleet_plan are drivers, not suites —
- * their stdout is not captured per-suite, so they stay out of scope.
+ * implementation. The fleet driver (run_all.cpp), diff_metrics, and
+ * fleet_plan are drivers, not suites — their stdout is not captured
+ * per-suite, so they stay out of scope.
  */
 bool
 suiteIoScope(const std::string &path)
 {
     const std::string name = fs::path(path).filename().string();
     return name.rfind("bench_", 0) == 0 || name == "suite.h" ||
-           name == "suite.cpp" || name == "suite_main.cpp";
+           name == "suite.cpp";
 }
 
 struct RuleSink
@@ -374,8 +374,8 @@ runTokenRules(const std::vector<Token> &toks, RuleSink &sink)
         }
         // Direct process-stream I/O inside a benchmark suite bypasses
         // the SuiteContext sink, so the bytes escape the per-suite log
-        // the in-process fleet captures (and byte-compares against the
-        // spawned oracle). Member calls (ctx.printf, stream.fputs) are
+        // the fleet captures (and byte-compares across worker counts).
+        // Member calls (ctx.printf, stream.fputs) are
         // the sanctioned sinks and don't fire; std::printf does (its
         // previous token is '::').
         if (suite_scope) {

@@ -381,6 +381,21 @@ appendSeconds(std::string &out, double us)
     out += buf;
 }
 
+/** "COMBO#8919" -> "COMBO": scheduler tasks are labeled per episode
+ * (workload#seed), so the rollup drops a trailing `#<digits>` to
+ * aggregate one workload's tasks into one row. */
+std::string
+withoutSeedSuffix(const std::string &name)
+{
+    const std::size_t hash = name.rfind('#');
+    if (hash == std::string::npos || hash + 1 == name.size())
+        return name;
+    for (std::size_t i = hash + 1; i < name.size(); ++i)
+        if (name[i] < '0' || name[i] > '9')
+            return name;
+    return name.substr(0, hash);
+}
+
 } // namespace
 
 ParseResult
@@ -551,7 +566,8 @@ summarize(const std::vector<Event> &events)
             stats.total_us += event.ts_us - stack.back().begin_us;
             stack.pop_back();
         } else if (event.ph == 'X') {
-            SpanStats &stats = complete[{process, event.name}];
+            SpanStats &stats =
+                complete[{process, withoutSeedSuffix(event.name)}];
             ++stats.count;
             stats.total_us += event.dur_us;
         } else if (event.ph == 'i') {

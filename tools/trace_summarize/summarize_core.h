@@ -65,8 +65,9 @@ std::vector<std::string> validate(const std::vector<Event> &events);
 
 /**
  * Flame-style rollup: B/E spans aggregated by their full stack path
- * (count, total seconds), X spans and instants aggregated by name with
- * summed numeric args. Tracks are labeled with their process_name
+ * (count, total seconds), X spans aggregated by name with a trailing
+ * `#<seed>` dropped (per-episode scheduler task labels roll up per
+ * workload), instants by name with summed numeric args. Tracks are labeled with their process_name
  * metadata when present. Deterministic: every section is sorted.
  */
 std::string summarize(const std::vector<Event> &events);
