@@ -289,9 +289,8 @@ Agent::searchOrExploreSubgoal()
 {
     // Unvisited rooms take priority: cheap information gain.
     const int rooms = env_->world().grid().roomCount();
-    const auto visited = memory_.visitedRooms();
     for (int room = 0; room < rooms; ++room)
-        if (visited.count(room) == 0 && room != percept_.room)
+        if (memory_.lastVisit(room) < 0 && room != percept_.room)
             return exploreSubgoal();
 
     // Map covered: open the nearest known closed container — goal items

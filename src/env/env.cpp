@@ -1,6 +1,7 @@
 #include "env/env.h"
 
 #include <cassert>
+#include <cstdlib>
 
 namespace ebs::env {
 
@@ -45,6 +46,8 @@ Environment::setTask(std::unique_ptr<Task> task)
     assert(task != nullptr);
     assert(task_ == nullptr && "task installed twice");
     task_ = std::move(task);
+    anchors_ = roomAnchorTable(world_.grid());
+    anchors_version_ = world_.grid().version();
 }
 
 const Task &
@@ -130,30 +133,52 @@ Vec2i
 Environment::roomAnchor(int room) const
 {
     const GridMap &grid = world_.grid();
+    if (room >= 0 && static_cast<std::size_t>(room) < anchors_.size() &&
+        anchors_version_ == grid.version())
+        return anchors_[static_cast<std::size_t>(room)];
+    return scanRoomAnchor(grid, room);
+}
+
+namespace {
+
+/** A cell of `room` none of whose 4-neighbors carries another room label. */
+bool
+interiorOf(const GridMap &grid, const Vec2i &p, int room)
+{
+    for (const auto &d : kNeighborOffsets) {
+        const int neighbor_room = grid.room(p + d);
+        if (neighbor_room >= 0 && neighbor_room != room)
+            return false;
+    }
+    return true;
+}
+
+/** Anchor preference: closeness to the grid center (higher is better). */
+long
+anchorScore(const GridMap &grid, const Vec2i &p)
+{
+    return -(std::abs(2 * p.x - grid.width()) +
+             std::abs(2 * p.y - grid.height()));
+}
+
+} // namespace
+
+Vec2i
+scanRoomAnchor(const GridMap &grid, int room)
+{
     // Prefer a central *interior* cell so exploration lands mid-room:
     // doorway cells carry a room label but border another room, and an
     // agent stopping adjacent to one may never actually enter.
     Vec2i best{-1, -1};
     long best_score = -1;
-    static const Vec2i kDirs[4] = {{1, 0}, {-1, 0}, {0, 1}, {0, -1}};
     for (int y = 0; y < grid.height(); ++y) {
         for (int x = 0; x < grid.width(); ++x) {
             const Vec2i p{x, y};
             if (!grid.walkable(p) || grid.room(p) != room)
                 continue;
-            bool interior = true;
-            for (const auto &d : kDirs) {
-                const int neighbor_room = grid.room(p + d);
-                if (neighbor_room >= 0 && neighbor_room != room)
-                    interior = false;
-            }
-            if (!interior)
+            if (!interiorOf(grid, p, room))
                 continue;
-            // Score by closeness to the room's bounding-box center proxy:
-            // just take the first then middle-ish via running average trick.
-            const long score =
-                -(std::abs(2 * x - grid.width()) +
-                  std::abs(2 * y - grid.height()));
+            const long score = anchorScore(grid, p);
             if (best.x < 0 || score > best_score) {
                 best = p;
                 best_score = score;
@@ -167,6 +192,39 @@ Environment::roomAnchor(int room) const
                 if (grid.walkable({x, y}) && grid.room({x, y}) == room)
                     best = {x, y};
     }
+    return best;
+}
+
+std::vector<Vec2i>
+roomAnchorTable(const GridMap &grid)
+{
+    // The scan's two row-major passes per room, run for all rooms at once:
+    // per room, the best interior cell and the first cell at all.
+    const auto rooms = static_cast<std::size_t>(grid.roomCount());
+    std::vector<Vec2i> best(rooms, Vec2i{-1, -1});
+    std::vector<long> best_score(rooms, -1);
+    std::vector<Vec2i> first(rooms, Vec2i{-1, -1});
+    for (int y = 0; y < grid.height(); ++y) {
+        for (int x = 0; x < grid.width(); ++x) {
+            const Vec2i p{x, y};
+            const int room = grid.room(p);
+            if (room < 0 || !grid.walkable(p))
+                continue;
+            const auto r = static_cast<std::size_t>(room);
+            if (first[r].x < 0)
+                first[r] = p;
+            if (!interiorOf(grid, p, room))
+                continue;
+            const long score = anchorScore(grid, p);
+            if (best[r].x < 0 || score > best_score[r]) {
+                best[r] = p;
+                best_score[r] = score;
+            }
+        }
+    }
+    for (std::size_t r = 0; r < rooms; ++r)
+        if (best[r].x < 0)
+            best[r] = first[r];
     return best;
 }
 

@@ -1,6 +1,7 @@
 #ifndef EBS_ENV_ENV_H
 #define EBS_ENV_ENV_H
 
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <vector>
@@ -104,6 +105,9 @@ class Environment
     /**
      * A representative walkable cell of a room (used as the Explore
      * navigation target). Returns {-1,-1} when the room has no free cell.
+     * Answers from the anchor table setTask built while the grid is
+     * unchanged since then; otherwise (or for a room outside the table)
+     * runs scanRoomAnchor.
      */
     env::Vec2i roomAnchor(int room) const;
 
@@ -112,7 +116,9 @@ class Environment
      * environment once the world is populated (object ids are then known). */
     explicit Environment(GridMap grid);
 
-    /** Install the task instance (non-null, once). */
+    /** Install the task instance (non-null, once) and build the room
+     * anchor table — so it must be the last construction step, after any
+     * grid carving. */
     void setTask(std::unique_ptr<Task> task);
 
     /** Apply a domain primitive (Chop/Cook/Craft/Mine/Lift). */
@@ -120,7 +126,26 @@ class Environment
 
     World world_;
     std::unique_ptr<Task> task_;
+
+  private:
+    /** roomAnchorTable(world_.grid()), valid while the grid's version
+     * equals anchors_version_. Written only during construction, so const
+     * readers on pool threads never race with it. */
+    std::vector<Vec2i> anchors_;
+    std::uint64_t anchors_version_ = 0;
 };
+
+/**
+ * Reference room-anchor scan: the walkable interior cell of `room` (no
+ * 4-neighbor labeled with another room) closest to the grid center, first
+ * in row-major order on ties; the first walkable cell of the room when it
+ * has no interior cell; {-1,-1} when it has none at all.
+ */
+Vec2i scanRoomAnchor(const GridMap &grid, int room);
+
+/** scanRoomAnchor for every room in [0, grid.roomCount()), in one grid
+ * pass. */
+std::vector<Vec2i> roomAnchorTable(const GridMap &grid);
 
 } // namespace ebs::env
 

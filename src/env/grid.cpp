@@ -28,6 +28,7 @@ void
 GridMap::setWalkable(const Vec2i &p, bool w)
 {
     assert(inBounds(p));
+    ++version_;
     walkable_[idx(p)] = w ? 1 : 0;
     if (!w)
         room_[idx(p)] = -1;
@@ -45,6 +46,7 @@ void
 GridMap::setRoom(const Vec2i &p, int room)
 {
     assert(inBounds(p));
+    ++version_;
     room_[idx(p)] = static_cast<std::int16_t>(room);
     if (room + 1 > room_count_)
         room_count_ = room + 1;
@@ -53,10 +55,9 @@ GridMap::setRoom(const Vec2i &p, int room)
 std::vector<Vec2i>
 GridMap::neighbors(const Vec2i &p) const
 {
-    static const Vec2i kDirs[4] = {{1, 0}, {-1, 0}, {0, 1}, {0, -1}};
     std::vector<Vec2i> out;
     out.reserve(4);
-    for (const auto &d : kDirs) {
+    for (const auto &d : kNeighborOffsets) {
         const Vec2i q = p + d;
         if (walkable(q))
             out.push_back(q);

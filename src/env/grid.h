@@ -8,6 +8,10 @@
 
 namespace ebs::env {
 
+/** 4-connected neighbor offsets, in the order GridMap::neighbors and the A*
+ * search visit them (the order fixes A*'s tie-breaking, hence its paths). */
+inline constexpr Vec2i kNeighborOffsets[4] = {{1, 0}, {-1, 0}, {0, 1}, {0, -1}};
+
 /**
  * 2-D occupancy grid with room labels.
  *
@@ -40,6 +44,13 @@ class GridMap
     /** Number of distinct room labels assigned so far. */
     int roomCount() const { return room_count_; }
 
+    /**
+     * Mutation counter: every setWalkable / setRoom bumps it, copies carry
+     * it. Tables derived from the grid (Environment's room anchors) record
+     * the version they were built at and are valid while it is unchanged.
+     */
+    std::uint64_t version() const { return version_; }
+
     /** 4-connected walkable neighbors of a cell. */
     std::vector<Vec2i> neighbors(const Vec2i &p) const;
 
@@ -58,6 +69,7 @@ class GridMap
     int width_;
     int height_;
     int room_count_ = 1;
+    std::uint64_t version_ = 0;
     std::vector<std::uint8_t> walkable_;
     std::vector<std::int16_t> room_;
 };

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <stdexcept>
 
 namespace ebs::memory {
 
@@ -16,6 +17,28 @@ MemoryModule::insideWindow(int record_step) const
     if (config_.capacity_steps <= 0)
         return true; // unlimited
     return record_step > current_step_ - config_.capacity_steps;
+}
+
+void
+MemoryModule::retain(env::ObjectId id)
+{
+    if (id < 0)
+        throw std::invalid_argument(
+            "MemoryModule: record about a negative object id");
+    const auto i = static_cast<std::size_t>(id);
+    if (i >= live_refs_.size())
+        live_refs_.resize(i + 1, 0);
+    if (live_refs_[i]++ == 0)
+        ++known_ids_;
+}
+
+void
+MemoryModule::release(env::ObjectId id)
+{
+    const auto i = static_cast<std::size_t>(id);
+    assert(id >= 0 && i < live_refs_.size() && live_refs_[i] > 0);
+    if (--live_refs_[i] == 0)
+        --known_ids_;
 }
 
 void
@@ -49,6 +72,7 @@ MemoryModule::recordObservation(const env::Observation &obs)
         rec.inside = seen.inside;
         rec.openable = seen.openable;
         rec.open = seen.open;
+        retain(rec.id);
         observations_.push_back(rec);
 
         // Dual memory: fixtures (stations, containers, targets) are
@@ -58,10 +82,12 @@ MemoryModule::recordObservation(const env::Observation &obs)
                                    [&](const ObservationRecord &r) {
                                        return r.id == seen.id;
                                    });
-            if (it == long_term_.end())
+            if (it == long_term_.end()) {
+                retain(rec.id);
                 long_term_.push_back(rec);
-            else
+            } else {
                 *it = rec;
+            }
         }
     }
 }
@@ -73,6 +99,7 @@ MemoryModule::recordSharedBelief(int step, const ObservationRecord &record)
         return;
     ObservationRecord rec = record;
     rec.step = step;
+    retain(rec.id);
     observations_.push_back(rec);
 }
 
@@ -102,7 +129,11 @@ MemoryModule::advanceStep(int step)
         while (!store.empty() && !insideWindow(store.front().step))
             store.pop_front();
     };
-    prune(observations_);
+    while (!observations_.empty() &&
+           !insideWindow(observations_.front().step)) {
+        release(observations_.front().id);
+        observations_.pop_front();
+    }
     prune(actions_);
     prune(dialogue_);
     // Room visits outside the window are forgotten too (unless dual memory
@@ -117,6 +148,12 @@ MemoryModule::advanceStep(int step)
 void
 MemoryModule::invalidate(env::ObjectId id)
 {
+    if (id >= 0 && static_cast<std::size_t>(id) < live_refs_.size()) {
+        int &refs = live_refs_[static_cast<std::size_t>(id)];
+        if (refs > 0)
+            --known_ids_;
+        refs = 0;
+    }
     std::erase_if(observations_,
                   [&](const ObservationRecord &rec) { return rec.id == id; });
     std::erase_if(long_term_,
@@ -150,13 +187,21 @@ MemoryModule::knownObjects() const
     std::vector<ObservationRecord> out;
     if (!config_.enabled)
         return out;
-    std::set<env::ObjectId> seen;
+    out.reserve(static_cast<std::size_t>(known_ids_));
+    // Every stored id indexes live_refs_, so it sizes the seen flags.
+    std::vector<char> seen(live_refs_.size(), 0);
+    auto first_sighting = [&](env::ObjectId id) {
+        char &flag = seen[static_cast<std::size_t>(id)];
+        const bool first = flag == 0;
+        flag = 1;
+        return first;
+    };
     for (auto it = observations_.rbegin(); it != observations_.rend(); ++it) {
-        if (seen.insert(it->id).second)
+        if (first_sighting(it->id))
             out.push_back(*it);
     }
     for (const auto &rec : long_term_)
-        if (seen.insert(rec.id).second)
+        if (first_sighting(rec.id))
             out.push_back(rec);
     return out;
 }
@@ -189,15 +234,14 @@ MemoryModule::retrieve(int current_step)
         return ctx;
     current_step_ = std::max(current_step_, current_step);
 
-    const auto known = knownObjects();
-    ctx.known_objects = static_cast<int>(known.size());
+    const int known = known_ids_;
+    ctx.known_objects = known;
     // ~9 tokens per object sighting ("apple 3 at (4,7) in kitchen, chopped")
-    ctx.observation_tokens = static_cast<int>(known.size()) * 9;
+    ctx.observation_tokens = known * 9;
     // Dual memory summarizes static fixtures much more compactly.
     if (config_.dual_memory)
         ctx.observation_tokens =
-            static_cast<int>(known.size()) * 5 +
-            static_cast<int>(long_term_.size()) * 2;
+            known * 5 + static_cast<int>(long_term_.size()) * 2;
 
     ctx.action_tokens = static_cast<int>(actions_.size()) * 7;
     for (const auto &d : dialogue_)
@@ -214,8 +258,8 @@ MemoryModule::retrieve(int current_step)
             p *= 2.0; // text-embedding-only retrieval confuses more easily
         if (config_.dual_memory)
             p *= 0.3;
-        for (const auto &rec : known) {
-            (void)rec;
+        // Exactly one draw per known object keeps RNG streams stable.
+        for (int i = 0; i < known; ++i) {
             if (rng_.bernoulli(std::min(0.5, p)))
                 ++ctx.stale_beliefs;
         }
@@ -262,6 +306,8 @@ MemoryModule::clear()
     dialogue_.clear();
     room_visits_.clear();
     long_term_.clear();
+    live_refs_.clear();
+    known_ids_ = 0;
     current_step_ = 0;
 }
 

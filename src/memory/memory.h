@@ -93,6 +93,9 @@ class MemoryModule
 
     const Config &config() const { return config_; }
 
+    /** The retrieval-noise stream (its position counts the draws made). */
+    const sim::Rng &rng() const { return rng_; }
+
     // --- writes ---
 
     /** Ingest an observation produced by the sensing module. */
@@ -158,6 +161,11 @@ class MemoryModule
   private:
     bool insideWindow(int record_step) const;
 
+    /** Count one more / one fewer live observation or long-term record
+     * about `id` (see live_refs_). */
+    void retain(env::ObjectId id);
+    void release(env::ObjectId id);
+
     Config config_;
     sim::Rng rng_;
     int current_step_ = 0;
@@ -168,6 +176,11 @@ class MemoryModule
     std::vector<std::pair<int, int>> room_visits_;
     /** long-term static beliefs (dual memory): station/container locations */
     std::vector<ObservationRecord> long_term_;
+    /** object id -> live records about it in observations_ + long_term_
+     * (ids are small dense ints), and how many ids have a nonzero count:
+     * retrieve's known-object count without materializing records. */
+    std::vector<int> live_refs_;
+    int known_ids_ = 0;
 };
 
 } // namespace ebs::memory

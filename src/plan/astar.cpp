@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <queue>
+#include <functional>
 
 namespace ebs::plan {
 
@@ -23,6 +23,22 @@ struct Node
         return f != o.f ? f > o.f : g < o.g;
     }
 };
+
+/**
+ * Search buffers reused by every aStar call on this thread (reset at the
+ * start of each call, so no state crosses calls). The open list is a
+ * binary heap driven by std::push_heap / std::pop_heap with the same
+ * comparator std::priority_queue would use, so pops come out in exactly
+ * the same order.
+ */
+struct Scratch
+{
+    std::vector<std::int32_t> g_score;
+    std::vector<std::int32_t> parent;
+    std::vector<Node> open;
+};
+
+thread_local Scratch scratch;
 
 } // namespace
 
@@ -64,8 +80,17 @@ aStar(const env::GridMap &grid, const env::Vec2i &start,
     const int w = grid.width();
     const int h = grid.height();
     const std::size_t n = static_cast<std::size_t>(w) * h;
-    std::vector<std::int32_t> g_score(n, -1);
-    std::vector<std::int32_t> parent(n, -1);
+    std::vector<std::int32_t> &g_score = scratch.g_score;
+    std::vector<std::int32_t> &parent = scratch.parent;
+    std::vector<Node> &open = scratch.open;
+    g_score.assign(n, -1);
+    parent.assign(n, -1);
+    open.clear();
+    const std::greater<Node> later;
+    auto push = [&](const Node &node) {
+        open.push_back(node);
+        std::push_heap(open.begin(), open.end(), later);
+    };
 
     auto index = [&](const env::Vec2i &p) { return p.y * w + p.x; };
     auto heuristic = [&](const env::Vec2i &p) {
@@ -73,13 +98,13 @@ aStar(const env::GridMap &grid, const env::Vec2i &start,
         return adjacent_ok ? std::max(0, d - 1) : d;
     };
 
-    std::priority_queue<Node, std::vector<Node>, std::greater<Node>> open;
     g_score[static_cast<std::size_t>(index(start))] = 0;
-    open.push({heuristic(start), 0, index(start)});
+    push({heuristic(start), 0, index(start)});
 
     while (!open.empty()) {
-        const Node cur = open.top();
-        open.pop();
+        std::pop_heap(open.begin(), open.end(), later);
+        const Node cur = open.back();
+        open.pop_back();
         const env::Vec2i p{cur.idx % w, cur.idx / w};
         if (cur.g > g_score[static_cast<std::size_t>(cur.idx)])
             continue; // stale heap entry
@@ -97,8 +122,10 @@ aStar(const env::GridMap &grid, const env::Vec2i &start,
             return path;
         }
 
-        for (const auto &q : grid.neighbors(p)) {
-            if (is_blocked(q))
+        // GridMap::neighbors, without its per-call vector.
+        for (const auto &d : env::kNeighborOffsets) {
+            const env::Vec2i q = p + d;
+            if (!grid.walkable(q) || is_blocked(q))
                 continue;
             const int qi = index(q);
             const int ng = cur.g + 1;
@@ -106,7 +133,7 @@ aStar(const env::GridMap &grid, const env::Vec2i &start,
                 ng < g_score[static_cast<std::size_t>(qi)]) {
                 g_score[static_cast<std::size_t>(qi)] = ng;
                 parent[static_cast<std::size_t>(qi)] = cur.idx;
-                open.push({ng + heuristic(q), ng, qi});
+                push({ng + heuristic(q), ng, qi});
             }
         }
     }

@@ -75,6 +75,9 @@ class Rng
     /** The seed this instance was constructed from. */
     std::uint64_t seed() const { return seed_; }
 
+    /** Same seed and same position in the stream. */
+    bool operator==(const Rng &) const = default;
+
   private:
     std::uint64_t seed_;
     std::uint64_t s_[4];

@@ -523,6 +523,27 @@ TEST(ManipulationEnv, ObstaclesBlockGridCells)
     }
 }
 
+// ------------------------------------------------------------- room anchors
+
+/** A grid edit after construction invalidates the anchor table:
+ * roomAnchor then answers from the scan of the edited grid. */
+TEST(RoomAnchor, GridEditAfterConstructionFallsBackToScan)
+{
+    TransportEnv env(Difficulty::Medium, 2, sim::Rng(3));
+    const int room = 1;
+    const env::Vec2i before = env.roomAnchor(room);
+    ASSERT_GE(before.x, 0);
+    const auto version = env.world().grid().version();
+
+    env.world().grid().setWalkable(before, false);
+    const env::GridMap &grid = env.world().grid();
+    EXPECT_GT(grid.version(), version);
+    const env::Vec2i after = env.roomAnchor(room);
+    EXPECT_EQ(after, env::scanRoomAnchor(grid, room));
+    EXPECT_NE(after, before);
+    EXPECT_TRUE(grid.walkable(after));
+}
+
 // -------------------------------------------------- cross-env property sweep
 
 struct EnvCase
@@ -612,6 +633,27 @@ TEST_P(AllEnvsSweep, ObservationIsLocal)
         for (const auto &seen : obs.objects)
             EXPECT_EQ(environment->world().grid().room(seen.pos), obs.room);
     }
+}
+
+/** Property: the anchor table built at construction (after any grid
+ * carving) equals the reference scan for every room. */
+TEST_P(AllEnvsSweep, RoomAnchorTableMatchesScan)
+{
+    const auto [case_idx, difficulty] = GetParam();
+    const EnvCase &c = kEnvCases[case_idx];
+    auto environment = c.make(difficulty, c.agents, sim::Rng(47));
+    const env::GridMap &grid = environment->world().grid();
+    const auto table = env::roomAnchorTable(grid);
+    ASSERT_EQ(table.size(), static_cast<std::size_t>(grid.roomCount()));
+    for (int room = 0; room < grid.roomCount(); ++room) {
+        const env::Vec2i want = env::scanRoomAnchor(grid, room);
+        EXPECT_EQ(table[static_cast<std::size_t>(room)], want)
+            << c.name << " room " << room;
+        EXPECT_EQ(environment->roomAnchor(room), want)
+            << c.name << " room " << room;
+    }
+    EXPECT_EQ(environment->roomAnchor(grid.roomCount()),
+              (env::Vec2i{-1, -1}));
 }
 
 INSTANTIATE_TEST_SUITE_P(

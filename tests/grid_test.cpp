@@ -122,6 +122,25 @@ TEST_P(ApartmentConnectivity, AllRoomsConnected)
     EXPECT_EQ(reachableFrom(g, start), walkable);
 }
 
+TEST(GridMap, MutationsBumpVersionAndCopiesCarryIt)
+{
+    GridMap g(6, 4);
+    const auto v0 = g.version();
+    g.setWalkable({1, 1}, false);
+    const auto v1 = g.version();
+    EXPECT_GT(v1, v0);
+    g.setRoom({2, 2}, 3);
+    EXPECT_GT(g.version(), v1);
+
+    const GridMap copy = g;
+    EXPECT_EQ(copy.version(), g.version());
+    // Reads leave it alone.
+    (void)g.walkable({1, 1});
+    (void)g.room({2, 2});
+    (void)g.neighbors({0, 0});
+    EXPECT_EQ(copy.version(), g.version());
+}
+
 INSTANTIATE_TEST_SUITE_P(Sizes, ApartmentConnectivity,
                          ::testing::Combine(::testing::Values(1, 2, 3, 4),
                                             ::testing::Values(1, 2, 3)));

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <set>
+#include <stdexcept>
+
 #include "memory/memory.h"
 
 namespace ebs::memory {
@@ -261,6 +264,102 @@ TEST_P(MemoryCapacitySweep, WindowBoundsRecords)
 
 INSTANTIATE_TEST_SUITE_P(Windows, MemoryCapacitySweep,
                          ::testing::Values(1, 5, 10, 30, 60));
+
+/**
+ * Seeded property: across random interleavings of every store mutation
+ * (observations with and without dual memory, shared beliefs, window
+ * pruning, invalidation — of unseen ids too — and clear), retrieve's
+ * known-object count equals a std::set of the ids knowsObject() reports,
+ * and retrieve makes exactly one retrieval-noise draw per known object.
+ */
+class MemoryKnownCountProperty
+    : public ::testing::TestWithParam<std::tuple<bool, int>>
+{
+};
+
+TEST_P(MemoryKnownCountProperty, CountAndDrawsMatchReference)
+{
+    const auto [dual, seed] = GetParam();
+    constexpr env::ObjectId kSeenIds = 30;  // ids records may carry
+    constexpr env::ObjectId kAllIds = 40;   // plus ids never recorded
+    sim::Rng ops(static_cast<std::uint64_t>(seed));
+
+    MemoryModule::Config cfg;
+    cfg.capacity_steps = ops.uniformInt(2, 20);
+    cfg.dual_memory = dual;
+    // Onset 0 and a huge rate clamp the per-object noise probability at
+    // 0.5 whenever a record is live, so the reference knows every draw.
+    cfg.inconsistency_onset = 0;
+    cfg.inconsistency_rate = 10.0;
+    const std::uint64_t memory_seed = 1000 + static_cast<std::uint64_t>(seed);
+    MemoryModule mem(cfg, sim::Rng(memory_seed));
+    sim::Rng reference(memory_seed);
+
+    int step = 0;
+    int retrievals = 0;
+    for (int op = 0; op < 600; ++op) {
+        const int kind = ops.uniformInt(0, 99);
+        if (kind < 35) {
+            env::Observation obs = makeObs(step, ops.uniformInt(0, 4), {});
+            const int sightings = ops.uniformInt(0, 4);
+            for (int i = 0; i < sightings; ++i) {
+                env::ObservedObject seen;
+                seen.id = ops.uniformInt(0, kSeenIds - 1);
+                seen.cls = ops.bernoulli(0.5) ? env::ObjectClass::Item
+                                              : env::ObjectClass::Station;
+                seen.room = obs.room;
+                obs.objects.push_back(seen);
+            }
+            mem.recordObservation(obs);
+        } else if (kind < 50) {
+            ObservationRecord rec;
+            rec.id = ops.uniformInt(0, kSeenIds - 1);
+            mem.recordSharedBelief(step, rec);
+        } else if (kind < 65) {
+            step += ops.uniformInt(0, 4);
+            mem.advanceStep(step);
+        } else if (kind < 75) {
+            mem.invalidate(ops.uniformInt(0, kAllIds - 1));
+        } else if (kind < 77) {
+            mem.clear();
+        } else {
+            std::set<env::ObjectId> known;
+            for (env::ObjectId id = 0; id < kAllIds; ++id)
+                if (mem.knowsObject(id))
+                    known.insert(id);
+            int stale = 0;
+            if (mem.liveRecords() > 0)
+                for (std::size_t i = 0; i < known.size(); ++i)
+                    stale += reference.bernoulli(0.5) ? 1 : 0;
+
+            const RetrievedContext ctx = mem.retrieve(step);
+            ++retrievals;
+            ASSERT_EQ(ctx.known_objects, static_cast<int>(known.size()))
+                << "op " << op;
+            ASSERT_EQ(ctx.stale_beliefs, stale) << "op " << op;
+            ASSERT_TRUE(mem.rng() == reference) << "op " << op;
+
+            std::set<env::ObjectId> listed;
+            for (const auto &rec : mem.knownObjects())
+                EXPECT_TRUE(listed.insert(rec.id).second) << "op " << op;
+            ASSERT_EQ(listed, known) << "op " << op;
+        }
+    }
+    EXPECT_GT(retrievals, 50);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeded, MemoryKnownCountProperty,
+                         ::testing::Combine(::testing::Bool(),
+                                            ::testing::Range(1, 9)));
+
+TEST(Memory, NegativeObjectIdRejected)
+{
+    auto mem = makeMemory(10);
+    ObservationRecord rec;
+    rec.id = env::kNoObject;
+    EXPECT_THROW(mem.recordSharedBelief(0, rec), std::invalid_argument);
+    EXPECT_EQ(mem.retrieve(0).known_objects, 0);
+}
 
 } // namespace
 } // namespace ebs::memory

@@ -91,6 +91,31 @@ TEST(Suite, SingleAgentWorkloadsForceOneAgent)
     EXPECT_GT(result.steps, 0);
 }
 
+/** Every registered workload's environment, at every difficulty, carries a
+ * room-anchor table equal to the reference scan of its final grid. */
+TEST(Suite, RoomAnchorTablesMatchScanForEveryEnvironment)
+{
+    for (const auto &spec : suite()) {
+        for (const auto difficulty :
+             {env::Difficulty::Easy, env::Difficulty::Medium,
+              env::Difficulty::Hard}) {
+            const auto environment =
+                spec.make_env(difficulty, spec.default_agents, sim::Rng(11));
+            const env::GridMap &grid = environment->world().grid();
+            const auto table = env::roomAnchorTable(grid);
+            ASSERT_EQ(table.size(),
+                      static_cast<std::size_t>(grid.roomCount()));
+            for (int room = 0; room < grid.roomCount(); ++room) {
+                const env::Vec2i want = env::scanRoomAnchor(grid, room);
+                EXPECT_EQ(table[static_cast<std::size_t>(room)], want)
+                    << spec.name << " room " << room;
+                EXPECT_EQ(environment->roomAnchor(room), want)
+                    << spec.name << " room " << room;
+            }
+        }
+    }
+}
+
 /** Every workload runs an easy episode without tripping assertions and
  * produces sane accounting. */
 class SuiteRunSweep : public ::testing::TestWithParam<int>
