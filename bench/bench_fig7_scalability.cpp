@@ -219,9 +219,8 @@ run(ebs::bench::SuiteContext &ctx)
     }
 
     // Measured (host) execute-phase wall-clock at the largest team:
-    // serial episodes on a one-job runner so the whole fleet pool serves
-    // the speculative fan-out, serial vs speculative execute. Host wall
-    // depends on EBS_JOBS and machine load → stderr only.
+    // serial episodes on a one-job runner, serial vs speculative execute.
+    // Host wall depends on machine load → stderr only.
     {
         runner::EpisodeRunner timing_runner(1, &ctx.scheduler(),
                                             &ctx.tracer());

@@ -113,33 +113,11 @@ run(ebs::bench::SuiteContext &ctx)
                 "eliminates most pre-generated messages — all with success\n"
                 "held roughly constant (paper Takeaway 6).\n");
 
-    // Host-side check that parallel_agents is real concurrency now, not
-    // just a latency model: re-run the baseline and the parallel variant
-    // and time the actual wall-clock. Host timings vary with EBS_JOBS and
-    // core count, so this goes to stderr (stdout stays byte-identical
-    // across worker counts for the metric gate).
-    const auto time_variant = [&](const core::PipelineOptions &pipeline) {
-        runner::RunVariant v;
-        v.workload = &spec;
-        v.config = spec.config;
-        v.difficulty = difficulty;
-        v.seeds = kSeeds;
-        v.pipeline = pipeline;
-        return bench::hostSeconds([&] { ctx.runAveraged(v); });
-    };
-    const double serial_s = time_variant(cases[0].pipeline);
-    const double parallel_s = time_variant(cases[1].pipeline);
-    ctx.eprintf("host wall-clock: sequential %.3fs, parallel agent "
-                "pipelines %.3fs (%.2fx, %d workers)\n",
-                serial_s, parallel_s,
-                parallel_s > 0.0 ? serial_s / parallel_s : 0.0,
-                ctx.scheduler().workers());
-
-    // Same host-side check for speculative execute, isolated to the
-    // execute-phase bucket: serial episodes on a one-job runner so the
-    // pool serves the speculative fan-out, measured via the process-wide
-    // phase wall clock rather than end-to-end suite time (compute phases
-    // dominate the latter).
+    // Host-side cost of speculative execute, isolated to the
+    // execute-phase bucket: serial episodes on a one-job runner, measured
+    // via the suite's phase wall clock rather than end-to-end suite time
+    // (compute phases dominate the latter). Host timings vary run to
+    // run, so this goes to stderr; stdout stays byte-identical.
     {
         runner::EpisodeRunner timing_runner(1, &ctx.scheduler(),
                                             &ctx.tracer());

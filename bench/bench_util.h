@@ -6,10 +6,9 @@
 #include <string>
 
 #include "runner/run_stats.h"
-#include "stats/host_clock.h"
 
 /**
- * Pure bench helpers: formatting and host timing. Everything that
+ * Pure bench helpers: formatting and metric arithmetic. Everything that
  * *emits* suite output (EBS_METRIC lines, tables) lives on
  * bench::SuiteContext (suite.h) so all suite I/O flows through the
  * per-suite sinks — the `suite-io` lint rule bans direct stream writes
@@ -19,25 +18,6 @@ namespace ebs::bench {
 
 /** Averaged episode metrics (promoted into the library in PR 2). */
 using runner::RunStats;
-
-/**
- * Host (not simulated) wall-clock of `fn`, in seconds. Suites print
- * these to the *stderr sink* as scheduling diagnostics — e.g. the real
- * speedup of `parallel_agents` episodes fanning per-agent phases onto
- * the fleet scheduler. Host timings depend on EBS_JOBS and machine
- * load, so they must never reach the stdout sink, which stays
- * byte-identical across worker counts (EBS_METRIC lines feed the
- * regression gate). Reads the host clock only through stats::hostNow(),
- * the repo's single lint-sanctioned host-timing site.
- */
-template <typename Fn>
-inline double
-hostSeconds(Fn &&fn)
-{
-    const double start = stats::hostNow();
-    fn();
-    return stats::hostNow() - start;
-}
 
 /** Format a double as a JSON number; non-finite values become null so a
  * stray NaN/Inf metric cannot corrupt BENCH_results.json. */

@@ -57,30 +57,6 @@ Agent::llmUsage() const
 }
 
 void
-Agent::beginBufferedTurn(stats::LatencyRecorder *scratch,
-                         llm::DeferredNotes *notes)
-{
-    assert(scratch != nullptr && notes != nullptr);
-    assert(episode_recorder_ == nullptr && "buffered turns do not nest");
-    episode_recorder_ = recorder_;
-    recorder_ = scratch;
-    planner_engine_.defer(notes);
-    comm_engine_.defer(notes);
-    reflect_engine_.defer(notes);
-}
-
-void
-Agent::endBufferedTurn()
-{
-    assert(episode_recorder_ != nullptr && "no buffered turn is active");
-    recorder_ = episode_recorder_;
-    episode_recorder_ = nullptr;
-    planner_engine_.defer(nullptr);
-    comm_engine_.defer(nullptr);
-    reflect_engine_.defer(nullptr);
-}
-
-void
 Agent::charge(stats::ModuleKind kind, double seconds, const char *label)
 {
     recorder_->record(kind, seconds);

@@ -3,6 +3,7 @@
 
 #include <optional>
 #include <set>
+#include <utility>
 #include <vector>
 
 #include "core/config.h"
@@ -89,21 +90,16 @@ class Agent
     llm::LlmUsage llmUsage() const;
 
     /**
-     * Redirect this agent's shared-state side channels — latency charges
-     * and LLM session accounting — into thread-private buffers for the
-     * duration of one parallel phase turn. The coordinator harness calls
-     * this before fanning the agents' pure compute onto scheduler
-     * threads; the buffers are replayed into the episode recorder and
-     * session in agent-index order at the phase's commit step, so the
-     * episode's accounting is bit-identical to a serial phase. The
-     * agent's own state (rng, memory, percept, usage) needs no
-     * redirection — it is touched only by this agent's turn.
+     * Point this agent's latency charges at `recorder` and return the
+     * previous target. A speculative execute turn charges a private
+     * recorder, which the coordinator replays into the episode's only
+     * when the turn commits clean.
      */
-    void beginBufferedTurn(stats::LatencyRecorder *scratch,
-                           llm::DeferredNotes *notes);
-
-    /** Restore the shared recorder and live session accounting. */
-    void endBufferedTurn();
+    stats::LatencyRecorder *
+    redirectCharges(stats::LatencyRecorder *recorder)
+    {
+        return std::exchange(recorder_, recorder);
+    }
 
     /**
      * Agent-private state one execute() turn can mutate. A speculative
@@ -233,8 +229,6 @@ class Agent
     sim::Rng rng_;
     sim::SimClock *clock_;
     stats::LatencyRecorder *recorder_;
-    stats::LatencyRecorder *episode_recorder_ = nullptr; ///< saved across
-                                                         ///< buffered turns
     sim::EventTrace *trace_;
 
     llm::EngineHandle planner_engine_;

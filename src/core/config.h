@@ -117,8 +117,10 @@ struct PipelineOptions
      * instead of pre-generating every step. */
     bool comm_on_demand = false;
 
-    /** Run per-agent module pipelines concurrently; step latency becomes
-     * the max over agents rather than the sum (Sec. IV-A observation). */
+    /** Model per-agent module pipelines as concurrent: each phase costs
+     * the slowest agent plus a serial residue rather than the sum
+     * (Sec. IV-A observation). Modeled only — agents still run one
+     * after another on the episode's thread. */
     bool parallel_agents = false;
 
     /** Compress retrieved history into summaries before prompting
@@ -142,12 +144,13 @@ struct PipelineOptions
     /**
      * Run the execute phase optimistically: each agent executes against a
      * private world snapshot with read/write-set logging, clean agents
-     * commit their buffered effects in index order, and conflicting
-     * agents re-execute serially against the committed world — so every
-     * result, counter, and clock value is bit-identical to the serial
-     * schedule at any worker count (workers only change host wall-clock).
-     * Inert for single-agent teams and for environments that report
-     * !speculativeExecuteSafe().
+     * commit their effects in index order, and conflicting agents
+     * re-execute against the committed world — so every result, counter,
+     * and clock value is bit-identical to the serial schedule, and the
+     * `spec_*` tallies model what concurrent execution would commit.
+     * Modeled only: no host threads; the turns run one after another on
+     * the episode's thread. Inert for single-agent teams and for
+     * environments that report !speculativeExecuteSafe().
      */
     bool speculative_execute = false;
 };

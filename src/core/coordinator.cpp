@@ -1,6 +1,7 @@
 #include "core/coordinator.h"
 
 #include <algorithm>
+#include <cmath>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -16,50 +17,67 @@ namespace ebs::core {
 namespace {
 
 /**
+ * Reject pipeline options the episode loop cannot honor, naming the
+ * field: a plan period below one step, or a context-compression ratio
+ * that is not a finite fraction in (0, 1] (NaN would otherwise reach the
+ * prompt arithmetic and produce negative simulated time).
+ */
+const EpisodeOptions &
+validated(const EpisodeOptions &options)
+{
+    const PipelineOptions &pipeline = options.pipeline;
+    if (pipeline.plan_every_k < 1)
+        throw std::invalid_argument(
+            "PipelineOptions::plan_every_k must be >= 1, got " +
+            std::to_string(pipeline.plan_every_k));
+    const double compression = pipeline.context_compression;
+    if (!std::isfinite(compression) || compression <= 0.0 ||
+        compression > 1.0)
+        throw std::invalid_argument(
+            "PipelineOptions::context_compression must be in (0, 1], got " +
+            std::to_string(compression));
+    return options;
+}
+
+/**
  * Shared episode machinery: agent construction, per-phase latency
- * combination (sequential sum vs. parallel max), and result assembly.
+ * combination (sequential sum vs. modeled parallel max), and result
+ * assembly.
  *
- * Phases come in two kinds, reflecting the compute/mutation split that
- * lets `parallel_agents` workloads run on real threads:
+ * An episode runs entirely on the thread that started it. Its phases
+ * come in three kinds:
  *
- *  - computePhase(): *pure per-agent module evaluation* (sense, plan,
- *    message generation, reflection — each touches only its agent's own
- *    state plus const environment reads). The turns may execute
- *    concurrently on the episode's FleetScheduler; every shared-state
- *    effect — latency charges, LLM session accounting, token series,
- *    message counters — is buffered per agent and applied in a
- *    deterministic agent-index-ordered commit step, reproducing the
- *    exact operation sequence of a serial phase. Results are therefore
- *    bit-identical at any worker count.
+ *  - phase(): one turn per agent, in agent-index order, against the
+ *    live recorder, LLM session, and environment — so a turn sees
+ *    whatever lower-indexed agents of the same phase did (the
+ *    plan-then-communicate chain of Rec. 8 relies on this).
  *
- *  - envPhase(): *environment-mutating* turns (execution, and any phase
- *    whose agents exchange state mid-phase). These run serially in
- *    agent-index order against the live environment — the ordered
- *    commit step of the episode's step pipeline.
+ *  - executePhase(): phase() for the execute stage, with an optimistic
+ *    variant (`speculative_execute`): every eligible agent first runs
+ *    its turn against a private copy of the phase-start world while its
+ *    read/write sets are logged and its latency charges go to a private
+ *    recorder; then agents commit in agent-index order — an agent whose
+ *    read set is disjoint from every lower-indexed agent's write set
+ *    keeps its speculative run (its world writes and charges are
+ *    applied in order), while a conflicting, aborted, or non-speculable
+ *    agent is rolled back and re-executes against the committed world.
+ *    Since a clean agent's turn observed no state any predecessor
+ *    changed, its run is the serial run; everything else *is* the
+ *    serial schedule — so results are bit-identical to the plain
+ *    execute phase, and the conflict/commit tallies are a pure function
+ *    of the logs and the commit order.
  *
- *  - executePhase(): envPhase for the execute stage specifically, with
- *    an optimistic fast path (`speculative_execute`): agents run
- *    against private world snapshots on scheduler threads while
- *    read/write sets are logged, then commit serially in agent-index
- *    order — an agent whose read set is disjoint from every
- *    lower-indexed agent's write set keeps its speculative run (its
- *    world writes and buffered accounting are applied in order), while
- *    a conflicting, aborted, or non-speculable agent is rolled back and
- *    re-executes serially against the committed world. Since a clean
- *    agent's turn observed no state any predecessor changed, its run is
- *    the serial run; everything else *is* the serial schedule — so
- *    results are bit-identical to envPhase at any worker count, and the
- *    conflict/commit tallies themselves are worker-count-independent
- *    (the speculate/serialize decision depends only on the logs and the
- *    commit order, never on thread timing).
+ *  - soloPhase(): a single actor (central planner, cluster lead).
+ *
+ * `parallel_agents` is a latency model, not host concurrency: advanceBy()
+ * charges the slowest agent plus a serial residue.
  */
 class Harness
 {
   public:
     Harness(env::Environment &environment, const AgentConfig &config,
             const EpisodeOptions &options)
-        : env_(environment), options_(options),
-          scheduler_(options.scheduler),
+        : env_(environment), options_(validated(options)),
           master_rng_(options.seed),
           // The session is pinned (handles keep its address), so it is
           // built in place at its final location, before any agent mints
@@ -91,10 +109,6 @@ class Harness
                 i, config, &env_, master_rng_.fork(100 + i), &clock_,
                 &recorder_, nullptr, &llm_session_));
         }
-        scratch_.resize(agents_.size());
-        notes_.resize(agents_.size());
-        for (auto &recorder : scratch_)
-            recorder.enableEventLog();
     }
 
     std::vector<std::unique_ptr<Agent>> &agents() { return agents_; }
@@ -148,149 +162,29 @@ class Harness
             clock_.advance(charge);
     }
 
-    /** True when per-agent compute fans out on scheduler threads. A
-     * single-worker pool stays inline: there is no concurrency to win,
-     * and the EBS_JOBS=1 baseline must keep the episode entirely on the
-     * calling thread (results are bit-identical either way — this gate
-     * is purely about dispatch overhead). */
-    bool
-    parallelPhases() const
-    {
-        return scheduler_ != nullptr && scheduler_->workers() > 1 &&
-               options_.pipeline.parallel_agents && agents_.size() > 1;
-    }
-
     /**
-     * Run a pure-compute phase: `compute(agent)` once per agent
-     * (concurrently when parallelPhases()), then `commit(agent)` once
-     * per agent serially in agent-index order. `compute` must only
-     * touch its agent's state, per-agent slots, and const environment
-     * reads; everything order-sensitive belongs in `commit`.
-     *
-     * The buffered accounting is replayed event-by-event in agent-index
-     * order, so the episode recorder, the LLM session's batch assembly,
-     * and the phase's clock advance are bit-identical to a serial phase
-     * — this is what keeps `parallel_agents` results independent of
-     * EBS_JOBS. The phase boundary is also the batch boundary: every
-     * same-backend LLM call the agents issued inside `compute` forms one
-     * cross-agent batch.
-     */
-    template <typename Compute, typename Commit>
-    void
-    computePhase(const char *name, Compute &&compute, Commit &&commit)
-    {
-        const double host_begin = stats::hostNow();
-        if (trace_ != nullptr)
-            trace_->beginSpan("phase", name, clock_.now(), host_begin);
-        const std::size_t n = agents_.size();
-        for (std::size_t i = 0; i < n; ++i) {
-            scratch_[i].reset();
-            notes_[i].entries.clear();
-            agents_[i]->beginBufferedTurn(&scratch_[i], &notes_[i]);
-        }
-        try {
-            if (parallelPhases()) {
-                scheduler_->parallelFor(
-                    n, [&](std::size_t i) { compute(*agents_[i]); });
-            } else {
-                for (std::size_t i = 0; i < n; ++i)
-                    compute(*agents_[i]);
-            }
-        } catch (...) {
-            for (std::size_t i = 0; i < n; ++i)
-                agents_[i]->endBufferedTurn();
-            throw;
-        }
-
-        double total = 0.0;
-        double longest = 0.0;
-        double llm_total = 0.0;
-        double nonllm_longest = 0.0;
-        for (std::size_t i = 0; i < n; ++i) {
-            agents_[i]->endBufferedTurn();
-            const double before = recorder_.grandTotal();
-            for (const auto &event : scratch_[i].events())
-                recorder_.record(event.kind, event.seconds);
-            llm_session_.replay(notes_[i]);
-            const double delta = recorder_.grandTotal() - before;
-            total += delta;
-            longest = std::max(longest, delta);
-            // The agent's sampled LLM latency this phase, read from the
-            // same buffered notes the session replay consumes — when the
-            // batch ablation charges jointBatchTime at the flush, this
-            // share is withheld from the phase's own clock advance.
-            double llm = 0.0;
-            for (const auto &entry : notes_[i].entries)
-                llm += entry.resp.latency_s;
-            llm_total += llm;
-            nonllm_longest =
-                std::max(nonllm_longest, std::max(0.0, delta - llm));
-            commit(*agents_[i]);
-        }
-        flushLlm();
-        advanceBy(total, longest, llm_total, nonllm_longest);
-        const double host_end = stats::hostNow();
-        if (trace_ != nullptr)
-            trace_->endSpan(clock_.now(), host_end);
-        options_.phase_wall->addCompute(host_end - host_begin);
-    }
-
-    /** computePhase() with no per-agent commit step. */
-    template <typename Compute>
-    void
-    computePhase(const char *name, Compute &&compute)
-    {
-        computePhase(name, std::forward<Compute>(compute), [](Agent &) {});
-    }
-
-    /**
-     * Run an environment-mutating phase: `turn` once per agent, serially
-     * in agent-index order against the live environment, measuring each
-     * agent's latency contribution; advance the clock by the sum
-     * (sequential pipeline) or the max (parallel execution across
-     * agents). This is the deterministic ordered commit step for env
-     * writes — execution must see the world as left by lower-index
-     * agents of the same step, exactly as the serial pipeline defines.
+     * Run a per-agent phase: `turn` once per agent, in agent-index order,
+     * against the live recorder, session, and environment; advance the
+     * clock by the sum of the agents' latency contributions (sequential
+     * pipeline) or the modeled max (parallel_agents). The phase boundary
+     * is also the batch boundary: every same-backend LLM call the turns
+     * issued forms one cross-agent batch.
      */
     template <typename Fn>
     void
-    envPhase(const char *name, Fn &&turn)
+    phase(const char *name, Fn &&turn)
     {
-        const double host_begin = stats::hostNow();
-        if (trace_ != nullptr)
-            trace_->beginSpan("phase", name, clock_.now(), host_begin);
-        double total = 0.0;
-        double longest = 0.0;
-        double llm_total = 0.0;
-        double nonllm_longest = 0.0;
-        for (auto &agent : agents_) {
-            const double before = recorder_.grandTotal();
-            const double llm_before = llm_session_.phaseBaseline();
-            turn(*agent);
-            const double delta = recorder_.grandTotal() - before;
-            // Env-phase turns note their completions into the session
-            // live, so the turn's sampled LLM share is the growth of the
-            // open groups' sequential baseline.
-            const double llm = llm_session_.phaseBaseline() - llm_before;
-            total += delta;
-            longest = std::max(longest, delta);
-            llm_total += llm;
-            nonllm_longest =
-                std::max(nonllm_longest, std::max(0.0, delta - llm));
-        }
+        const double host_begin = beginPhase(name);
+        const PhaseCost cost = serialTurns(turn);
         flushLlm();
-        advanceBy(total, longest, llm_total, nonllm_longest);
-        const double host_end = stats::hostNow();
-        if (trace_ != nullptr)
-            trace_->endSpan(clock_.now(), host_end);
-        options_.phase_wall->addExecute(host_end - host_begin);
+        advanceBy(cost);
+        options_.phase_wall->addCompute(endPhase(host_begin));
     }
 
     /**
      * True when the execute phase runs the speculative protocol. The gate
-     * is deliberately independent of worker count: a single-worker pool
-     * still speculates (inline), so every tally and stdout metric is
-     * identical across EBS_JOBS values — only host wall-clock moves.
+     * depends only on the options and the environment, so every tally is
+     * a pure function of the episode's seed.
      */
     bool
     speculativeExecute() const
@@ -300,7 +194,7 @@ class Harness
     }
 
     /**
-     * Run the execute phase: envPhase semantics (turns observe the world
+     * Run the execute phase: phase() semantics (turns observe the world
      * as left by lower-indexed agents of the same step; clock advances
      * identically), executed optimistically when speculativeExecute().
      * See the class comment for the protocol and determinism argument.
@@ -309,178 +203,12 @@ class Harness
     void
     executePhase(const char *name, Fn &&turn)
     {
-        if (!speculativeExecute()) {
-            envPhase(name, std::forward<Fn>(turn));
-            return;
-        }
-        const double host_begin = stats::hostNow();
-        if (trace_ != nullptr)
-            trace_->beginSpan("phase", name, clock_.now(), host_begin);
-        const std::size_t n = agents_.size();
-        ensureSpecSlots();
-
-        // --- Stage 1: speculate every eligible turn against a private
-        // copy of the phase-start world, logging its read/write sets and
-        // buffering its accounting (latency events, LLM notes, belief
-        // invalidations). Tasks are independent by construction — each
-        // touches its own agent, snapshot, and slots — so the fan-out
-        // needs no ordering and any interleaving yields the same logs.
-        auto speculate = [&](std::size_t i) {
-            Agent &a = *agents_[i];
-            spec_logs_[i].reset();
-            spec_invalidated_[i].clear();
-            spec_ran_[i] = 0;
-            exec_states_[i] = a.saveExecState();
-            // LLM-direct execution draws on shared engine-service state
-            // that cannot be rolled back after a discarded run; those
-            // agents take the serial lane below.
-            if (!a.config().has_execution)
-                return;
-            if (spec_worlds_[i] == nullptr)
-                spec_worlds_[i] =
-                    std::make_unique<env::World>(env_.world());
-            else
-                *spec_worlds_[i] = env_.world();
-            spec_worlds_[i]->setAccessLog(&spec_logs_[i]);
-            scratch_[i].reset();
-            notes_[i].entries.clear();
-            a.beginBufferedTurn(&scratch_[i], &notes_[i]);
-            a.deferBeliefInvalidations(&spec_invalidated_[i]);
-            try {
-                env::spec::SpeculationScope scope(&env_,
-                                                  spec_worlds_[i].get());
-                turn(a);
-                spec_ran_[i] = 1;
-            } catch (...) {
-                a.deferBeliefInvalidations(nullptr);
-                a.endBufferedTurn();
-                spec_worlds_[i]->setAccessLog(nullptr);
-                a.restoreExecState(exec_states_[i]);
-                throw;
-            }
-            a.deferBeliefInvalidations(nullptr);
-            a.endBufferedTurn();
-            spec_worlds_[i]->setAccessLog(nullptr);
-        };
-        if (scheduler_ != nullptr && scheduler_->workers() > 1) {
-            scheduler_->parallelFor(n, speculate);
-        } else {
-            for (std::size_t i = 0; i < n; ++i)
-                speculate(i);
-        }
-
-        // --- Stage 2: serial commit in agent-index order. Clean agents
-        // apply their buffered effects; everyone else rolls back and
-        // re-executes against the live (committed) world — which *is*
-        // the serial schedule for them.
-        double total = 0.0;
-        double longest = 0.0;
-        double llm_total = 0.0;
-        double nonllm_longest = 0.0;
-        double clean_longest = 0.0;
-        double serial_sum = 0.0;
-        std::vector<env::spec::AccessKey> committed_writes;
-        env::spec::AccessLog rerun_log;
-        for (std::size_t i = 0; i < n; ++i) {
-            Agent &a = *agents_[i];
-            ++spec_stats_.turns;
-            spec_logs_[i].finalize();
-            bool clean = false;
-            if (spec_ran_[i] != 0) {
-                ++spec_stats_.speculated;
-                if (spec_logs_[i].aborted())
-                    ++spec_stats_.aborted;
-                else if (env::spec::conflicts(spec_logs_[i].reads(),
-                                              committed_writes))
-                    ++spec_stats_.conflicts;
-                else
-                    clean = true;
-            }
-
-            double delta = 0.0;
-            double llm = 0.0;
-            if (clean) {
-                ++spec_stats_.committed;
-                // Replay the buffered accounting in index order — the
-                // same commit discipline computePhase uses, so recorder
-                // and session state are bit-identical to a serial phase.
-                const double before = recorder_.grandTotal();
-                for (const auto &event : scratch_[i].events())
-                    recorder_.record(event.kind, event.seconds);
-                llm_session_.replay(notes_[i]);
-                delta = recorder_.grandTotal() - before;
-                for (const auto &entry : notes_[i].entries)
-                    llm += entry.resp.latency_s;
-                for (const env::ObjectId id : spec_invalidated_[i])
-                    a.memory().invalidate(id);
-                commitWrites(i, committed_writes);
-                clean_longest = std::max(clean_longest, delta);
-            } else {
-                // Serial lane: roll the agent back and run its turn for
-                // real, with envPhase-identical accounting. Its writes
-                // are logged on the live world so later agents still
-                // validate against them.
-                a.restoreExecState(exec_states_[i]);
-                rerun_log.reset();
-                serial_pos_.clear();
-                for (const env::AgentBody &body : env_.world().bodies())
-                    serial_pos_.push_back(body.pos);
-                env_.world().setAccessLog(&rerun_log);
-                const double before = recorder_.grandTotal();
-                const double llm_before = llm_session_.phaseBaseline();
-                try {
-                    turn(a);
-                } catch (...) {
-                    env_.world().setAccessLog(nullptr);
-                    throw;
-                }
-                env_.world().setAccessLog(nullptr);
-                delta = recorder_.grandTotal() - before;
-                llm = llm_session_.phaseBaseline() - llm_before;
-                rerun_log.finalize();
-                env::spec::mergeKeys(committed_writes, rerun_log.writes());
-                occ_scratch_.clear();
-                const auto &bodies = env_.world().bodies();
-                for (std::size_t j = 0; j < bodies.size(); ++j) {
-                    if (bodies[j].pos == serial_pos_[j])
-                        continue;
-                    occ_scratch_.push_back(
-                        env::spec::cellKey(serial_pos_[j]));
-                    occ_scratch_.push_back(
-                        env::spec::cellKey(bodies[j].pos));
-                }
-                std::sort(occ_scratch_.begin(), occ_scratch_.end());
-                env::spec::mergeKeys(committed_writes, occ_scratch_);
-                serial_sum += delta;
-            }
-            if (trace_ != nullptr) {
-                // Commit-vs-reexec outcome of this agent's turn — decided
-                // deterministically by the logs and the commit order, so
-                // the instant stream is EBS_JOBS-independent like the
-                // tallies it mirrors.
-                const char *outcome =
-                    spec_ran_[i] == 0 ? "spec.serial"
-                    : clean           ? "spec.commit"
-                    : spec_logs_[i].aborted() ? "spec.abort"
-                                              : "spec.conflict";
-                trace_->instant("spec", outcome, clock_.now(),
-                                static_cast<int>(i),
-                                {{"latency_s", delta}});
-            }
-            total += delta;
-            longest = std::max(longest, delta);
-            llm_total += llm;
-            nonllm_longest =
-                std::max(nonllm_longest, std::max(0.0, delta - llm));
-        }
-        spec_stats_.exec_total_s += total;
-        spec_stats_.exec_critical_s += clean_longest + serial_sum;
+        const double host_begin = beginPhase(name);
+        const PhaseCost cost = speculativeExecute() ? speculativeTurns(turn)
+                                                    : serialTurns(turn);
         flushLlm();
-        advanceBy(total, longest, llm_total, nonllm_longest);
-        const double host_end = stats::hostNow();
-        if (trace_ != nullptr)
-            trace_->endSpan(clock_.now(), host_end);
-        options_.phase_wall->addExecute(host_end - host_begin);
+        advanceBy(cost);
+        options_.phase_wall->addExecute(endPhase(host_begin));
     }
 
     /** Run a single-actor phase (e.g., the central planner). Under
@@ -493,9 +221,7 @@ class Harness
     void
     soloPhase(const char *name, Fn &&body)
     {
-        const double host_begin = stats::hostNow();
-        if (trace_ != nullptr)
-            trace_->beginSpan("phase", name, clock_.now(), host_begin);
+        const double host_begin = beginPhase(name);
         const double before = recorder_.grandTotal();
         const double llm_before = llm_session_.phaseBaseline();
         body();
@@ -506,27 +232,22 @@ class Harness
         } else {
             clock_.advance(delta);
         }
-        const double host_end = stats::hostNow();
-        if (trace_ != nullptr)
-            trace_->endSpan(clock_.now(), host_end);
-        options_.phase_wall->addCompute(host_end - host_begin);
+        options_.phase_wall->addCompute(endPhase(host_begin));
     }
 
-    /** Finish bookkeeping for one global step; true when episode is over. */
+    /** Close the current global step; true when the episode is over. */
     bool
-    stepDone(EpisodeResult &result, int step)
+    stepDone()
     {
         if (trace_ != nullptr)
             trace_->endSpan(clock_.now()); // the step bracket (setSteps)
-        result.steps = step + 1;
-        result.final_progress = env_.task().progress(env_.world());
         return env_.task().satisfied(env_.world());
     }
 
     EpisodeResult
     finish(bool success, const llm::LlmUsage &extra = {})
     {
-        EpisodeResult result = partial_;
+        EpisodeResult result;
         // takeLog() flushes any still-open groups (coordinators flush at
         // every phase boundary, so normally there are none); claim their
         // charge before the clock is read so no batch goes uncharged.
@@ -582,10 +303,227 @@ class Harness
 
   private:
     /**
-     * Advance the episode clock for one phase. `total`/`longest` cover
-     * every charge of the phase (per-agent sums and max); `llm_total` is
-     * the sampled-LLM share of `total` and `nonllm_longest` the max over
+     * The agents' latency contributions to one phase: `total`/`longest`
+     * cover every charge (per-agent sum and max), `llm_total` is the
+     * sampled-LLM share of `total`, and `nonllm_longest` the max over
      * agents of their non-LLM share.
+     */
+    struct PhaseCost
+    {
+        double total = 0.0;
+        double longest = 0.0;
+        double llm_total = 0.0;
+        double nonllm_longest = 0.0;
+
+        void
+        add(double delta, double llm)
+        {
+            total += delta;
+            longest = std::max(longest, delta);
+            llm_total += llm;
+            nonllm_longest =
+                std::max(nonllm_longest, std::max(0.0, delta - llm));
+        }
+    };
+
+    /** Open a phase's trace span; returns its host start stamp. */
+    double
+    beginPhase(const char *name)
+    {
+        const double host_begin = stats::hostNow();
+        if (trace_ != nullptr)
+            trace_->beginSpan("phase", name, clock_.now(), host_begin);
+        return host_begin;
+    }
+
+    /** Close the span beginPhase() opened; returns the phase's host
+     * wall time. */
+    double
+    endPhase(double host_begin)
+    {
+        const double host_end = stats::hostNow();
+        if (trace_ != nullptr)
+            trace_->endSpan(clock_.now(), host_end);
+        return host_end - host_begin;
+    }
+
+    /** Run `turn` for every agent in index order, measuring each agent's
+     * latency contribution from the live recorder and session. */
+    template <typename Fn>
+    PhaseCost
+    serialTurns(Fn &turn)
+    {
+        PhaseCost cost;
+        for (auto &agent : agents_) {
+            const double before = recorder_.grandTotal();
+            const double llm_before = llm_session_.phaseBaseline();
+            turn(*agent);
+            // Turns note their completions into the session live, so the
+            // turn's sampled LLM share is the growth of the open groups'
+            // sequential baseline.
+            cost.add(recorder_.grandTotal() - before,
+                     llm_session_.phaseBaseline() - llm_before);
+        }
+        return cost;
+    }
+
+    /** The speculative execute protocol (see the class comment). */
+    template <typename Fn>
+    PhaseCost
+    speculativeTurns(Fn &turn)
+    {
+        const std::size_t n = agents_.size();
+        ensureSpecSlots();
+
+        // --- Stage 1: speculate every eligible turn against a private
+        // copy of the phase-start world, logging its read/write sets and
+        // charging a private recorder. Belief invalidations are deferred
+        // too, so a discarded turn leaves the agent's memory untouched.
+        for (std::size_t i = 0; i < n; ++i) {
+            Agent &a = *agents_[i];
+            spec_logs_[i].reset();
+            spec_invalidated_[i].clear();
+            spec_ran_[i] = 0;
+            exec_states_[i] = a.saveExecState();
+            // LLM-direct execution draws on shared engine-service state
+            // that cannot be rolled back after a discarded run; those
+            // agents take the serial lane below.
+            if (!a.config().has_execution)
+                continue;
+            if (spec_worlds_[i] == nullptr)
+                spec_worlds_[i] =
+                    std::make_unique<env::World>(env_.world());
+            else
+                *spec_worlds_[i] = env_.world();
+            spec_worlds_[i]->setAccessLog(&spec_logs_[i]);
+            spec_recorders_[i].reset();
+            stats::LatencyRecorder *live =
+                a.redirectCharges(&spec_recorders_[i]);
+            a.deferBeliefInvalidations(&spec_invalidated_[i]);
+            const std::size_t calls_before = a.llmUsage().calls;
+            const auto end_turn = [&] {
+                a.deferBeliefInvalidations(nullptr);
+                a.redirectCharges(live);
+                spec_worlds_[i]->setAccessLog(nullptr);
+            };
+            try {
+                env::spec::SpeculationScope scope(&env_,
+                                                  spec_worlds_[i].get());
+                turn(a);
+            } catch (...) {
+                end_turn();
+                a.restoreExecState(exec_states_[i]);
+                throw;
+            }
+            end_turn();
+            // The session took any such call live, and a discarded run
+            // could not take it back.
+            if (a.llmUsage().calls != calls_before)
+                throw std::logic_error(
+                    "speculative execute turn of agent " +
+                    std::to_string(a.id()) + " issued an LLM call");
+            spec_ran_[i] = 1;
+        }
+
+        // --- Stage 2: serial commit in agent-index order. Clean agents
+        // apply their speculative effects; everyone else rolls back and
+        // re-executes against the live (committed) world — which *is*
+        // the serial schedule for them.
+        PhaseCost cost;
+        double clean_longest = 0.0;
+        double serial_sum = 0.0;
+        std::vector<env::spec::AccessKey> committed_writes;
+        env::spec::AccessLog rerun_log;
+        for (std::size_t i = 0; i < n; ++i) {
+            Agent &a = *agents_[i];
+            ++spec_stats_.turns;
+            spec_logs_[i].finalize();
+            bool clean = false;
+            if (spec_ran_[i] != 0) {
+                ++spec_stats_.speculated;
+                if (spec_logs_[i].aborted())
+                    ++spec_stats_.aborted;
+                else if (env::spec::conflicts(spec_logs_[i].reads(),
+                                              committed_writes))
+                    ++spec_stats_.conflicts;
+                else
+                    clean = true;
+            }
+
+            double delta = 0.0;
+            double llm = 0.0; // a clean turn issued no LLM call (stage 1)
+            if (clean) {
+                ++spec_stats_.committed;
+                // Replay the turn's charges event by event, so the
+                // recorder's floating-point sequence is the serial one.
+                const double before = recorder_.grandTotal();
+                for (const auto &event : spec_recorders_[i].events())
+                    recorder_.record(event.kind, event.seconds);
+                delta = recorder_.grandTotal() - before;
+                for (const env::ObjectId id : spec_invalidated_[i])
+                    a.memory().invalidate(id);
+                commitWrites(i, committed_writes);
+                clean_longest = std::max(clean_longest, delta);
+            } else {
+                // Serial lane: roll the agent back and run its turn for
+                // real, with phase()-identical accounting. Its writes
+                // are logged on the live world so later agents still
+                // validate against them.
+                a.restoreExecState(exec_states_[i]);
+                rerun_log.reset();
+                serial_pos_.clear();
+                for (const env::AgentBody &body : env_.world().bodies())
+                    serial_pos_.push_back(body.pos);
+                env_.world().setAccessLog(&rerun_log);
+                const double before = recorder_.grandTotal();
+                const double llm_before = llm_session_.phaseBaseline();
+                try {
+                    turn(a);
+                } catch (...) {
+                    env_.world().setAccessLog(nullptr);
+                    throw;
+                }
+                env_.world().setAccessLog(nullptr);
+                delta = recorder_.grandTotal() - before;
+                llm = llm_session_.phaseBaseline() - llm_before;
+                rerun_log.finalize();
+                env::spec::mergeKeys(committed_writes, rerun_log.writes());
+                occ_scratch_.clear();
+                const auto &bodies = env_.world().bodies();
+                for (std::size_t j = 0; j < bodies.size(); ++j) {
+                    if (bodies[j].pos == serial_pos_[j])
+                        continue;
+                    occ_scratch_.push_back(
+                        env::spec::cellKey(serial_pos_[j]));
+                    occ_scratch_.push_back(
+                        env::spec::cellKey(bodies[j].pos));
+                }
+                std::sort(occ_scratch_.begin(), occ_scratch_.end());
+                env::spec::mergeKeys(committed_writes, occ_scratch_);
+                serial_sum += delta;
+            }
+            if (trace_ != nullptr) {
+                // Commit-vs-reexec outcome of this agent's turn — decided
+                // by the logs and the commit order, like the tallies it
+                // mirrors.
+                const char *outcome =
+                    spec_ran_[i] == 0 ? "spec.serial"
+                    : clean           ? "spec.commit"
+                    : spec_logs_[i].aborted() ? "spec.abort"
+                                              : "spec.conflict";
+                trace_->instant("spec", outcome, clock_.now(),
+                                static_cast<int>(i),
+                                {{"latency_s", delta}});
+            }
+            cost.add(delta, llm);
+        }
+        spec_stats_.exec_total_s += cost.total;
+        spec_stats_.exec_critical_s += clean_longest + serial_sum;
+        return cost;
+    }
+
+    /**
+     * Advance the episode clock for one phase (see PhaseCost).
      *
      * The two ablations compose explicitly instead of sharing a branch:
      *
@@ -601,14 +539,14 @@ class Harness
      *    silently did.
      */
     void
-    advanceBy(double total, double longest, double llm_total,
-              double nonllm_longest)
+    advanceBy(const PhaseCost &cost)
     {
         if (charged_batching_) {
-            const double nonllm_total = std::max(0.0, total - llm_total);
+            const double nonllm_total =
+                std::max(0.0, cost.total - cost.llm_total);
             if (options_.pipeline.parallel_agents) {
                 const double slowest =
-                    std::min(nonllm_longest, nonllm_total);
+                    std::min(cost.nonllm_longest, nonllm_total);
                 clock_.advance(slowest + 0.15 * (nonllm_total - slowest));
             } else {
                 clock_.advance(nonllm_total);
@@ -616,9 +554,10 @@ class Harness
             return;
         }
         if (options_.pipeline.parallel_agents) {
-            clock_.advance(longest + 0.15 * (total - longest));
+            clock_.advance(cost.longest +
+                           0.15 * (cost.total - cost.longest));
         } else {
-            clock_.advance(total);
+            clock_.advance(cost.total);
         }
     }
 
@@ -673,6 +612,9 @@ class Harness
         exec_states_.resize(n);
         spec_invalidated_.resize(n);
         spec_ran_.resize(n, 0);
+        spec_recorders_.resize(n);
+        for (auto &recorder : spec_recorders_)
+            recorder.enableEventLog();
     }
 
     /**
@@ -720,7 +662,6 @@ class Harness
     EpisodeOptions options_;
     /** Episode trace log (null = tracing off; see EpisodeOptions). */
     obs::EpisodeTraceLog *trace_ = nullptr;
-    sched::FleetScheduler *scheduler_;
     sim::Rng master_rng_;
     sim::SimClock clock_;
     stats::LatencyRecorder recorder_;
@@ -729,14 +670,12 @@ class Harness
      * the clock: the ablation is on AND the session assembles batches. */
     const bool charged_batching_;
     std::vector<std::unique_ptr<Agent>> agents_;
-    /** Per-agent phase buffers (reused each computePhase). */
-    std::vector<stats::LatencyRecorder> scratch_;
-    std::vector<llm::DeferredNotes> notes_;
-    EpisodeResult partial_;
     /** Speculative-execute slots, lazily sized by ensureSpecSlots().
      * spec_worlds_ holds reusable snapshot buffers (copy-assigned from
-     * the live world each speculated phase, so allocations amortize). */
+     * the live world each speculated phase, so allocations amortize);
+     * spec_recorders_ log each speculative turn's charge events. */
     std::vector<std::unique_ptr<env::World>> spec_worlds_;
+    std::vector<stats::LatencyRecorder> spec_recorders_;
     std::vector<env::spec::AccessLog> spec_logs_;
     std::vector<Agent::ExecState> exec_states_;
     std::vector<std::vector<env::ObjectId>> spec_invalidated_;
@@ -774,7 +713,7 @@ runSingleAgent(env::Environment &environment, const AgentConfig &config,
     Harness harness(environment, config, options);
     Agent &agent = harness.agent(0);
 
-    const int plan_every = std::max(1, options.pipeline.plan_every_k);
+    const int plan_every = options.pipeline.plan_every_k;
     int guided_steps_left = 0; // plan-guided multi-step execution (Rec. 7)
     bool success = false;
 
@@ -782,7 +721,7 @@ runSingleAgent(env::Environment &environment, const AgentConfig &config,
         environment.beginStep();
         harness.setSteps(step + 1);
 
-        harness.computePhase("sense", [&](Agent &a) { a.sense(step); });
+        harness.phase("sense", [&](Agent &a) { a.sense(step); });
 
         env::Subgoal subgoal;
         bool plan_sound = true;
@@ -798,7 +737,7 @@ runSingleAgent(env::Environment &environment, const AgentConfig &config,
             context.n_agents = 1;
             context.compression = options.pipeline.context_compression;
             PlanDecision decision;
-            harness.computePhase(
+            harness.phase(
                 "plan", [&](Agent &a) { decision = a.plan(step, context); });
             subgoal = decision.subgoal;
             plan_sound = decision.from_oracle;
@@ -810,7 +749,7 @@ runSingleAgent(env::Environment &environment, const AgentConfig &config,
         ExecResult exec;
         harness.executePhase(
             "execute", [&](Agent &a) { exec = a.execute(step, subgoal); });
-        harness.computePhase("reflect", [&](Agent &a) {
+        harness.phase("reflect", [&](Agent &a) {
             a.reflect(step, subgoal, exec, plan_sound);
         });
         if (!exec.success)
@@ -819,8 +758,7 @@ runSingleAgent(env::Environment &environment, const AgentConfig &config,
         if (skipped_plan)
             harness.recordTokens(step, 0, 0, 0);
 
-        EpisodeResult probe;
-        if (harness.stepDone(probe, step)) {
+        if (harness.stepDone()) {
             success = true;
             break;
         }
@@ -849,7 +787,7 @@ runCentralized(env::Environment &environment, const AgentConfig &config,
         environment.beginStep();
         harness.setSteps(step + 1);
 
-        harness.computePhase("sense", [&](Agent &a) { a.sense(step); });
+        harness.phase("sense", [&](Agent &a) { a.sense(step); });
 
         // Central joint plan: prompt covers every agent's state plus the
         // accumulated feedback dialogue.
@@ -900,29 +838,18 @@ runCentralized(env::Environment &environment, const AgentConfig &config,
 
         // Each agent follows its instruction; a bad joint plan still gets
         // parts right (per-agent partial correctness), and feedback flows
-        // back to the central context. The shared-stream coin flips are
-        // pre-drawn in agent-index order (the exact sequence the serial
-        // pipeline consumed) so the subgoal choice itself is pure
-        // per-agent compute.
-        std::vector<char> pre_good(static_cast<std::size_t>(n));
-        std::vector<char> pre_hallucinate(static_cast<std::size_t>(n));
-        for (int i = 0; i < n; ++i) {
-            const bool agent_good =
-                good || harness.rng().bernoulli(0.25);
+        // back to the central context. The coin flips draw on the shared
+        // stream in agent-index order.
+        std::vector<env::Subgoal> subgoals(static_cast<std::size_t>(n));
+        std::vector<char> sound(static_cast<std::size_t>(n), 1);
+        harness.phase("plan.apply", [&](Agent &a) {
+            const bool agent_good = good || harness.rng().bernoulli(0.25);
             const bool hallucinate =
                 !agent_good &&
                 harness.rng().bernoulli(config.hallucination_rate);
-            pre_good[static_cast<std::size_t>(i)] = agent_good;
-            pre_hallucinate[static_cast<std::size_t>(i)] = hallucinate;
-        }
-
-        std::vector<env::Subgoal> subgoals(static_cast<std::size_t>(n));
-        std::vector<char> sound(static_cast<std::size_t>(n), 1);
-        harness.computePhase("plan.apply", [&](Agent &a) {
             const auto idx = static_cast<std::size_t>(a.id());
-            sound[idx] = pre_good[idx];
-            subgoals[idx] = a.chooseSubgoal(pre_good[idx] != 0,
-                                            pre_hallucinate[idx] != 0, step);
+            sound[idx] = agent_good;
+            subgoals[idx] = a.chooseSubgoal(agent_good, hallucinate, step);
         });
 
         std::vector<ExecResult> execs(static_cast<std::size_t>(n));
@@ -930,7 +857,7 @@ runCentralized(env::Environment &environment, const AgentConfig &config,
             execs[static_cast<std::size_t>(a.id())] =
                 a.execute(step, subgoals[static_cast<std::size_t>(a.id())]);
         });
-        harness.computePhase("reflect", [&](Agent &a) {
+        harness.phase("reflect", [&](Agent &a) {
             const auto &exec = execs[static_cast<std::size_t>(a.id())];
             a.reflect(step, subgoals[static_cast<std::size_t>(a.id())],
                       exec, sound[static_cast<std::size_t>(a.id())] != 0);
@@ -940,8 +867,7 @@ runCentralized(env::Environment &environment, const AgentConfig &config,
         // central planner's context.
         dialogue_tokens += 40 * n;
 
-        EpisodeResult probe;
-        if (harness.stepDone(probe, step)) {
+        if (harness.stepDone()) {
             success = true;
             break;
         }
@@ -976,31 +902,20 @@ runHierarchical(env::Environment &environment, const AgentConfig &config,
         environment.beginStep();
         harness.setSteps(step + 1);
 
-        harness.computePhase("sense", [&](Agent &a) { a.sense(step); });
+        harness.phase("sense", [&](Agent &a) { a.sense(step); });
 
         // Cross-cluster coordination: one message per cluster lead,
-        // broadcast to the other leads (bounded, not quadratic in n).
-        // Generation is pure per-lead compute; counting and delivery are
-        // the ordered commit.
+        // broadcast to the other leads (bounded, not quadratic in n) once
+        // every lead has spoken.
         if (config.has_communication && clusters > 1) {
             std::vector<Message> outbox;
-            std::vector<Message> generated(static_cast<std::size_t>(n));
-            harness.computePhase(
-                "comm.leads",
-                [&](Agent &a) {
-                    if (a.id() % k != 0)
-                        return; // only cluster leads speak
-                    generated[static_cast<std::size_t>(a.id())] =
-                        a.generateMessage(step, clusters);
-                },
-                [&](Agent &a) {
-                    if (a.id() % k != 0)
-                        return;
-                    Message &m =
-                        generated[static_cast<std::size_t>(a.id())];
-                    harness.countMessage(m.useful);
-                    outbox.push_back(std::move(m));
-                });
+            harness.phase("comm.leads", [&](Agent &a) {
+                if (a.id() % k != 0)
+                    return; // only cluster leads speak
+                Message m = a.generateMessage(step, clusters);
+                harness.countMessage(m.useful);
+                outbox.push_back(std::move(m));
+            });
             for (const auto &m : outbox)
                 for (int c = 0; c < clusters; ++c)
                     if (c * k != m.from_agent && c * k < n)
@@ -1032,29 +947,20 @@ runHierarchical(env::Environment &environment, const AgentConfig &config,
         // All cluster plans are independent: one cross-cluster batch.
         harness.flushLlm();
 
-        // Pre-draw the shared-stream coin flips in agent-index order
-        // (see runCentralized); the subgoal choice is then pure compute.
-        std::vector<char> pre_good(static_cast<std::size_t>(n));
-        std::vector<char> pre_hallucinate(static_cast<std::size_t>(n));
-        for (int i = 0; i < n; ++i) {
+        // Per-agent partial correctness, as in runCentralized.
+        std::vector<env::Subgoal> subgoals(static_cast<std::size_t>(n));
+        std::vector<char> sound(static_cast<std::size_t>(n), 1);
+        harness.phase("plan.apply", [&](Agent &a) {
             const bool agent_good =
-                cluster_good[static_cast<std::size_t>(cluster_of(i))] !=
+                cluster_good[static_cast<std::size_t>(cluster_of(a.id()))] !=
                     0 ||
                 harness.rng().bernoulli(0.25);
             const bool hallucinate =
                 !agent_good &&
                 harness.rng().bernoulli(config.hallucination_rate);
-            pre_good[static_cast<std::size_t>(i)] = agent_good;
-            pre_hallucinate[static_cast<std::size_t>(i)] = hallucinate;
-        }
-
-        std::vector<env::Subgoal> subgoals(static_cast<std::size_t>(n));
-        std::vector<char> sound(static_cast<std::size_t>(n), 1);
-        harness.computePhase("plan.apply", [&](Agent &a) {
             const auto idx = static_cast<std::size_t>(a.id());
-            sound[idx] = pre_good[idx];
-            subgoals[idx] = a.chooseSubgoal(pre_good[idx] != 0,
-                                            pre_hallucinate[idx] != 0, step);
+            sound[idx] = agent_good;
+            subgoals[idx] = a.chooseSubgoal(agent_good, hallucinate, step);
         });
 
         std::vector<ExecResult> execs(static_cast<std::size_t>(n));
@@ -1062,13 +968,12 @@ runHierarchical(env::Environment &environment, const AgentConfig &config,
             execs[static_cast<std::size_t>(a.id())] =
                 a.execute(step, subgoals[static_cast<std::size_t>(a.id())]);
         });
-        harness.computePhase("reflect", [&](Agent &a) {
+        harness.phase("reflect", [&](Agent &a) {
             const auto idx = static_cast<std::size_t>(a.id());
             a.reflect(step, subgoals[idx], execs[idx], sound[idx] != 0);
         });
 
-        EpisodeResult probe;
-        if (harness.stepDone(probe, step)) {
+        if (harness.stepDone()) {
             success = true;
             break;
         }
@@ -1086,7 +991,7 @@ runDecentralized(env::Environment &environment, const AgentConfig &config,
 {
     Harness harness(environment, config, options);
     const int n = harness.agentCount();
-    const int plan_every = std::max(1, options.pipeline.plan_every_k);
+    const int plan_every = options.pipeline.plan_every_k;
     std::vector<int> guided_left(static_cast<std::size_t>(n), 0);
     bool success = false;
 
@@ -1094,30 +999,23 @@ runDecentralized(env::Environment &environment, const AgentConfig &config,
         environment.beginStep();
         harness.setSteps(step + 1);
 
-        harness.computePhase("sense", [&](Agent &a) { a.sense(step); });
+        harness.phase("sense", [&](Agent &a) { a.sense(step); });
 
         // Dialogue: in the default pipeline, every agent pre-generates a
         // message every step (the paper's observed inefficiency), in
         // turn-taking rounds that grow with the team size. Messages are
-        // delivered after the round, so generation is pure per-agent
-        // compute; counting/recording is the ordered commit.
+        // delivered after the round.
         if (config.has_communication && !options.pipeline.comm_on_demand) {
             const int rounds = 1 + (n - 1) / 4;
             for (int round = 0; round < rounds; ++round) {
                 std::vector<Message> outbox(static_cast<std::size_t>(n));
-                harness.computePhase(
-                    "comm.dialogue",
-                    [&](Agent &a) {
-                        outbox[static_cast<std::size_t>(a.id())] =
-                            a.generateMessage(step, n);
-                    },
-                    [&](Agent &a) {
-                        const auto &m =
-                            outbox[static_cast<std::size_t>(a.id())];
-                        harness.countMessage(m.useful);
-                        harness.recordTokens(step, a.id(), 0,
-                                             a.lastMessageTokens());
-                    });
+                harness.phase("comm.dialogue", [&](Agent &a) {
+                    Message &m = outbox[static_cast<std::size_t>(a.id())];
+                    m = a.generateMessage(step, n);
+                    harness.countMessage(m.useful);
+                    harness.recordTokens(step, a.id(), 0,
+                                         a.lastMessageTokens());
+                });
                 for (const auto &m : outbox)
                     broadcast(harness, m, step);
             }
@@ -1128,90 +1026,53 @@ runDecentralized(env::Environment &environment, const AgentConfig &config,
         std::vector<char> sound(static_cast<std::size_t>(n), 1);
         const bool comm_during_planning =
             config.has_communication && options.pipeline.comm_on_demand;
-        if (comm_during_planning) {
-            // Planning-then-communication (Rec. 8): an agent's plan may
-            // broadcast immediately, and later agents plan *with* that
-            // message in memory — a genuine cross-agent dependency chain,
-            // so this phase stays serial in agent-index order.
-            harness.envPhase("plan.comm", [&](Agent &a) {
-                const auto idx = static_cast<std::size_t>(a.id());
-                if (guided_left[idx] > 0) {
-                    // Plan-guided multi-step execution (Rec. 7): follow
-                    // the standing plan without a fresh LLM call.
-                    subgoals[idx] = a.chooseSubgoal(true, false, step);
-                    sound[idx] = 1;
-                    --guided_left[idx];
-                    return;
-                }
-                PlanContext context;
-                context.step = step;
-                context.n_agents = n;
-                context.compression = options.pipeline.context_compression;
-                const PlanDecision decision = a.plan(step, context);
-                subgoals[idx] = decision.subgoal;
-                sound[idx] = decision.from_oracle;
-                if (decision.from_oracle && plan_every > 1)
-                    guided_left[idx] = plan_every - 1;
-                harness.recordTokens(step, a.id(), decision.prompt_tokens,
-                                     0);
+        // Planning-then-communication (Rec. 8): an agent's plan may
+        // broadcast immediately, and later agents plan *with* that message
+        // in memory — the phase's agent-index order is that dependency
+        // chain.
+        harness.phase(comm_during_planning ? "plan.comm" : "plan",
+                      [&](Agent &a) {
+            const auto idx = static_cast<std::size_t>(a.id());
+            if (guided_left[idx] > 0) {
+                // Plan-guided multi-step execution (Rec. 7): follow the
+                // standing plan without a fresh LLM call.
+                subgoals[idx] = a.chooseSubgoal(true, false, step);
+                sound[idx] = 1;
+                --guided_left[idx];
+                return;
+            }
+            PlanContext context;
+            context.step = step;
+            context.n_agents = n;
+            context.compression = options.pipeline.context_compression;
+            const PlanDecision decision = a.plan(step, context);
+            subgoals[idx] = decision.subgoal;
+            sound[idx] = decision.from_oracle;
+            if (decision.from_oracle && plan_every > 1)
+                guided_left[idx] = plan_every - 1;
+            harness.recordTokens(step, a.id(), decision.prompt_tokens, 0);
 
-                // Only talk when the plan decided it is needed.
-                if (decision.wants_comm) {
-                    Message m = a.generateMessage(step, n);
-                    harness.countMessage(m.useful);
-                    broadcast(harness, m, step);
-                }
-            });
-        } else {
-            // No mid-phase message flow: planning is pure per-agent
-            // compute (memory retrieval, one LLM call, subgoal choice).
-            std::vector<int> prompt_tokens(static_cast<std::size_t>(n),
-                                           -1); // -1 = guided, no call
-            harness.computePhase(
-                "plan",
-                [&](Agent &a) {
-                    const auto idx = static_cast<std::size_t>(a.id());
-                    if (guided_left[idx] > 0) {
-                        // Plan-guided multi-step execution (Rec. 7).
-                        subgoals[idx] = a.chooseSubgoal(true, false, step);
-                        sound[idx] = 1;
-                        --guided_left[idx];
-                        return;
-                    }
-                    PlanContext context;
-                    context.step = step;
-                    context.n_agents = n;
-                    context.compression =
-                        options.pipeline.context_compression;
-                    const PlanDecision decision = a.plan(step, context);
-                    subgoals[idx] = decision.subgoal;
-                    sound[idx] = decision.from_oracle;
-                    if (decision.from_oracle && plan_every > 1)
-                        guided_left[idx] = plan_every - 1;
-                    prompt_tokens[idx] = decision.prompt_tokens;
-                },
-                [&](Agent &a) {
-                    const auto idx = static_cast<std::size_t>(a.id());
-                    if (prompt_tokens[idx] >= 0)
-                        harness.recordTokens(step, a.id(),
-                                             prompt_tokens[idx], 0);
-                });
-        }
+            // Only talk when the plan decided it is needed.
+            if (comm_during_planning && decision.wants_comm) {
+                Message m = a.generateMessage(step, n);
+                harness.countMessage(m.useful);
+                broadcast(harness, m, step);
+            }
+        });
 
         std::vector<ExecResult> execs(static_cast<std::size_t>(n));
         harness.executePhase("execute", [&](Agent &a) {
             execs[static_cast<std::size_t>(a.id())] =
                 a.execute(step, subgoals[static_cast<std::size_t>(a.id())]);
         });
-        harness.computePhase("reflect", [&](Agent &a) {
+        harness.phase("reflect", [&](Agent &a) {
             const auto idx = static_cast<std::size_t>(a.id());
             a.reflect(step, subgoals[idx], execs[idx], sound[idx] != 0);
             if (!execs[idx].success)
                 guided_left[idx] = 0; // guided execution aborts on failure
         });
 
-        EpisodeResult probe;
-        if (harness.stepDone(probe, step)) {
+        if (harness.stepDone()) {
             success = true;
             break;
         }

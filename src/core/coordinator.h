@@ -6,7 +6,6 @@
 #include "core/episode.h"
 #include "env/env.h"
 #include "llm/engine_service.h"
-#include "sched/fleet_scheduler.h"
 #include "stats/phase_wall.h"
 
 namespace ebs::obs {
@@ -30,19 +29,6 @@ struct EpisodeOptions
      * service only adds fleet-wide accounting and batch assembly).
      */
     llm::LlmEngineService *engine_service = &llm::LlmEngineService::shared();
-
-    /**
-     * Scheduler the episode's per-agent phase compute fans out on when
-     * `pipeline.parallel_agents` is set; defaults to the process-wide
-     * shared pool (episodes submitted by the EpisodeRunner fan their
-     * subtasks onto the same workers via nested submission). nullptr
-     * runs every phase inline on the episode's thread. Results are
-     * bit-identical either way: phase compute is pure per-agent work,
-     * and all shared-state effects — latency charges, LLM batch
-     * assembly, env writes — are applied in a deterministic
-     * agent-index-ordered commit step.
-     */
-    sched::FleetScheduler *scheduler = &sched::FleetScheduler::shared();
 
     /**
      * Host-wall accumulator the harness reports its compute/execute

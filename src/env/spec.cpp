@@ -65,8 +65,8 @@ namespace {
 
 /**
  * The per-thread override slot. One thread runs at most one speculative
- * turn at a time (the coordinator's fan-out tasks are each a whole
- * turn), so a single {env, world} pair suffices — no stack needed.
+ * turn at a time (an episode speculates its agents' turns one after
+ * another), so a single {env, world} pair suffices — no stack needed.
  */
 struct ThreadOverride
 {

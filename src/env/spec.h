@@ -158,10 +158,10 @@ void mergeKeys(std::vector<AccessKey> &into,
  * environment* resolve to the agent's private snapshot World instead of
  * the live one. One level only — speculative turns never nest.
  *
- * Registration is keyed by the environment's address, so concurrent
- * episodes (different environments) on one worker thread, or the same
- * environment speculated on many threads, never cross wires: each thread
- * sees exactly the snapshot its own turn installed.
+ * Registration is keyed by the environment's address and the slot is
+ * per thread, so episodes running concurrently on different worker
+ * threads never cross wires: each thread sees exactly the snapshot its
+ * own turn installed, and only for that turn's environment.
  */
 class SpeculationScope
 {

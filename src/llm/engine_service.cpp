@@ -157,16 +157,9 @@ EngineHandle::complete(const LlmRequest &request)
     usage_.add(resp);
 
     if (session_ != nullptr && session_->attached()) {
-        if (deferred_ != nullptr) {
-            // Parallel phase turn: the session is single-threaded and its
-            // accounting is order-sensitive, so stage the note for the
-            // agent-index-ordered replay at the phase's commit step.
-            deferred_->entries.push_back({backend_, &profile_, resp});
-        } else {
-            session_->noteUsage(backend_, resp);
-            if (session_->batching())
-                session_->note(backend_, profile_, resp);
-        }
+        session_->noteUsage(backend_, resp);
+        if (session_->batching())
+            session_->note(backend_, profile_, resp);
     }
     return resp;
 }
@@ -318,16 +311,6 @@ EngineSession::takePendingCharge()
     const double charge = pending_charge_s_;
     pending_charge_s_ = 0.0;
     return charge;
-}
-
-void
-EngineSession::replay(const DeferredNotes &notes)
-{
-    for (const auto &entry : notes.entries) {
-        noteUsage(entry.backend, entry.resp);
-        if (batching())
-            note(entry.backend, *entry.profile, entry.resp);
-    }
 }
 
 std::vector<BatchRecord>

@@ -146,29 +146,6 @@ struct BatchStats
 };
 
 /**
- * Session accounting deferred during a parallel coordinator phase.
- *
- * When agents of one episode run a phase concurrently, their handles must
- * not touch the (single-threaded, order-sensitive) EngineSession. Each
- * agent instead records its completions into a private DeferredNotes
- * buffer, and the phase's commit step replays the buffers into the
- * session in agent-index order (EngineSession::replay) — producing the
- * exact note/noteUsage call sequence a serial phase would have issued,
- * so batch assembly and usage staging stay bit-identical at any worker
- * count.
- */
-struct DeferredNotes
-{
-    struct Entry
-    {
-        BackendId backend = 0;
-        const ModelProfile *profile = nullptr; ///< the handle's (stable)
-        LlmResponse resp;
-    };
-    std::vector<Entry> entries;
-};
-
-/**
  * A per-agent-module view onto the engine service: the drop-in
  * replacement for a privately owned LlmEngine.
  *
@@ -194,14 +171,6 @@ class EngineHandle
     /** Run one completion (see class comment for routing). */
     LlmResponse complete(const LlmRequest &request);
 
-    /**
-     * Redirect session accounting into `notes` (nullptr restores live
-     * notes). Sampling and the handle's own usage are unaffected — only
-     * the session-side note/noteUsage calls are buffered, for the
-     * owning agent's parallel-phase turn (see DeferredNotes).
-     */
-    void defer(DeferredNotes *notes) { deferred_ = notes; }
-
     const ModelProfile &profile() const { return profile_; }
     const LlmUsage &usage() const { return usage_; }
     void resetUsage() { usage_ = LlmUsage{}; }
@@ -215,7 +184,6 @@ class EngineHandle
   private:
     EngineSession *session_ = nullptr;
     BackendId backend_ = 0; ///< meaningful only when attached
-    DeferredNotes *deferred_ = nullptr; ///< set only inside parallel turns
     ModelProfile profile_;
     sim::Rng rng_;
     LlmUsage usage_;
@@ -305,13 +273,6 @@ class EngineSession
      * at every flush point so each batch is charged exactly once.
      */
     double takePendingCharge();
-
-    /**
-     * Re-issue the notes an agent deferred during a parallel phase turn,
-     * in the buffered order. The coordinator's commit step calls this
-     * once per agent, in agent-index order, before flushing the phase.
-     */
-    void replay(const DeferredNotes &notes);
 
     /**
      * Route flush-time trace instants (batch assembly, queue admission)

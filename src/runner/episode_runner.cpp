@@ -33,8 +33,8 @@ EpisodeRunner::shared()
 }
 
 core::EpisodeResult
-runEpisode(const EpisodeJob &job, sched::FleetScheduler *scheduler,
-           std::uint64_t trace_episode, obs::Tracer *tracer_hint)
+runEpisode(const EpisodeJob &job, std::uint64_t trace_episode,
+           obs::Tracer *tracer_hint)
 {
     core::EpisodeOptions options;
     options.seed = job.seed;
@@ -42,10 +42,6 @@ runEpisode(const EpisodeJob &job, sched::FleetScheduler *scheduler,
     options.pipeline = job.pipeline;
     options.engine_service = job.engine_service;
     options.phase_wall = job.phase_wall;
-    options.scheduler = job.scheduler != nullptr ? job.scheduler
-                        : scheduler != nullptr
-                            ? scheduler
-                            : &sched::FleetScheduler::shared();
 
     const auto dispatch = [&job](const core::EpisodeOptions &opts) {
         if (job.custom)
@@ -98,7 +94,7 @@ EpisodeRunner::run(const std::vector<EpisodeJob> &batch) const
         // EBS_JOBS=1 (or a singleton batch) stays entirely on the calling
         // thread: the pre-runner serial behavior, exactly.
         for (std::size_t i = 0; i < batch.size(); ++i)
-            results[i] = runEpisode(batch[i], scheduler_,
+            results[i] = runEpisode(batch[i],
                                     trace_base == 0 ? 0 : trace_base + i,
                                     tracer_);
         return results;
@@ -112,7 +108,7 @@ EpisodeRunner::run(const std::vector<EpisodeJob> &batch) const
         label += "#" + std::to_string(job.seed);
         graph.add(
             [this, &results, &job, i, trace_base] {
-                results[i] = runEpisode(job, scheduler_,
+                results[i] = runEpisode(job,
                                         trace_base == 0 ? 0
                                                         : trace_base + i,
                                         tracer_);

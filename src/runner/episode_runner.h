@@ -50,13 +50,9 @@ struct EpisodeJob
     llm::LlmEngineService *engine_service = &llm::LlmEngineService::shared();
 
     /**
-     * Scheduler the episode's *nested* per-agent phase fan-outs run on
-     * (not owned). nullptr = inherit: the runner executing this job
-     * passes its own scheduler, and a directly-called runEpisode() uses
-     * FleetScheduler::shared() — either way episodes and their per-agent
-     * subtasks draw from one worker budget. Results are bit-identical at
-     * any pool size (the per-agent phases are pure compute with an
-     * agent-index-ordered commit step).
+     * Ignored: episodes run entirely on the thread that executes them.
+     * Kept only because the frozen host benchmark (perfbench/) still
+     * assigns it; it goes with the next change to that benchmark.
      */
     sched::FleetScheduler *scheduler = nullptr;
 
@@ -150,9 +146,6 @@ class EpisodeRunner
 
 /**
  * Execute one job on the calling thread (the serial building block).
- * Nested per-agent phases run on the job's scheduler when set, else on
- * `scheduler` (the runner passes its own), else on
- * FleetScheduler::shared().
  *
  * When tracing is enabled (obs::traceEnabled()) the episode runs with an
  * EpisodeTraceLog wired through EpisodeOptions::trace and adopts it into
@@ -163,7 +156,6 @@ class EpisodeRunner
  * reproduce at any EBS_JOBS.
  */
 core::EpisodeResult runEpisode(const EpisodeJob &job,
-                               sched::FleetScheduler *scheduler = nullptr,
                                std::uint64_t trace_episode = 0,
                                obs::Tracer *tracer = nullptr);
 

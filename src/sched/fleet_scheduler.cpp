@@ -233,7 +233,7 @@ FleetScheduler::runClaim(core::MutexLock &lock, const Claim &claim,
 
     // Wake pool workers only when this graph actually has claimable work
     // left (released dependents, a cap slot freeing over a non-empty
-    // queue, or a failure drain) — per-agent phase tasks are tiny, and an
+    // queue, or a failure drain) — short-episode tasks are small, and an
     // unconditional notify_all would thundering-herd every idle worker on
     // each completion. Other graphs' claimability cannot change here.
     // The owner always learns about its graph's progress.
@@ -289,7 +289,7 @@ FleetScheduler::run(TaskGraph graph, int max_parallel)
 
         // Help-execute our own graph while it drains. Restricting
         // helping to the awaited graph keeps the blocked stack bounded
-        // (an episode task never starts an unrelated episode in its own
+        // (a suite task never starts another suite's episode in its own
         // frames) and cannot deadlock: either this thread finds a ready
         // task to run, or every remaining task is running on some other
         // thread, which will finish it and signal owner_cv.
@@ -308,22 +308,6 @@ FleetScheduler::run(TaskGraph graph, int max_parallel)
     if (exec.error)
         std::rethrow_exception(exec.error);
     return std::move(exec.timings);
-}
-
-void
-FleetScheduler::parallelFor(std::size_t count,
-                            const std::function<void(std::size_t)> &fn)
-{
-    if (count == 0)
-        return;
-    if (count == 1) {
-        fn(0);
-        return;
-    }
-    TaskGraph graph;
-    for (std::size_t i = 0; i < count; ++i)
-        graph.add([&fn, i] { fn(i); });
-    run(std::move(graph));
 }
 
 } // namespace ebs::sched

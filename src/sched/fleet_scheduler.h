@@ -35,9 +35,7 @@ struct TaskTiming
  * Tasks are identified by their insertion index, and a task may only
  * depend on tasks added before it — which makes every graph acyclic by
  * construction (add() rejects forward/self edges). Episode batches are
- * edge-free graphs; `run_all` uses one node per suite; nested per-agent
- * fan-outs use parallelFor(), which builds an edge-free graph under the
- * hood.
+ * edge-free graphs; `run_all` uses one node per suite.
  */
 class TaskGraph
 {
@@ -71,18 +69,18 @@ class TaskGraph
 /**
  * Process-wide work scheduler: one persistent pool of `workers()` threads
  * (sized by EBS_JOBS for the shared() instance) executing TaskGraphs for
- * every client in the process — suite drivers, the EpisodeRunner's
- * episode batches, and the per-agent phase fan-outs *inside* a running
- * episode all share the same global budget.
+ * every client in the process — suite drivers and the EpisodeRunner's
+ * episode batches share the same global budget. An episode itself runs
+ * entirely on the thread that executes its task.
  *
  * Nested submission is a first-class operation: run() blocks, but the
  * calling thread *helps* — it executes ready tasks of the graph it is
  * waiting on instead of sleeping. A worker whose task itself calls run()
- * (an episode fanning out per-agent subtasks) therefore drives the nested
- * graph to completion even when it occupies the pool's only thread, so no
- * pool size can deadlock. Helping is scoped to the awaited graph, which
- * also bounds help-recursion depth by the nesting depth, not the batch
- * size.
+ * (a run_all suite task submitting its episode batch) therefore drives
+ * the nested graph to completion even when it occupies the pool's only
+ * thread, so no pool size can deadlock. Helping is scoped to the
+ * awaited graph, which also bounds help-recursion depth by the nesting
+ * depth, not the batch size.
  *
  * The scheduler never influences results: tasks carry their own state and
  * clients require order-independence of the work they submit (the episode
@@ -135,15 +133,6 @@ class FleetScheduler
     std::vector<TaskTiming> run(TaskGraph graph, int max_parallel = 0)
         EBS_EXCLUDES(mu_);
 
-    /**
-     * Convenience fan-out: run `fn(0..count-1)` as an edge-free graph.
-     * This is the nested-submission entry point coordinators use for
-     * per-agent phase compute.
-     */
-    void parallelFor(std::size_t count,
-                     const std::function<void(std::size_t)> &fn)
-        EBS_EXCLUDES(mu_);
-
     /** Seconds since this scheduler was constructed (timeline clock). */
     double nowSeconds() const;
 
@@ -157,9 +146,8 @@ class FleetScheduler
 
     /**
      * Process-wide instance built with defaultWorkers(): the single
-     * global pool behind EpisodeRunner::shared() and the default
-     * EpisodeOptions, so suites, episodes, and per-agent phases all
-     * draw from one EBS_JOBS budget.
+     * global pool behind EpisodeRunner::shared(), so suites and
+     * episodes draw from one EBS_JOBS budget.
      */
     static FleetScheduler &shared();
 

@@ -8,9 +8,9 @@ namespace ebs::stats {
 /**
  * Monotonic host wall-clock, in seconds since an arbitrary process-local
  * epoch. This is the repo's ONE sanctioned host-timing site: every real
- * (non-simulated) duration — bench_util::hostSeconds, run_all's per-suite
- * wall-clock, the FleetScheduler's TaskTiming timeline — is a difference
- * of two hostNow() readings.
+ * (non-simulated) duration — the coordinator's phase wall-clock, run_all's
+ * per-suite wall-clock, the FleetScheduler's TaskTiming timeline — is a
+ * difference of two hostNow() readings.
  *
  * Why a single chokepoint: simulated results must never read the host
  * clock (that is what makes paper metrics bit-identical at any EBS_JOBS),

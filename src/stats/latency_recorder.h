@@ -17,13 +17,12 @@ namespace ebs::stats {
  * computed from these totals.
  *
  * A recorder can additionally capture its individual charge events
- * (enableEventLog()). The coordinator's parallel per-agent phases charge
- * each agent's turn to a private event-logging scratch recorder and
- * *replay* the events into the episode recorder in agent-index order —
+ * (enableEventLog()). The coordinator's speculative execute turns charge
+ * a private event-logging recorder and, when a turn commits clean,
+ * *replay* its events into the episode recorder in agent-index order —
  * reproducing the exact floating-point accumulation sequence a serial
- * phase performs, which is what keeps parallel phase execution
- * bit-identical to serial. (Replaying per-kind *sums* instead would
- * reassociate the additions and drift in the last ulp.)
+ * phase performs. (Replaying per-kind *sums* instead would reassociate
+ * the additions and drift in the last ulp.)
  */
 class LatencyRecorder
 {
@@ -92,7 +91,7 @@ class LatencyRecorder
     {
         total_.fill(0.0);
         count_.fill(0);
-        events_.clear(); // keeps capacity: scratch recorders reset per phase
+        events_.clear(); // keeps capacity: reset per speculative turn
     }
 
     /** Capture every subsequent record() call in events(). */

@@ -8,8 +8,9 @@ namespace ebs::stats {
 
 /**
  * Process-wide *host* wall-clock accumulator for the two phase families
- * of the episode loop: compute phases (sense/plan/comm/reflect fan-outs)
- * and execute phases (env mutation, now speculated). This is diagnostic
+ * of the episode loop: compute phases (sense, plan, comm, reflect, and
+ * solo-actor phases) and execute phases (env mutation, optionally
+ * speculated). This is diagnostic
  * timing — run_all reads each suite's snapshot into its phase-wall
  * summary and BENCH_timeline.json, never into stdout metrics, because
  * host time varies run to run while every stdout metric must stay

@@ -1,4 +1,5 @@
 #include <algorithm>
+#include <cmath>
 #include <stdexcept>
 #include <string>
 
@@ -489,6 +490,81 @@ TEST(SpeculativeExecute, FullyConflictingTeamDegradesToSerialSchedule)
     EXPECT_EQ(direct_spec.spec_exec.committed, 0);
     EXPECT_DOUBLE_EQ(direct_spec.spec_exec.exec_critical_s,
                      direct_spec.spec_exec.exec_total_s);
+}
+
+/**
+ * Run a decentralized 2-agent transport episode (seed 3) with `pipeline`
+ * and return the std::invalid_argument message, or "" when it ran.
+ */
+std::string
+pipelineRejection(const PipelineOptions &pipeline)
+{
+    envs::TransportEnv environment(env::Difficulty::Easy, 2, sim::Rng(3));
+    EpisodeOptions options;
+    options.seed = 3;
+    options.pipeline = pipeline;
+    try {
+        const auto result =
+            runDecentralized(environment, goodConfig(), options);
+        EXPECT_TRUE(std::isfinite(result.sim_seconds));
+        EXPECT_GE(result.sim_seconds, 0.0);
+        return "";
+    } catch (const std::invalid_argument &e) {
+        return e.what();
+    }
+}
+
+TEST(PipelineValidation, RejectsCompressionOutsideUnitInterval)
+{
+    // Unchecked, NaN reaches the prompt arithmetic and drives the clock
+    // to about -6e6 simulated seconds.
+    for (const double bad : {std::nan(""), HUGE_VAL, -HUGE_VAL, 0.0, -0.5,
+                             1.5}) {
+        PipelineOptions pipeline;
+        pipeline.context_compression = bad;
+        EXPECT_NE(pipelineRejection(pipeline).find("context_compression"),
+                  std::string::npos)
+            << bad;
+    }
+}
+
+TEST(PipelineValidation, RejectsPlanPeriodBelowOne)
+{
+    // A period below one step is an error, not a request for k = 1.
+    for (const int bad : {0, -5}) {
+        PipelineOptions pipeline;
+        pipeline.plan_every_k = bad;
+        EXPECT_NE(pipelineRejection(pipeline).find("plan_every_k"),
+                  std::string::npos)
+            << bad;
+    }
+}
+
+TEST(PipelineValidation, AcceptsBoundaryValues)
+{
+    PipelineOptions pipeline;
+    pipeline.context_compression = 1.0;
+    pipeline.plan_every_k = 1;
+    EXPECT_EQ(pipelineRejection(pipeline), "");
+    // Below the prompt model's 0.05 floor is still a valid ratio: the
+    // floor clamps it.
+    pipeline.context_compression = 0.01;
+    pipeline.plan_every_k = 3;
+    EXPECT_EQ(pipelineRejection(pipeline), "");
+}
+
+TEST(PipelineValidation, EveryParadigmValidates)
+{
+    EpisodeOptions options;
+    options.pipeline.plan_every_k = 0;
+    envs::TransportEnv solo(env::Difficulty::Easy, 1, sim::Rng(3));
+    EXPECT_THROW(runSingleAgent(solo, goodConfig(), options),
+                 std::invalid_argument);
+    envs::TransportEnv team(env::Difficulty::Easy, 2, sim::Rng(3));
+    EXPECT_THROW(runCentralized(team, goodConfig(), options),
+                 std::invalid_argument);
+    EXPECT_THROW(runHierarchical(team, goodConfig(), options, 1),
+                 std::invalid_argument);
 }
 
 } // namespace

@@ -78,7 +78,7 @@ TEST(EngineService, BitIdenticalAcrossEnginePathsAndWorkerCounts)
 }
 
 /** paradigmBatch with the charged-batching ablation switched on (and
- * optionally parallel per-agent phases stacked on top). */
+ * optionally the modeled parallel_agents clock stacked on top). */
 std::vector<runner::EpisodeJob>
 chargedBatch(llm::LlmEngineService *service, bool parallel_agents = false)
 {

@@ -3,7 +3,6 @@
 #include <memory>
 
 #include "core/coordinator.h"
-#include "sched/fleet_scheduler.h"
 #include "test_util.h"
 #include "envs/boxlift_env.h"
 #include "envs/boxnet_env.h"
@@ -218,15 +217,15 @@ INSTANTIATE_TEST_SUITE_P(Seeds, ConfigFuzz, ::testing::Range(0, 24));
 /**
  * Speculative-execute fuzz: for every environment and several seeds, the
  * speculative execute phase must reproduce the serial schedule bit for
- * bit at worker counts 1, 4, and the hardware default, and its
- * conflict/commit tallies must themselves be worker-count-independent
- * (they are decided by read/write-set intersection in commit order, not
- * by thread timing). Overlap patterns vary with the environment and
- * seed: transport-style domains produce mostly-disjoint footprints,
- * kitchen/boxlift funnel every agent onto shared stations and boxes
- * (high conflict / forced-serial domain ops), and one seed per
- * environment drops the execution module entirely, forcing the
- * llm-direct serial lane for the whole team.
+ * bit, with conflict/commit tallies that add up (they are decided by
+ * read/write-set intersection in commit order). An episode runs on one
+ * thread whatever the worker count, so neither can depend on it.
+ * Overlap patterns vary with the environment and seed: transport-style
+ * domains produce mostly-disjoint footprints, kitchen/boxlift funnel
+ * every agent onto shared stations and boxes (high conflict /
+ * forced-serial domain ops), and one seed per environment drops the
+ * execution module entirely, forcing the llm-direct serial lane for the
+ * whole team.
  */
 class SpeculativeFuzz
     : public ::testing::TestWithParam<std::tuple<int, int>>
@@ -254,58 +253,35 @@ TEST_P(SpeculativeFuzz, MatchesSerialBitwiseAtAnyWorkerCount)
                            sim::Rng(seed).fork(1));
     };
 
-    core::EpisodeOptions base;
-    base.seed = seed;
-    base.max_steps_override = 12;
-    base.record_tokens = true;
+    core::EpisodeOptions options;
+    options.seed = seed;
+    options.max_steps_override = 12;
+    options.record_tokens = true;
 
     auto env_serial = make_env();
     const auto serial =
-        core::runDecentralized(*env_serial, config, base);
+        core::runDecentralized(*env_serial, config, options);
     EXPECT_EQ(serial.spec_exec.turns, 0); // off by default
 
-    sched::FleetScheduler solo(1);
-    sched::FleetScheduler quad(4);
-    sched::FleetScheduler *pools[] = {&solo, &quad,
-                                      &sched::FleetScheduler::shared()};
-    core::SpeculativeExecStats reference;
-    bool have_reference = false;
-    for (sched::FleetScheduler *pool : pools) {
-        auto env_spec = make_env();
-        core::EpisodeOptions options = base;
-        options.pipeline.speculative_execute = true;
-        options.scheduler = pool;
-        const auto spec =
-            core::runDecentralized(*env_spec, config, options);
-        test::expectEpisodeIdentical(serial, spec);
-        checkWorldInvariants(*env_spec);
+    auto env_spec = make_env();
+    options.pipeline.speculative_execute = true;
+    const auto spec = core::runDecentralized(*env_spec, config, options);
+    test::expectEpisodeIdentical(serial, spec);
+    checkWorldInvariants(*env_spec);
 
-        const auto &tally = spec.spec_exec;
-        if (env_index == 7) {
-            // ManipulationEnv opts out of speculation (shared RRT
-            // stream); the phase must fall back to plain envPhase.
-            EXPECT_EQ(tally.turns, 0);
-        } else {
-            EXPECT_EQ(tally.turns,
-                      static_cast<long long>(serial.steps) * n_agents);
-            EXPECT_EQ(tally.speculated,
-                      tally.committed + tally.conflicts + tally.aborted);
-            EXPECT_GE(tally.exec_total_s, tally.exec_critical_s - 1e-12);
-            if (!config.has_execution) {
-                EXPECT_EQ(tally.speculated, 0); // whole team llm-direct
-            }
-        }
-        if (!have_reference) {
-            reference = tally;
-            have_reference = true;
-        } else {
-            EXPECT_EQ(reference.turns, tally.turns);
-            EXPECT_EQ(reference.speculated, tally.speculated);
-            EXPECT_EQ(reference.committed, tally.committed);
-            EXPECT_EQ(reference.conflicts, tally.conflicts);
-            EXPECT_EQ(reference.aborted, tally.aborted);
-            EXPECT_EQ(reference.exec_total_s, tally.exec_total_s);
-            EXPECT_EQ(reference.exec_critical_s, tally.exec_critical_s);
+    const auto &tally = spec.spec_exec;
+    if (env_index == 7) {
+        // ManipulationEnv opts out of speculation (shared RRT stream);
+        // the phase must fall back to the plain serial execute phase.
+        EXPECT_EQ(tally.turns, 0);
+    } else {
+        EXPECT_EQ(tally.turns,
+                  static_cast<long long>(serial.steps) * n_agents);
+        EXPECT_EQ(tally.speculated,
+                  tally.committed + tally.conflicts + tally.aborted);
+        EXPECT_GE(tally.exec_total_s, tally.exec_critical_s - 1e-12);
+        if (!config.has_execution) {
+            EXPECT_EQ(tally.speculated, 0); // whole team llm-direct
         }
     }
 }

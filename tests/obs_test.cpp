@@ -47,7 +47,7 @@ class ScopedTracing
 
 /**
  * A fixed-seed episode grid across all three paradigms with the full
- * optimization pipeline on — parallel per-agent phases, LLM batch
+ * optimization pipeline on — modeled parallel agents, LLM batch
  * assembly, speculative execute — so the trace exercises phase spans,
  * batch instants, and commit-outcome instants at once.
  */

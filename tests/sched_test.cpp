@@ -1,16 +1,17 @@
 /**
  * @file
  * Tests for the src/sched fleet-scheduler subsystem and its integration
- * with the episode runner and the coordinator's parallel per-agent
- * phases: dependency ordering, nested-submission deadlock-freedom at
- * pool size 1, exception propagation, submission-order result delivery,
- * persistent-worker reuse, and — the contract everything else leans on —
- * bitwise-identical episode results at any pool size with
- * `parallel_agents` fanning real subtasks onto the pool.
+ * with the episode runner: dependency ordering, nested-submission
+ * deadlock-freedom at pool size 1, exception propagation,
+ * submission-order result delivery, persistent-worker reuse, and — the
+ * contract everything else leans on — bitwise-identical episode results
+ * at any pool size, including runner batches nested inside outer tasks
+ * on the same pool (the run_all pattern).
  */
 
 #include <atomic>
 #include <cstdlib>
+#include <functional>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -28,6 +29,17 @@ namespace {
 
 using namespace ebs;
 using test::expectEpisodeIdentical;
+
+/** Run `fn(0..count-1)` as one edge-free graph on `scheduler`. */
+void
+runEach(sched::FleetScheduler &scheduler, std::size_t count,
+        const std::function<void(std::size_t)> &fn)
+{
+    sched::TaskGraph graph;
+    for (std::size_t i = 0; i < count; ++i)
+        graph.add([&fn, i] { fn(i); });
+    scheduler.run(std::move(graph));
+}
 
 TEST(TaskGraph, RejectsForwardAndSelfDependencies)
 {
@@ -63,29 +75,33 @@ TEST(FleetScheduler, HonorsDependencyEdges)
     EXPECT_EQ(timings[0].label, "a");
 }
 
-TEST(FleetScheduler, ParallelForCoversEveryIndexExactlyOnce)
+TEST(FleetScheduler, EdgeFreeGraphRunsEveryTaskExactlyOnce)
 {
     sched::FleetScheduler scheduler(4);
     std::vector<std::atomic<int>> hits(64);
-    scheduler.parallelFor(hits.size(), [&](std::size_t i) {
-        hits[i].fetch_add(1);
-    });
-    for (const auto &h : hits)
-        EXPECT_EQ(h.load(), 1);
+    sched::TaskGraph graph;
+    for (std::size_t i = 0; i < hits.size(); ++i)
+        graph.add([&hits, i] { hits[i].fetch_add(1); });
+    const auto timings = scheduler.run(std::move(graph));
+    ASSERT_EQ(timings.size(), hits.size());
+    for (std::size_t i = 0; i < hits.size(); ++i) {
+        EXPECT_EQ(hits[i].load(), 1);
+        EXPECT_TRUE(timings[i].ran);
+    }
 }
 
 TEST(FleetScheduler, NestedSubmissionCannotDeadlockAtPoolSizeOne)
 {
-    // The regression this guards: an episode task occupying the pool's
-    // only worker fans per-agent subtasks onto the same pool and waits.
-    // Help-execution must drive the nested graphs to completion.
+    // The regression this guards: a task occupying the pool's only
+    // worker submits a nested graph onto the same pool and waits (a
+    // run_all suite task running its episode batch). Help-execution must
+    // drive the nested graphs to completion.
     sched::FleetScheduler scheduler(1);
     std::atomic<int> leaves{0};
-    scheduler.parallelFor(4, [&](std::size_t) {
-        scheduler.parallelFor(4, [&](std::size_t) {
-            scheduler.parallelFor(2, [&](std::size_t) {
-                leaves.fetch_add(1);
-            });
+    runEach(scheduler, 4, [&](std::size_t) {
+        runEach(scheduler, 4, [&](std::size_t) {
+            runEach(scheduler, 2,
+                    [&](std::size_t) { leaves.fetch_add(1); });
         });
     });
     EXPECT_EQ(leaves.load(), 4 * 4 * 2);
@@ -94,16 +110,14 @@ TEST(FleetScheduler, NestedSubmissionCannotDeadlockAtPoolSizeOne)
 TEST(FleetScheduler, PropagatesExceptionsFromNestedTasks)
 {
     sched::FleetScheduler scheduler(2);
-    EXPECT_THROW(scheduler.parallelFor(3,
-                                       [&](std::size_t outer) {
-                                           scheduler.parallelFor(
-                                               2, [&](std::size_t inner) {
-                                                   if (outer == 1 &&
-                                                       inner == 1)
-                                                       throw std::runtime_error(
-                                                           "subtask failed");
-                                               });
-                                       }),
+    EXPECT_THROW(runEach(scheduler, 3,
+                         [&](std::size_t outer) {
+                             runEach(scheduler, 2, [&](std::size_t inner) {
+                                 if (outer == 1 && inner == 1)
+                                     throw std::runtime_error(
+                                         "subtask failed");
+                             });
+                         }),
                  std::runtime_error);
 }
 
@@ -136,7 +150,7 @@ TEST(FleetScheduler, PersistentWorkersAreReusedAcrossBatches)
     EXPECT_EQ(scheduler.workers(), 3);
     const long long spawned = scheduler.threadsSpawned();
     for (int batch = 0; batch < 5; ++batch)
-        scheduler.parallelFor(16, [](std::size_t) {});
+        runEach(scheduler, 16, [](std::size_t) {});
     // The satellite contract: repeated batches ride the same pool — the
     // scheduler never creates a thread after construction.
     EXPECT_EQ(scheduler.threadsSpawned(), spawned);
@@ -164,12 +178,11 @@ TEST(FleetScheduler, DefaultWorkersParsesEnvDefensively)
 }
 
 /**
- * A batch that exercises every coordinator paradigm with the
- * parallel-agents pipeline enabled — the configuration whose per-agent
- * phase compute fans out as nested subtasks — pinned to `scheduler`.
+ * A batch that exercises every coordinator paradigm with the modeled
+ * parallel-agents pipeline enabled.
  */
 std::vector<runner::EpisodeJob>
-parallelAgentsBatch(sched::FleetScheduler *scheduler)
+parallelAgentsBatch()
 {
     std::vector<runner::EpisodeJob> jobs;
     // RoCo/HMAS: decentralized dialogue; MindAgent: centralized;
@@ -184,12 +197,11 @@ parallelAgentsBatch(sched::FleetScheduler *scheduler)
             job.seed = runner::episodeSeed(seed);
             job.record_tokens = true;
             job.pipeline.parallel_agents = true;
-            job.scheduler = scheduler;
             jobs.push_back(job);
 
             // Rec. 8 on top: the planning phase then carries a genuine
-            // cross-agent dependency and must fall back to the serial
-            // ordered path — results still cannot depend on the pool.
+            // cross-agent dependency — results still cannot depend on
+            // the pool.
             job.pipeline.comm_on_demand = true;
             jobs.push_back(std::move(job));
         }
@@ -199,20 +211,19 @@ parallelAgentsBatch(sched::FleetScheduler *scheduler)
 
 TEST(SchedulerDeterminism, EpisodesBitIdenticalAcrossPoolSizes)
 {
-    // Serial reference: every phase inline on the calling thread.
+    // Serial reference: every episode inline on the calling thread.
     sched::FleetScheduler serial_pool(1);
     const auto serial =
-        runner::EpisodeRunner(1, &serial_pool)
-            .run(parallelAgentsBatch(&serial_pool));
+        runner::EpisodeRunner(1, &serial_pool).run(parallelAgentsBatch());
 
     const int hw = std::max(
-        2u, std::thread::hardware_concurrency()); // >= 2 so phases fan out
+        2u, std::thread::hardware_concurrency()); // >= 2 so batches fan out
     for (const int pool_size : {4, static_cast<int>(hw)}) {
         SCOPED_TRACE("pool size " + std::to_string(pool_size));
         sched::FleetScheduler pool(pool_size);
         const auto scheduled =
             runner::EpisodeRunner(pool_size, &pool)
-                .run(parallelAgentsBatch(&pool));
+                .run(parallelAgentsBatch());
         ASSERT_EQ(scheduled.size(), serial.size());
         for (std::size_t i = 0; i < serial.size(); ++i) {
             SCOPED_TRACE("job " + std::to_string(i));
@@ -221,24 +232,32 @@ TEST(SchedulerDeterminism, EpisodesBitIdenticalAcrossPoolSizes)
     }
 }
 
-TEST(SchedulerDeterminism, NestedPhasesCompleteOnASaturatedPool)
+TEST(SchedulerDeterminism, NestedRunnerBatchesCompleteOnASaturatedPool)
 {
-    // Episodes and their per-agent subtasks share one pool with every
-    // worker already occupied by an episode: the tightest deadlock
-    // scenario a gated parallel phase can reach (a 1-worker pool runs
-    // phases inline by design; raw nested submission at pool size 1 is
-    // covered by NestedSubmissionCannotDeadlockAtPoolSizeOne). Both
-    // episode tasks must drive their own per-agent fan-outs to
-    // completion via help-execution and stay bit-identical to the
-    // serial reference.
+    // The run_all pattern: outer tasks (suites) each run an
+    // EpisodeRunner batch on the same pool, so with two outer tasks on a
+    // 2-worker pool every worker is already occupied when the nested
+    // batches are submitted — the tightest deadlock scenario nested
+    // submission can reach (raw nesting at pool size 1 is covered by
+    // NestedSubmissionCannotDeadlockAtPoolSizeOne). Both outer tasks
+    // must drive their own batches to completion via help-execution and
+    // stay bit-identical to the serial reference.
     sched::FleetScheduler pool(2);
-    const auto batch = parallelAgentsBatch(&pool);
-    const auto nested = runner::EpisodeRunner(2, &pool).run(batch);
+    const auto batch = parallelAgentsBatch();
     const auto serial = runner::EpisodeRunner(1, &pool).run(batch);
-    ASSERT_EQ(nested.size(), serial.size());
-    for (std::size_t i = 0; i < serial.size(); ++i) {
-        SCOPED_TRACE("job " + std::to_string(i));
-        expectEpisodeIdentical(serial[i], nested[i]);
+    std::vector<std::vector<core::EpisodeResult>> nested(2);
+    sched::TaskGraph suites;
+    for (std::size_t suite = 0; suite < nested.size(); ++suite)
+        suites.add([&, suite] {
+            nested[suite] = runner::EpisodeRunner(2, &pool).run(batch);
+        });
+    pool.run(std::move(suites));
+    for (const auto &results : nested) {
+        ASSERT_EQ(results.size(), serial.size());
+        for (std::size_t i = 0; i < serial.size(); ++i) {
+            SCOPED_TRACE("job " + std::to_string(i));
+            expectEpisodeIdentical(serial[i], results[i]);
+        }
     }
 }
 
@@ -289,7 +308,6 @@ TEST(SchedulerDeterminism, RunnerBatchesReuseThePersistentPool)
         job.difficulty = env::Difficulty::Easy;
         job.seed = runner::episodeSeed(seed);
         job.pipeline.parallel_agents = true;
-        job.scheduler = &pool;
         jobs.push_back(std::move(job));
     }
     const auto first = runner.run(jobs);
