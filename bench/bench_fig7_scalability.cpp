@@ -8,7 +8,9 @@
  */
 
 #include <fstream>
+#include <iterator>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "stats/csv.h"
@@ -43,7 +45,13 @@ run(ebs::bench::SuiteContext &ctx)
                 "(%d seeds) ===\n\n",
                 kSeeds);
 
-    // The system × difficulty × team-size grid fans out as one batch.
+    // Three grids fan out as one batch, so their long 12-agent tails
+    // overlap: the system × difficulty × team-size main grid, then the
+    // medium-difficulty grid re-run twice for the two ablations below.
+    // Each ablation gets a private service so the shared fleet summary
+    // at the end keeps measuring exactly the main grid's traffic.
+    llm::LlmEngineService charged_service;
+    llm::LlmEngineService spec_service;
     std::vector<runner::RunVariant> variants;
     for (const char *name : systems) {
         const auto &spec = workloads::workload(name);
@@ -59,7 +67,45 @@ run(ebs::bench::SuiteContext &ctx)
             }
         }
     }
+    const std::size_t main_count = variants.size();
+    // Rec. 1 at scale: batch_llm_calls charging jointBatchTime to the
+    // clock. Cross-agent batches grow with the team, so the charged
+    // saving should widen with the agent count — batching is exactly the
+    // lever the paper recommends against the multi-agent latency
+    // explosion.
+    core::PipelineOptions charged_pipeline;
+    charged_pipeline.batch_llm_calls = true;
+    // Speculative execute phase: the paper metrics must stay
+    // bit-identical to the main grid (speculation is modeled on the
+    // serial run), so its EBS_METRIC keys reuse the main grid's case
+    // names and merge into the same rows; the guard below turns any
+    // drift into a hard failure instead of a silently-merged wrong value.
+    core::PipelineOptions spec_pipeline;
+    spec_pipeline.speculative_execute = true;
+    const std::pair<core::PipelineOptions, llm::LlmEngineService *>
+        ablations[] = {{charged_pipeline, &charged_service},
+                       {spec_pipeline, &spec_service}};
+    for (const auto &[pipeline, service] : ablations) {
+        for (const char *name : systems) {
+            const auto &spec = workloads::workload(name);
+            for (const int n : agent_counts) {
+                runner::RunVariant v;
+                v.workload = &spec;
+                v.config = spec.config;
+                v.difficulty = env::Difficulty::Medium;
+                v.seeds = kSeeds;
+                v.n_agents = n;
+                v.pipeline = pipeline;
+                v.engine_service = service;
+                variants.push_back(std::move(v));
+            }
+        }
+    }
     const auto results = ctx.runAveragedMany(variants);
+    // Slices: the main grid, then the charged and speculative ablations.
+    const runner::RunStats *charged = results.data() + main_count;
+    const runner::RunStats *speculative =
+        charged + std::size(systems) * std::size(agent_counts);
 
     std::size_t idx = 0;
     for (const char *name : systems) {
@@ -94,10 +140,10 @@ run(ebs::bench::SuiteContext &ctx)
         }
         ctx.printf("%s\n", table.render().c_str());
     }
-    if (idx != results.size()) {
+    if (idx != main_count) {
         ctx.eprintf("fig7: consumed %zu of %zu results — the print loops "
                     "fell out of sync with the variant grid\n",
-                    idx, results.size());
+                    idx, main_count);
         return 1;
     }
 
@@ -107,31 +153,6 @@ run(ebs::bench::SuiteContext &ctx)
         "mildly (fewer LLM calls, linear); the decentralized systems'\n"
         "latency and token volume explode (quadratic dialogue) and their\n"
         "success rises then falls as collaboration efficiency degrades.\n");
-
-    // Rec. 1 at scale: the medium-difficulty grid re-run with
-    // batch_llm_calls charging jointBatchTime to the clock. Cross-agent
-    // batches grow with the team, so the charged saving should widen
-    // with the agent count — batching is exactly the lever the paper
-    // recommends against the multi-agent latency explosion. The re-run
-    // gets a private service so the shared fleet summary below keeps
-    // measuring exactly the main grid's traffic.
-    llm::LlmEngineService charged_service;
-    std::vector<runner::RunVariant> charged_variants;
-    for (const char *name : systems) {
-        const auto &spec = workloads::workload(name);
-        for (const int n : agent_counts) {
-            runner::RunVariant v;
-            v.workload = &spec;
-            v.config = spec.config;
-            v.difficulty = env::Difficulty::Medium;
-            v.seeds = kSeeds;
-            v.n_agents = n;
-            v.pipeline.batch_llm_calls = true;
-            v.engine_service = &charged_service;
-            charged_variants.push_back(std::move(v));
-        }
-    }
-    const auto charged = ctx.runAveragedMany(charged_variants);
 
     ctx.printf("=== Fig. 7 ablation: batched inference charged to the "
                 "clock (Rec. 1, medium difficulty) ===\n\n");
@@ -160,31 +181,6 @@ run(ebs::bench::SuiteContext &ctx)
         ctx.printf("--- %s ---\n%s\n", name,
                     batched_table.render().c_str());
     }
-
-    // Speculative execute-phase ablation: the medium grid re-run with
-    // speculative_execute on. The paper metrics must stay bit-identical
-    // to the main grid (speculation commits in serial order), so the new
-    // EBS_METRIC keys reuse the main grid's case names and merge into the
-    // same rows; the guard below turns any drift into a hard failure
-    // instead of a silently-merged wrong value. A private service keeps
-    // the shared fleet summary scoped to the main grid's traffic.
-    llm::LlmEngineService spec_service;
-    std::vector<runner::RunVariant> spec_variants;
-    for (const char *name : systems) {
-        const auto &spec = workloads::workload(name);
-        for (const int n : agent_counts) {
-            runner::RunVariant v;
-            v.workload = &spec;
-            v.config = spec.config;
-            v.difficulty = env::Difficulty::Medium;
-            v.seeds = kSeeds;
-            v.n_agents = n;
-            v.pipeline.speculative_execute = true;
-            v.engine_service = &spec_service;
-            spec_variants.push_back(std::move(v));
-        }
-    }
-    const auto speculative = ctx.runAveragedMany(spec_variants);
 
     ctx.printf("=== Fig. 7 ablation: speculative execute phase "
                 "(medium difficulty) ===\n\n");
@@ -216,39 +212,6 @@ run(ebs::bench::SuiteContext &ctx)
                  std::to_string(spc.spec_exec.committed)});
         }
         ctx.printf("--- %s ---\n%s\n", name, spec_table.render().c_str());
-    }
-
-    // Measured (host) execute-phase wall-clock at the largest team:
-    // serial episodes on a one-job runner, serial vs speculative execute.
-    // Host wall depends on machine load → stderr only.
-    {
-        runner::EpisodeRunner timing_runner(1, &ctx.scheduler(),
-                                            &ctx.tracer());
-        llm::LlmEngineService timing_service;
-        const auto &timing_spec = workloads::workload("CoELA");
-        runner::RunVariant v;
-        v.workload = &timing_spec;
-        v.config = timing_spec.config;
-        v.difficulty = env::Difficulty::Medium;
-        v.seeds = kSeeds;
-        v.n_agents = 12;
-        v.engine_service = &timing_service;
-        const auto wall_start = ctx.phaseWall().snapshot();
-        runner::runAveraged(timing_runner, ctx.stamped(v));
-        const auto wall_mid = ctx.phaseWall().snapshot();
-        v.pipeline.speculative_execute = true;
-        const auto spec_run =
-            runner::runAveraged(timing_runner, ctx.stamped(v));
-        const auto wall_end = ctx.phaseWall().snapshot();
-        const double serial_exec_s =
-            wall_mid.execute_s - wall_start.execute_s;
-        const double spec_exec_s = wall_end.execute_s - wall_mid.execute_s;
-        ctx.eprintf("fig7 execute-phase host wall @12 agents (%d "
-                    "workers): serial %.3fs, speculative %.3fs (%.2fx "
-                    "measured, %.2fx modeled)\n",
-                    ctx.scheduler().workers(), serial_exec_s, spec_exec_s,
-                    spec_exec_s > 0.0 ? serial_exec_s / spec_exec_s : 0.0,
-                    spec_run.specExecSpeedup());
     }
 
     ctx.emitSharedServiceSummary("fig7 scalability fleet");

@@ -112,35 +112,6 @@ run(ebs::bench::SuiteContext &ctx)
                 "changing work; Rec. 7 removes per-action replanning; Rec. 8\n"
                 "eliminates most pre-generated messages — all with success\n"
                 "held roughly constant (paper Takeaway 6).\n");
-
-    // Host-side cost of speculative execute, isolated to the
-    // execute-phase bucket: serial episodes on a one-job runner, measured
-    // via the suite's phase wall clock rather than end-to-end suite time
-    // (compute phases dominate the latter). Host timings vary run to
-    // run, so this goes to stderr; stdout stays byte-identical.
-    {
-        runner::EpisodeRunner timing_runner(1, &ctx.scheduler(),
-                                            &ctx.tracer());
-        runner::RunVariant v;
-        v.workload = &spec;
-        v.config = spec.config;
-        v.difficulty = difficulty;
-        v.seeds = kSeeds;
-        const auto wall_start = ctx.phaseWall().snapshot();
-        runner::runAveraged(timing_runner, ctx.stamped(v));
-        const auto wall_mid = ctx.phaseWall().snapshot();
-        v.pipeline.speculative_execute = true;
-        runner::runAveraged(timing_runner, ctx.stamped(v));
-        const auto wall_end = ctx.phaseWall().snapshot();
-        const double serial_exec_s =
-            wall_mid.execute_s - wall_start.execute_s;
-        const double spec_exec_s = wall_end.execute_s - wall_mid.execute_s;
-        ctx.eprintf("execute-phase host wall: serial %.3fs, speculative "
-                    "%.3fs (%.2fx measured, %.2fx modeled)\n",
-                    serial_exec_s, spec_exec_s,
-                    spec_exec_s > 0.0 ? serial_exec_s / spec_exec_s : 0.0,
-                    spec_case.specExecSpeedup());
-    }
     return 0;
 }
 

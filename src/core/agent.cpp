@@ -475,13 +475,8 @@ Agent::execute(int step, const env::Subgoal &subgoal)
             result.success = false;
             result.fail_reason = "object not at remembered location";
             // The agent has verified the belief is wrong: drop it so the
-            // next plan searches instead of returning here. (Deferred
-            // during speculative turns — memory must stay untouched until
-            // the turn commits.)
-            if (deferred_invalidations_ != nullptr)
-                deferred_invalidations_->push_back(subgoal.target);
-            else
-                memory_.invalidate(subgoal.target);
+            // next plan searches instead of returning here.
+            memory_.invalidate(subgoal.target);
             ++failed_subgoals_;
             return result;
         }

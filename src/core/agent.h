@@ -3,7 +3,6 @@
 
 #include <optional>
 #include <set>
-#include <utility>
 #include <vector>
 
 #include "core/config.h"
@@ -88,57 +87,6 @@ class Agent
 
     /** Sum of LLM usage across this agent's engines. */
     llm::LlmUsage llmUsage() const;
-
-    /**
-     * Point this agent's latency charges at `recorder` and return the
-     * previous target. A speculative execute turn charges a private
-     * recorder, which the coordinator replays into the episode's only
-     * when the turn commits clean.
-     */
-    stats::LatencyRecorder *
-    redirectCharges(stats::LatencyRecorder *recorder)
-    {
-        return std::exchange(recorder_, recorder);
-    }
-
-    /**
-     * Agent-private state one execute() turn can mutate. A speculative
-     * execute turn saves it first; a clean commit keeps the speculatively
-     * advanced state (identical to what a serial run would have produced,
-     * by the disjointness check), while a conflicted/aborted turn restores
-     * it before the serial re-execution so every rng draw replays exactly.
-     */
-    struct ExecState
-    {
-        sim::Rng rng;
-        int failed_subgoals = 0;
-    };
-
-    ExecState
-    saveExecState() const
-    {
-        return {rng_, failed_subgoals_};
-    }
-
-    void
-    restoreExecState(const ExecState &state)
-    {
-        rng_ = state.rng;
-        failed_subgoals_ = state.failed_subgoals;
-    }
-
-    /**
-     * Redirect execute()'s only memory mutation (dropping a belief proven
-     * stale) into `sink` instead of applying it, so a speculative turn
-     * leaves memory untouched: a clean commit applies the sink's ids via
-     * memory().invalidate(), a discarded turn just drops them. Pass null
-     * to restore direct application.
-     */
-    void
-    deferBeliefInvalidations(std::vector<env::ObjectId> *sink)
-    {
-        deferred_invalidations_ = sink;
-    }
 
     // --- per-step pipeline (called by coordinators) ---
 
@@ -243,9 +191,6 @@ class Agent
     int last_message_tokens_ = 0;
     int failed_subgoals_ = 0;
     int corrupted_records_ = 0; ///< failures wrongly logged as successes
-    /** Non-null during a speculative execute turn; collects belief
-     * invalidations instead of mutating memory_. */
-    std::vector<env::ObjectId> *deferred_invalidations_ = nullptr;
 };
 
 } // namespace ebs::core

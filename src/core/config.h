@@ -142,15 +142,14 @@ struct PipelineOptions
     bool batch_llm_calls = false;
 
     /**
-     * Run the execute phase optimistically: each agent executes against a
-     * private world snapshot with read/write-set logging, clean agents
-     * commit their effects in index order, and conflicting agents
-     * re-execute against the committed world — so every result, counter,
-     * and clock value is bit-identical to the serial schedule, and the
-     * `spec_*` tallies model what concurrent execution would commit.
-     * Modeled only: no host threads; the turns run one after another on
-     * the episode's thread. Inert for single-agent teams and for
-     * environments that report !speculativeExecuteSafe().
+     * Model an optimistic execute phase: each turn runs once, in agent
+     * order, with read/write-set logging on the live world, and the
+     * `spec_*` tallies record which turns a concurrent
+     * snapshot-and-commit execution would commit (read set disjoint from
+     * earlier agents' writes) and which it would re-execute. Every
+     * result, counter and clock value is the serial schedule's. Modeled
+     * only: no host threads, no snapshots. Inert for single-agent teams
+     * and for environments that report !speculativeExecuteSafe().
      */
     bool speculative_execute = false;
 };

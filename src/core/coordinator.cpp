@@ -5,6 +5,7 @@
 #include <memory>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "env/spec.h"
@@ -16,26 +17,87 @@ namespace ebs::core {
 
 namespace {
 
+/** Throw std::invalid_argument naming `field` unless `ok`. */
+template <typename T>
+void
+require(bool ok, const std::string &field, const char *rule, T value)
+{
+    if (!ok)
+        throw std::invalid_argument(field + " must be " + rule + ", got " +
+                                    std::to_string(value));
+}
+
+void
+requireSeconds(double value, const std::string &field)
+{
+    require(std::isfinite(value) && value >= 0.0, field, "finite and >= 0",
+            value);
+}
+
 /**
- * Reject pipeline options the episode loop cannot honor, naming the
- * field: a plan period below one step, or a context-compression ratio
- * that is not a finite fraction in (0, 1] (NaN would otherwise reach the
- * prompt arithmetic and produce negative simulated time).
+ * Reject agent calibrations that would turn into negative or NaN
+ * simulated time, naming the field: latencies must be finite and
+ * nonnegative, token counts nonnegative, and behavior probabilities in
+ * [0, 1].
+ */
+void
+validate(const AgentConfig &config)
+{
+    const ModuleLatencies &lat = config.lat;
+    const std::pair<const char *, const sim::LatencyDist &> dists[] = {
+        {"sensing", lat.sensing},
+        {"actuation", lat.actuation},
+        {"motion_planner", lat.motion_planner}};
+    for (const auto &[name, dist] : dists) {
+        const std::string field = std::string("ModuleLatencies::") + name;
+        requireSeconds(dist.mean_s, field + ".mean_s");
+        requireSeconds(dist.cv, field + ".cv");
+    }
+    requireSeconds(lat.move_per_cell_s, "ModuleLatencies::move_per_cell_s");
+    const std::pair<const char *, int> token_counts[] = {
+        {"plan_prompt_base", lat.plan_prompt_base},
+        {"plan_out_tokens", lat.plan_out_tokens},
+        {"comm_prompt_base", lat.comm_prompt_base},
+        {"comm_out_tokens", lat.comm_out_tokens},
+        {"reflect_prompt_base", lat.reflect_prompt_base},
+        {"reflect_out_tokens", lat.reflect_out_tokens},
+        {"action_select_out_tokens", lat.action_select_out_tokens},
+        {"menu_tokens_per_option", lat.menu_tokens_per_option},
+        {"state_tokens_per_agent", lat.state_tokens_per_agent}};
+    for (const auto &[name, tokens] : token_counts)
+        require(tokens >= 0, std::string("ModuleLatencies::") + name, ">= 0",
+                tokens);
+    const std::pair<const char *, double> probabilities[] = {
+        {"ModuleLatencies::sensing_miss_rate", lat.sensing_miss_rate},
+        {"AgentConfig::message_utility", config.message_utility},
+        {"AgentConfig::phantom_completion", config.phantom_completion},
+        {"AgentConfig::env_feedback_detection",
+         config.env_feedback_detection},
+        {"AgentConfig::hallucination_rate", config.hallucination_rate},
+        {"AgentConfig::actuation_failure", config.actuation_failure}};
+    for (const auto &[name, p] : probabilities)
+        require(p >= 0.0 && p <= 1.0, name, "in [0, 1]", p); // NaN fails
+}
+
+/**
+ * The episode's input boundary: validate `config`, then reject pipeline
+ * options the episode loop cannot honor, naming the field: a plan period
+ * below one step, or a context-compression ratio that is not a finite
+ * fraction in (0, 1] (NaN would otherwise reach the prompt arithmetic
+ * and produce negative simulated time).
  */
 const EpisodeOptions &
-validated(const EpisodeOptions &options)
+validated(const EpisodeOptions &options, const AgentConfig &config)
 {
+    validate(config);
     const PipelineOptions &pipeline = options.pipeline;
-    if (pipeline.plan_every_k < 1)
-        throw std::invalid_argument(
-            "PipelineOptions::plan_every_k must be >= 1, got " +
-            std::to_string(pipeline.plan_every_k));
+    require(pipeline.plan_every_k >= 1, "PipelineOptions::plan_every_k",
+            ">= 1", pipeline.plan_every_k);
     const double compression = pipeline.context_compression;
-    if (!std::isfinite(compression) || compression <= 0.0 ||
-        compression > 1.0)
-        throw std::invalid_argument(
-            "PipelineOptions::context_compression must be in (0, 1], got " +
-            std::to_string(compression));
+    require(std::isfinite(compression) && compression > 0.0 &&
+                compression <= 1.0,
+            "PipelineOptions::context_compression", "in (0, 1]",
+            compression);
     return options;
 }
 
@@ -52,20 +114,20 @@ validated(const EpisodeOptions &options)
  *    whatever lower-indexed agents of the same phase did (the
  *    plan-then-communicate chain of Rec. 8 relies on this).
  *
- *  - executePhase(): phase() for the execute stage, with an optimistic
- *    variant (`speculative_execute`): every eligible agent first runs
- *    its turn against a private copy of the phase-start world while its
- *    read/write sets are logged and its latency charges go to a private
- *    recorder; then agents commit in agent-index order — an agent whose
- *    read set is disjoint from every lower-indexed agent's write set
- *    keeps its speculative run (its world writes and charges are
- *    applied in order), while a conflicting, aborted, or non-speculable
- *    agent is rolled back and re-executes against the committed world.
- *    Since a clean agent's turn observed no state any predecessor
- *    changed, its run is the serial run; everything else *is* the
- *    serial schedule — so results are bit-identical to the plain
- *    execute phase, and the conflict/commit tallies are a pure function
- *    of the logs and the commit order.
+ *  - executePhase(): phase() for the execute stage. With
+ *    `speculative_execute` it also models optimistic concurrent
+ *    execution (the validation test of optimistic concurrency control,
+ *    applied to the serial run): each turn runs once, in agent-index
+ *    order, with an access log attached to the live world. An eligible
+ *    (`has_execution`) turn is aborted if its log carries the abort
+ *    flag, conflicting if its read set meets the writes of the agents
+ *    before it (plus the cells their bodies vacated or claimed), and
+ *    committed otherwise. A turn run against a phase-start snapshot
+ *    reads the same values as the serial turn up to the first read of a
+ *    key a predecessor wrote, and both make that read, so a turn commits
+ *    here exactly when a snapshot-and-commit protocol would commit it
+ *    (only whether a non-committed turn counts as a conflict or an abort
+ *    can differ). The episode itself is the plain serial schedule.
  *
  *  - soloPhase(): a single actor (central planner, cluster lead).
  *
@@ -77,7 +139,7 @@ class Harness
   public:
     Harness(env::Environment &environment, const AgentConfig &config,
             const EpisodeOptions &options)
-        : env_(environment), options_(validated(options)),
+        : env_(environment), options_(validated(options, config)),
           master_rng_(options.seed),
           // The session is pinned (handles keep its address), so it is
           // built in place at its final location, before any agent mints
@@ -182,9 +244,9 @@ class Harness
     }
 
     /**
-     * True when the execute phase runs the speculative protocol. The gate
-     * depends only on the options and the environment, so every tally is
-     * a pure function of the episode's seed.
+     * True when the execute phase tallies speculation. The gate depends
+     * only on the options and the environment, so every tally is a pure
+     * function of the episode's seed.
      */
     bool
     speculativeExecute() const
@@ -196,16 +258,16 @@ class Harness
     /**
      * Run the execute phase: phase() semantics (turns observe the world
      * as left by lower-indexed agents of the same step; clock advances
-     * identically), executed optimistically when speculativeExecute().
-     * See the class comment for the protocol and determinism argument.
+     * identically), with the speculation tallies taken when
+     * speculativeExecute(). See the class comment for the rule and why
+     * its counts are exact.
      */
     template <typename Fn>
     void
     executePhase(const char *name, Fn &&turn)
     {
         const double host_begin = beginPhase(name);
-        const PhaseCost cost = speculativeExecute() ? speculativeTurns(turn)
-                                                    : serialTurns(turn);
+        const PhaseCost cost = serialTurns(turn, speculativeExecute());
         flushLlm();
         advanceBy(cost);
         options_.phase_wall->addExecute(endPhase(host_begin));
@@ -347,179 +409,101 @@ class Harness
         return host_end - host_begin;
     }
 
-    /** Run `turn` for every agent in index order, measuring each agent's
-     * latency contribution from the live recorder and session. */
+    /**
+     * Run `turn` for every agent in index order, measuring each agent's
+     * latency contribution from the live recorder and session. With
+     * `speculate`, each turn runs with an access log attached to the live
+     * world, and settleTurn() decides its speculation outcome from that
+     * log (see the class comment).
+     */
     template <typename Fn>
     PhaseCost
-    serialTurns(Fn &turn)
+    serialTurns(Fn &turn, bool speculate = false)
     {
         PhaseCost cost;
+        double clean_longest = 0.0;
+        double serial_sum = 0.0;
+        env::World &world = env_.world();
+        committed_writes_.clear();
         for (auto &agent : agents_) {
+            if (speculate) {
+                spec_log_.reset();
+                turn_start_pos_.clear();
+                for (const env::AgentBody &body : world.bodies())
+                    turn_start_pos_.push_back(body.pos);
+                world.setAccessLog(&spec_log_);
+            }
             const double before = recorder_.grandTotal();
             const double llm_before = llm_session_.phaseBaseline();
-            turn(*agent);
+            try {
+                turn(*agent);
+            } catch (...) {
+                world.setAccessLog(nullptr);
+                throw;
+            }
+            const double delta = recorder_.grandTotal() - before;
             // Turns note their completions into the session live, so the
             // turn's sampled LLM share is the growth of the open groups'
             // sequential baseline.
-            cost.add(recorder_.grandTotal() - before,
-                     llm_session_.phaseBaseline() - llm_before);
+            cost.add(delta, llm_session_.phaseBaseline() - llm_before);
+            if (speculate) {
+                world.setAccessLog(nullptr);
+                if (settleTurn(*agent, delta))
+                    clean_longest = std::max(clean_longest, delta);
+                else
+                    serial_sum += delta;
+            }
+        }
+        if (speculate) {
+            spec_stats_.exec_total_s += cost.total;
+            spec_stats_.exec_critical_s += clean_longest + serial_sum;
         }
         return cost;
     }
 
-    /** The speculative execute protocol (see the class comment). */
-    template <typename Fn>
-    PhaseCost
-    speculativeTurns(Fn &turn)
+    /**
+     * Tally one logged execute turn and fold its footprint into the
+     * phase's committed write set: its logged writes plus the occupancy
+     * cells its moves vacated and claimed. Returns true when the turn
+     * commits clean, i.e. would have overlapped its predecessors.
+     */
+    bool
+    settleTurn(const Agent &agent, double delta)
     {
-        const std::size_t n = agents_.size();
-        ensureSpecSlots();
-
-        // --- Stage 1: speculate every eligible turn against a private
-        // copy of the phase-start world, logging its read/write sets and
-        // charging a private recorder. Belief invalidations are deferred
-        // too, so a discarded turn leaves the agent's memory untouched.
-        for (std::size_t i = 0; i < n; ++i) {
-            Agent &a = *agents_[i];
-            spec_logs_[i].reset();
-            spec_invalidated_[i].clear();
-            spec_ran_[i] = 0;
-            exec_states_[i] = a.saveExecState();
-            // LLM-direct execution draws on shared engine-service state
-            // that cannot be rolled back after a discarded run; those
-            // agents take the serial lane below.
-            if (!a.config().has_execution)
-                continue;
-            if (spec_worlds_[i] == nullptr)
-                spec_worlds_[i] =
-                    std::make_unique<env::World>(env_.world());
-            else
-                *spec_worlds_[i] = env_.world();
-            spec_worlds_[i]->setAccessLog(&spec_logs_[i]);
-            spec_recorders_[i].reset();
-            stats::LatencyRecorder *live =
-                a.redirectCharges(&spec_recorders_[i]);
-            a.deferBeliefInvalidations(&spec_invalidated_[i]);
-            const std::size_t calls_before = a.llmUsage().calls;
-            const auto end_turn = [&] {
-                a.deferBeliefInvalidations(nullptr);
-                a.redirectCharges(live);
-                spec_worlds_[i]->setAccessLog(nullptr);
-            };
-            try {
-                env::spec::SpeculationScope scope(&env_,
-                                                  spec_worlds_[i].get());
-                turn(a);
-            } catch (...) {
-                end_turn();
-                a.restoreExecState(exec_states_[i]);
-                throw;
-            }
-            end_turn();
-            // The session took any such call live, and a discarded run
-            // could not take it back.
-            if (a.llmUsage().calls != calls_before)
-                throw std::logic_error(
-                    "speculative execute turn of agent " +
-                    std::to_string(a.id()) + " issued an LLM call");
-            spec_ran_[i] = 1;
-        }
-
-        // --- Stage 2: serial commit in agent-index order. Clean agents
-        // apply their speculative effects; everyone else rolls back and
-        // re-executes against the live (committed) world — which *is*
-        // the serial schedule for them.
-        PhaseCost cost;
-        double clean_longest = 0.0;
-        double serial_sum = 0.0;
-        std::vector<env::spec::AccessKey> committed_writes;
-        env::spec::AccessLog rerun_log;
-        for (std::size_t i = 0; i < n; ++i) {
-            Agent &a = *agents_[i];
-            ++spec_stats_.turns;
-            spec_logs_[i].finalize();
-            bool clean = false;
-            if (spec_ran_[i] != 0) {
-                ++spec_stats_.speculated;
-                if (spec_logs_[i].aborted())
-                    ++spec_stats_.aborted;
-                else if (env::spec::conflicts(spec_logs_[i].reads(),
-                                              committed_writes))
-                    ++spec_stats_.conflicts;
-                else
-                    clean = true;
-            }
-
-            double delta = 0.0;
-            double llm = 0.0; // a clean turn issued no LLM call (stage 1)
-            if (clean) {
-                ++spec_stats_.committed;
-                // Replay the turn's charges event by event, so the
-                // recorder's floating-point sequence is the serial one.
-                const double before = recorder_.grandTotal();
-                for (const auto &event : spec_recorders_[i].events())
-                    recorder_.record(event.kind, event.seconds);
-                delta = recorder_.grandTotal() - before;
-                for (const env::ObjectId id : spec_invalidated_[i])
-                    a.memory().invalidate(id);
-                commitWrites(i, committed_writes);
-                clean_longest = std::max(clean_longest, delta);
+        spec_log_.finalize();
+        ++spec_stats_.turns;
+        const char *outcome = "spec.serial";
+        bool clean = false;
+        if (agent.config().has_execution) {
+            ++spec_stats_.speculated;
+            if (spec_log_.aborted()) {
+                ++spec_stats_.aborted;
+                outcome = "spec.abort";
+            } else if (env::spec::conflicts(spec_log_.reads(),
+                                            committed_writes_)) {
+                ++spec_stats_.conflicts;
+                outcome = "spec.conflict";
             } else {
-                // Serial lane: roll the agent back and run its turn for
-                // real, with phase()-identical accounting. Its writes
-                // are logged on the live world so later agents still
-                // validate against them.
-                a.restoreExecState(exec_states_[i]);
-                rerun_log.reset();
-                serial_pos_.clear();
-                for (const env::AgentBody &body : env_.world().bodies())
-                    serial_pos_.push_back(body.pos);
-                env_.world().setAccessLog(&rerun_log);
-                const double before = recorder_.grandTotal();
-                const double llm_before = llm_session_.phaseBaseline();
-                try {
-                    turn(a);
-                } catch (...) {
-                    env_.world().setAccessLog(nullptr);
-                    throw;
-                }
-                env_.world().setAccessLog(nullptr);
-                delta = recorder_.grandTotal() - before;
-                llm = llm_session_.phaseBaseline() - llm_before;
-                rerun_log.finalize();
-                env::spec::mergeKeys(committed_writes, rerun_log.writes());
-                occ_scratch_.clear();
-                const auto &bodies = env_.world().bodies();
-                for (std::size_t j = 0; j < bodies.size(); ++j) {
-                    if (bodies[j].pos == serial_pos_[j])
-                        continue;
-                    occ_scratch_.push_back(
-                        env::spec::cellKey(serial_pos_[j]));
-                    occ_scratch_.push_back(
-                        env::spec::cellKey(bodies[j].pos));
-                }
-                std::sort(occ_scratch_.begin(), occ_scratch_.end());
-                env::spec::mergeKeys(committed_writes, occ_scratch_);
-                serial_sum += delta;
+                ++spec_stats_.committed;
+                outcome = "spec.commit";
+                clean = true;
             }
-            if (trace_ != nullptr) {
-                // Commit-vs-reexec outcome of this agent's turn — decided
-                // by the logs and the commit order, like the tallies it
-                // mirrors.
-                const char *outcome =
-                    spec_ran_[i] == 0 ? "spec.serial"
-                    : clean           ? "spec.commit"
-                    : spec_logs_[i].aborted() ? "spec.abort"
-                                              : "spec.conflict";
-                trace_->instant("spec", outcome, clock_.now(),
-                                static_cast<int>(i),
-                                {{"latency_s", delta}});
-            }
-            cost.add(delta, llm);
         }
-        spec_stats_.exec_total_s += cost.total;
-        spec_stats_.exec_critical_s += clean_longest + serial_sum;
-        return cost;
+        env::spec::mergeKeys(committed_writes_, spec_log_.writes());
+        occ_scratch_.clear();
+        const auto &bodies = env_.world().bodies();
+        for (std::size_t j = 0; j < bodies.size(); ++j) {
+            if (bodies[j].pos == turn_start_pos_[j])
+                continue;
+            occ_scratch_.push_back(env::spec::cellKey(turn_start_pos_[j]));
+            occ_scratch_.push_back(env::spec::cellKey(bodies[j].pos));
+        }
+        std::sort(occ_scratch_.begin(), occ_scratch_.end());
+        env::spec::mergeKeys(committed_writes_, occ_scratch_);
+        if (trace_ != nullptr)
+            trace_->instant("spec", outcome, clock_.now(), agent.id(),
+                            {{"latency_s", delta}});
+        return clean;
     }
 
     /**
@@ -599,65 +583,6 @@ class Harness
         }
     }
 
-    /** Size the per-agent speculation slots on first use, so episodes
-     * that never speculate pay nothing for the subsystem. */
-    void
-    ensureSpecSlots()
-    {
-        if (!spec_ran_.empty())
-            return;
-        const std::size_t n = agents_.size();
-        spec_worlds_.resize(n);
-        spec_logs_.resize(n);
-        exec_states_.resize(n);
-        spec_invalidated_.resize(n);
-        spec_ran_.resize(n, 0);
-        spec_recorders_.resize(n);
-        for (auto &recorder : spec_recorders_)
-            recorder.enableEventLog();
-    }
-
-    /**
-     * Apply a clean speculative turn's world writes — full-entity copies
-     * from its snapshot, in the log's sorted key order — to the live
-     * world, and fold its write keys plus the occupancy cells its body
-     * moves vacated/claimed into the phase's committed write set.
-     */
-    void
-    commitWrites(std::size_t i,
-                 std::vector<env::spec::AccessKey> &committed)
-    {
-        env::World &live = env_.world();
-        const env::World &snap = *spec_worlds_[i];
-        occ_scratch_.clear();
-        for (const env::spec::AccessKey key : spec_logs_[i].writes()) {
-            switch (env::spec::keyKind(key)) {
-              case env::spec::kKindObject: {
-                const env::ObjectId id = env::spec::keyId(key);
-                live.object(id) = snap.object(id);
-                break;
-              }
-              case env::spec::kKindAgent: {
-                const int id = env::spec::keyId(key);
-                const env::Vec2i before = live.agent(id).pos;
-                const env::Vec2i after = snap.agent(id).pos;
-                if (!(before == after)) {
-                    occ_scratch_.push_back(env::spec::cellKey(before));
-                    occ_scratch_.push_back(env::spec::cellKey(after));
-                }
-                live.agent(id) = snap.agent(id);
-                break;
-              }
-              default:
-                // Cell / all-objects keys never appear as log writes.
-                break;
-            }
-        }
-        env::spec::mergeKeys(committed, spec_logs_[i].writes());
-        std::sort(occ_scratch_.begin(), occ_scratch_.end());
-        env::spec::mergeKeys(committed, occ_scratch_);
-    }
-
     env::Environment &env_;
     EpisodeOptions options_;
     /** Episode trace log (null = tracing off; see EpisodeOptions). */
@@ -670,18 +595,12 @@ class Harness
      * the clock: the ablation is on AND the session assembles batches. */
     const bool charged_batching_;
     std::vector<std::unique_ptr<Agent>> agents_;
-    /** Speculative-execute slots, lazily sized by ensureSpecSlots().
-     * spec_worlds_ holds reusable snapshot buffers (copy-assigned from
-     * the live world each speculated phase, so allocations amortize);
-     * spec_recorders_ log each speculative turn's charge events. */
-    std::vector<std::unique_ptr<env::World>> spec_worlds_;
-    std::vector<stats::LatencyRecorder> spec_recorders_;
-    std::vector<env::spec::AccessLog> spec_logs_;
-    std::vector<Agent::ExecState> exec_states_;
-    std::vector<std::vector<env::ObjectId>> spec_invalidated_;
-    std::vector<char> spec_ran_;
-    /** Commit-loop scratch (reused across phases). */
-    std::vector<env::Vec2i> serial_pos_;
+    /** Speculated-phase scratch, reused across phases: the current
+     * turn's access log, the body positions it started from, and the
+     * phase's committed write set. */
+    env::spec::AccessLog spec_log_;
+    std::vector<env::Vec2i> turn_start_pos_;
+    std::vector<env::spec::AccessKey> committed_writes_;
     std::vector<env::spec::AccessKey> occ_scratch_;
     SpeculativeExecStats spec_stats_;
     std::vector<StepTokens> token_series_;

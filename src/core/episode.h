@@ -21,21 +21,21 @@ struct StepTokens
 
 /**
  * Execute-phase speculation tallies for one episode. Deterministic —
- * conflicts are decided by read/write-set intersection against the same
- * serial commit order regardless of worker count — so these are safe to
- * fold into paper metrics. The two seconds fields price the phase's
- * *modeled* critical path: exec_total_s is the serial sum of per-agent
- * execute latency, exec_critical_s what the same phase costs when clean
- * agents overlap (max over clean agents + sum over serially re-executed
- * ones); their ratio is the modeled speculative speedup.
+ * conflicts are decided by read/write-set intersection in agent-index
+ * order on the episode's own serial run — so these are safe to fold into
+ * paper metrics. The two seconds fields price the phase's *modeled*
+ * critical path: exec_total_s is the serial sum of per-agent execute
+ * latency, exec_critical_s what the same phase costs when clean agents
+ * overlap (max over clean agents + sum over all other turns); their
+ * ratio is the modeled speculative speedup.
  */
 struct SpeculativeExecStats
 {
     long long turns = 0;      ///< agent execute turns in speculated phases
-    long long speculated = 0; ///< turns that ran against a snapshot
-    long long committed = 0;  ///< speculative turns committed clean
-    long long conflicts = 0;  ///< turns re-executed after a read/write clash
-    long long aborted = 0;    ///< turns re-executed after a snapshot abort
+    long long speculated = 0; ///< eligible (has_execution) turns
+    long long committed = 0;  ///< speculative turns that would commit clean
+    long long conflicts = 0;  ///< turns that read an earlier turn's write
+    long long aborted = 0;    ///< turns that took an unloggable operation
     double exec_total_s = 0.0;
     double exec_critical_s = 0.0;
 };

@@ -24,22 +24,6 @@ Environment::Environment(GridMap grid)
 {
 }
 
-World &
-Environment::world()
-{
-    if (World *snapshot = spec::activeSnapshot(this))
-        return *snapshot;
-    return world_;
-}
-
-const World &
-Environment::world() const
-{
-    if (World *snapshot = spec::activeSnapshot(this))
-        return *snapshot;
-    return world_;
-}
-
 void
 Environment::setTask(std::unique_ptr<Task> task)
 {
@@ -105,21 +89,16 @@ Environment::applyPrimitive(int agent_id, const Primitive &prim)
       case PrimOp::Craft:
       case PrimOp::Mine:
       case PrimOp::Lift: {
-        World *snapshot = spec::activeSnapshot(this);
-        if (snapshot != nullptr && !domainOpsSpeculationSafe()) {
-            // Domain rules of this environment read/write env-local state
-            // the snapshot cannot isolate — discard the speculative run;
-            // the coordinator re-executes this agent serially, where
-            // applyDomain acts on the live world as usual.
-            if (spec::AccessLog *log = snapshot->accessLog())
-                log->abort("domain primitive in non-speculable environment");
-            return ActionResult::failure(
-                "domain primitive deferred to serial re-execution");
-        }
+        // Domain rules of this environment read/write env-local state no
+        // access key names, so a logged turn cannot be validated: flag it
+        // aborted, then apply the op as usual.
+        spec::AccessLog *log = world_.accessLog();
+        if (log != nullptr && !domainOpsSpeculationSafe())
+            log->abort("domain primitive in non-speculable environment");
         return applyDomain(agent_id, prim);
       }
       default:
-        return world().applySpatial(agent_id, prim);
+        return world_.applySpatial(agent_id, prim);
     }
 }
 

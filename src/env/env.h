@@ -33,32 +33,26 @@ class Environment
     /** Short domain name ("transport", "kitchen", ...). */
     virtual std::string domainName() const = 0;
 
-    /**
-     * The world this call should act on. Normally the live ground-truth
-     * world; during a speculative execute turn (a spec::SpeculationScope
-     * is active on this thread for this environment) it resolves to that
-     * turn's private snapshot, so controller/agent code is oblivious to
-     * whether it runs speculatively.
-     */
-    World &world();
-    const World &world() const;
+    /** The ground-truth world. */
+    World &world() { return world_; }
+    const World &world() const { return world_; }
 
     /**
-     * Whether execute() turns of this environment may run speculatively
+     * Whether the speculative execute model applies to this environment
      * at all. Environments whose motion planning consumes order-dependent
-     * mutable state (ManipulationEnv's shared RRT stream) must opt out;
-     * their execute phase stays serial.
+     * mutable state no access key names (ManipulationEnv's shared RRT
+     * stream) must opt out; their execute phase then tallies nothing.
      */
     virtual bool speculativeExecuteSafe() const { return true; }
 
     /**
      * Whether this environment's domain primitives (Chop/Cook/...) are
-     * safe under speculation, i.e. applyDomain routes every mutation
+     * covered by the access log, i.e. applyDomain routes every access
      * through world() accessors and touches no env-local state. The base
-     * default is conservative (false): a domain primitive during a
-     * speculative turn then aborts the turn and the agent re-executes
-     * serially. Environments adding env-local domain state (inventories,
-     * lift votes) must keep — or restore — the false override.
+     * default is conservative (false): a domain primitive during a logged
+     * execute turn then flags the turn aborted (the op still applies).
+     * Environments adding env-local domain state (inventories, lift
+     * votes) must keep — or restore — the false override.
      */
     virtual bool domainOpsSpeculationSafe() const { return false; }
 

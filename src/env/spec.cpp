@@ -1,7 +1,6 @@
 #include "env/spec.h"
 
 #include <algorithm>
-#include <cassert>
 
 namespace ebs::env::spec {
 
@@ -59,44 +58,6 @@ mergeKeys(std::vector<AccessKey> &into, const std::vector<AccessKey> &extra)
                        into.begin() + static_cast<std::ptrdiff_t>(old),
                        into.end());
     into.erase(std::unique(into.begin(), into.end()), into.end());
-}
-
-namespace {
-
-/**
- * The per-thread override slot. One thread runs at most one speculative
- * turn at a time (an episode speculates its agents' turns one after
- * another), so a single {env, world} pair suffices — no stack needed.
- */
-struct ThreadOverride
-{
-    const void *environment = nullptr;
-    World *snapshot = nullptr;
-};
-
-thread_local ThreadOverride t_override;
-
-} // namespace
-
-SpeculationScope::SpeculationScope(const void *environment, World *snapshot)
-{
-    assert(t_override.environment == nullptr &&
-           "speculative turns must not nest");
-    t_override.environment = environment;
-    t_override.snapshot = snapshot;
-}
-
-SpeculationScope::~SpeculationScope()
-{
-    t_override.environment = nullptr;
-    t_override.snapshot = nullptr;
-}
-
-World *
-activeSnapshot(const void *environment)
-{
-    return t_override.environment == environment ? t_override.snapshot
-                                                 : nullptr;
 }
 
 } // namespace ebs::env::spec

@@ -7,11 +7,7 @@
 #include "env/geom.h"
 #include "env/object.h"
 
-namespace ebs::env {
-
-class World;
-
-namespace spec {
+namespace ebs::env::spec {
 
 /**
  * Read/write-set instrumentation for the speculative execute phase.
@@ -21,8 +17,8 @@ namespace spec {
  * the occupancy of one grid cell, or the whole-object-table scans
  * (objectsInRoom/contents). World accessors append keys into the log
  * attached via World::setAccessLog(); the coordinator validates an
- * agent's speculative run by intersecting its read set with the write
- * sets committed by lower-indexed agents of the same phase.
+ * agent's turn by intersecting its read set with the write sets of
+ * lower-indexed agents' turns in the same phase.
  *
  * Keys are plain sorted uint64 vectors (never an unordered container —
  * the determinism lint bans those, and validation only needs a sorted
@@ -84,11 +80,11 @@ keyId(AccessKey key)
 }
 
 /**
- * One speculative turn's footprint: what it read, what it wrote, and
- * whether it touched something the snapshot cannot isolate (world
- * structure changes, or a domain primitive of an environment whose
- * domain rules mutate env-local state). Aborted runs are discarded and
- * the agent re-executes serially against the committed world.
+ * One execute turn's footprint: what it read, what it wrote, and whether
+ * it touched something no key names (world structure changes, or a
+ * domain primitive of an environment whose domain rules mutate env-local
+ * state). Such a turn cannot be validated, so the coordinator counts it
+ * as aborted; the turn itself still runs to completion.
  */
 class AccessLog
 {
@@ -152,32 +148,6 @@ bool conflicts(const std::vector<AccessKey> &reads,
 void mergeKeys(std::vector<AccessKey> &into,
                const std::vector<AccessKey> &extra);
 
-/**
- * Thread-local world override for speculation: while a scope is alive on
- * a thread, Environment::world() calls *on that thread, for that
- * environment* resolve to the agent's private snapshot World instead of
- * the live one. One level only — speculative turns never nest.
- *
- * Registration is keyed by the environment's address and the slot is
- * per thread, so episodes running concurrently on different worker
- * threads never cross wires: each thread sees exactly the snapshot its
- * own turn installed, and only for that turn's environment.
- */
-class SpeculationScope
-{
-  public:
-    SpeculationScope(const void *environment, World *snapshot);
-    ~SpeculationScope();
-
-    SpeculationScope(const SpeculationScope &) = delete;
-    SpeculationScope &operator=(const SpeculationScope &) = delete;
-};
-
-/** The snapshot installed on this thread for `environment` (null when
- * no speculative turn is active — the common, non-speculating case). */
-World *activeSnapshot(const void *environment);
-
-} // namespace spec
-} // namespace ebs::env
+} // namespace ebs::env::spec
 
 #endif // EBS_ENV_SPEC_H

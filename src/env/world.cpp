@@ -9,22 +9,6 @@ World::World(GridMap grid)
 {
 }
 
-World::World(const World &other)
-    : grid_(other.grid_),
-      objects_(other.objects_),
-      agents_(other.agents_)
-{
-}
-
-World &
-World::operator=(const World &other)
-{
-    grid_ = other.grid_;
-    objects_ = other.objects_;
-    agents_ = other.agents_;
-    return *this;
-}
-
 ObjectId
 World::addObject(Object obj)
 {

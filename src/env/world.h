@@ -30,11 +30,10 @@ class World
   public:
     explicit World(GridMap grid);
 
-    /** Copies transfer world *state* only — the destination keeps its own
-     * access-log attachment (a snapshot refreshed from the live world must
-     * not inherit, or clobber, a log pointer). */
-    World(const World &other);
-    World &operator=(const World &other);
+    /** Not copyable: there is one ground-truth world per environment,
+     * and a copy would alias its access log. */
+    World(const World &) = delete;
+    World &operator=(const World &) = delete;
     World(World &&) = default;
     World &operator=(World &&) = default;
 
@@ -44,7 +43,7 @@ class World
     grid()
     {
         // Grid topology is construction-time state; a mutation during a
-        // speculative turn would be invisible to the read/write sets.
+        // logged turn would be invisible to the read/write sets.
         if (log_ != nullptr)
             log_->abort("grid mutation during speculation");
         return grid_;
@@ -105,10 +104,9 @@ class World
     /**
      * Attach (or detach, with nullptr) a speculative-execution access
      * log: every accessor call on this world is recorded into it until
-     * detached. The coordinator attaches one log per speculative turn to
-     * that turn's snapshot world, and a fresh log to the live world for
-     * serial re-runs (so re-run writes still feed later agents'
-     * validation).
+     * detached. The coordinator attaches one per execute turn of a
+     * speculated phase, and validates each turn's reads against the
+     * writes of the turns before it.
      */
     void setAccessLog(spec::AccessLog *log) { log_ = log; }
     spec::AccessLog *accessLog() const { return log_; }
@@ -125,9 +123,7 @@ class World
     GridMap grid_;
     std::vector<Object> objects_;
     std::vector<AgentBody> agents_;
-    /** Active speculation access log; null outside speculative turns.
-     * Not copied: a snapshot world starts unlogged (copy-assignment of
-     * World would otherwise alias the source's log). */
+    /** Active speculation access log; null outside logged turns. */
     spec::AccessLog *log_ = nullptr;
 };
 

@@ -93,7 +93,7 @@ KitchenEnv::applyDomain(int agent_id, const env::Primitive &prim)
     // Chop/Cook mutate only world() entities (ingredient state) — no
     // env-local bookkeeping — so kitchen keeps GridEnvironment's
     // domainOpsSpeculationSafe()==true and must route every access
-    // through world() for the speculative snapshot + log to see it.
+    // through world() for the speculation access log to see it.
     const env::AgentBody &body = world().agent(agent_id);
     if (prim.op != env::PrimOp::Chop && prim.op != env::PrimOp::Cook)
         return GridEnvironment::applyDomain(agent_id, prim);

@@ -53,12 +53,13 @@ struct RunStats
     /** Tokens (in + out) averaged per episode (0 when nothing folded). */
     double tokensPerEpisode() const;
 
-    /** Fraction of speculative turns that hit a read/write clash or a
-     * snapshot abort and re-executed serially (0 when none speculated). */
+    /** Fraction of speculative turns that hit a read/write clash or an
+     * abort, and so could not commit (0 when none speculated). */
     double specConflictRate() const;
 
-    /** Fraction of execute turns that ran on the serial lane — conflicts,
-     * aborts, and turns never speculated (0 when nothing speculated). */
+    /** Fraction of execute turns a concurrent execution would have to
+     * run serially — conflicts, aborts, and turns never speculated (0
+     * when nothing speculated). */
     double specReexecFraction() const;
 
     /** Modeled execute-phase speedup: serial latency sum over the

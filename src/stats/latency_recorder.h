@@ -3,7 +3,6 @@
 
 #include <array>
 #include <cstddef>
-#include <vector>
 
 #include "stats/module_kind.h"
 
@@ -15,33 +14,16 @@ namespace ebs::stats {
  * One recorder lives per episode; modules charge their latency to it as they
  * run. The Fig. 2a per-step breakdown and the 70.2% LLM-share statistic are
  * computed from these totals.
- *
- * A recorder can additionally capture its individual charge events
- * (enableEventLog()). The coordinator's speculative execute turns charge
- * a private event-logging recorder and, when a turn commits clean,
- * *replay* its events into the episode recorder in agent-index order —
- * reproducing the exact floating-point accumulation sequence a serial
- * phase performs. (Replaying per-kind *sums* instead would reassociate
- * the additions and drift in the last ulp.)
  */
 class LatencyRecorder
 {
   public:
-    /** One record() call, for event-logging scratch recorders. */
-    struct Event
-    {
-        ModuleKind kind;
-        double seconds;
-    };
-
     /** Charge `seconds` of latency to the given module kind. */
     void
     record(ModuleKind kind, double seconds)
     {
         total_[static_cast<std::size_t>(kind)] += seconds;
         count_[static_cast<std::size_t>(kind)] += 1;
-        if (log_events_)
-            events_.push_back({kind, seconds});
     }
 
     /** Total seconds charged to a kind. */
@@ -91,20 +73,11 @@ class LatencyRecorder
     {
         total_.fill(0.0);
         count_.fill(0);
-        events_.clear(); // keeps capacity: reset per speculative turn
     }
-
-    /** Capture every subsequent record() call in events(). */
-    void enableEventLog() { log_events_ = true; }
-
-    /** Captured charges, in call order (empty unless enabled). */
-    const std::vector<Event> &events() const { return events_; }
 
   private:
     std::array<double, kNumModuleKinds> total_{};
     std::array<std::size_t, kNumModuleKinds> count_{};
-    std::vector<Event> events_;
-    bool log_events_ = false;
 };
 
 } // namespace ebs::stats

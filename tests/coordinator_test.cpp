@@ -2,6 +2,7 @@
 #include <cmath>
 #include <stdexcept>
 #include <string>
+#include <utility>
 
 #include <gtest/gtest.h>
 
@@ -446,9 +447,9 @@ TEST(SpeculativeExecute, MatchesSerialAndCommitsCleanTurns)
 
 TEST(SpeculativeExecute, FullyConflictingTeamDegradesToSerialSchedule)
 {
-    // BoxLift's Lift primitive is a same-step cross-agent dependency, so
-    // every speculative turn that reaches a box aborts its snapshot and
-    // re-executes serially. A team whose whole phase conflicts must still
+    // BoxLift's Lift primitive is a same-step cross-agent dependency
+    // whose votes no access key names, so every turn that lifts a box is
+    // counted as aborted. A team whose whole phase conflicts must still
     // land on the serial schedule bit for bit, with the modeled critical
     // path collapsing back toward the serial sum.
     EpisodeOptions options;
@@ -464,7 +465,7 @@ TEST(SpeculativeExecute, FullyConflictingTeamDegradesToSerialSchedule)
 
     test::expectEpisodeIdentical(serial, spec);
     ASSERT_TRUE(spec.success);
-    EXPECT_GT(spec.spec_exec.aborted, 0); // lifts forced to the serial lane
+    EXPECT_GT(spec.spec_exec.aborted, 0); // lifts cannot be validated
     EXPECT_EQ(spec.spec_exec.speculated,
               spec.spec_exec.committed + spec.spec_exec.conflicts +
                   spec.spec_exec.aborted);
@@ -494,18 +495,19 @@ TEST(SpeculativeExecute, FullyConflictingTeamDegradesToSerialSchedule)
 
 /**
  * Run a decentralized 2-agent transport episode (seed 3) with `pipeline`
- * and return the std::invalid_argument message, or "" when it ran.
+ * and `config`, and return the std::invalid_argument message, or "" when
+ * it ran.
  */
 std::string
-pipelineRejection(const PipelineOptions &pipeline)
+rejection(const PipelineOptions &pipeline,
+          const AgentConfig &config = goodConfig())
 {
     envs::TransportEnv environment(env::Difficulty::Easy, 2, sim::Rng(3));
     EpisodeOptions options;
     options.seed = 3;
     options.pipeline = pipeline;
     try {
-        const auto result =
-            runDecentralized(environment, goodConfig(), options);
+        const auto result = runDecentralized(environment, config, options);
         EXPECT_TRUE(std::isfinite(result.sim_seconds));
         EXPECT_GE(result.sim_seconds, 0.0);
         return "";
@@ -522,7 +524,7 @@ TEST(PipelineValidation, RejectsCompressionOutsideUnitInterval)
                              1.5}) {
         PipelineOptions pipeline;
         pipeline.context_compression = bad;
-        EXPECT_NE(pipelineRejection(pipeline).find("context_compression"),
+        EXPECT_NE(rejection(pipeline).find("context_compression"),
                   std::string::npos)
             << bad;
     }
@@ -534,7 +536,7 @@ TEST(PipelineValidation, RejectsPlanPeriodBelowOne)
     for (const int bad : {0, -5}) {
         PipelineOptions pipeline;
         pipeline.plan_every_k = bad;
-        EXPECT_NE(pipelineRejection(pipeline).find("plan_every_k"),
+        EXPECT_NE(rejection(pipeline).find("plan_every_k"),
                   std::string::npos)
             << bad;
     }
@@ -545,12 +547,12 @@ TEST(PipelineValidation, AcceptsBoundaryValues)
     PipelineOptions pipeline;
     pipeline.context_compression = 1.0;
     pipeline.plan_every_k = 1;
-    EXPECT_EQ(pipelineRejection(pipeline), "");
+    EXPECT_EQ(rejection(pipeline), "");
     // Below the prompt model's 0.05 floor is still a valid ratio: the
     // floor clamps it.
     pipeline.context_compression = 0.01;
     pipeline.plan_every_k = 3;
-    EXPECT_EQ(pipelineRejection(pipeline), "");
+    EXPECT_EQ(rejection(pipeline), "");
 }
 
 TEST(PipelineValidation, EveryParadigmValidates)
@@ -565,6 +567,98 @@ TEST(PipelineValidation, EveryParadigmValidates)
                  std::invalid_argument);
     EXPECT_THROW(runHierarchical(team, goodConfig(), options, 1),
                  std::invalid_argument);
+}
+
+/** rejection() for an AgentConfig with `edit` applied to its defaults. */
+template <typename Edit>
+std::string
+configRejection(Edit edit)
+{
+    AgentConfig config;
+    edit(config);
+    return rejection({}, config);
+}
+
+TEST(AgentConfigValidation, RejectsNegativeMoveCost)
+{
+    // Unchecked, this episode ends at -14.5 simulated seconds.
+    EXPECT_NE(configRejection([](AgentConfig &c) {
+                  c.lat.move_per_cell_s = -1.0;
+              }).find("move_per_cell_s"),
+              std::string::npos);
+}
+
+TEST(AgentConfigValidation, RejectsNegativeTokenCount)
+{
+    // Unchecked, this episode ends at -142.1 simulated seconds.
+    EXPECT_NE(configRejection([](AgentConfig &c) {
+                  c.lat.plan_prompt_base = -100000;
+              }).find("plan_prompt_base"),
+              std::string::npos);
+    EXPECT_NE(configRejection([](AgentConfig &c) {
+                  c.lat.comm_out_tokens = -1;
+              }).find("comm_out_tokens"),
+              std::string::npos);
+}
+
+TEST(AgentConfigValidation, RejectsNonFiniteLatency)
+{
+    // Unchecked, NaN propagates to sim_seconds.
+    for (const double bad : {std::nan(""), HUGE_VAL}) {
+        EXPECT_NE(configRejection([bad](AgentConfig &c) {
+                      c.lat.move_per_cell_s = bad;
+                  }).find("move_per_cell_s"),
+                  std::string::npos)
+            << bad;
+        EXPECT_NE(configRejection([bad](AgentConfig &c) {
+                      c.lat.sensing.mean_s = bad;
+                  }).find("sensing.mean_s"),
+                  std::string::npos)
+            << bad;
+        EXPECT_NE(configRejection([bad](AgentConfig &c) {
+                      c.lat.motion_planner.cv = bad;
+                  }).find("motion_planner.cv"),
+                  std::string::npos)
+            << bad;
+    }
+}
+
+TEST(AgentConfigValidation, RejectsProbabilityOutsideUnitInterval)
+{
+    // Unchecked, a hallucination rate of 7 is accepted silently.
+    EXPECT_NE(configRejection([](AgentConfig &c) {
+                  c.hallucination_rate = 7.0;
+              }).find("hallucination_rate"),
+              std::string::npos);
+    const std::pair<const char *, double AgentConfig::*> fields[] = {
+        {"message_utility", &AgentConfig::message_utility},
+        {"phantom_completion", &AgentConfig::phantom_completion},
+        {"env_feedback_detection", &AgentConfig::env_feedback_detection},
+        {"actuation_failure", &AgentConfig::actuation_failure}};
+    for (const auto &[name, field] : fields) {
+        for (const double bad : {-0.1, 1.5, std::nan("")}) {
+            EXPECT_NE(configRejection([field = field, bad](AgentConfig &c) {
+                          c.*field = bad;
+                      }).find(name),
+                      std::string::npos)
+                << name << " " << bad;
+        }
+    }
+    EXPECT_NE(configRejection([](AgentConfig &c) {
+                  c.lat.sensing_miss_rate = -0.5;
+              }).find("sensing_miss_rate"),
+              std::string::npos);
+}
+
+TEST(AgentConfigValidation, AcceptsBoundaryValues)
+{
+    EXPECT_EQ(configRejection([](AgentConfig &c) {
+                  c.lat.move_per_cell_s = 0.0;
+                  c.lat.plan_out_tokens = 0;
+                  c.hallucination_rate = 1.0;
+                  c.actuation_failure = 0.0;
+              }),
+              "");
 }
 
 } // namespace

@@ -2,6 +2,7 @@
 
 #include <memory>
 
+#include "env/spec.h"
 #include "envs/boxlift_env.h"
 #include "envs/boxnet_env.h"
 #include "envs/craft_env.h"
@@ -399,6 +400,56 @@ TEST(BoxLiftEnv, JointLiftRequiresEnoughAgents)
     EXPECT_EQ(env.votesOn(crate), 1);
     ASSERT_TRUE(env.applyPrimitive(1, lift).ok);
     EXPECT_EQ(env.liftedCount(), 1); // second lifter completes the lift
+}
+
+TEST(BoxLiftEnv, LoggedLiftIsFlaggedAbortedAndStillApplies)
+{
+    // Lift votes live outside the world, where no access key names them,
+    // so a lift under a speculation access log flags the turn aborted.
+    // The op must still change the live world exactly as it does with no
+    // log attached.
+    struct Outcome
+    {
+        bool first_ok, second_ok;
+        int lifted;
+        env::Object crate;
+    };
+    const auto lift_twice = [](env::spec::AccessLog *log) {
+        sim::Rng rng(15);
+        BoxLiftEnv env(Difficulty::Easy, 3, rng); // crates weigh 2
+        env::ObjectId crate = env::kNoObject;
+        for (const auto &obj : env.world().objects())
+            if (obj.cls == env::ObjectClass::Item)
+                crate = obj.id;
+        const env::Vec2i pos = env.world().object(crate).pos;
+        env.world().agent(0).pos = {pos.x + 1, pos.y};
+        env.world().agent(1).pos = {pos.x - 1, pos.y};
+        env.beginStep();
+        env::Primitive lift;
+        lift.op = env::PrimOp::Lift;
+        lift.target = crate;
+        env.world().setAccessLog(log);
+        Outcome out{};
+        out.first_ok = env.applyPrimitive(0, lift).ok;
+        out.second_ok = env.applyPrimitive(1, lift).ok;
+        env.world().setAccessLog(nullptr);
+        out.lifted = env.liftedCount();
+        out.crate = env.world().object(crate);
+        return out;
+    };
+
+    const Outcome plain = lift_twice(nullptr);
+    env::spec::AccessLog log;
+    const Outcome logged = lift_twice(&log);
+    EXPECT_TRUE(log.aborted());
+    ASSERT_TRUE(plain.first_ok && plain.second_ok);
+    EXPECT_EQ(plain.lifted, 1);
+    EXPECT_EQ(logged.first_ok, plain.first_ok);
+    EXPECT_EQ(logged.second_ok, plain.second_ok);
+    EXPECT_EQ(logged.lifted, plain.lifted);
+    EXPECT_EQ(logged.crate.inside, plain.crate.inside);
+    EXPECT_EQ(logged.crate.pos, plain.crate.pos);
+    EXPECT_EQ(logged.crate.room, plain.crate.room);
 }
 
 TEST(BoxLiftEnv, VotesClearEachStep)

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstring>
 #include <memory>
 
 #include "core/coordinator.h"
@@ -218,19 +220,72 @@ INSTANTIATE_TEST_SUITE_P(Seeds, ConfigFuzz, ::testing::Range(0, 24));
  * Speculative-execute fuzz: for every environment and several seeds, the
  * speculative execute phase must reproduce the serial schedule bit for
  * bit, with conflict/commit tallies that add up (they are decided by
- * read/write-set intersection in commit order). An episode runs on one
- * thread whatever the worker count, so neither can depend on it.
+ * read/write-set intersection in agent order) and match kPinnedTallies.
  * Overlap patterns vary with the environment and seed: transport-style
  * domains produce mostly-disjoint footprints, kitchen/boxlift funnel
- * every agent onto shared stations and boxes (high conflict /
- * forced-serial domain ops), and one seed per environment drops the
- * execution module entirely, forcing the llm-direct serial lane for the
- * whole team.
+ * every agent onto shared stations and boxes (high conflict / aborting
+ * domain ops), and one seed per environment drops the execution module
+ * entirely, so no turn of the team is eligible to speculate.
  */
 class SpeculativeFuzz
     : public ::testing::TestWithParam<std::tuple<int, int>>
 {
 };
+
+/**
+ * Tallies of every SpeculativeFuzz case as the snapshot-and-commit
+ * protocol produced them (each turn run against a private copy of the
+ * phase-start world, then committed or rolled back and re-run). The
+ * single-run analysis must reproduce them exactly; only the split of
+ * non-committed turns into conflicts vs aborts may differ, so the table
+ * pins their sum. The seconds fields are IEEE-754 bit patterns.
+ */
+struct PinnedTally
+{
+    int env_index;
+    int seed_index;
+    long long turns;
+    long long speculated;
+    long long committed;
+    long long not_committed; ///< conflicts + aborted
+    std::uint64_t exec_total_bits;
+    std::uint64_t exec_critical_bits;
+};
+
+constexpr PinnedTally kPinnedTallies[] = {
+    {0, 0, 48, 48, 29, 19, 0x405a475006796586ULL, 0x4054d39abc8bf6e5ULL},
+    {0, 1, 48, 48, 29, 19, 0x4055a59ea4d9b1feULL, 0x40525c31d63d2393ULL},
+    {0, 2, 48, 0, 0, 0, 0x406653c39cb0c1c3ULL, 0x406653c39cb0c1c3ULL},
+    {1, 0, 48, 48, 39, 9, 0x4046d9ea82b01ed0ULL, 0x403d31c789474f99ULL},
+    {1, 1, 48, 48, 30, 18, 0x4044796fadcf2962ULL, 0x40406203b52ea8adULL},
+    {1, 2, 48, 0, 0, 0, 0x4068bfd31a39acd9ULL, 0x4068bfd31a39acd9ULL},
+    {2, 0, 48, 48, 30, 18, 0x4056fa4b965d5702ULL, 0x40523987db5b1c80ULL},
+    {2, 1, 48, 48, 34, 14, 0x4055b501695aff4fULL, 0x404fe92f9917e452ULL},
+    {2, 2, 48, 0, 0, 0, 0x4063ab043fded4ecULL, 0x4063ab043fded4ecULL},
+    {3, 0, 48, 48, 6, 42, 0x40621eb3b498dc01ULL, 0x4061647a895df71cULL},
+    {3, 1, 48, 48, 15, 33, 0x405d6a69c95e9984ULL, 0x405b8137d7340318ULL},
+    {3, 2, 48, 0, 0, 0, 0x406b134f22ed2b42ULL, 0x406b134f22ed2b42ULL},
+    {4, 0, 36, 36, 25, 11, 0x40489d99d6ead72aULL, 0x404289f103fbc48fULL},
+    {4, 1, 48, 48, 32, 16, 0x40506dcb326c1be2ULL, 0x40499813cdaba127ULL},
+    {4, 2, 48, 0, 0, 0, 0x4067fa44ef8d7188ULL, 0x4067fa44ef8d7188ULL},
+    {5, 0, 40, 40, 23, 17, 0x404b0407237f3c20ULL, 0x4047acfdf17d795dULL},
+    {5, 1, 32, 32, 21, 11, 0x404561f45e5bbfd8ULL, 0x40430ed9d73c8786ULL},
+    {5, 2, 48, 0, 0, 0, 0x4066400c446e4b0cULL, 0x4066400c446e4b0cULL},
+    {6, 0, 20, 20, 4, 16, 0x403b30754969c08eULL, 0x403b263d64b1fed6ULL},
+    {6, 1, 20, 20, 2, 18, 0x4039ec5a0df009b3ULL, 0x4039caeee94d1407ULL},
+    {6, 2, 48, 0, 0, 0, 0x406e7f3d8afc7c9cULL, 0x406e7f3d8afc7c9cULL},
+    {7, 0, 0, 0, 0, 0, 0x0000000000000000ULL, 0x0000000000000000ULL},
+    {7, 1, 0, 0, 0, 0, 0x0000000000000000ULL, 0x0000000000000000ULL},
+    {7, 2, 0, 0, 0, 0, 0x0000000000000000ULL, 0x0000000000000000ULL},
+};
+
+std::uint64_t
+bitsOf(double value)
+{
+    std::uint64_t bits = 0;
+    std::memcpy(&bits, &value, sizeof bits);
+    return bits;
+}
 
 TEST_P(SpeculativeFuzz, MatchesSerialBitwiseAtAnyWorkerCount)
 {
@@ -244,7 +299,7 @@ TEST_P(SpeculativeFuzz, MatchesSerialBitwiseAtAnyWorkerCount)
     config.planner_model.format_compliance = 0.9;
     config.actuation_failure = 0.08;
     config.hallucination_rate = 0.2;
-    // One seed per environment exercises the llm-direct serial lane.
+    // One seed per environment exercises llm-direct (ineligible) turns.
     config.has_execution = seed_index != 2;
 
     const int n_agents = 4;
@@ -284,6 +339,17 @@ TEST_P(SpeculativeFuzz, MatchesSerialBitwiseAtAnyWorkerCount)
             EXPECT_EQ(tally.speculated, 0); // whole team llm-direct
         }
     }
+
+    const PinnedTally &pinned =
+        kPinnedTallies[static_cast<std::size_t>(env_index * 3 + seed_index)];
+    ASSERT_EQ(pinned.env_index, env_index);
+    ASSERT_EQ(pinned.seed_index, seed_index);
+    EXPECT_EQ(tally.turns, pinned.turns);
+    EXPECT_EQ(tally.speculated, pinned.speculated);
+    EXPECT_EQ(tally.committed, pinned.committed);
+    EXPECT_EQ(tally.conflicts + tally.aborted, pinned.not_committed);
+    EXPECT_EQ(bitsOf(tally.exec_total_s), pinned.exec_total_bits);
+    EXPECT_EQ(bitsOf(tally.exec_critical_s), pinned.exec_critical_bits);
 }
 
 INSTANTIATE_TEST_SUITE_P(AllEnvs, SpeculativeFuzz,
