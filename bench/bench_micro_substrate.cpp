@@ -1,7 +1,8 @@
 /**
  * @file
  * Google-benchmark microbenchmarks of the substrate components whose
- * compute cost backs the execution-module latency story: A* grid search,
+ * compute cost backs the execution-module latency story: A* grid search
+ * (bare, and as motionCost calls it with other bodies and a read set),
  * RRT motion planning, memory retrieval, the token counter, and the LLM
  * engine's sampling path.
  *
@@ -33,6 +34,7 @@
 #include "memory/memory.h"
 #include "plan/astar.h"
 #include "plan/rrt.h"
+#include "sim/rng.h"
 
 namespace {
 
@@ -62,6 +64,35 @@ BM_AStarApartment(benchmark::State &state)
     }
 }
 BENCHMARK(BM_AStarApartment);
+
+/** The query motionCost makes for one agent of a 12-agent team: adjacent
+ * arrival, the other 11 bodies blocked, and the probed cells collected
+ * for the access log. */
+void
+BM_AStarBodies(benchmark::State &state)
+{
+    const env::GridMap grid = env::GridMap::apartment(3, 3, 8, 8);
+    const env::Vec2i start{1, 1};
+    const env::Vec2i goal{grid.width() - 2, grid.height() - 2};
+    sim::Rng rng(11);
+    std::vector<env::Vec2i> blocked;
+    while (blocked.size() < 11) {
+        const env::Vec2i cell{rng.uniformInt(0, grid.width() - 1),
+                              rng.uniformInt(0, grid.height() - 1)};
+        if (grid.walkable(cell) && !(cell == start) && !(cell == goal))
+            blocked.push_back(cell);
+    }
+    std::vector<env::Vec2i> queried;
+    for (auto _ : state) {
+        queried.clear();
+        auto path = plan::aStar(grid, start, goal, /*adjacent_ok=*/true,
+                                &blocked, &queried);
+        benchmark::DoNotOptimize(path);
+        benchmark::DoNotOptimize(queried.data());
+        benchmark::ClobberMemory();
+    }
+}
+BENCHMARK(BM_AStarBodies);
 
 void
 BM_RrtCluttered(benchmark::State &state)

@@ -1,21 +1,49 @@
 #include "env/grid.h"
 
 #include <cassert>
+#include <stdexcept>
+#include <string>
 
 namespace ebs::env {
 
+namespace {
+
+/** Cell count of a width x height grid; throws unless both are > 0. */
+std::size_t
+checkedArea(int width, int height)
+{
+    if (width <= 0 || height <= 0)
+        throw std::invalid_argument(
+            "GridMap: width and height must be > 0, got " +
+            std::to_string(width) + "x" + std::to_string(height));
+    return static_cast<std::size_t>(width) *
+           static_cast<std::size_t>(height);
+}
+
+} // namespace
+
 GridMap::GridMap(int width, int height)
     : width_(width), height_(height),
-      walkable_(static_cast<std::size_t>(width) * height, 1),
-      room_(static_cast<std::size_t>(width) * height, 0)
+      walkable_(checkedArea(width, height), 1),
+      room_(walkable_.size(), 0)
 {
-    assert(width > 0 && height > 0);
 }
 
 std::size_t
 GridMap::idx(const Vec2i &p) const
 {
     return static_cast<std::size_t>(p.y) * width_ + p.x;
+}
+
+void
+GridMap::requireInBounds(const Vec2i &p, const char *op) const
+{
+    if (!inBounds(p))
+        throw std::out_of_range(
+            std::string("GridMap::") + op + ": cell (" +
+            std::to_string(p.x) + ", " + std::to_string(p.y) +
+            ") is outside the " + std::to_string(width_) + "x" +
+            std::to_string(height_) + " grid");
 }
 
 bool
@@ -27,7 +55,7 @@ GridMap::walkable(const Vec2i &p) const
 void
 GridMap::setWalkable(const Vec2i &p, bool w)
 {
-    assert(inBounds(p));
+    requireInBounds(p, "setWalkable");
     ++version_;
     walkable_[idx(p)] = w ? 1 : 0;
     if (!w)
@@ -45,7 +73,7 @@ GridMap::room(const Vec2i &p) const
 void
 GridMap::setRoom(const Vec2i &p, int room)
 {
-    assert(inBounds(p));
+    requireInBounds(p, "setRoom");
     ++version_;
     room_[idx(p)] = static_cast<std::int16_t>(room);
     if (room + 1 > room_count_)

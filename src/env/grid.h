@@ -22,7 +22,8 @@ inline constexpr Vec2i kNeighborOffsets[4] = {{1, 0}, {-1, 0}, {0, 1}, {0, -1}};
 class GridMap
 {
   public:
-    /** An all-walkable map of the given size, single room 0. */
+    /** An all-walkable map of the given size, single room 0. Throws
+     * std::invalid_argument unless width and height are both > 0. */
     GridMap(int width, int height);
 
     int width() const { return width_; }
@@ -35,10 +36,12 @@ class GridMap
     }
 
     bool walkable(const Vec2i &p) const;
+    /** Throws std::out_of_range for a cell outside the grid. */
     void setWalkable(const Vec2i &p, bool w);
 
     /** Room id of a cell (-1 for walls / out of bounds). */
     int room(const Vec2i &p) const;
+    /** Throws std::out_of_range for a cell outside the grid. */
     void setRoom(const Vec2i &p, int room);
 
     /** Number of distinct room labels assigned so far. */
@@ -65,6 +68,7 @@ class GridMap
 
   private:
     std::size_t idx(const Vec2i &p) const;
+    void requireInBounds(const Vec2i &p, const char *op) const;
 
     int width_;
     int height_;

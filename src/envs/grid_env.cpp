@@ -1,10 +1,26 @@
 #include "envs/grid_env.h"
 
-#include <cassert>
+#include <stdexcept>
+#include <string>
 
 #include "plan/astar.h"
 
 namespace ebs::envs {
+
+namespace {
+
+/** motionCost's A* inputs and outputs, reused by every call on this
+ * thread (cleared at the start of each call, so no state crosses
+ * calls). */
+struct QueryCells
+{
+    std::vector<env::Vec2i> blocked;
+    std::vector<env::Vec2i> queried;
+};
+
+thread_local QueryCells query_cells;
+
+} // namespace
 
 GridEnvironment::GridEnvironment(env::GridMap grid)
     : env::Environment(std::move(grid))
@@ -23,12 +39,14 @@ GridEnvironment::motionCost(const env::Vec2i &from, const env::Vec2i &to,
     // logged as per-cell occupancy reads: the search result can only
     // change if one of them changes.
     const env::World &w = world();
-    std::vector<env::Vec2i> blocked;
+    std::vector<env::Vec2i> &blocked = query_cells.blocked;
+    blocked.clear();
     for (const env::AgentBody &body : w.bodies())
         if (!(body.pos == from))
             blocked.push_back(body.pos);
     env::spec::AccessLog *log = w.accessLog();
-    std::vector<env::Vec2i> queried;
+    std::vector<env::Vec2i> &queried = query_cells.queried;
+    queried.clear();
     const auto result =
         plan::aStar(w.grid(), from, to,
                     /*adjacent_ok=*/true, &blocked,
@@ -60,7 +78,10 @@ GridEnvironment::randomFreeCellInRoom(int room, sim::Rng &rng) const
         for (int x = 0; x < grid.width(); ++x)
             if (grid.walkable({x, y}) && grid.room({x, y}) == room)
                 cells.push_back({x, y});
-    assert(!cells.empty() && "room has no free cell");
+    if (cells.empty())
+        throw std::invalid_argument("randomFreeCellInRoom: room " +
+                                    std::to_string(room) +
+                                    " has no free cell");
     return rng.pick(cells);
 }
 
@@ -74,8 +95,17 @@ GridEnvironment::randomFreeCell(sim::Rng &rng) const
         if (grid.walkable(p))
             return p;
     }
-    assert(false && "no free cell found");
-    return {0, 0};
+    // Rejection sampling kept missing: draw from the exact list instead.
+    std::vector<env::Vec2i> cells;
+    for (int y = 0; y < grid.height(); ++y)
+        for (int x = 0; x < grid.width(); ++x)
+            if (grid.walkable({x, y}))
+                cells.push_back({x, y});
+    if (cells.empty())
+        throw std::invalid_argument(
+            "randomFreeCell: the " + std::to_string(grid.width()) + "x" +
+            std::to_string(grid.height()) + " grid has no walkable cell");
+    return rng.pick(cells);
 }
 
 std::vector<env::ObjectId>

@@ -38,10 +38,12 @@ class GridEnvironment : public env::Environment
     env::ActionResult applyDomain(int agent_id,
                                   const env::Primitive &prim) override;
 
-    /** A uniformly random walkable cell of a room (asserts one exists). */
+    /** A uniformly random walkable cell of a room; throws
+     * std::invalid_argument when the room has none. */
     env::Vec2i randomFreeCellInRoom(int room, sim::Rng &rng) const;
 
-    /** A uniformly random walkable cell anywhere. */
+    /** A uniformly random walkable cell anywhere; throws
+     * std::invalid_argument when the grid has none. */
     env::Vec2i randomFreeCell(sim::Rng &rng) const;
 
     /** Ids of loose Items with the given kind code. */

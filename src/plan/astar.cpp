@@ -30,12 +30,37 @@ struct Node
  * binary heap driven by std::push_heap / std::pop_heap with the same
  * comparator std::priority_queue would use, so pops come out in exactly
  * the same order.
+ *
+ * `blocked_at` and `queried_at` are per-cell epoch stamps: a cell is
+ * blocked in this call iff blocked_at[i] == epoch, and already reported
+ * to `queried` iff queried_at[i] == epoch. Bumping the epoch retires
+ * every earlier call's stamps at once, so neither array is cleared per
+ * call — only when the epoch wraps to 0.
  */
 struct Scratch
 {
     std::vector<std::int32_t> g_score;
     std::vector<std::int32_t> parent;
     std::vector<Node> open;
+    std::vector<std::uint32_t> blocked_at;
+    std::vector<std::uint32_t> queried_at;
+    std::uint32_t epoch = 0;
+
+    /** Start a call on an n-cell grid: a fresh epoch no stamp carries. */
+    std::uint32_t
+    nextEpoch(std::size_t n)
+    {
+        if (blocked_at.size() < n) {
+            blocked_at.resize(n, 0);
+            queried_at.resize(n, 0);
+        }
+        if (++epoch == 0) {
+            std::fill(blocked_at.begin(), blocked_at.end(), 0);
+            std::fill(queried_at.begin(), queried_at.end(), 0);
+            epoch = 1;
+        }
+        return epoch;
+    }
 };
 
 thread_local Scratch scratch;
@@ -60,17 +85,6 @@ aStar(const env::GridMap &grid, const env::Vec2i &start,
     if (!grid.walkable(start))
         return std::nullopt;
 
-    auto is_blocked = [&](const env::Vec2i &p) {
-        if (queried != nullptr)
-            queried->push_back(p);
-        if (blocked == nullptr)
-            return false;
-        for (const auto &b : *blocked)
-            if (b == p)
-                return true;
-        return false;
-    };
-
     auto at_goal = [&](const env::Vec2i &p) {
         return adjacent_ok ? env::chebyshev(p, goal) <= 1 : p == goal;
     };
@@ -86,6 +100,9 @@ aStar(const env::GridMap &grid, const env::Vec2i &start,
     g_score.assign(n, -1);
     parent.assign(n, -1);
     open.clear();
+    std::vector<std::uint32_t> &blocked_at = scratch.blocked_at;
+    std::vector<std::uint32_t> &queried_at = scratch.queried_at;
+    const std::uint32_t epoch = scratch.nextEpoch(n);
     const std::greater<Node> later;
     auto push = [&](const Node &node) {
         open.push_back(node);
@@ -93,6 +110,10 @@ aStar(const env::GridMap &grid, const env::Vec2i &start,
     };
 
     auto index = [&](const env::Vec2i &p) { return p.y * w + p.x; };
+    if (blocked != nullptr)
+        for (const env::Vec2i &b : *blocked)
+            if (grid.inBounds(b))
+                blocked_at[static_cast<std::size_t>(index(b))] = epoch;
     auto heuristic = [&](const env::Vec2i &p) {
         const int d = env::manhattan(p, goal);
         return adjacent_ok ? std::max(0, d - 1) : d;
@@ -125,14 +146,20 @@ aStar(const env::GridMap &grid, const env::Vec2i &start,
         // GridMap::neighbors, without its per-call vector.
         for (const auto &d : env::kNeighborOffsets) {
             const env::Vec2i q = p + d;
-            if (!grid.walkable(q) || is_blocked(q))
+            if (!grid.walkable(q))
                 continue;
             const int qi = index(q);
+            const auto qs = static_cast<std::size_t>(qi);
+            if (queried != nullptr && queried_at[qs] != epoch) {
+                queried_at[qs] = epoch;
+                queried->push_back(q);
+            }
+            if (blocked_at[qs] == epoch)
+                continue;
             const int ng = cur.g + 1;
-            if (g_score[static_cast<std::size_t>(qi)] < 0 ||
-                ng < g_score[static_cast<std::size_t>(qi)]) {
-                g_score[static_cast<std::size_t>(qi)] = ng;
-                parent[static_cast<std::size_t>(qi)] = cur.idx;
+            if (g_score[qs] < 0 || ng < g_score[qs]) {
+                g_score[qs] = ng;
+                parent[qs] = cur.idx;
                 push({ng + heuristic(q), ng, qi});
             }
         }

@@ -29,12 +29,17 @@ struct GridPath
  *                    to the goal counts as arrival — the common case for
  *                    interacting with objects that sit on furniture.
  * @param blocked     extra temporarily-untraversable cells (other agents'
- *                    positions); may be null.
- * @param queried     when non-null, collects every cell whose blocked
- *                    status the search consulted (speculative execution
- *                    logs these as occupancy reads: the search result can
- *                    only change if one of *these* cells changes, so they
- *                    are exactly the path query's occupancy read set).
+ *                    positions); may be null, may repeat cells, and may
+ *                    name cells out of bounds (those are ignored). Each
+ *                    call stamps them once into a per-thread occupancy
+ *                    grid, so a neighbour probe costs O(1) whatever the
+ *                    number of bodies.
+ * @param queried     when non-null, appended with each cell whose blocked
+ *                    status the search consulted, once per call, in
+ *                    first-probe order (speculative execution logs these
+ *                    as occupancy reads: the search result can only
+ *                    change if one of *these* cells changes, so they are
+ *                    exactly the path query's occupancy read set).
  * @return nullopt when no path exists.
  */
 std::optional<GridPath> aStar(const env::GridMap &grid,

@@ -2,9 +2,9 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <queue>
 #include <thread>
 
+#include "astar_reference.h"
 #include "env/grid.h"
 #include "plan/astar.h"
 #include "sim/rng.h"
@@ -161,17 +161,11 @@ INSTANTIATE_TEST_SUITE_P(Endpoints, AStarManhattanSweep,
 
 // ----------------------------------------------- reference implementation
 
-/** What one A* query produced: the path (if any), the cells whose blocked
- * status it consulted, and how many cells it expanded. */
-struct Outcome
-{
-    std::optional<GridPath> path;
-    std::vector<Vec2i> queried;
-    std::size_t expanded = 0;
-};
+using test::AStarOutcome;
+using test::referenceAStar;
 
 void
-expectSameOutcome(const Outcome &want, const Outcome &got)
+expectSameOutcome(const AStarOutcome &want, const AStarOutcome &got)
 {
     ASSERT_EQ(want.path.has_value(), got.path.has_value());
     if (want.path) {
@@ -182,98 +176,10 @@ expectSameOutcome(const Outcome &want, const Outcome &got)
     EXPECT_EQ(want.expanded, got.expanded);
 }
 
-struct RefNode
-{
-    int f;
-    int g;
-    int idx;
-
-    bool
-    operator>(const RefNode &o) const
-    {
-        return f != o.f ? f > o.f : g < o.g;
-    }
-};
-
-/**
- * The A* search as first written — fresh buffers per call, a
- * std::priority_queue open list and GridMap::neighbors() — kept verbatim as
- * the oracle the buffer-reusing implementation must reproduce exactly.
- */
-Outcome
-referenceAStar(const GridMap &grid, const Vec2i &start, const Vec2i &goal,
-               bool adjacent_ok, const std::vector<Vec2i> *blocked)
-{
-    Outcome out;
-    if (!grid.inBounds(start) || !grid.inBounds(goal) ||
-        !grid.walkable(start))
-        return out;
-
-    auto is_blocked = [&](const Vec2i &p) {
-        out.queried.push_back(p);
-        if (blocked == nullptr)
-            return false;
-        for (const auto &b : *blocked)
-            if (b == p)
-                return true;
-        return false;
-    };
-    auto at_goal = [&](const Vec2i &p) {
-        return adjacent_ok ? env::chebyshev(p, goal) <= 1 : p == goal;
-    };
-    if (at_goal(start)) {
-        out.path = GridPath{{start}, 0.0};
-        return out;
-    }
-
-    const int w = grid.width();
-    const std::size_t n = static_cast<std::size_t>(w) * grid.height();
-    std::vector<std::int32_t> g_score(n, -1);
-    std::vector<std::int32_t> parent(n, -1);
-    auto index = [&](const Vec2i &p) { return p.y * w + p.x; };
-    auto heuristic = [&](const Vec2i &p) {
-        const int d = env::manhattan(p, goal);
-        return adjacent_ok ? std::max(0, d - 1) : d;
-    };
-
-    std::priority_queue<RefNode, std::vector<RefNode>, std::greater<RefNode>>
-        open;
-    g_score[static_cast<std::size_t>(index(start))] = 0;
-    open.push({heuristic(start), 0, index(start)});
-    while (!open.empty()) {
-        const RefNode cur = open.top();
-        open.pop();
-        const Vec2i p{cur.idx % w, cur.idx / w};
-        if (cur.g > g_score[static_cast<std::size_t>(cur.idx)])
-            continue;
-        ++out.expanded;
-        if (at_goal(p)) {
-            GridPath path;
-            path.cost = cur.g;
-            for (int idx = cur.idx; idx >= 0;
-                 idx = parent[static_cast<std::size_t>(idx)])
-                path.cells.push_back({idx % w, idx / w});
-            std::reverse(path.cells.begin(), path.cells.end());
-            out.path = path;
-            return out;
-        }
-        for (const auto &q : grid.neighbors(p)) {
-            if (is_blocked(q))
-                continue;
-            const auto qi = static_cast<std::size_t>(index(q));
-            const int ng = cur.g + 1;
-            if (g_score[qi] < 0 || ng < g_score[qi]) {
-                g_score[qi] = ng;
-                parent[qi] = cur.idx;
-                open.push({ng + heuristic(q), ng, index(q)});
-            }
-        }
-    }
-    return out;
-}
-
-/** One seeded random query: a grid with ~25% walls, 0-5 blocked cells,
- * random endpoints and adjacency mode. */
+/** One seeded random query: a grid with ~25% walls, random endpoints and
+ * adjacency mode, and either 0-5 blocked cells or a body set of 2-12
+ * cells that may repeat cells, include the start, and fall off the grid
+ * (motionCost passes every other body, wherever it stands). */
 struct Query
 {
     GridMap grid{1, 1};
@@ -301,16 +207,33 @@ randomQuery(sim::Rng &rng)
     q.grid.setWalkable(q.start, true);
     q.goal = cell();
     q.adjacent_ok = rng.bernoulli(0.5);
-    const int blocked = rng.uniformInt(0, 5);
-    for (int i = 0; i < blocked; ++i)
-        q.blocked.push_back(cell());
+    if (rng.bernoulli(0.5)) {
+        const int blocked = rng.uniformInt(0, 5);
+        for (int i = 0; i < blocked; ++i)
+            q.blocked.push_back(cell());
+        return q;
+    }
+    const int bodies = rng.uniformInt(2, 12);
+    for (int i = 0; i < bodies; ++i) {
+        const int kind = rng.uniformInt(0, 9);
+        if (kind == 0 && !q.blocked.empty())
+            q.blocked.push_back(q.blocked[static_cast<std::size_t>(
+                rng.uniformInt(0, static_cast<int>(q.blocked.size()) - 1))]);
+        else if (kind == 1)
+            q.blocked.push_back(q.start);
+        else if (kind == 2)
+            q.blocked.push_back({rng.uniformInt(-2, w + 1),
+                                 rng.bernoulli(0.5) ? -1 : h});
+        else
+            q.blocked.push_back(cell());
+    }
     return q;
 }
 
-Outcome
+AStarOutcome
 runAStar(const Query &q)
 {
-    Outcome out;
+    AStarOutcome out;
     out.path = aStar(q.grid, q.start, q.goal, q.adjacent_ok, &q.blocked,
                      &out.queried);
     out.expanded = aStarLastExpanded();
@@ -319,22 +242,51 @@ runAStar(const Query &q)
 
 /** Property: paths, costs, queried cells and expansion counts equal the
  * reference on seeded random grids, across calls of varying grid size on
- * one thread (the reused buffers carry nothing between calls). */
+ * one thread, and across calls alternating a wide and a narrow grid of
+ * equal area, whose cells share row-major indices: the reused buffers
+ * and stamps carry nothing between calls. */
 TEST(AStarEquivalence, MatchesReferenceOnRandomGrids)
 {
     sim::Rng rng(2024);
-    int found = 0;
-    for (int i = 0; i < 400; ++i) {
-        const Query q = randomQuery(rng);
-        const Outcome want = referenceAStar(q.grid, q.start, q.goal,
-                                            q.adjacent_ok, &q.blocked);
+    auto check = [](const Query &q, int i) {
+        const AStarOutcome want =
+            referenceAStar(q.grid, q.start, q.goal, q.adjacent_ok, &q.blocked);
         SCOPED_TRACE(i);
         expectSameOutcome(want, runAStar(q));
-        found += want.path.has_value() ? 1 : 0;
-    }
+        return want;
+    };
+    int found = 0;
+    for (int i = 0; i < 400; ++i)
+        found += check(randomQuery(rng), i).path.has_value() ? 1 : 0;
     // The sweep must exercise both outcomes.
     EXPECT_GT(found, 50);
     EXPECT_LT(found, 400);
+
+    const GridMap wide(23, 5);
+    const GridMap narrow(5, 23);
+    int detours = 0;
+    for (int i = 0; i < 200; ++i) {
+        Query q;
+        q.grid = i % 2 == 0 ? wide : narrow;
+        auto cell = [&] {
+            return Vec2i{rng.uniformInt(0, q.grid.width() - 1),
+                         rng.uniformInt(0, q.grid.height() - 1)};
+        };
+        q.start = cell();
+        q.goal = cell();
+        q.adjacent_ok = rng.bernoulli(0.5);
+        const int bodies = i % 3 == 0 ? 0 : rng.uniformInt(2, 12);
+        for (int b = 0; b < bodies; ++b)
+            q.blocked.push_back(cell());
+        const AStarOutcome want = check(q, 400 + i);
+        // On these wall-free grids a longer-than-direct path is a detour
+        // around bodies.
+        if (want.path &&
+            want.path->cost >
+                env::manhattan(q.start, q.goal) - (q.adjacent_ok ? 1 : 0))
+            ++detours;
+    }
+    EXPECT_GT(detours, 0);
 }
 
 /** Property: concurrent calls on different grids, each on its own thread,
@@ -344,7 +296,7 @@ TEST(AStarEquivalence, ConcurrentCallsMatchReference)
     constexpr int kThreads = 4;
     constexpr int kPerThread = 60;
     std::vector<std::vector<Query>> queries(kThreads);
-    std::vector<std::vector<Outcome>> want(kThreads);
+    std::vector<std::vector<AStarOutcome>> want(kThreads);
     sim::Rng rng(77);
     for (int t = 0; t < kThreads; ++t) {
         for (int i = 0; i < kPerThread; ++i) {
@@ -355,7 +307,7 @@ TEST(AStarEquivalence, ConcurrentCallsMatchReference)
         }
     }
 
-    std::vector<std::vector<Outcome>> got(kThreads);
+    std::vector<std::vector<AStarOutcome>> got(kThreads);
     std::vector<std::thread> threads;
     for (int t = 0; t < kThreads; ++t) {
         threads.emplace_back([&, t] {

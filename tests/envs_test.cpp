@@ -1,7 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
+#include <stdexcept>
+#include <string>
+#include <vector>
 
+#include "astar_reference.h"
 #include "env/spec.h"
 #include "envs/boxlift_env.h"
 #include "envs/boxnet_env.h"
@@ -593,6 +598,152 @@ TEST(RoomAnchor, GridEditAfterConstructionFallsBackToScan)
     EXPECT_EQ(after, env::scanRoomAnchor(grid, room));
     EXPECT_NE(after, before);
     EXPECT_TRUE(grid.walkable(after));
+}
+
+// ------------------------------------------------ motionCost's read set
+
+/**
+ * With an access log attached, motionCost logs one occupancy read per
+ * cell the reference A* probed — each once, in first-probe order — so
+ * the finalized read set is exactly the reference's unique probed cells.
+ */
+template <typename Env>
+void
+expectMotionReadSetMatchesReference(int agents)
+{
+    Env environment(Difficulty::Hard, agents, sim::Rng(17));
+    const env::World &world = environment.world();
+    ASSERT_EQ(world.bodies().size(), static_cast<std::size_t>(agents));
+    std::vector<env::Vec2i> targets;
+    for (const auto &obj : world.objects())
+        targets.push_back(obj.pos);
+    sim::Rng rng(5);
+    const env::GridMap &grid = world.grid();
+    for (int i = 0; i < 8; ++i)
+        targets.push_back({rng.uniformInt(0, grid.width() - 1),
+                           rng.uniformInt(0, grid.height() - 1)});
+
+    int compared = 0;
+    for (const env::AgentBody &mover : world.bodies()) {
+        std::vector<env::Vec2i> blocked;
+        for (const env::AgentBody &body : world.bodies())
+            if (!(body.pos == mover.pos))
+                blocked.push_back(body.pos);
+        for (const env::Vec2i &to : targets) {
+            const test::AStarOutcome want = test::referenceAStar(
+                grid, mover.pos, to, /*adjacent_ok=*/true, &blocked);
+            std::vector<env::spec::AccessKey> keys;
+            for (const env::Vec2i &cell : want.queried)
+                keys.push_back(env::spec::cellKey(cell));
+
+            env::spec::AccessLog log;
+            environment.world().setAccessLog(&log);
+            const double cost = environment.motionCost(mover.pos, to,
+                                                       nullptr);
+            environment.world().setAccessLog(nullptr);
+            SCOPED_TRACE(compared);
+            EXPECT_EQ(cost, want.path ? want.path->cost : -1.0);
+            EXPECT_EQ(log.reads(), keys);
+            EXPECT_TRUE(log.writes().empty());
+
+            log.finalize();
+            std::sort(keys.begin(), keys.end());
+            EXPECT_EQ(log.reads(), keys);
+            ++compared;
+        }
+    }
+    EXPECT_GT(compared, agents * 8);
+}
+
+TEST(MotionReadSet, KitchenMatchesReferenceProbes)
+{
+    expectMotionReadSetMatchesReference<KitchenEnv>(6);
+}
+
+TEST(MotionReadSet, TransportMatchesReferenceProbes)
+{
+    expectMotionReadSetMatchesReference<TransportEnv>(8);
+}
+
+// ------------------------------------------------------ spawn-cell checks
+
+/** A bare GridEnvironment over a given grid, exposing the spawn helpers. */
+class BareGridEnv : public GridEnvironment
+{
+  public:
+    explicit BareGridEnv(env::GridMap grid)
+        : GridEnvironment(std::move(grid))
+    {
+    }
+
+    std::string domainName() const override { return "bare"; }
+    std::vector<env::Subgoal> usefulSubgoals(int) const override
+    {
+        return {};
+    }
+    std::vector<env::Subgoal> validSubgoals(int) const override
+    {
+        return {};
+    }
+
+    using GridEnvironment::randomFreeCell;
+    using GridEnvironment::randomFreeCellInRoom;
+};
+
+env::GridMap
+allWalls(int w, int h)
+{
+    env::GridMap grid(w, h);
+    for (int y = 0; y < h; ++y)
+        for (int x = 0; x < w; ++x)
+            grid.setWalkable({x, y}, false);
+    return grid;
+}
+
+TEST(SpawnCellValidation, RoomWithoutFreeCellIsRejected)
+{
+    const BareGridEnv environment(env::GridMap::apartment(2, 1, 4, 4));
+    sim::Rng rng(1);
+    EXPECT_EQ(environment.world().grid().room(
+                  environment.randomFreeCellInRoom(1, rng)),
+              1);
+    try {
+        environment.randomFreeCellInRoom(2, rng);
+        ADD_FAILURE() << "room 2 of a two-room apartment accepted";
+    } catch (const std::invalid_argument &e) {
+        EXPECT_NE(std::string(e.what()).find("room 2 has no free cell"),
+                  std::string::npos)
+            << e.what();
+    }
+}
+
+TEST(SpawnCellValidation, GridWithoutWalkableCellIsRejected)
+{
+    const BareGridEnv environment(allWalls(3, 2));
+    sim::Rng rng(1);
+    try {
+        const env::Vec2i cell = environment.randomFreeCell(rng);
+        ADD_FAILURE() << "returned (" << cell.x << ", " << cell.y
+                      << ") of an all-wall grid";
+    } catch (const std::invalid_argument &e) {
+        EXPECT_NE(std::string(e.what()).find(
+                      "3x2 grid has no walkable cell"),
+                  std::string::npos)
+            << e.what();
+    }
+}
+
+/** When rejection sampling misses the only walkable cell, the exact
+ * fallback still finds it rather than returning a wall. */
+TEST(SpawnCellValidation, SparseGridFallsBackToExactDraw)
+{
+    env::GridMap grid = allWalls(300, 300);
+    grid.setWalkable({123, 45}, true);
+    const BareGridEnv environment(std::move(grid));
+    for (std::uint64_t seed = 0; seed < 4; ++seed) {
+        sim::Rng rng(seed);
+        EXPECT_EQ(environment.randomFreeCell(rng), (env::Vec2i{123, 45}));
+    }
 }
 
 // -------------------------------------------------- cross-env property sweep

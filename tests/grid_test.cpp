@@ -2,6 +2,9 @@
 
 #include <queue>
 #include <set>
+#include <stdexcept>
+#include <string>
+#include <utility>
 
 #include "env/grid.h"
 
@@ -139,6 +142,63 @@ TEST(GridMap, MutationsBumpVersionAndCopiesCarryIt)
     (void)g.room({2, 2});
     (void)g.neighbors({0, 0});
     EXPECT_EQ(copy.version(), g.version());
+}
+
+/** `what()` of the exception `fn` throws as E ("" and a test failure if
+ * it throws nothing). */
+template <typename E, typename Fn>
+std::string
+thrownMessage(Fn fn)
+{
+    try {
+        fn();
+    } catch (const E &e) {
+        return e.what();
+    }
+    ADD_FAILURE() << "no exception thrown";
+    return "";
+}
+
+TEST(GridMapValidation, RejectsNonPositiveSize)
+{
+    for (const auto &[w, h] : {std::pair{0, 4}, std::pair{4, 0},
+                               std::pair{-3, 2}, std::pair{2, -1}}) {
+        const std::string what = thrownMessage<std::invalid_argument>(
+            [&] { GridMap g(w, h); });
+        EXPECT_NE(what.find(std::to_string(w) + "x" + std::to_string(h)),
+                  std::string::npos)
+            << what;
+    }
+}
+
+TEST(GridMapValidation, SetWalkableRejectsCellOutOfBounds)
+{
+    GridMap g(4, 3);
+    const auto version = g.version();
+    for (const Vec2i bad : {Vec2i{4, 0}, Vec2i{0, 3}, Vec2i{-1, 1}}) {
+        const std::string what = thrownMessage<std::out_of_range>(
+            [&] { g.setWalkable(bad, false); });
+        EXPECT_NE(what.find("setWalkable: cell (" + std::to_string(bad.x) +
+                            ", " + std::to_string(bad.y) + ")"),
+                  std::string::npos)
+            << what;
+    }
+    // A rejected edit changes nothing.
+    EXPECT_EQ(g.version(), version);
+    for (int y = 0; y < 3; ++y)
+        for (int x = 0; x < 4; ++x)
+            EXPECT_TRUE(g.walkable({x, y}));
+}
+
+TEST(GridMapValidation, SetRoomRejectsCellOutOfBounds)
+{
+    GridMap g(4, 3);
+    const std::string what = thrownMessage<std::out_of_range>(
+        [&] { g.setRoom({2, 7}, 5); });
+    EXPECT_NE(what.find("setRoom: cell (2, 7) is outside the 4x3 grid"),
+              std::string::npos)
+        << what;
+    EXPECT_EQ(g.roomCount(), 1);
 }
 
 INSTANTIATE_TEST_SUITE_P(Sizes, ApartmentConnectivity,
