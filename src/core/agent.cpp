@@ -28,17 +28,16 @@ constexpr double kDirectControlReliability = 0.55;
 } // namespace
 
 Agent::Agent(int id, AgentConfig config, env::Environment *environment,
-             sim::Rng rng, sim::SimClock *clock,
-             stats::LatencyRecorder *recorder, sim::EventTrace *trace,
+             sim::Rng rng, stats::LatencyRecorder *recorder,
              llm::EngineSession *llm_session)
     : id_(id), config_(std::move(config)), env_(environment), rng_(rng),
-      clock_(clock), recorder_(recorder), trace_(trace),
+      recorder_(recorder),
       planner_engine_(llm_session, config_.planner_model, rng_.fork(1)),
       comm_engine_(llm_session, config_.comm_model, rng_.fork(2)),
       reflect_engine_(llm_session, config_.reflect_model, rng_.fork(3)),
       memory_(config_.memory, rng_.fork(4))
 {
-    assert(env_ != nullptr && clock_ != nullptr && recorder_ != nullptr);
+    assert(env_ != nullptr && recorder_ != nullptr);
     if (!config_.has_memory) {
         auto cfg = memory_.config();
         // The ablation disables the module entirely.
@@ -57,12 +56,9 @@ Agent::llmUsage() const
 }
 
 void
-Agent::charge(stats::ModuleKind kind, double seconds, const char *label)
+Agent::charge(stats::ModuleKind kind, double seconds)
 {
     recorder_->record(kind, seconds);
-    if (trace_ != nullptr && trace_->enabled())
-        trace_->record(clock_->now(), std::string(moduleKindName(kind)),
-                       label != nullptr ? label : "");
 }
 
 void
@@ -80,8 +76,7 @@ Agent::sense(int step)
                                          config_.lat.sensing_miss_rate);
                           });
         }
-        charge(stats::ModuleKind::Sensing, config_.lat.sensing.sample(rng_),
-               "observe");
+        charge(stats::ModuleKind::Sensing, config_.lat.sensing.sample(rng_));
     } else {
         // No sensing module: the system receives the full symbolic game
         // state directly (MindAgent/OLA style), at no perception cost.
@@ -152,8 +147,7 @@ Agent::generateMessage(int step, int n_agents)
 
     // The communication module retrieves context before generating.
     const auto retrieved = memory_.retrieve(step);
-    charge(stats::ModuleKind::Memory, memory_.retrievalLatency(),
-           "comm retrieval");
+    charge(stats::ModuleKind::Memory, memory_.retrievalLatency());
 
     llm::LlmRequest request;
     request.kind = llm::CallKind::Communication;
@@ -163,8 +157,7 @@ Agent::generateMessage(int step, int n_agents)
                         (n_agents - 1) * 24;
     request.tokens_out_mean = config_.lat.comm_out_tokens;
     const auto response = comm_engine_.complete(request);
-    charge(stats::ModuleKind::Communication, response.latency_s,
-           "message generation");
+    charge(stats::ModuleKind::Communication, response.latency_s);
 
     message.tokens = response.tokens_out;
     last_message_tokens_ = request.tokens_in + response.tokens_out;
@@ -339,8 +332,7 @@ Agent::plan(int step, const PlanContext &context)
 
     // Memory retrieval feeding the planning prompt.
     const auto retrieved = memory_.retrieve(step);
-    charge(stats::ModuleKind::Memory, memory_.retrievalLatency(),
-           "plan retrieval");
+    charge(stats::ModuleKind::Memory, memory_.retrievalLatency());
 
     const auto menu = env_->validSubgoals(id_);
     const int menu_tokens = static_cast<int>(menu.size()) *
@@ -369,7 +361,7 @@ Agent::plan(int step, const PlanContext &context)
                        std::min(0.25, 0.05 * retrieved.stale_beliefs),
                    0.0, 0.95);
     const auto response = planner_engine_.complete(request);
-    charge(stats::ModuleKind::Planning, response.latency_s, "plan");
+    charge(stats::ModuleKind::Planning, response.latency_s);
     last_plan_tokens_ = request.tokens_in + response.tokens_out;
     decision.prompt_tokens = last_plan_tokens_;
 
@@ -391,8 +383,7 @@ Agent::plan(int step, const PlanContext &context)
         select.tokens_in = 240 + menu_tokens;
         select.tokens_out_mean = config_.lat.action_select_out_tokens;
         const auto sel = planner_engine_.complete(select);
-        charge(stats::ModuleKind::Planning, sel.latency_s,
-               "action selection");
+        charge(stats::ModuleKind::Planning, sel.latency_s);
         good = good && sel.good;
     }
 
@@ -459,7 +450,7 @@ Agent::execute(int step, const env::Subgoal &subgoal)
             const double cost = env_->motionCost(
                 env_->world().agent(id_).pos, *believed, &path);
             charge(stats::ModuleKind::Execution,
-                   config_.lat.motion_planner.sample(rng_), "motion plan");
+                   config_.lat.motion_planner.sample(rng_));
             if (cost > 0) {
                 for (std::size_t i = 1; i < path.size(); ++i) {
                     env::Primitive move;
@@ -485,7 +476,7 @@ Agent::execute(int step, const env::Subgoal &subgoal)
     // Compile the subgoal with the low-level planner.
     plan::Compiled compiled = plan::compileSubgoal(*env_, id_, subgoal);
     charge(stats::ModuleKind::Execution,
-           config_.lat.motion_planner.sample(rng_), "motion plan");
+           config_.lat.motion_planner.sample(rng_));
     if (!compiled.feasible) {
         result.success = false;
         result.fail_reason = compiled.reason;
@@ -511,8 +502,7 @@ Agent::execute(int step, const env::Subgoal &subgoal)
                                           compiled.prims.size());
             request.tokens_out_mean = config_.lat.action_select_out_tokens;
             const auto response = planner_engine_.complete(request);
-            charge(stats::ModuleKind::Planning, response.latency_s,
-                   "llm-direct primitive");
+            charge(stats::ModuleKind::Planning, response.latency_s);
             const double reliability =
                 config_.planner_model.format_compliance *
                 kDirectControlReliability;
@@ -530,7 +520,7 @@ Agent::execute(int step, const env::Subgoal &subgoal)
             prim.op != env::PrimOp::MoveStep && prim.op != env::PrimOp::Wait;
         if (interaction && rng_.bernoulli(config_.actuation_failure)) {
             charge(stats::ModuleKind::Execution,
-                   config_.lat.actuation.sample(rng_), "actuation slip");
+                   config_.lat.actuation.sample(rng_));
             ++result.primitives;
             result.fail_reason = "actuation slip";
             failed = true;
@@ -543,8 +533,7 @@ Agent::execute(int step, const env::Subgoal &subgoal)
                    config_.lat.move_per_cell_s);
         } else if (prim.op != env::PrimOp::Wait) {
             charge(stats::ModuleKind::Execution,
-                   config_.lat.actuation.sample(rng_),
-                   env::primOpName(prim.op));
+                   config_.lat.actuation.sample(rng_));
         }
         ++result.primitives;
 
@@ -554,8 +543,7 @@ Agent::execute(int step, const env::Subgoal &subgoal)
                 ++recompiles;
                 compiled = plan::compileSubgoal(*env_, id_, subgoal);
                 charge(stats::ModuleKind::Execution,
-                       config_.lat.motion_planner.sample(rng_),
-                       "motion replan");
+                       config_.lat.motion_planner.sample(rng_));
                 if (!compiled.feasible) {
                     result.fail_reason = compiled.reason;
                     failed = true;
@@ -592,7 +580,7 @@ Agent::reflect(int step, const env::Subgoal &subgoal,
         request.tokens_in = config_.lat.reflect_prompt_base + 60;
         request.tokens_out_mean = config_.lat.reflect_out_tokens;
         const auto response = reflect_engine_.complete(request);
-        charge(stats::ModuleKind::Reflection, response.latency_s, "reflect");
+        charge(stats::ModuleKind::Reflection, response.latency_s);
         detected = response.good;
     } else {
         detected = rng_.bernoulli(config_.env_feedback_detection);

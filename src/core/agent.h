@@ -11,9 +11,7 @@
 #include "llm/engine.h"
 #include "llm/engine_service.h"
 #include "memory/memory.h"
-#include "sim/clock.h"
 #include "sim/rng.h"
-#include "sim/trace.h"
 #include "stats/latency_recorder.h"
 
 namespace ebs::core {
@@ -49,13 +47,12 @@ struct ExecResult
 
 /**
  * One embodied agent: the composition of sensing, planning, communication,
- * memory, reflection, and execution modules (paper Fig. 1a), sharing a
- * simulated clock and charging every module's latency to the episode's
- * recorder.
+ * memory, reflection, and execution modules (paper Fig. 1a), charging
+ * every module's latency to the episode's recorder.
  *
- * The coordinator (single-agent loop, centralized or decentralized
- * multi-agent) drives the per-step pipeline by calling sense() /
- * generateMessage() / plan() / execute() / reflect() in paradigm order.
+ * The coordinators' shared step loop drives the per-step pipeline by
+ * calling sense() / generateMessage() / plan() / execute() / reflect()
+ * in paradigm order.
  */
 class Agent
 {
@@ -65,9 +62,7 @@ class Agent
      * @param config   module composition and calibration
      * @param environment shared environment (not owned)
      * @param rng      per-agent random stream
-     * @param clock    shared episode clock (not owned)
      * @param recorder shared latency recorder (not owned)
-     * @param trace    optional event trace (may be null)
      * @param llm_session episode's engine-service session (not owned, may
      *                 be null); the agent's LLM modules become handles on
      *                 it instead of private engines, keeping their RNG
@@ -76,8 +71,7 @@ class Agent
      *                 legacy per-agent-engine behavior bit for bit.
      */
     Agent(int id, AgentConfig config, env::Environment *environment,
-          sim::Rng rng, sim::SimClock *clock,
-          stats::LatencyRecorder *recorder, sim::EventTrace *trace,
+          sim::Rng rng, stats::LatencyRecorder *recorder,
           llm::EngineSession *llm_session = nullptr);
 
     int id() const { return id_; }
@@ -168,16 +162,13 @@ class Agent
     /** An impossible subgoal (hallucination sample). */
     env::Subgoal hallucinatedSubgoal();
 
-    void charge(stats::ModuleKind kind, double seconds,
-                const char *label = nullptr);
+    void charge(stats::ModuleKind kind, double seconds);
 
     int id_;
     AgentConfig config_;
     env::Environment *env_;
     sim::Rng rng_;
-    sim::SimClock *clock_;
     stats::LatencyRecorder *recorder_;
-    sim::EventTrace *trace_;
 
     llm::EngineHandle planner_engine_;
     llm::EngineHandle comm_engine_;

@@ -10,6 +10,7 @@
 
 #include "env/spec.h"
 #include "obs/trace.h"
+#include "sim/clock.h"
 #include "stats/host_clock.h"
 #include "stats/phase_wall.h"
 
@@ -28,7 +29,7 @@ require(bool ok, const std::string &field, const char *rule, T value)
 }
 
 void
-requireSeconds(double value, const std::string &field)
+requireNonnegative(double value, const std::string &field)
 {
     require(std::isfinite(value) && value >= 0.0, field, "finite and >= 0",
             value);
@@ -36,9 +37,9 @@ requireSeconds(double value, const std::string &field)
 
 /**
  * Reject agent calibrations that would turn into negative or NaN
- * simulated time, naming the field: latencies must be finite and
- * nonnegative, token counts nonnegative, and behavior probabilities in
- * [0, 1].
+ * simulated time or plan quality, naming the field: latencies and
+ * planning complexities must be finite and nonnegative, token counts
+ * nonnegative, and behavior probabilities in [0, 1].
  */
 void
 validate(const AgentConfig &config)
@@ -50,10 +51,15 @@ validate(const AgentConfig &config)
         {"motion_planner", lat.motion_planner}};
     for (const auto &[name, dist] : dists) {
         const std::string field = std::string("ModuleLatencies::") + name;
-        requireSeconds(dist.mean_s, field + ".mean_s");
-        requireSeconds(dist.cv, field + ".cv");
+        requireNonnegative(dist.mean_s, field + ".mean_s");
+        requireNonnegative(dist.cv, field + ".cv");
     }
-    requireSeconds(lat.move_per_cell_s, "ModuleLatencies::move_per_cell_s");
+    requireNonnegative(lat.move_per_cell_s,
+                       "ModuleLatencies::move_per_cell_s");
+    requireNonnegative(config.central_joint_complexity,
+                       "AgentConfig::central_joint_complexity");
+    requireNonnegative(config.decentralized_complexity,
+                       "AgentConfig::decentralized_complexity");
     const std::pair<const char *, int> token_counts[] = {
         {"plan_prompt_base", lat.plan_prompt_base},
         {"plan_out_tokens", lat.plan_out_tokens},
@@ -102,9 +108,24 @@ validated(const EpisodeOptions &options, const AgentConfig &config)
 }
 
 /**
- * Shared episode machinery: agent construction, per-phase latency
- * combination (sequential sum vs. modeled parallel max), and result
- * assembly.
+ * One step's per-agent decisions, indexed by agent id: a coordinator's
+ * plan stage sets every agent's `subgoals` and `sound` entry, and the
+ * shared execute phase fills `execs`. It lives for the whole episode, so
+ * a plan stage still sees the previous step's `execs`.
+ */
+struct StepPlan
+{
+    std::vector<env::Subgoal> subgoals;
+    std::vector<char> sound;
+    std::vector<ExecResult> execs;
+};
+
+/**
+ * Shared episode machinery: agent construction, the one step loop
+ * (runSteps), per-phase latency combination (sequential sum vs. modeled
+ * parallel max), and result assembly. The paradigms differ only in the
+ * plan stage they hand runSteps: who plans (each agent, one central
+ * planner, or one lead per cluster) and who talks.
  *
  * An episode runs entirely on the thread that started it. Its phases
  * come in three kinds:
@@ -168,23 +189,48 @@ class Harness
         const int n = env_.world().agentCount();
         for (int i = 0; i < n; ++i) {
             agents_.push_back(std::make_unique<Agent>(
-                i, config, &env_, master_rng_.fork(100 + i), &clock_,
-                &recorder_, nullptr, &llm_session_));
+                i, config, &env_, master_rng_.fork(100 + i), &recorder_,
+                &llm_session_));
         }
     }
 
-    std::vector<std::unique_ptr<Agent>> &agents() { return agents_; }
     Agent &agent(int i) { return *agents_[static_cast<std::size_t>(i)]; }
     int agentCount() const { return static_cast<int>(agents_.size()); }
     sim::Rng &rng() { return master_rng_; }
-    sim::SimClock &clock() { return clock_; }
     stats::LatencyRecorder &recorder() { return recorder_; }
 
-    int
-    maxSteps() const
+    /**
+     * The one step loop every paradigm runs. Per step: open the step,
+     * sense, run the coordinator's `plan_stage(step, plan)` — its comm
+     * and plan phases, which set every agent's subgoal and soundness —
+     * then execute and reflect. Stops when the task is satisfied (returns
+     * true) or the step budget is spent (returns false).
+     */
+    template <typename Fn>
+    bool
+    runSteps(Fn &&plan_stage)
     {
-        return options_.max_steps_override > 0 ? options_.max_steps_override
-                                               : env_.task().maxSteps();
+        const std::size_t n = agents_.size();
+        StepPlan plan{std::vector<env::Subgoal>(n), std::vector<char>(n, 1),
+                      std::vector<ExecResult>(n)};
+        for (int step = 0; step < maxSteps(); ++step) {
+            env_.beginStep();
+            setSteps(step + 1);
+            phase("sense", [&](Agent &a) { a.sense(step); });
+            plan_stage(step, plan);
+            executePhase("execute", [&](Agent &a) {
+                const auto idx = static_cast<std::size_t>(a.id());
+                plan.execs[idx] = a.execute(step, plan.subgoals[idx]);
+            });
+            phase("reflect", [&](Agent &a) {
+                const auto idx = static_cast<std::size_t>(a.id());
+                a.reflect(step, plan.subgoals[idx], plan.execs[idx],
+                          plan.sound[idx] != 0);
+            });
+            if (stepDone())
+                return true;
+        }
+        return false;
     }
 
     /**
@@ -297,15 +343,6 @@ class Harness
         options_.phase_wall->addCompute(endPhase(host_begin));
     }
 
-    /** Close the current global step; true when the episode is over. */
-    bool
-    stepDone()
-    {
-        if (trace_ != nullptr)
-            trace_->endSpan(clock_.now()); // the step bracket (setSteps)
-        return env_.task().satisfied(env_.world());
-    }
-
     EpisodeResult
     finish(bool success, const llm::LlmUsage &extra = {})
     {
@@ -335,17 +372,6 @@ class Harness
         return result;
     }
 
-    void
-    setSteps(int steps)
-    {
-        steps_ = steps;
-        llm_session_.beginStep(steps - 1);
-        // The step bracket is sim-only (no host stamp is taken here);
-        // stepDone() closes it.
-        if (trace_ != nullptr)
-            trace_->beginSpan("step", "step " + std::to_string(steps - 1),
-                              clock_.now());
-    }
     void countMessage(bool useful)
     {
         ++messages_generated_;
@@ -361,9 +387,35 @@ class Harness
                                      message_tokens});
     }
 
-    const PipelineOptions &pipeline() const { return options_.pipeline; }
-
   private:
+    int
+    maxSteps() const
+    {
+        return options_.max_steps_override > 0 ? options_.max_steps_override
+                                               : env_.task().maxSteps();
+    }
+
+    void
+    setSteps(int steps)
+    {
+        steps_ = steps;
+        llm_session_.beginStep(steps - 1);
+        // The step bracket is sim-only (no host stamp is taken here);
+        // stepDone() closes it.
+        if (trace_ != nullptr)
+            trace_->beginSpan("step", "step " + std::to_string(steps - 1),
+                              clock_.now());
+    }
+
+    /** Close the current global step; true when the episode is over. */
+    bool
+    stepDone()
+    {
+        if (trace_ != nullptr)
+            trace_->endSpan(clock_.now()); // the step bracket (setSteps)
+        return env_.task().satisfied(env_.world());
+    }
+
     /**
      * The agents' latency contributions to one phase: `total`/`longest`
      * cover every charge (per-agent sum and max), `llm_total` is the
@@ -618,6 +670,29 @@ broadcast(Harness &harness, const Message &message, int step)
             harness.agent(i).receiveMessage(message, step);
 }
 
+/**
+ * The joint-plan coordinators' apply phase: each agent follows its
+ * instruction, and a bad joint plan still gets parts right (per-agent
+ * partial correctness). `plan_good(id)` is the verdict of the joint plan
+ * covering agent `id`; the coin flips draw on the shared stream in
+ * agent-index order.
+ */
+template <typename Fn>
+void
+applyJointPlan(Harness &harness, const AgentConfig &config, int step,
+               StepPlan &plan, Fn &&plan_good)
+{
+    harness.phase("plan.apply", [&](Agent &a) {
+        const bool agent_good =
+            plan_good(a.id()) || harness.rng().bernoulli(0.25);
+        const bool hallucinate =
+            !agent_good && harness.rng().bernoulli(config.hallucination_rate);
+        const auto idx = static_cast<std::size_t>(a.id());
+        plan.sound[idx] = agent_good;
+        plan.subgoals[idx] = a.chooseSubgoal(agent_good, hallucinate, step);
+    });
+}
+
 } // namespace
 
 EpisodeResult
@@ -629,61 +704,7 @@ runSingleAgent(env::Environment &environment, const AgentConfig &config,
         throw std::invalid_argument(
             "runSingleAgent needs exactly one agent, the environment has " +
             std::to_string(agents));
-    Harness harness(environment, config, options);
-    Agent &agent = harness.agent(0);
-
-    const int plan_every = options.pipeline.plan_every_k;
-    int guided_steps_left = 0; // plan-guided multi-step execution (Rec. 7)
-    bool success = false;
-
-    for (int step = 0; step < harness.maxSteps(); ++step) {
-        environment.beginStep();
-        harness.setSteps(step + 1);
-
-        harness.phase("sense", [&](Agent &a) { a.sense(step); });
-
-        env::Subgoal subgoal;
-        bool plan_sound = true;
-        bool skipped_plan = false;
-        if (guided_steps_left > 0) {
-            // Follow the standing plan without a fresh LLM call.
-            subgoal = agent.chooseSubgoal(true, false, step);
-            --guided_steps_left;
-            skipped_plan = true;
-        } else {
-            PlanContext context;
-            context.step = step;
-            context.n_agents = 1;
-            context.compression = options.pipeline.context_compression;
-            PlanDecision decision;
-            harness.phase(
-                "plan", [&](Agent &a) { decision = a.plan(step, context); });
-            subgoal = decision.subgoal;
-            plan_sound = decision.from_oracle;
-            harness.recordTokens(step, 0, decision.prompt_tokens, 0);
-            if (decision.from_oracle && plan_every > 1)
-                guided_steps_left = plan_every - 1;
-        }
-
-        ExecResult exec;
-        harness.executePhase(
-            "execute", [&](Agent &a) { exec = a.execute(step, subgoal); });
-        harness.phase("reflect", [&](Agent &a) {
-            a.reflect(step, subgoal, exec, plan_sound);
-        });
-        if (!exec.success)
-            guided_steps_left = 0; // guided execution aborts on failure
-
-        if (skipped_plan)
-            harness.recordTokens(step, 0, 0, 0);
-
-        if (harness.stepDone()) {
-            success = true;
-            break;
-        }
-    }
-
-    return harness.finish(success);
+    return runDecentralized(environment, config, options);
 }
 
 EpisodeResult
@@ -700,14 +721,8 @@ runCentralized(env::Environment &environment, const AgentConfig &config,
     llm::EngineHandle central_comm =
         harness.makeHandle(config.comm_model, harness.rng().fork(998));
     int dialogue_tokens = 0; // accumulated feedback in the central context
-    bool success = false;
 
-    for (int step = 0; step < harness.maxSteps(); ++step) {
-        environment.beginStep();
-        harness.setSteps(step + 1);
-
-        harness.phase("sense", [&](Agent &a) { a.sense(step); });
-
+    const bool success = harness.runSteps([&](int step, StepPlan &plan) {
         // Central joint plan: prompt covers every agent's state plus the
         // accumulated feedback dialogue.
         bool good = false;
@@ -735,6 +750,9 @@ runCentralized(env::Environment &environment, const AgentConfig &config,
         // The joint plan gates everything after it: close its batch.
         harness.flushLlm();
         harness.recordTokens(step, -1, central_tokens, 0);
+        // Local feedback: ~40 tokens per agent per step accumulate in the
+        // central planner's context (read by the next step's plan).
+        dialogue_tokens += 40 * n;
 
         // Instruction broadcast (one message generation for the team).
         if (config.has_communication) {
@@ -755,42 +773,9 @@ runCentralized(env::Environment &environment, const AgentConfig &config,
             harness.flushLlm();
         }
 
-        // Each agent follows its instruction; a bad joint plan still gets
-        // parts right (per-agent partial correctness), and feedback flows
-        // back to the central context. The coin flips draw on the shared
-        // stream in agent-index order.
-        std::vector<env::Subgoal> subgoals(static_cast<std::size_t>(n));
-        std::vector<char> sound(static_cast<std::size_t>(n), 1);
-        harness.phase("plan.apply", [&](Agent &a) {
-            const bool agent_good = good || harness.rng().bernoulli(0.25);
-            const bool hallucinate =
-                !agent_good &&
-                harness.rng().bernoulli(config.hallucination_rate);
-            const auto idx = static_cast<std::size_t>(a.id());
-            sound[idx] = agent_good;
-            subgoals[idx] = a.chooseSubgoal(agent_good, hallucinate, step);
-        });
-
-        std::vector<ExecResult> execs(static_cast<std::size_t>(n));
-        harness.executePhase("execute", [&](Agent &a) {
-            execs[static_cast<std::size_t>(a.id())] =
-                a.execute(step, subgoals[static_cast<std::size_t>(a.id())]);
-        });
-        harness.phase("reflect", [&](Agent &a) {
-            const auto &exec = execs[static_cast<std::size_t>(a.id())];
-            a.reflect(step, subgoals[static_cast<std::size_t>(a.id())],
-                      exec, sound[static_cast<std::size_t>(a.id())] != 0);
-        });
-
-        // Local feedback: ~40 tokens per agent per step accumulate in the
-        // central planner's context.
-        dialogue_tokens += 40 * n;
-
-        if (harness.stepDone()) {
-            success = true;
-            break;
-        }
-    }
+        applyJointPlan(harness, config, step, plan,
+                       [&](int) { return good; });
+    });
 
     llm::LlmUsage extra = central.usage();
     extra += central_comm.usage();
@@ -801,11 +786,11 @@ EpisodeResult
 runHierarchical(env::Environment &environment, const AgentConfig &config,
                 const EpisodeOptions &options, int cluster_size)
 {
+    require(cluster_size >= 1, "cluster_size", ">= 1", cluster_size);
     Harness harness(environment, config, options);
     const int n = harness.agentCount();
-    const int k = std::max(1, cluster_size);
+    const int k = cluster_size;
     const int clusters = (n + k - 1) / k;
-    auto cluster_of = [&](int agent_id) { return agent_id / k; };
 
     // One planning stream per cluster lead, all on the shared service —
     // the per-cluster joint plans are independent, so they assemble into
@@ -815,14 +800,8 @@ runHierarchical(env::Environment &environment, const AgentConfig &config,
     for (int c = 0; c < clusters; ++c)
         leads.push_back(harness.makeHandle(config.planner_model,
                                            harness.rng().fork(700 + c)));
-    bool success = false;
 
-    for (int step = 0; step < harness.maxSteps(); ++step) {
-        environment.beginStep();
-        harness.setSteps(step + 1);
-
-        harness.phase("sense", [&](Agent &a) { a.sense(step); });
-
+    const bool success = harness.runSteps([&](int step, StepPlan &plan) {
         // Cross-cluster coordination: one message per cluster lead,
         // broadcast to the other leads (bounded, not quadratic in n) once
         // every lead has spoken.
@@ -866,37 +845,10 @@ runHierarchical(env::Environment &environment, const AgentConfig &config,
         // All cluster plans are independent: one cross-cluster batch.
         harness.flushLlm();
 
-        // Per-agent partial correctness, as in runCentralized.
-        std::vector<env::Subgoal> subgoals(static_cast<std::size_t>(n));
-        std::vector<char> sound(static_cast<std::size_t>(n), 1);
-        harness.phase("plan.apply", [&](Agent &a) {
-            const bool agent_good =
-                cluster_good[static_cast<std::size_t>(cluster_of(a.id()))] !=
-                    0 ||
-                harness.rng().bernoulli(0.25);
-            const bool hallucinate =
-                !agent_good &&
-                harness.rng().bernoulli(config.hallucination_rate);
-            const auto idx = static_cast<std::size_t>(a.id());
-            sound[idx] = agent_good;
-            subgoals[idx] = a.chooseSubgoal(agent_good, hallucinate, step);
+        applyJointPlan(harness, config, step, plan, [&](int id) {
+            return cluster_good[static_cast<std::size_t>(id / k)] != 0;
         });
-
-        std::vector<ExecResult> execs(static_cast<std::size_t>(n));
-        harness.executePhase("execute", [&](Agent &a) {
-            execs[static_cast<std::size_t>(a.id())] =
-                a.execute(step, subgoals[static_cast<std::size_t>(a.id())]);
-        });
-        harness.phase("reflect", [&](Agent &a) {
-            const auto idx = static_cast<std::size_t>(a.id());
-            a.reflect(step, subgoals[idx], execs[idx], sound[idx] != 0);
-        });
-
-        if (harness.stepDone()) {
-            success = true;
-            break;
-        }
-    }
+    });
 
     llm::LlmUsage extra;
     for (const auto &lead : leads)
@@ -912,14 +864,10 @@ runDecentralized(env::Environment &environment, const AgentConfig &config,
     const int n = harness.agentCount();
     const int plan_every = options.pipeline.plan_every_k;
     std::vector<int> guided_left(static_cast<std::size_t>(n), 0);
-    bool success = false;
+    const bool comm_during_planning =
+        config.has_communication && options.pipeline.comm_on_demand;
 
-    for (int step = 0; step < harness.maxSteps(); ++step) {
-        environment.beginStep();
-        harness.setSteps(step + 1);
-
-        harness.phase("sense", [&](Agent &a) { a.sense(step); });
-
+    const bool success = harness.runSteps([&](int step, StepPlan &plan) {
         // Dialogue: in the default pipeline, every agent pre-generates a
         // message every step (the paper's observed inefficiency), in
         // turn-taking rounds that grow with the team size. Messages are
@@ -941,10 +889,6 @@ runDecentralized(env::Environment &environment, const AgentConfig &config,
         }
 
         // Independent planning with teammate-intent complexity.
-        std::vector<env::Subgoal> subgoals(static_cast<std::size_t>(n));
-        std::vector<char> sound(static_cast<std::size_t>(n), 1);
-        const bool comm_during_planning =
-            config.has_communication && options.pipeline.comm_on_demand;
         // Planning-then-communication (Rec. 8): an agent's plan may
         // broadcast immediately, and later agents plan *with* that message
         // in memory — the phase's agent-index order is that dependency
@@ -952,11 +896,13 @@ runDecentralized(env::Environment &environment, const AgentConfig &config,
         harness.phase(comm_during_planning ? "plan.comm" : "plan",
                       [&](Agent &a) {
             const auto idx = static_cast<std::size_t>(a.id());
+            if (!plan.execs[idx].success)
+                guided_left[idx] = 0; // guided execution aborts on failure
             if (guided_left[idx] > 0) {
                 // Plan-guided multi-step execution (Rec. 7): follow the
                 // standing plan without a fresh LLM call.
-                subgoals[idx] = a.chooseSubgoal(true, false, step);
-                sound[idx] = 1;
+                plan.subgoals[idx] = a.chooseSubgoal(true, false, step);
+                plan.sound[idx] = 1;
                 --guided_left[idx];
                 return;
             }
@@ -965,8 +911,8 @@ runDecentralized(env::Environment &environment, const AgentConfig &config,
             context.n_agents = n;
             context.compression = options.pipeline.context_compression;
             const PlanDecision decision = a.plan(step, context);
-            subgoals[idx] = decision.subgoal;
-            sound[idx] = decision.from_oracle;
+            plan.subgoals[idx] = decision.subgoal;
+            plan.sound[idx] = decision.from_oracle;
             if (decision.from_oracle && plan_every > 1)
                 guided_left[idx] = plan_every - 1;
             harness.recordTokens(step, a.id(), decision.prompt_tokens, 0);
@@ -978,24 +924,7 @@ runDecentralized(env::Environment &environment, const AgentConfig &config,
                 broadcast(harness, m, step);
             }
         });
-
-        std::vector<ExecResult> execs(static_cast<std::size_t>(n));
-        harness.executePhase("execute", [&](Agent &a) {
-            execs[static_cast<std::size_t>(a.id())] =
-                a.execute(step, subgoals[static_cast<std::size_t>(a.id())]);
-        });
-        harness.phase("reflect", [&](Agent &a) {
-            const auto idx = static_cast<std::size_t>(a.id());
-            a.reflect(step, subgoals[idx], execs[idx], sound[idx] != 0);
-            if (!execs[idx].success)
-                guided_left[idx] = 0; // guided execution aborts on failure
-        });
-
-        if (harness.stepDone()) {
-            success = true;
-            break;
-        }
-    }
+    });
 
     return harness.finish(success);
 }

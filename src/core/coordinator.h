@@ -54,6 +54,7 @@ struct EpisodeOptions
 /**
  * Run a single-agent episode in the modularized paradigm (paper Fig. 1b):
  * per step, sense -> (memory retrieve) -> plan -> execute -> reflect.
+ * This is runDecentralized at n = 1 — the paradigms share one step loop.
  *
  * The environment must contain exactly one agent body; any other count
  * throws std::invalid_argument (in every build type).
@@ -91,6 +92,8 @@ EpisodeResult runDecentralized(env::Environment &environment,
  * LLM calls scale with the number of clusters, not agents², and joint-plan
  * complexity is bounded by the cluster size — the paper's proposed remedy
  * for both paradigms' scalability failures.
+ *
+ * A `cluster_size` below 1 throws std::invalid_argument.
  */
 EpisodeResult runHierarchical(env::Environment &environment,
                               const AgentConfig &config,

@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
-#include <stdexcept>
+#include <exception>
 #include <utility>
 
 #include "obs/trace.h"
@@ -12,19 +12,10 @@
 namespace ebs::sched {
 
 TaskGraph::TaskId
-TaskGraph::add(std::function<void()> fn, std::string label,
-               std::vector<TaskId> deps)
+TaskGraph::add(std::function<void()> fn, std::string label)
 {
-    const TaskId id = nodes_.size();
-    for (const TaskId dep : deps)
-        if (dep >= id)
-            throw std::invalid_argument(
-                "TaskGraph: task " + std::to_string(id) +
-                " depends on task " + std::to_string(dep) +
-                " which is not an earlier task (graphs are acyclic by "
-                "construction: dependencies must point backwards)");
-    nodes_.push_back({std::move(fn), std::move(label), std::move(deps)});
-    return id;
+    nodes_.push_back({std::move(fn), std::move(label)});
+    return nodes_.size() - 1;
 }
 
 /**
@@ -35,10 +26,7 @@ TaskGraph::add(std::function<void()> fn, std::string label,
 struct FleetScheduler::Execution
 {
     TaskGraph graph;
-    std::vector<int> waiting_deps; ///< unresolved dep count per task
-    std::vector<std::vector<std::size_t>> dependents;
-    std::vector<std::size_t> ready; ///< FIFO queue of runnable task ids
-    std::size_t next_ready = 0;     ///< pop cursor into `ready`
+    std::size_t next = 0; ///< id of the next task to start
     std::vector<TaskTiming> timings;
     std::size_t done = 0;
     int running = 0;
@@ -46,7 +34,7 @@ struct FleetScheduler::Execution
     bool failed = false;
     std::exception_ptr error;
     /** Wakes the owning waiter: fires when one of this graph's tasks
-     * finishes or becomes ready (so the waiter can help execute it). */
+     * finishes (so the waiter can help execute the next one). */
     core::CondVar owner_cv;
 };
 
@@ -142,7 +130,7 @@ bool
 FleetScheduler::claimLocked(Execution *only, Claim &claim)
 {
     const auto claimable = [](const Execution &exec) {
-        if (exec.next_ready >= exec.ready.size())
+        if (exec.next >= exec.graph.size())
             return false;
         // The cap throttles live work, not the post-failure drain: once
         // a graph failed its remaining tasks are skipped, and delaying
@@ -166,20 +154,9 @@ FleetScheduler::claimLocked(Execution *only, Claim &claim)
         return false;
 
     claim.exec = chosen;
-    claim.task = chosen->ready[chosen->next_ready++];
+    claim.task = chosen->next++;
     ++chosen->running;
     return true;
-}
-
-void
-FleetScheduler::finishLocked(Execution &exec, std::size_t task)
-{
-    --exec.running;
-    ++exec.done;
-    for (const std::size_t dependent : exec.dependents[task]) {
-        if (--exec.waiting_deps[dependent] == 0)
-            exec.ready.push_back(dependent);
-    }
 }
 
 // The body drops and re-takes the caller's scoped lock around the task
@@ -229,15 +206,16 @@ FleetScheduler::runClaim(core::MutexLock &lock, const Claim &claim,
         if (!exec.error)
             exec.error = error;
     }
-    finishLocked(exec, task);
+    --exec.running;
+    ++exec.done;
 
     // Wake pool workers only when this graph actually has claimable work
-    // left (released dependents, a cap slot freeing over a non-empty
-    // queue, or a failure drain) — short-episode tasks are small, and an
-    // unconditional notify_all would thundering-herd every idle worker on
-    // each completion. Other graphs' claimability cannot change here.
-    // The owner always learns about its graph's progress.
-    if (exec.next_ready < exec.ready.size())
+    // left (a cap slot freeing over unstarted tasks, or a failure drain)
+    // — short-episode tasks are small, and an unconditional notify_all
+    // would thundering-herd every idle worker on each completion. Other
+    // graphs' claimability cannot change here. The owner always learns
+    // about its graph's progress.
+    if (exec.next < exec.graph.size())
         work_cv_.notifyAll();
     exec.owner_cv.notifyAll();
 }
@@ -267,20 +245,10 @@ FleetScheduler::run(TaskGraph graph, int max_parallel)
 
     Execution exec;
     exec.graph = std::move(graph);
-    exec.waiting_deps.resize(count, 0);
-    exec.dependents.resize(count);
     exec.timings.resize(count);
     exec.cap = max_parallel > 0 ? max_parallel : 0;
-    exec.ready.reserve(count);
-    for (std::size_t id = 0; id < count; ++id) {
+    for (std::size_t id = 0; id < count; ++id)
         exec.timings[id].label = exec.graph.nodes_[id].label;
-        exec.waiting_deps[id] =
-            static_cast<int>(exec.graph.nodes_[id].deps.size());
-        for (const std::size_t dep : exec.graph.nodes_[id].deps)
-            exec.dependents[dep].push_back(id);
-        if (exec.waiting_deps[id] == 0)
-            exec.ready.push_back(id);
-    }
 
     {
         core::MutexLock lock(mu_);

@@ -15,8 +15,7 @@ namespace ebs::sched {
 /**
  * When and where one task of a scheduled graph ran, in seconds relative
  * to the scheduler's construction. `run_all` turns these into the
- * per-suite wall-clock / straggler summary; tests use them to prove that
- * dependency edges were honored.
+ * per-suite wall-clock / straggler summary.
  */
 struct TaskTiming
 {
@@ -30,25 +29,18 @@ struct TaskTiming
 };
 
 /**
- * A dependency-ordered batch of work: the unit FleetScheduler executes.
- *
- * Tasks are identified by their insertion index, and a task may only
- * depend on tasks added before it — which makes every graph acyclic by
- * construction (add() rejects forward/self edges). Episode batches are
- * edge-free graphs; `run_all` uses one node per suite.
+ * A batch of independent tasks: the unit FleetScheduler executes. Tasks
+ * are identified by their insertion index and started in that order.
+ * The EpisodeRunner submits one task per episode; `run_all` one per
+ * suite.
  */
 class TaskGraph
 {
   public:
     using TaskId = std::size_t;
 
-    /**
-     * Append a task. @param deps ids of earlier tasks that must finish
-     * first (every id must be < the new task's id).
-     * @throws std::invalid_argument on a forward or self dependency.
-     */
-    TaskId add(std::function<void()> fn, std::string label = {},
-               std::vector<TaskId> deps = {});
+    /** Append a task; returns its id (the insertion index). */
+    TaskId add(std::function<void()> fn, std::string label = {});
 
     std::size_t size() const { return nodes_.size(); }
     bool empty() const { return nodes_.empty(); }
@@ -60,7 +52,6 @@ class TaskGraph
     {
         std::function<void()> fn;
         std::string label;
-        std::vector<TaskId> deps;
     };
 
     std::vector<Node> nodes_;
@@ -123,8 +114,8 @@ class FleetScheduler
     long long tasksExecuted() const EBS_EXCLUDES(mu_);
 
     /**
-     * Execute every task of `graph`, honoring dependency edges, and
-     * return one TaskTiming per task (indexed like the graph). At most
+     * Execute every task of `graph` and return one TaskTiming per task
+     * (indexed like the graph). At most
      * `max_parallel` tasks of this graph run concurrently when > 0 (the
      * EpisodeRunner passes its --jobs cap); the pool size always caps
      * globally. Blocking, help-executing, nestable; see class comment
@@ -160,8 +151,8 @@ class FleetScheduler
         std::size_t task = 0;
     };
 
-    /** Pop a runnable task — from `only` when helping, from any active
-     * execution (oldest graph first) when a worker. */
+    /** Claim the next unstarted task — from `only` when helping, from
+     * any active execution (oldest graph first) when a worker. */
     bool claimLocked(Execution *only, Claim &claim) EBS_REQUIRES(mu_);
 
     /** Execute (or skip) a claimed task. Enters and leaves with `lock`
@@ -170,9 +161,6 @@ class FleetScheduler
      * the body analysis (callers are still REQUIRES-checked). */
     void runClaim(core::MutexLock &lock, const Claim &claim, int worker)
         EBS_REQUIRES(mu_);
-
-    /** Mark a task finished and release its dependents. */
-    void finishLocked(Execution &exec, std::size_t task) EBS_REQUIRES(mu_);
 
     /** Create one pool thread (the only place a thread is ever made;
      * counts into threadsSpawned so a respawn regression trips the

@@ -1,5 +1,7 @@
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -12,6 +14,7 @@
 #include "envs/household_env.h"
 #include "envs/transport_env.h"
 #include "test_util.h"
+#include "workloads/workload.h"
 
 namespace ebs::core {
 namespace {
@@ -128,6 +131,105 @@ TEST(SingleAgent, PlanEveryKSkipsLlmCalls)
     EXPECT_LT(static_cast<double>(guided.llm.calls) /
                   std::max(1, guided.steps),
               static_cast<double>(base.llm.calls) / std::max(1, base.steps));
+}
+
+/**
+ * Single-agent episodes as the dedicated single-agent loop produced them,
+ * before runSingleAgent became the decentralized loop at n = 1: the five
+ * single-agent workloads at Medium, seeds 1-3, under three pipelines
+ * (0 = default, 1 = plan_every_k = 3, 2 = batch_llm_calls +
+ * parallel_agents). `sim_bits` is the IEEE-754 bit pattern of
+ * sim_seconds.
+ */
+struct PinnedSingleAgent
+{
+    int workload;
+    int pipeline;
+    int seed;
+    bool success;
+    int steps;
+    std::uint64_t sim_bits;
+    std::size_t calls;
+    long tokens_in;
+    long tokens_out;
+};
+
+constexpr PinnedSingleAgent kPinnedSingleAgent[] = {
+    {0, 0, 1, false, 130, 0x4084552bbe42a856ULL, 130, 70435, 8932},
+    {0, 0, 2, true, 78, 0x4075cf8f29f9b948ULL, 78, 41232, 5644},
+    {0, 0, 3, false, 130, 0x4081beb120f3284aULL, 130, 69315, 8890},
+    {0, 1, 1, false, 130, 0x4080562ba76ed118ULL, 77, 40929, 5367},
+    {0, 1, 2, true, 110, 0x407ab97cec427373ULL, 48, 25639, 3417},
+    {0, 1, 3, true, 123, 0x407f5393631593b0ULL, 66, 34894, 4491},
+    {0, 2, 1, false, 130, 0x4084552bbe42a85eULL, 130, 70435, 8932},
+    {0, 2, 2, true, 78, 0x4075cf8f29f9b94cULL, 78, 41232, 5644},
+    {0, 2, 3, false, 130, 0x4081beb120f32851ULL, 130, 69315, 8890},
+    {1, 0, 1, true, 34, 0x40773e71007ba144ULL, 68, 57258, 5599},
+    {1, 0, 2, true, 31, 0x4074304596887cdcULL, 62, 52090, 4889},
+    {1, 0, 3, true, 22, 0x406d066362cd7c1fULL, 44, 35760, 3558},
+    {1, 1, 1, true, 57, 0x4076133b66f04641ULL, 80, 51550, 5483},
+    {1, 1, 2, true, 46, 0x40714e49d94da29eULL, 64, 40548, 4209},
+    {1, 1, 3, true, 21, 0x40613aa19094da35ULL, 29, 17186, 1973},
+    {1, 2, 1, true, 34, 0x40773e71007ba147ULL, 68, 57258, 5599},
+    {1, 2, 2, true, 31, 0x4074304596887cdfULL, 62, 52090, 4889},
+    {1, 2, 3, true, 22, 0x406d066362cd7c24ULL, 44, 35760, 3558},
+    {2, 0, 1, true, 34, 0x407224d95e56b510ULL, 68, 38635, 3309},
+    {2, 0, 2, true, 30, 0x406d8357aa792388ULL, 60, 34273, 2865},
+    {2, 0, 3, true, 52, 0x407ddca467f8e550ULL, 104, 63057, 4866},
+    {2, 1, 1, true, 30, 0x40710b093c7304d6ULL, 45, 22176, 1925},
+    {2, 1, 2, false, 70, 0x407be5612791e01cULL, 102, 53085, 4497},
+    {2, 1, 3, false, 70, 0x407756a0bad3d496ULL, 105, 54103, 4376},
+    {2, 2, 1, true, 34, 0x407224d95e56b511ULL, 68, 38635, 3309},
+    {2, 2, 2, true, 30, 0x406d8357aa79238cULL, 60, 34273, 2865},
+    {2, 2, 3, true, 52, 0x407ddca467f8e555ULL, 104, 63057, 4866},
+    {3, 0, 1, true, 73, 0x408f7f99aaffb58cULL, 146, 131692, 14186},
+    {3, 0, 2, true, 82, 0x409100c90b431ba1ULL, 164, 147928, 15610},
+    {3, 0, 3, true, 64, 0x408a2b461e60639dULL, 128, 115456, 12108},
+    {3, 1, 1, true, 70, 0x40837e74bee6ee4aULL, 98, 70672, 7927},
+    {3, 1, 2, true, 52, 0x407ccb31703c16d0ULL, 73, 52764, 5793},
+    {3, 1, 3, true, 44, 0x4078030b2cbb955cULL, 62, 44952, 4941},
+    {3, 2, 1, true, 73, 0x408f7f99aaffb59eULL, 146, 131692, 14186},
+    {3, 2, 2, true, 82, 0x409100c90b431badULL, 164, 147928, 15610},
+    {3, 2, 3, true, 64, 0x408a2b461e6063a9ULL, 128, 115456, 12108},
+    {4, 0, 1, true, 18, 0x4065afe8e107ee53ULL, 36, 25272, 2706},
+    {4, 0, 2, true, 19, 0x40688829e32c6079ULL, 38, 26676, 2920},
+    {4, 0, 3, true, 18, 0x40659e4c9fa6ecd2ULL, 36, 25272, 2721},
+    {4, 1, 1, true, 17, 0x4055eed1aa06f839ULL, 24, 11628, 1079},
+    {4, 1, 2, true, 20, 0x405e2955eab89c66ULL, 30, 15840, 1572},
+    {4, 1, 3, true, 17, 0x4055eced8bb4e284ULL, 24, 11628, 1162},
+    {4, 2, 1, true, 18, 0x4065afe8e107ee54ULL, 36, 25272, 2706},
+    {4, 2, 2, true, 19, 0x40688829e32c607cULL, 38, 26676, 2920},
+    {4, 2, 3, true, 18, 0x40659e4c9fa6ecd5ULL, 36, 25272, 2721},
+};
+
+TEST(SingleAgent, MatchesPinnedEpisodes)
+{
+    const char *const names[] = {"EmbodiedGPT", "JARVIS-1", "DaDu-E", "MP5",
+                                 "DEPS"};
+    for (const PinnedSingleAgent &pinned : kPinnedSingleAgent) {
+        const auto &spec = workloads::workload(
+            names[static_cast<std::size_t>(pinned.workload)]);
+        ASSERT_EQ(spec.paradigm, workloads::Paradigm::SingleModular);
+        EpisodeOptions options;
+        options.seed = static_cast<std::uint64_t>(pinned.seed);
+        if (pinned.pipeline == 1)
+            options.pipeline.plan_every_k = 3;
+        if (pinned.pipeline == 2) {
+            options.pipeline.batch_llm_calls = true;
+            options.pipeline.parallel_agents = true;
+        }
+        const auto result = spec.run(env::Difficulty::Medium, options);
+        SCOPED_TRACE(spec.name + " pipeline " +
+                     std::to_string(pinned.pipeline) + " seed " +
+                     std::to_string(pinned.seed));
+        EXPECT_EQ(result.success, pinned.success);
+        EXPECT_EQ(result.steps, pinned.steps);
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(result.sim_seconds),
+                  pinned.sim_bits);
+        EXPECT_EQ(result.llm.calls, pinned.calls);
+        EXPECT_EQ(result.llm.tokens_in, pinned.tokens_in);
+        EXPECT_EQ(result.llm.tokens_out, pinned.tokens_out);
+    }
 }
 
 TEST(Centralized, SolvesHouseholdWithPerfectPlanner)
@@ -569,6 +671,22 @@ TEST(PipelineValidation, EveryParadigmValidates)
                  std::invalid_argument);
 }
 
+TEST(HierarchicalValidation, RejectsClusterSizeBelowOne)
+{
+    // A cluster size below one is an error, not a request for k = 1.
+    for (const int bad : {0, -5}) {
+        envs::TransportEnv team(env::Difficulty::Easy, 2, sim::Rng(3));
+        try {
+            runHierarchical(team, goodConfig(), {}, bad);
+            ADD_FAILURE() << "cluster_size " << bad << " accepted";
+        } catch (const std::invalid_argument &e) {
+            EXPECT_NE(std::string(e.what()).find("cluster_size"),
+                      std::string::npos)
+                << e.what();
+        }
+    }
+}
+
 /** rejection() for an AgentConfig with `edit` applied to its defaults. */
 template <typename Edit>
 std::string
@@ -650,6 +768,24 @@ TEST(AgentConfigValidation, RejectsProbabilityOutsideUnitInterval)
               std::string::npos);
 }
 
+TEST(AgentConfigValidation, RejectsBadPlanningComplexity)
+{
+    // Unchecked, NaN passes std::clamp into the completion's quality
+    // term and silently makes every plan bad.
+    const std::pair<const char *, double AgentConfig::*> fields[] = {
+        {"central_joint_complexity", &AgentConfig::central_joint_complexity},
+        {"decentralized_complexity", &AgentConfig::decentralized_complexity}};
+    for (const auto &[name, field] : fields) {
+        for (const double bad : {std::nan(""), HUGE_VAL, -0.1}) {
+            EXPECT_NE(configRejection([field = field, bad](AgentConfig &c) {
+                          c.*field = bad;
+                      }).find(name),
+                      std::string::npos)
+                << name << " " << bad;
+        }
+    }
+}
+
 TEST(AgentConfigValidation, AcceptsBoundaryValues)
 {
     EXPECT_EQ(configRejection([](AgentConfig &c) {
@@ -657,6 +793,8 @@ TEST(AgentConfigValidation, AcceptsBoundaryValues)
                   c.lat.plan_out_tokens = 0;
                   c.hallucination_rate = 1.0;
                   c.actuation_failure = 0.0;
+                  c.central_joint_complexity = 0.0;
+                  c.decentralized_complexity = 0.0;
               }),
               "");
 }

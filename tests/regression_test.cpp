@@ -69,11 +69,9 @@ TEST(Regression, StaleBeliefIsInvalidatedAfterFailedVisit)
     // location forever; the failed visit must drop the belief.
     sim::Rng rng(9);
     envs::TransportEnv env(env::Difficulty::Easy, 1, rng);
-    sim::SimClock clock;
     stats::LatencyRecorder recorder;
     core::AgentConfig config;
-    core::Agent agent(0, config, &env, sim::Rng(10), &clock, &recorder,
-                      nullptr);
+    core::Agent agent(0, config, &env, sim::Rng(10), &recorder);
 
     // Deterministic fixture: stand the agent in a room guaranteed to
     // contain a loose item (the spawn room may be empty), sense it, then

@@ -7,7 +7,6 @@
 #include "sim/clock.h"
 #include "sim/distribution.h"
 #include "sim/rng.h"
-#include "sim/trace.h"
 
 namespace ebs::sim {
 namespace {
@@ -209,26 +208,6 @@ TEST(LatencyDist, ScaledKeepsSpread)
     const LatencyDist half = dist.scaled(0.5);
     EXPECT_DOUBLE_EQ(half.mean_s, 1.0);
     EXPECT_DOUBLE_EQ(half.cv, 0.3);
-}
-
-TEST(EventTrace, DisabledDropsEvents)
-{
-    EventTrace trace;
-    trace.record(1.0, "llm", "x");
-    EXPECT_TRUE(trace.events().empty());
-}
-
-TEST(EventTrace, EnabledRecordsAndFilters)
-{
-    EventTrace trace;
-    trace.setEnabled(true);
-    trace.record(1.0, "llm", "a");
-    trace.record(2.0, "action", "b");
-    trace.record(3.0, "llm", "c");
-    EXPECT_EQ(trace.events().size(), 3u);
-    EXPECT_EQ(trace.byCategory("llm").size(), 2u);
-    trace.clear();
-    EXPECT_TRUE(trace.events().empty());
 }
 
 /** Property sweep: lognormal mean holds across parameter grid. */

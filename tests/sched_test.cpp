@@ -1,8 +1,8 @@
 /**
  * @file
  * Tests for the src/sched fleet-scheduler subsystem and its integration
- * with the episode runner: dependency ordering, nested-submission
- * deadlock-freedom at pool size 1, exception propagation,
+ * with the episode runner: every task run exactly once, nested-submission
+ * deadlock-freedom at pool size 1, exception propagation and skipping,
  * submission-order result delivery, persistent-worker reuse, and — the
  * contract everything else leans on — bitwise-identical episode results
  * at any pool size, including runner batches nested inside outer tasks
@@ -39,40 +39,6 @@ runEach(sched::FleetScheduler &scheduler, std::size_t count,
     for (std::size_t i = 0; i < count; ++i)
         graph.add([&fn, i] { fn(i); });
     scheduler.run(std::move(graph));
-}
-
-TEST(TaskGraph, RejectsForwardAndSelfDependencies)
-{
-    sched::TaskGraph graph;
-    const auto a = graph.add([] {});
-    EXPECT_THROW(graph.add([] {}, "self", {1}), std::invalid_argument);
-    EXPECT_THROW(graph.add([] {}, "forward", {7}), std::invalid_argument);
-    const auto b = graph.add([] {}, "ok", {a});
-    EXPECT_EQ(b, 1u);
-    EXPECT_EQ(graph.size(), 2u);
-}
-
-TEST(FleetScheduler, HonorsDependencyEdges)
-{
-    sched::FleetScheduler scheduler(4);
-    std::atomic<int> sequence{0};
-    std::vector<int> order(3, -1);
-
-    sched::TaskGraph graph;
-    const auto a = graph.add([&] { order[0] = sequence.fetch_add(1); }, "a");
-    const auto b =
-        graph.add([&] { order[1] = sequence.fetch_add(1); }, "b", {a});
-    graph.add([&] { order[2] = sequence.fetch_add(1); }, "c", {a, b});
-
-    const auto timings = scheduler.run(std::move(graph));
-    ASSERT_EQ(timings.size(), 3u);
-    EXPECT_LT(order[0], order[1]);
-    EXPECT_LT(order[1], order[2]);
-    for (const auto &t : timings) {
-        EXPECT_TRUE(t.ran);
-        EXPECT_LE(t.start_s, t.end_s);
-    }
-    EXPECT_EQ(timings[0].label, "a");
 }
 
 TEST(FleetScheduler, EdgeFreeGraphRunsEveryTaskExactlyOnce)
@@ -121,26 +87,29 @@ TEST(FleetScheduler, PropagatesExceptionsFromNestedTasks)
                  std::runtime_error);
 }
 
-TEST(FleetScheduler, SkipsTasksDependingOnAFailedTask)
+TEST(FleetScheduler, SkipsUnstartedTasksAfterAFailure)
 {
+    // At max_parallel = 1 the tasks start one at a time in id order, so
+    // every task after the throwing first one is still unstarted when it
+    // fails and must be drained as a skip.
     sched::FleetScheduler scheduler(2);
     const long long executed_before = scheduler.tasksExecuted();
     std::atomic<int> ran{0};
 
     sched::TaskGraph graph;
-    const auto poison = graph.add(
-        [] { throw std::runtime_error("poisoned root"); }, "root");
+    graph.add([] { throw std::runtime_error("poisoned first task"); },
+              "first");
     for (int i = 0; i < 8; ++i)
-        graph.add([&] { ran.fetch_add(1); }, "dependent", {poison});
+        graph.add([&] { ran.fetch_add(1); }, "later");
 
     try {
-        scheduler.run(std::move(graph));
-        FAIL() << "expected the root task's exception";
+        scheduler.run(std::move(graph), /*max_parallel=*/1);
+        FAIL() << "expected the first task's exception";
     } catch (const std::runtime_error &e) {
-        EXPECT_STREQ(e.what(), "poisoned root");
+        EXPECT_STREQ(e.what(), "poisoned first task");
     }
     EXPECT_EQ(ran.load(), 0);
-    // Only the root executed; its dependents were drained as skips.
+    // Only the first task executed; the rest were drained as skips.
     EXPECT_EQ(scheduler.tasksExecuted() - executed_before, 1);
 }
 
