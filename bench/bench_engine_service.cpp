@@ -284,8 +284,8 @@ run(ebs::bench::SuiteContext &ctx)
         // with profile-derived slot counts and KV budgets; the clock
         // additionally pays FIFO queueing + iteration-boundary
         // admission delay per flushed batch group.
-        llm::LlmEngineService queued_service(llm::ServiceConfig{
-            .batching = true, .queue = {.enabled = true}});
+        llm::LlmEngineService queued_service(
+            llm::ServiceConfig{.queue = true});
         std::vector<runner::EpisodeJob> queued_jobs = jobs;
         for (auto &job : queued_jobs) {
             job.engine_service = &queued_service;

@@ -29,7 +29,7 @@
 
 #include "core/coordinator.h"
 #include "envs/transport_env.h"
-#include "llm/engine.h"
+#include "llm/engine_service.h"
 #include "llm/token.h"
 #include "memory/memory.h"
 #include "plan/astar.h"
@@ -147,16 +147,21 @@ BM_TokenCounter(benchmark::State &state)
 BENCHMARK(BM_TokenCounter)->Arg(256)->Arg(4096)->Arg(65536);
 
 void
-BM_LlmEngineComplete(benchmark::State &state)
+BM_EngineHandleComplete(benchmark::State &state)
 {
-    llm::LlmEngine engine(llm::ModelProfile::gpt4Api(), sim::Rng(9));
+    // The call every agent module makes: a handle on an attached
+    // session, each completion joining the session's open batch group.
+    llm::LlmEngineService service;
+    llm::EngineSession session = service.openSession();
+    llm::EngineHandle handle =
+        session.handle(llm::ModelProfile::gpt4Api(), sim::Rng(9));
     llm::LlmRequest req;
     req.tokens_in = 1500;
     req.tokens_out_mean = 100;
     for (auto _ : state)
-        benchmark::DoNotOptimize(engine.complete(req));
+        benchmark::DoNotOptimize(handle.complete(req));
 }
-BENCHMARK(BM_LlmEngineComplete);
+BENCHMARK(BM_EngineHandleComplete);
 
 void
 BM_EpisodeTransportEasy(benchmark::State &state)

@@ -19,7 +19,7 @@
 #include <vector>
 
 #include "envs/transport_env.h"
-#include "llm/engine.h"
+#include "llm/engine_service.h"
 #include "stats/table.h"
 #include "suite.h"
 
@@ -88,8 +88,16 @@ run(ebs::bench::SuiteContext &ctx)
     // ----- Batched inference (Rec. 1) microcomparison -----
     {
         ctx.printf("=== Batched inference (Rec. 1) ===\n\n");
-        llm::LlmEngine seq(llm::ModelProfile::gpt4Api(), sim::Rng(1));
-        llm::LlmEngine bat(llm::ModelProfile::gpt4Api(), sim::Rng(1));
+        // Same stream on both sides: the sequential session's handle
+        // pays each sampled latency; the batched session's handle joins
+        // one group per flush, priced at its joint completion time.
+        llm::LlmEngineService service;
+        llm::EngineSession seq_session = service.openSession();
+        llm::EngineSession bat_session = service.openSession();
+        llm::EngineHandle seq = seq_session.handle(
+            llm::ModelProfile::gpt4Api(), sim::Rng(1));
+        llm::EngineHandle bat = bat_session.handle(
+            llm::ModelProfile::gpt4Api(), sim::Rng(1));
         stats::Table table({"batch size", "sequential (s)", "batched (s)",
                             "speedup"});
         for (const int k : {2, 4, 8}) {
@@ -102,8 +110,10 @@ run(ebs::bench::SuiteContext &ctx)
             double sequential = 0.0;
             for (const auto &r : requests)
                 sequential += seq.complete(r).latency_s;
-            const double batched =
-                bat.completeBatch(requests).front().latency_s;
+            for (const auto &r : requests)
+                bat.complete(r);
+            bat_session.flush();
+            const double batched = bat_session.log().back().batched_s;
             table.addRow({std::to_string(k),
                           stats::Table::num(sequential, 1),
                           stats::Table::num(batched, 1),

@@ -29,12 +29,14 @@ constexpr double kDirectControlReliability = 0.55;
 
 Agent::Agent(int id, AgentConfig config, env::Environment *environment,
              sim::Rng rng, stats::LatencyRecorder *recorder,
-             llm::EngineSession *llm_session)
+             llm::EngineSession &llm_session)
     : id_(id), config_(std::move(config)), env_(environment), rng_(rng),
       recorder_(recorder),
-      planner_engine_(llm_session, config_.planner_model, rng_.fork(1)),
-      comm_engine_(llm_session, config_.comm_model, rng_.fork(2)),
-      reflect_engine_(llm_session, config_.reflect_model, rng_.fork(3)),
+      planner_engine_(
+          llm_session.handle(config_.planner_model, rng_.fork(1))),
+      comm_engine_(llm_session.handle(config_.comm_model, rng_.fork(2))),
+      reflect_engine_(
+          llm_session.handle(config_.reflect_model, rng_.fork(3))),
       memory_(config_.memory, rng_.fork(4))
 {
     assert(env_ != nullptr && recorder_ != nullptr);

@@ -8,7 +8,6 @@
 #include "core/config.h"
 #include "core/message.h"
 #include "env/env.h"
-#include "llm/engine.h"
 #include "llm/engine_service.h"
 #include "memory/memory.h"
 #include "sim/rng.h"
@@ -63,16 +62,14 @@ class Agent
      * @param environment shared environment (not owned)
      * @param rng      per-agent random stream
      * @param recorder shared latency recorder (not owned)
-     * @param llm_session episode's engine-service session (not owned, may
-     *                 be null); the agent's LLM modules become handles on
-     *                 it instead of private engines, keeping their RNG
-     *                 streams and usage while the service batches across
-     *                 agents. Null (or a detached session) reproduces the
-     *                 legacy per-agent-engine behavior bit for bit.
+     * @param llm_session episode's engine-service session (not owned;
+     *                 must outlive the agent); the agent's planner, comm
+     *                 and reflect modules are handles on it, each with its
+     *                 own RNG stream and usage, batched across agents.
      */
     Agent(int id, AgentConfig config, env::Environment *environment,
           sim::Rng rng, stats::LatencyRecorder *recorder,
-          llm::EngineSession *llm_session = nullptr);
+          llm::EngineSession &llm_session);
 
     int id() const { return id_; }
     const AgentConfig &config() const { return config_; }

@@ -135,9 +135,8 @@ struct PipelineOptions
      * individually sampled latencies. Responses are untouched (sampling
      * streams are identical either way), so only `sim_seconds` changes.
      * Batching is phase-granular: whatever one flush window assembles is
-     * priced as one batch per backend. Requires an engine-service
-     * session that assembles batches (the default); on the legacy
-     * serviceless path the switch is inert.
+     * priced as one batch per backend (every episode's engine-service
+     * session assembles them; this switch only decides who pays).
      */
     bool batch_llm_calls = false;
 

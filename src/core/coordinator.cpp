@@ -36,14 +36,56 @@ requireNonnegative(double value, const std::string &field)
 }
 
 /**
+ * Reject a model profile that would turn into negative or NaN latency
+ * or call quality, naming the AgentConfig field and the model:
+ * throughputs finite and > 0, RTT mean and jitter finite and >= 0, a
+ * context window of at least one token, quality axes in [0, 1], a
+ * dilution onset finite and >= 0 and a dilution scale finite and > 0.
+ */
+void
+validate(const llm::ModelProfile &model, const char *field)
+{
+    // "AgentConfig::planner_model.decode_tok_per_s [GPT-4 (API)]"
+    const auto name = [&](const char *member) {
+        return std::string("AgentConfig::") + field + "." + member + " [" +
+               model.name + "]";
+    };
+    const auto requirePositive = [&](double value, const char *member) {
+        require(std::isfinite(value) && value > 0.0, name(member),
+                "finite and > 0", value);
+    };
+    requirePositive(model.prefill_tok_per_s, "prefill_tok_per_s");
+    requirePositive(model.decode_tok_per_s, "decode_tok_per_s");
+    requireNonnegative(model.api_rtt_mean_s, name("api_rtt_mean_s"));
+    requireNonnegative(model.api_rtt_cv, name("api_rtt_cv"));
+    require(model.context_limit >= 1, name("context_limit"), ">= 1",
+            model.context_limit);
+    const std::pair<const char *, double> qualities[] = {
+        {"plan_quality", model.plan_quality},
+        {"comm_quality", model.comm_quality},
+        {"reflect_quality", model.reflect_quality},
+        {"format_compliance", model.format_compliance}};
+    for (const auto &[member, q] : qualities)
+        require(q >= 0.0 && q <= 1.0, name(member), "in [0, 1]",
+                q); // NaN fails
+    requireNonnegative(model.dilution_onset_tokens,
+                       name("dilution_onset_tokens"));
+    requirePositive(model.dilution_scale_tokens, "dilution_scale_tokens");
+}
+
+/**
  * Reject agent calibrations that would turn into negative or NaN
  * simulated time or plan quality, naming the field: latencies and
  * planning complexities must be finite and nonnegative, token counts
- * nonnegative, and behavior probabilities in [0, 1].
+ * nonnegative, behavior probabilities in [0, 1], and the three model
+ * profiles valid.
  */
 void
 validate(const AgentConfig &config)
 {
+    validate(config.planner_model, "planner_model");
+    validate(config.comm_model, "comm_model");
+    validate(config.reflect_model, "reflect_model");
     const ModuleLatencies &lat = config.lat;
     const std::pair<const char *, const sim::LatencyDist &> dists[] = {
         {"sensing", lat.sensing},
@@ -86,16 +128,23 @@ validate(const AgentConfig &config)
 }
 
 /**
- * The episode's input boundary: validate `config`, then reject pipeline
- * options the episode loop cannot honor, naming the field: a plan period
- * below one step, or a context-compression ratio that is not a finite
- * fraction in (0, 1] (NaN would otherwise reach the prompt arithmetic
- * and produce negative simulated time).
+ * The episode's input boundary: validate `config`, then reject options
+ * the episode loop cannot honor, naming the field: a null engine service
+ * or phase-wall clock, a plan period below one step, or a
+ * context-compression ratio that is not a finite fraction in (0, 1]
+ * (NaN would otherwise reach the prompt arithmetic and produce negative
+ * simulated time).
  */
 const EpisodeOptions &
 validated(const EpisodeOptions &options, const AgentConfig &config)
 {
     validate(config);
+    if (options.engine_service == nullptr)
+        throw std::invalid_argument(
+            "EpisodeOptions::engine_service must not be null");
+    if (options.phase_wall == nullptr)
+        throw std::invalid_argument(
+            "EpisodeOptions::phase_wall must not be null");
     const PipelineOptions &pipeline = options.pipeline;
     require(pipeline.plan_every_k >= 1, "PipelineOptions::plan_every_k",
             ">= 1", pipeline.plan_every_k);
@@ -165,21 +214,15 @@ class Harness
           // The session is pinned (handles keep its address), so it is
           // built in place at its final location, before any agent mints
           // a handle on it.
-          llm_session_(options.engine_service != nullptr
-                           ? options.engine_service->openSession()
-                           : llm::EngineSession()),
+          llm_session_(options.engine_service->openSession()),
           // Rec. 1 end-to-end: the ablation charges real joint-batch
-          // latency to the clock, which needs a session that actually
-          // assembles batches. Without one (legacy path, or a service
-          // built with batching=false) the switch is inert — there is
-          // nothing to batch, so every call stays at its sequential cost.
-          // A queueing session (finite-capacity backend serving,
-          // llm/backend_queue.h) always charges: the closed loop *is*
-          // the scheduled completion — joint batch time plus queueing +
-          // admission delay — landing on the clock at every flush.
+          // latency to the clock. A queueing session (finite-capacity
+          // backend serving, llm/backend_queue.h) always charges: the
+          // closed loop *is* the scheduled completion — joint batch time
+          // plus queueing + admission delay — landing on the clock at
+          // every flush.
           charged_batching_(llm_session_.queueing() ||
-                            (options.pipeline.batch_llm_calls &&
-                             llm_session_.batching()))
+                            options.pipeline.batch_llm_calls)
     {
         // Dual-clock tracing: a null trace (the EBS_TRACE=0 default)
         // keeps every emission point below a single pointer check.
@@ -190,7 +233,7 @@ class Harness
         for (int i = 0; i < n; ++i) {
             agents_.push_back(std::make_unique<Agent>(
                 i, config, &env_, master_rng_.fork(100 + i), &recorder_,
-                &llm_session_));
+                llm_session_));
         }
     }
 
@@ -234,9 +277,9 @@ class Harness
     }
 
     /**
-     * Mint an engine handle on the episode's service session (a private
-     * engine when the episode runs serviceless) — for the central planner
-     * and cluster leads, whose calls then join the session's batches.
+     * Mint an engine handle on the episode's service session — for the
+     * central planner and cluster leads, whose calls then join the
+     * session's batches.
      */
     llm::EngineHandle
     makeHandle(const llm::ModelProfile &profile, sim::Rng stream)
@@ -643,8 +686,8 @@ class Harness
     sim::SimClock clock_;
     stats::LatencyRecorder recorder_;
     llm::EngineSession llm_session_; ///< must outlive agents_ (handles)
-    /** True when `batch_llm_calls` charges real joint-batch latency to
-     * the clock: the ablation is on AND the session assembles batches. */
+    /** True when flushed batches charge their joint completion time to
+     * the clock: `batch_llm_calls` is on, or the session queues. */
     const bool charged_batching_;
     std::vector<std::unique_ptr<Agent>> agents_;
     /** Speculated-phase scratch, reused across phases: the current

@@ -23,10 +23,11 @@ struct EpisodeOptions
     PipelineOptions pipeline;    ///< optimization ablation switches
 
     /**
-     * LLM engine service every agent module routes through; defaults to
-     * the process-wide shared service. nullptr selects the legacy
-     * per-agent-engine path (bit-identical results either way — the
-     * service only adds fleet-wide accounting and batch assembly).
+     * LLM engine service every agent module routes through (not owned);
+     * defaults to the process-wide shared service. The episode opens one
+     * session on it, and every LLM call is a handle on that session.
+     * Never null: the run functions throw std::invalid_argument naming
+     * this field.
      */
     llm::LlmEngineService *engine_service = &llm::LlmEngineService::shared();
 
@@ -35,7 +36,8 @@ struct EpisodeOptions
      * phase times and episode count into (not owned). Defaults to the
      * process-wide clock; in-process bench suites substitute a per-suite
      * instance so run_all's phase-wall summary stays attributable per
-     * suite after the spawn-per-suite model was retired. Never null.
+     * suite after the spawn-per-suite model was retired. Never null: the
+     * run functions throw std::invalid_argument naming this field.
      */
     stats::PhaseWallClock *phase_wall = &stats::PhaseWallClock::shared();
 

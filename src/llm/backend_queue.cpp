@@ -152,42 +152,13 @@ BackendQueue::submit(double arrival_s, int requests, double kv_tokens,
     return admission;
 }
 
-BackendQueueModel::BackendQueueModel(int slots_override,
-                                     double kv_budget_override,
-                                     double iteration_s)
-    : slots_override_(slots_override),
-      kv_budget_override_(kv_budget_override), iteration_s_(iteration_s)
-{
-    // 0 means "no override"; anything else must be a usable capacity.
-    // Rejecting here (not at first ensureBackend) keeps the failure at
-    // the configuration site.
-    if (slots_override < 0)
-        throw std::invalid_argument(
-            "BackendQueueModel: slots_override must be >= 0 (got " +
-            std::to_string(slots_override) + ")");
-    if (kv_budget_override < 0.0)
-        throw std::invalid_argument(
-            "BackendQueueModel: kv_budget_override must be >= 0 (got " +
-            std::to_string(kv_budget_override) + ")");
-    if (!(iteration_s > 0.0))
-        throw std::invalid_argument(
-            "BackendQueueModel: iteration_s must be > 0 (got " +
-            std::to_string(iteration_s) + ")");
-}
-
 void
 BackendQueueModel::ensureBackend(BackendId backend,
                                  const ModelProfile &profile)
 {
     if (queues_.find(backend) != queues_.end())
         return;
-    QueueConfig config = defaultQueueConfig(profile);
-    if (slots_override_ > 0)
-        config.slots = slots_override_;
-    if (kv_budget_override_ > 0.0)
-        config.kv_budget_tokens = kv_budget_override_;
-    config.iteration_s = iteration_s_;
-    queues_.emplace(backend, BackendQueue(config));
+    queues_.emplace(backend, BackendQueue(defaultQueueConfig(profile)));
 }
 
 QueueAdmission

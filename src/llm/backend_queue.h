@@ -149,24 +149,14 @@ class BackendQueue
 /**
  * The per-backend queue fleet one serving simulation sees: a
  * BackendQueue per touched backend, created on first sight with the
- * profile-derived default config (overridable per QueuePolicy in
- * ServiceConfig). Deterministically iterable — keyed by stable
- * BackendId — and single-threaded like its member queues.
+ * profile's defaultQueueConfig. Deterministically iterable — keyed by
+ * stable BackendId — and single-threaded like its member queues.
  */
 class BackendQueueModel
 {
   public:
-    BackendQueueModel() = default;
-    /** `slots_override` / `kv_budget_override` > 0 replace the
-     * profile-derived defaults (0 means "no override"); `iteration_s`
-     * always applies. Throws std::invalid_argument on negative
-     * overrides or a non-positive iteration. */
-    BackendQueueModel(int slots_override, double kv_budget_override,
-                      double iteration_s);
-
     /** Ensure `backend` has a queue, deriving its config from
-     * `profile` on first sight (validated — throws on degenerate
-     * overrides). */
+     * `profile` on first sight. */
     void ensureBackend(BackendId backend, const ModelProfile &profile);
 
     /**
@@ -187,9 +177,6 @@ class BackendQueueModel
 
   private:
     std::map<BackendId, BackendQueue> queues_;
-    int slots_override_ = 0;
-    double kv_budget_override_ = 0.0;
-    double iteration_s_ = 0.25;
 };
 
 } // namespace ebs::llm

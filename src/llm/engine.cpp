@@ -140,65 +140,4 @@ LlmUsage::operator+=(const LlmUsage &other)
     return *this;
 }
 
-LlmEngine::LlmEngine(ModelProfile profile, sim::Rng rng)
-    : profile_(std::move(profile)), rng_(rng)
-{
-}
-
-double
-LlmEngine::expectedLatency(const LlmRequest &request) const
-{
-    return expectedCompletionLatency(profile_, request);
-}
-
-LlmResponse
-LlmEngine::complete(const LlmRequest &request)
-{
-    const LlmResponse resp = sampleCompletion(profile_, request, rng_);
-    usage_.add(resp);
-    return resp;
-}
-
-std::vector<LlmResponse>
-LlmEngine::completeBatch(const std::vector<LlmRequest> &requests)
-{
-    std::vector<LlmResponse> out;
-    out.reserve(requests.size());
-    if (requests.empty())
-        return out;
-    if (requests.size() == 1) {
-        out.push_back(complete(requests.front()));
-        return out;
-    }
-
-    // Sample each member exactly as sequential complete() calls would, so
-    // batching never perturbs the response stream; then overwrite the
-    // latency with the joint completion time (summed prefill + longest
-    // decode + one mean RTT), which can only improve on the sum.
-    double prefill_s = 0.0;
-    double max_decode_s = 0.0;
-    double sequential_s = 0.0;
-    for (const auto &req : requests) {
-        LlmResponse resp = sampleCompletion(profile_, req, rng_);
-        prefill_s += resp.tokens_in / profile_.prefill_tok_per_s;
-        max_decode_s = std::max(max_decode_s,
-                                resp.tokens_out / profile_.decode_tok_per_s);
-        sequential_s += resp.latency_s;
-        out.push_back(resp);
-    }
-
-    const double batch_latency = jointBatchTime(
-        static_cast<int>(requests.size()), prefill_s, max_decode_s,
-        profile_.remote, profile_.api_rtt_mean_s, sequential_s);
-
-    for (auto &resp : out) {
-        resp.latency_s = batch_latency;
-        ++usage_.calls;
-        usage_.tokens_in += resp.tokens_in;
-        usage_.tokens_out += resp.tokens_out;
-    }
-    usage_.total_latency_s += batch_latency;
-    return out;
-}
-
 } // namespace ebs::llm

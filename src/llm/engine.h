@@ -48,7 +48,7 @@ struct LlmResponse
     bool good = true;
 };
 
-/** Aggregate usage counters maintained by an engine. */
+/** Aggregate usage counters of completions (per handle, per backend). */
 struct LlmUsage
 {
     std::size_t calls = 0;
@@ -67,14 +67,16 @@ struct LlmUsage
 };
 
 /**
- * Sample one completion: the shared response model behind LlmEngine,
- * EngineHandle (engine_service.h), and batched inference.
+ * Sample one completion: the response model behind every
+ * EngineHandle::complete() (engine_service.h). Latency is RTT (remote
+ * only) + prefill + decode at the profile's rates; the prompt is clamped
+ * to the context window; quality is the profile's capability axis for
+ * the call kind, degraded by dilution, truncation, and complexity. All
+ * randomness comes from `rng`, so runs are reproducible.
  *
  * Draw order from `rng` is part of the determinism contract (tokens_out,
- * RTT if remote, parse_ok, good) — every completion path in the simulator
- * consumes its stream in exactly this order, which is what makes the
- * per-agent response streams bit-identical whether calls run through a
- * private engine, the shared service, or an assembled batch.
+ * RTT if remote, parse_ok, good): batching never draws, so a handle's
+ * response stream is the same whatever batch its calls join.
  */
 LlmResponse sampleCompletion(const ModelProfile &profile,
                              const LlmRequest &request, sim::Rng &rng);
@@ -93,76 +95,16 @@ double expectedBatchLatency(const ModelProfile &profile,
 
 /**
  * The single definition of the joint-batch cost model, shared by
- * LlmEngine::completeBatch(), expectedBatchLatency(), and the engine
- * service's BatchRecord fold (engine_service.cpp): summed prefill +
- * longest member decode + one mean RTT for remote backends, clamped so
- * a batch never costs more than its members run sequentially
+ * expectedBatchLatency() and the engine service's BatchRecord folds
+ * (engine_service.cpp): summed prefill + longest member decode + one
+ * mean RTT for remote backends, clamped so a batch never costs more
+ * than its members run sequentially
  * (`baseline_s`). A group of one IS the sequential call and keeps its
  * baseline exactly — substituting the mean RTT for a sampled RTT under
  * a one-sided clamp would manufacture savings out of RTT jitter.
  */
 double jointBatchTime(int requests, double prefill_s, double max_decode_s,
                       bool remote, double rtt_mean_s, double baseline_s);
-
-/**
- * Simulated LLM inference backend.
- *
- * Substitutes the paper's GPT-4 API / local A6000 inference: computes
- * latency from the profile's RTT + prefill + decode rates, enforces the
- * context window, and samples output quality from the profile's calibrated
- * capability model. All randomness comes from the injected Rng, so runs are
- * reproducible.
- *
- * Thread-safety contract: an LlmEngine is confined to a single thread (in
- * practice, to one episode). complete()/completeBatch() mutate the RNG and
- * the usage counters without synchronization, and usage()/resetUsage() are
- * unsynchronized reads/writes of the same counters — sharing one engine
- * across threads is a data race by construction. Cross-thread inference
- * goes through LlmEngineService (engine_service.h), whose per-backend
- * usage aggregation is mutex-guarded — and compiler-checked: the service's
- * shared state carries EBS_GUARDED_BY annotations (core/thread_annotations.h)
- * enforced by the CI Clang `-Wthread-safety` build. LlmEngine itself
- * deliberately carries no capability annotations: it owns no lock, and
- * annotating it would misstate the contract — thread confinement here is
- * guarded dynamically by the TSan job instead. Per-episode sampling state
- * stays in episode-confined EngineHandles so no RNG is ever shared.
- */
-class LlmEngine
-{
-  public:
-    LlmEngine(ModelProfile profile, sim::Rng rng);
-
-    /** Run one completion. */
-    LlmResponse complete(const LlmRequest &request);
-
-    /**
-     * Run several completions as a single batch (Recommendation 1).
-     *
-     * Every request is sampled exactly as a sequential complete() call
-     * would be (same RNG draw order), so the per-request response streams
-     * are bit-identical to unbatched execution; only the completion time
-     * changes. Prefill is processed jointly at batch throughput; decode
-     * runs at per-stream speed for the longest response; one mean RTT
-     * covers the whole batch. `latency_s` on each response is that batch
-     * completion time, clamped to never exceed the sequential sum. A
-     * single-request batch is exactly complete() (including its sampled
-     * latency), and an empty batch returns an empty vector at no cost.
-     */
-    std::vector<LlmResponse> completeBatch(
-        const std::vector<LlmRequest> &requests);
-
-    const ModelProfile &profile() const { return profile_; }
-    const LlmUsage &usage() const { return usage_; }
-    void resetUsage() { usage_ = LlmUsage{}; }
-
-    /** Deterministic latency mean for a request (no sampling), for tests. */
-    double expectedLatency(const LlmRequest &request) const;
-
-  private:
-    ModelProfile profile_;
-    sim::Rng rng_;
-    LlmUsage usage_;
-};
 
 } // namespace ebs::llm
 

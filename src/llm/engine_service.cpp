@@ -6,8 +6,8 @@
 #include <cmath>
 #include <limits>
 #include <map>
-#include <stdexcept>
 #include <tuple>
+#include <utility>
 
 #include "llm/backend_queue.h"
 #include "obs/trace.h"
@@ -142,12 +142,11 @@ BatchStats::merge(const BatchStats &other)
 
 // ---------------------------------------------------------------- handle
 
-EngineHandle::EngineHandle(EngineSession *session, ModelProfile profile,
+EngineHandle::EngineHandle(EngineSession &session, ModelProfile profile,
                            sim::Rng rng)
-    : session_(session), profile_(std::move(profile)), rng_(rng)
+    : session_(&session), backend_(session.service_.backendFor(profile)),
+      profile_(std::move(profile)), rng_(rng)
 {
-    if (session_ != nullptr && session_->attached())
-        backend_ = session_->service()->backendFor(profile_);
 }
 
 LlmResponse
@@ -155,40 +154,24 @@ EngineHandle::complete(const LlmRequest &request)
 {
     const LlmResponse resp = sampleCompletion(profile_, request, rng_);
     usage_.add(resp);
-
-    if (session_ != nullptr && session_->attached()) {
-        session_->noteUsage(backend_, resp);
-        if (session_->batching())
-            session_->note(backend_, profile_, resp);
-    }
+    session_->note(backend_, profile_, resp);
     return resp;
 }
 
 // --------------------------------------------------------------- session
 
-EngineSession::EngineSession() = default;
-EngineSession::~EngineSession() = default;
-
-EngineSession::EngineSession(LlmEngineService *service) : service_(service)
+EngineSession::EngineSession(LlmEngineService &service) : service_(service)
 {
-    if (service_ != nullptr && service_->config().queue.enabled) {
-        const QueuePolicy &policy = service_->config().queue;
-        queue_ = std::make_unique<BackendQueueModel>(
-            policy.slots_override, policy.kv_budget_override,
-            policy.iteration_s);
-    }
+    if (service_.config().queue)
+        queue_ = std::make_unique<BackendQueueModel>();
 }
+
+EngineSession::~EngineSession() = default;
 
 EngineHandle
 EngineSession::handle(const ModelProfile &profile, sim::Rng stream)
 {
-    return EngineHandle(this, profile, stream);
-}
-
-bool
-EngineSession::batching() const
-{
-    return service_ != nullptr && service_->config().batching;
+    return EngineHandle(*this, profile, stream);
 }
 
 void
@@ -203,49 +186,37 @@ void
 EngineSession::note(BackendId backend, const ModelProfile &profile,
                     const LlmResponse &resp)
 {
-    BatchRecord *group = nullptr;
+    OpenGroup *group = nullptr;
     for (auto &open : open_)
-        if (open.backend == backend)
+        if (open.record.backend == backend)
             group = &open;
     if (group == nullptr) {
-        BatchRecord fresh;
-        fresh.step = step_;
-        fresh.phase = phase_;
-        fresh.backend = backend;
-        fresh.remote = profile.remote;
-        fresh.rtt_mean_s = profile.api_rtt_mean_s;
+        OpenGroup fresh;
+        fresh.record.step = step_;
+        fresh.record.phase = phase_;
+        fresh.record.backend = backend;
+        fresh.record.remote = profile.remote;
+        fresh.record.rtt_mean_s = profile.api_rtt_mean_s;
         open_.push_back(fresh);
         group = &open_.back();
+        if (queue_ != nullptr)
+            queue_->ensureBackend(backend, profile);
     }
-    ++group->requests;
-    group->prefill_s += resp.tokens_in / profile.prefill_tok_per_s;
-    group->max_decode_s = std::max(
-        group->max_decode_s, resp.tokens_out / profile.decode_tok_per_s);
-    group->baseline_s += resp.latency_s;
-    group->kv_tokens +=
-        static_cast<double>(resp.tokens_in + resp.tokens_out);
-    if (queue_ != nullptr)
-        queue_->ensureBackend(backend, profile);
-}
-
-void
-EngineSession::noteUsage(BackendId backend, const LlmResponse &resp)
-{
-    LlmUsage *slot = nullptr;
-    for (auto &[pending_backend, usage] : pending_usage_)
-        if (pending_backend == backend)
-            slot = &usage;
-    if (slot == nullptr) {
-        pending_usage_.emplace_back(backend, LlmUsage{});
-        slot = &pending_usage_.back().second;
-    }
-    slot->add(resp);
+    BatchRecord &record = group->record;
+    ++record.requests;
+    record.prefill_s += resp.tokens_in / profile.prefill_tok_per_s;
+    record.max_decode_s = std::max(
+        record.max_decode_s, resp.tokens_out / profile.decode_tok_per_s);
+    record.baseline_s += resp.latency_s;
+    record.kv_tokens += static_cast<double>(resp.tokens_in + resp.tokens_out);
+    group->usage.add(resp);
 }
 
 void
 EngineSession::flush()
 {
-    for (auto &group : open_) {
+    for (auto &open : open_) {
+        BatchRecord &group = open.record;
         group.batched_s = jointCompletionTime(group);
         group.sim_time_s = now_s_;
         QueueAdmission admission;
@@ -263,10 +234,7 @@ EngineSession::flush()
         }
         pending_charge_s_ += group.batched_s + group.queue_delay_s;
         if (trace_ != nullptr) {
-            const std::string backend = service_ != nullptr
-                                            ? service_->backendName(
-                                                  group.backend)
-                                            : std::string("detached");
+            const std::string backend = service_.backendName(group.backend);
             trace_->instant(
                 "llm", "batch " + backend, now_s_, -1,
                 {{"requests", static_cast<double>(group.requests)},
@@ -289,9 +257,8 @@ EngineSession::flush()
         }
         log_.push_back(group);
     }
-    if (service_ != nullptr && (!pending_usage_.empty() || !open_.empty()))
-        service_->accountFlush(pending_usage_, open_);
-    pending_usage_.clear();
+    if (!open_.empty())
+        service_.accountFlush(open_);
     open_.clear();
     ++phase_;
 }
@@ -301,7 +268,7 @@ EngineSession::phaseBaseline() const
 {
     double baseline = 0.0;
     for (const auto &group : open_)
-        baseline += group.baseline_s;
+        baseline += group.record.baseline_s;
     return baseline;
 }
 
@@ -323,21 +290,6 @@ EngineSession::takeLog()
 }
 
 // --------------------------------------------------------------- service
-
-LlmEngineService::LlmEngineService(ServiceConfig config) : config_(config)
-{
-    if (config_.queue.enabled) {
-        // The queue serves assembled batch groups; without batching
-        // there is nothing to submit and the "closed loop" would be
-        // silently open. Reject the inconsistent combination loudly.
-        if (!config_.batching)
-            throw std::invalid_argument(
-                "ServiceConfig: queue.enabled requires batching");
-        if (!(config_.queue.iteration_s > 0.0))
-            throw std::invalid_argument(
-                "ServiceConfig: queue.iteration_s must be > 0");
-    }
-}
 
 BackendId
 LlmEngineService::backendFor(const ModelProfile &profile)
@@ -417,18 +369,16 @@ LlmEngineService::reset()
 
 void
 LlmEngineService::accountFlush(
-    std::span<const std::pair<BackendId, LlmUsage>> usage,
-    std::span<const BatchRecord> batches)
+    std::span<const EngineSession::OpenGroup> groups)
 {
     core::MutexLock lock(mu_);
-    for (const auto &[backend, staged] : usage) {
-        const auto it = backends_.find(backend);
+    for (const auto &group : groups) {
+        const auto it = backends_.find(group.record.backend);
         assert(it != backends_.end());
         if (it != backends_.end())
-            it->second.usage += staged;
+            it->second.usage += group.usage;
+        stats_.add(group.record);
     }
-    for (const auto &record : batches)
-        stats_.add(record);
 }
 
 LlmEngineService &

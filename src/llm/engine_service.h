@@ -7,7 +7,6 @@
 #include <memory>
 #include <span>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "core/sync.h"
@@ -36,42 +35,17 @@ class LlmEngineService;
  */
 using BackendId = std::uint64_t;
 
-/**
- * Closed-loop serving switches of an LlmEngineService: when enabled,
- * every session simulates finite-capacity backends (see
- * llm/backend_queue.h) and charges queueing + admission delay back to
- * its episode's clock through the takePendingCharge path. Requires
- * `ServiceConfig::batching` (the queue serves the assembled batch
- * groups); the service constructor rejects the inconsistent combination.
- */
-struct QueuePolicy
-{
-    bool enabled = false;
-    /** > 0 replaces the profile-derived slot count on every backend. */
-    int slots_override = 0;
-    /** > 0 replaces the profile-derived KV/memory token budget. */
-    double kv_budget_override = 0.0;
-    /** Iteration boundary granularity of continuous-batching admission
-     * (must be > 0 when enabled). */
-    double iteration_s = 0.25;
-};
-
-/** Build-time switches of an LlmEngineService. */
+/** Build-time switch of an LlmEngineService. */
 struct ServiceConfig
 {
     /**
-     * Assemble the completions issued between two session flush points
-     * (one coordinator phase: the same pipeline stage across every agent
-     * of a step) into per-backend batches and track the modeled joint
-     * completion time. Batching never changes any sampled response — it
-     * only produces BatchRecords — so toggling it cannot perturb a
-     * simulated result.
+     * Closed-loop serving: every session simulates finite-capacity
+     * backends (llm/backend_queue.h, each with its profile's
+     * defaultQueueConfig) and charges queueing + admission delay back to
+     * its episode's clock through the takePendingCharge path. Off by
+     * default: the open-loop path models infinite capacity.
      */
-    bool batching = true;
-
-    /** Finite-capacity backend serving model (off by default: the
-     * open-loop paths stay bit-identical to the pre-queue behavior). */
-    QueuePolicy queue;
+    bool queue = false;
 };
 
 /**
@@ -146,51 +120,41 @@ struct BatchStats
 };
 
 /**
- * A per-agent-module view onto the engine service: the drop-in
- * replacement for a privately owned LlmEngine.
+ * A per-agent-module view onto the engine service, minted by an
+ * EngineSession: the one way an LLM call is sampled and accounted.
  *
  * The handle keeps the module's RNG stream and usage counters (so
  * per-agent accounting and determinism are untouched) and routes every
- * completion through its session: the shared backend accumulates
- * race-free fleet-wide usage, and — when batching is on — the completion
- * joins the session's currently open batch group. Sampling uses
- * sampleCompletion(), the exact function behind LlmEngine::complete(),
- * so a handle's response stream is bit-identical to the legacy per-agent
- * engine it replaces.
- *
- * A handle constructed with a null session (or a detached session) is
- * exactly a private LlmEngine: it samples and accounts locally. Handles
- * are episode-confined and single-threaded, like the agents that own
- * them.
+ * completion through its session: the completion joins the session's
+ * currently open batch group, and its usage is staged for the shared
+ * backend's race-free fleet-wide counters. Sampling is
+ * sampleCompletion() on the handle's own stream, so the response stream
+ * does not depend on what else the session batches. Handles are
+ * episode-confined and single-threaded, like the agents that own them.
  */
 class EngineHandle
 {
   public:
-    EngineHandle(EngineSession *session, ModelProfile profile, sim::Rng rng);
-
     /** Run one completion (see class comment for routing). */
     LlmResponse complete(const LlmRequest &request);
 
-    const ModelProfile &profile() const { return profile_; }
     const LlmUsage &usage() const { return usage_; }
-    void resetUsage() { usage_ = LlmUsage{}; }
-
-    /** Deterministic latency mean for a request (no sampling). */
-    double expectedLatency(const LlmRequest &request) const
-    {
-        return expectedCompletionLatency(profile_, request);
-    }
 
   private:
-    EngineSession *session_ = nullptr;
-    BackendId backend_ = 0; ///< meaningful only when attached
+    friend class EngineSession;
+
+    EngineHandle(EngineSession &session, ModelProfile profile, sim::Rng rng);
+
+    EngineSession *session_; ///< never null; pointer keeps handles movable
+    BackendId backend_;
     ModelProfile profile_;
     sim::Rng rng_;
     LlmUsage usage_;
 };
 
 /**
- * Episode-local port into the service: owned by one coordinator harness,
+ * Episode-local port into the service: opened by
+ * LlmEngineService::openSession(), owned by one coordinator harness,
  * used from one thread.
  *
  * The session mints EngineHandles, brackets the episode's step/phase
@@ -203,14 +167,10 @@ class EngineHandle
  * episodes run concurrently, which is what makes the post-join
  * cross-episode fold (foldCrossEpisodeBatches) reproducible at any
  * EBS_JOBS.
- *
- * A default-constructed session is detached: handles behave like private
- * engines and the log stays empty.
  */
 class EngineSession
 {
   public:
-    EngineSession();
     ~EngineSession();
 
     /**
@@ -226,12 +186,6 @@ class EngineSession
     /** Mint a handle for one agent module (see EngineHandle). */
     EngineHandle handle(const ModelProfile &profile, sim::Rng stream);
 
-    /** True when completions route through a service. */
-    bool attached() const { return service_ != nullptr; }
-
-    /** True when this session assembles batches. */
-    bool batching() const;
-
     /**
      * True when this session simulates finite-capacity backends: each
      * flushed batch group is submitted to its backend's discrete-event
@@ -242,9 +196,6 @@ class EngineSession
      * LLM latency and pays the queue-scheduled completion instead.
      */
     bool queueing() const { return queue_ != nullptr; }
-
-    /** The session's backend queues (nullptr when not queueing). */
-    const BackendQueueModel *queueModel() const { return queue_.get(); }
 
     /** Mark the start of a global episode step (closes open groups). */
     void beginStep(int step);
@@ -260,8 +211,7 @@ class EngineSession
     /**
      * Sampled sequential latency of every completion noted since the
      * last flush (the summed `baseline_s` of the open groups): the
-     * LLM-attributable share of the current phase. 0 for a detached or
-     * non-batching session.
+     * LLM-attributable share of the current phase.
      */
     double phaseBaseline() const;
 
@@ -289,23 +239,27 @@ class EngineSession
     /** Flush and surrender the batch log (for EpisodeResult). */
     std::vector<BatchRecord> takeLog();
 
-    LlmEngineService *service() const { return service_; }
-
   private:
     friend class EngineHandle;
     friend class LlmEngineService;
 
-    explicit EngineSession(LlmEngineService *service);
+    explicit EngineSession(LlmEngineService &service);
+
+    /** One backend's batch group of the current phase, with the usage
+     * its members staged for the backend; the usage drains to the
+     * service at the next flush so the hot path never takes the
+     * service mutex. */
+    struct OpenGroup
+    {
+        BatchRecord record;
+        LlmUsage usage;
+    };
 
     /** Join `resp` to the open batch group of `backend`. */
     void note(BackendId backend, const ModelProfile &profile,
               const LlmResponse &resp);
 
-    /** Stage `resp`'s usage for the backend; drained to the service at
-     * the next flush so the hot path never takes the service mutex. */
-    void noteUsage(BackendId backend, const LlmResponse &resp);
-
-    LlmEngineService *service_ = nullptr;
+    LlmEngineService &service_;
     /** Episode trace log for flush-time instants; null (the default)
      * when tracing is off. Not owned. */
     obs::EpisodeTraceLog *trace_ = nullptr;
@@ -316,10 +270,8 @@ class EngineSession
     int phase_ = 0;
     double now_s_ = 0.0;           ///< arrival stamp for the next flush
     double pending_charge_s_ = 0.0; ///< flushed batched_s not yet claimed
-    std::vector<BatchRecord> open_; ///< one open group per touched backend
+    std::vector<OpenGroup> open_; ///< one open group per touched backend
     std::vector<BatchRecord> log_;
-    /** Usage staged since the last flush, one slot per touched backend. */
-    std::vector<std::pair<BackendId, LlmUsage>> pending_usage_;
 };
 
 /**
@@ -328,12 +280,11 @@ class EngineSession
  * API endpoint and each local-GPU model are single shared resources, not
  * per-agent copies — plus the batching machinery above.
  *
- * Thread-safety contract (the fix for LlmEngine's unsynchronized usage
- * counters): every cross-thread touchpoint — backend registration,
- * usage aggregation, batch tallies, usage()/stats()/reset() — takes the
- * service mutex, so concurrent episodes on the EpisodeRunner pool
- * aggregate race-free by construction. Sessions stage usage locally and
- * drain one lock per coordinator phase (not per completion), keeping
+ * Thread-safety contract: every cross-thread touchpoint — backend
+ * registration, usage aggregation, batch tallies, usage()/stats()/reset()
+ * — takes the service mutex, so concurrent episodes on the EpisodeRunner
+ * pool aggregate race-free by construction. Sessions stage usage locally
+ * and drain one lock per coordinator phase (not per completion), keeping
  * the hot path contention-free. Everything stochastic stays in
  * episode-confined handles, so the service never serializes RNG state
  * and never perturbs a sampled stream. The contract is compiler-checked:
@@ -341,21 +292,22 @@ class EngineSession
  * `-Wthread-safety` build hard-errors on any drain or query path that
  * touches them without the lock.
  *
- * Determinism contract: routing through the service (with batching on or
- * off, at any worker count) yields bit-identical EpisodeResults to the
- * legacy per-agent-engine path. Only the service's aggregate counters
- * and the BatchRecord logs are new information.
+ * Determinism contract: an episode's EpisodeResult is bit-identical at
+ * any worker count, however many episodes share the service. The
+ * service's aggregate counters are exact once every episode finished.
  */
 class LlmEngineService
 {
   public:
-    explicit LlmEngineService(ServiceConfig config = {});
+    explicit LlmEngineService(ServiceConfig config = {}) : config_(config)
+    {
+    }
 
     LlmEngineService(const LlmEngineService &) = delete;
     LlmEngineService &operator=(const LlmEngineService &) = delete;
 
     /** Open an episode-local session (cheap; one per episode). */
-    EngineSession openSession() { return EngineSession(this); }
+    EngineSession openSession() { return EngineSession(*this); }
 
     /**
      * Backend id for a profile, registering it on first sight. The id is
@@ -403,14 +355,13 @@ class LlmEngineService
     static LlmEngineService &shared();
 
   private:
-    friend class EngineHandle;
     friend class EngineSession;
 
-    /** Fold one session flush — staged usage plus the phase's assembled
-     * batches — into the shared tallies under a single lock. */
-    void
-    accountFlush(std::span<const std::pair<BackendId, LlmUsage>> usage,
-                 std::span<const BatchRecord> batches) EBS_EXCLUDES(mu_);
+    /** Fold one session flush — the phase's assembled batches and
+     * their staged usage — into the shared tallies under a single
+     * lock. */
+    void accountFlush(std::span<const EngineSession::OpenGroup> groups)
+        EBS_EXCLUDES(mu_);
 
     struct Backend
     {

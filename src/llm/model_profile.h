@@ -18,7 +18,7 @@ namespace ebs::llm {
  * with api_rtt = 0 for local models. Capability model: each call kind
  * (planning / communication / reflection) has a base quality in [0, 1] — the
  * probability that the model produces the *good* output — degraded further
- * by context dilution and joint-reasoning complexity (see LlmEngine).
+ * by context dilution and joint-reasoning complexity (see sampleCompletion).
  *
  * Numbers are calibrated to the paper's hardware setup (GPT-4 via OpenAI
  * API; local models on an NVIDIA A6000).

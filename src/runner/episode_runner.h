@@ -40,12 +40,12 @@ struct EpisodeJob
     bool record_tokens = false;
 
     /**
-     * Engine service the episode's LLM calls route through (not owned).
-     * Defaults to the process-wide shared service so the whole fleet
-     * shares backends; nullptr selects the legacy per-agent-engine path.
-     * Either way results are bit-identical — the service only adds
-     * fleet-wide accounting and batch assembly, both race-free under the
-     * scheduler's worker pool.
+     * Engine service the episode's LLM calls route through (not owned;
+     * never null — the episode rejects null, see
+     * EpisodeOptions::engine_service). Defaults to the process-wide
+     * shared service so the whole fleet shares backends; results are
+     * bit-identical whichever service an episode uses, and its
+     * accounting and batch assembly are race-free under the worker pool.
      */
     llm::LlmEngineService *engine_service = &llm::LlmEngineService::shared();
 

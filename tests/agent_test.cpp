@@ -21,11 +21,13 @@ class AgentTest : public ::testing::Test
     makeAgent(AgentConfig config, std::uint64_t seed = 10)
     {
         return std::make_unique<Agent>(0, std::move(config), &env_,
-                                       sim::Rng(seed), &recorder_);
+                                       sim::Rng(seed), &recorder_, session_);
     }
 
     envs::TransportEnv env_;
     stats::LatencyRecorder recorder_;
+    llm::LlmEngineService service_;
+    llm::EngineSession session_ = service_.openSession();
 };
 
 TEST_F(AgentTest, SenseChargesSensingAndFeedsMemory)
@@ -74,7 +76,7 @@ TEST_F(AgentTest, ActionSelectionAddsSecondPlanningCall)
     AgentConfig coela = base;
     coela.llm_action_selection = true;
     stats::LatencyRecorder other;
-    Agent with_selection(0, coela, &env_, sim::Rng(10), &other);
+    Agent with_selection(0, coela, &env_, sim::Rng(10), &other, session_);
     with_selection.sense(0);
     with_selection.plan(0, PlanContext{});
     EXPECT_EQ(with_selection.llmUsage().calls, plain_calls + 1);
@@ -299,7 +301,7 @@ TEST_F(AgentTest, SensingMissRateHidesObjects)
     AgentConfig perfect;
     perfect.lat.sensing_miss_rate = 0.0;
     stats::LatencyRecorder other;
-    Agent sharp(0, perfect, &env_, sim::Rng(21), &other);
+    Agent sharp(0, perfect, &env_, sim::Rng(21), &other, session_);
     sharp.sense(0);
     EXPECT_GT(sharp.memory().liveRecords(), 0u);
 }
@@ -335,7 +337,7 @@ TEST_F(AgentTest, CarriedObjectSurvivesDetectorMisses)
     stats::LatencyRecorder other;
     AgentConfig lossy = config;
     lossy.lat.sensing_miss_rate = 1.0;
-    Agent blind(0, lossy, &env_, sim::Rng(24), &other);
+    Agent blind(0, lossy, &env_, sim::Rng(24), &other, session_);
     blind.sense(1);
     EXPECT_TRUE(
         blind.memory().knowsObject(env_.world().agent(0).carrying));

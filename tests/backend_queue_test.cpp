@@ -44,35 +44,6 @@ TEST(BackendQueue, DegenerateConfigsAreRejected)
     EXPECT_NO_THROW(llm::BackendQueue({}));
 }
 
-TEST(BackendQueue, ServiceRejectsInconsistentQueuePolicy)
-{
-    // Queueing serves assembled batch groups: enabling it without
-    // batching would silently run open-loop.
-    EXPECT_THROW(llm::LlmEngineService(llm::ServiceConfig{
-                     .batching = false, .queue = {.enabled = true}}),
-                 std::invalid_argument);
-    EXPECT_THROW(
-        llm::LlmEngineService(llm::ServiceConfig{
-            .batching = true,
-            .queue = {.enabled = true, .iteration_s = 0.0}}),
-        std::invalid_argument);
-    EXPECT_NO_THROW(llm::LlmEngineService(llm::ServiceConfig{
-        .batching = true, .queue = {.enabled = true}}));
-}
-
-TEST(BackendQueue, DegenerateOverridesAreRejectedAtConstruction)
-{
-    EXPECT_THROW(llm::BackendQueueModel(/*slots_override=*/-1,
-                                        /*kv_budget_override=*/0.0,
-                                        /*iteration_s=*/0.25),
-                 std::invalid_argument);
-    EXPECT_THROW(llm::BackendQueueModel(0, -5.0, 0.25),
-                 std::invalid_argument);
-    EXPECT_THROW(llm::BackendQueueModel(0, 0.0, 0.0),
-                 std::invalid_argument);
-    EXPECT_NO_THROW(llm::BackendQueueModel(8, 65536.0, 0.25));
-}
-
 // ---------------------------------------------------------------------
 // Hand-recomputed admission schedules.
 // ---------------------------------------------------------------------
@@ -217,8 +188,7 @@ paradigmBatch(llm::LlmEngineService *service)
     return jobs;
 }
 
-constexpr llm::ServiceConfig kQueuedConfig{.batching = true,
-                                           .queue = {.enabled = true}};
+constexpr llm::ServiceConfig kQueuedConfig{.queue = true};
 
 TEST(BackendQueue, QueuedEpisodesBitIdenticalAcrossWorkerCounts)
 {
@@ -255,9 +225,10 @@ TEST(BackendQueue, QueuedEpisodesBitIdenticalAcrossWorkerCounts)
 
 TEST(BackendQueue, QueueingChargesTheClockButNeverPerturbsBehavior)
 {
-    // Open loop (no service): the behavioral reference.
+    // Open loop (infinite-capacity backends): the behavioral reference.
+    llm::LlmEngineService open_service;
     const auto open_loop =
-        runner::EpisodeRunner(1).run(paradigmBatch(nullptr));
+        runner::EpisodeRunner(1).run(paradigmBatch(&open_service));
 
     llm::LlmEngineService queued_service(kQueuedConfig);
     const auto queued =

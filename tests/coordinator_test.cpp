@@ -786,6 +786,83 @@ TEST(AgentConfigValidation, RejectsBadPlanningComplexity)
     }
 }
 
+TEST(AgentConfigValidation, RejectsNonPositiveModelThroughput)
+{
+    // Unchecked, a negative decode rate ends the episode at 242.1
+    // simulated seconds instead of 598.6, and a zero prefill rate at NaN.
+    const std::string decode = configRejection([](AgentConfig &c) {
+        c.planner_model.decode_tok_per_s = -50.0;
+    });
+    EXPECT_NE(decode.find("planner_model.decode_tok_per_s"),
+              std::string::npos)
+        << decode;
+    EXPECT_NE(decode.find(llm::ModelProfile::gpt4Api().name),
+              std::string::npos)
+        << decode;
+    for (const double bad : {0.0, std::nan(""), HUGE_VAL}) {
+        EXPECT_NE(configRejection([bad](AgentConfig &c) {
+                      c.planner_model.prefill_tok_per_s = bad;
+                  }).find("planner_model.prefill_tok_per_s"),
+                  std::string::npos)
+            << bad;
+    }
+}
+
+TEST(AgentConfigValidation, RejectsNegativeModelRtt)
+{
+    // Unchecked, a negative RTT mean on a remote reflect model turns the
+    // lognormal RTT draw, and with it sim_seconds, into NaN.
+    EXPECT_NE(configRejection([](AgentConfig &c) {
+                  c.reflect_model.api_rtt_mean_s = -30.0;
+              }).find("reflect_model.api_rtt_mean_s"),
+              std::string::npos);
+    EXPECT_NE(configRejection([](AgentConfig &c) {
+                  c.comm_model.api_rtt_cv = std::nan("");
+              }).find("comm_model.api_rtt_cv"),
+              std::string::npos);
+}
+
+TEST(AgentConfigValidation, RejectsModelQualityOutsideUnitInterval)
+{
+    // Unchecked, a plan quality of 3 is accepted silently.
+    EXPECT_NE(configRejection([](AgentConfig &c) {
+                  c.planner_model.plan_quality = 3.0;
+              }).find("planner_model.plan_quality"),
+              std::string::npos);
+    const std::pair<const char *, double llm::ModelProfile::*> fields[] = {
+        {"comm_quality", &llm::ModelProfile::comm_quality},
+        {"reflect_quality", &llm::ModelProfile::reflect_quality},
+        {"format_compliance", &llm::ModelProfile::format_compliance}};
+    for (const auto &[name, field] : fields) {
+        for (const double bad : {-0.1, 1.5, std::nan("")}) {
+            EXPECT_NE(configRejection([field = field, bad](AgentConfig &c) {
+                          c.comm_model.*field = bad;
+                      }).find(name),
+                      std::string::npos)
+                << name << " " << bad;
+        }
+    }
+}
+
+TEST(AgentConfigValidation, RejectsBadModelWindowAndDilution)
+{
+    EXPECT_NE(configRejection([](AgentConfig &c) {
+                  c.planner_model.context_limit = 0;
+              }).find("context_limit"),
+              std::string::npos);
+    EXPECT_NE(configRejection([](AgentConfig &c) {
+                  c.reflect_model.dilution_onset_tokens = -1.0;
+              }).find("dilution_onset_tokens"),
+              std::string::npos);
+    for (const double bad : {0.0, -100.0, std::nan("")}) {
+        EXPECT_NE(configRejection([bad](AgentConfig &c) {
+                      c.comm_model.dilution_scale_tokens = bad;
+                  }).find("dilution_scale_tokens"),
+                  std::string::npos)
+            << bad;
+    }
+}
+
 TEST(AgentConfigValidation, AcceptsBoundaryValues)
 {
     EXPECT_EQ(configRejection([](AgentConfig &c) {
@@ -795,8 +872,51 @@ TEST(AgentConfigValidation, AcceptsBoundaryValues)
                   c.actuation_failure = 0.0;
                   c.central_joint_complexity = 0.0;
                   c.decentralized_complexity = 0.0;
+                  c.planner_model.plan_quality = 1.0;
+                  c.comm_model.format_compliance = 1.0;
+                  c.reflect_model.reflect_quality = 0.0;
+                  c.reflect_model.api_rtt_cv = 0.0;
+                  c.planner_model.context_limit = 1;
+                  c.comm_model.dilution_onset_tokens = 0.0;
               }),
               "");
+}
+
+/** Run a single-agent transport episode (Easy, seed 3) with `edit`
+ * applied to default options; return the std::invalid_argument message,
+ * or "" when it ran. */
+template <typename Edit>
+std::string
+optionsRejection(Edit edit)
+{
+    envs::TransportEnv environment(env::Difficulty::Easy, 1, sim::Rng(3));
+    EpisodeOptions options;
+    options.seed = 3;
+    edit(options);
+    try {
+        runSingleAgent(environment, goodConfig(), options);
+        return "";
+    } catch (const std::invalid_argument &e) {
+        return e.what();
+    }
+}
+
+TEST(EpisodeOptionsValidation, RejectsNullEngineService)
+{
+    EXPECT_NE(optionsRejection([](EpisodeOptions &o) {
+                  o.engine_service = nullptr;
+              }).find("EpisodeOptions::engine_service"),
+              std::string::npos);
+}
+
+TEST(EpisodeOptionsValidation, RejectsNullPhaseWall)
+{
+    // Unchecked, this episode segfaults at its first phase.
+    EXPECT_NE(optionsRejection([](EpisodeOptions &o) {
+                  o.phase_wall = nullptr;
+              }).find("EpisodeOptions::phase_wall"),
+              std::string::npos);
+    EXPECT_EQ(optionsRejection([](EpisodeOptions &) {}), "");
 }
 
 } // namespace

@@ -1,14 +1,16 @@
 /**
  * @file
- * Determinism harness for the shared LLM engine service (the tentpole
- * contract): routing every agent module through LlmEngineService — with
- * batching off or on, serial or fanned across EpisodeRunner workers —
- * must be bit-identical to the legacy per-agent-engine path, while the
- * service's usage aggregation stays exact and its batch assembly stays
+ * Determinism harness for the shared LLM engine service, the one path
+ * every LLM call takes: episodes routed through LlmEngineService match
+ * the pinned per-agent-engine reference (kPinnedEnginePath) bit for bit,
+ * serial or fanned across EpisodeRunner workers, while the service's
+ * usage aggregation stays exact and its batch assembly stays
  * reproducible at any worker count.
  */
 
+#include <bit>
 #include <cstdint>
+#include <iterator>
 #include <limits>
 #include <string>
 #include <vector>
@@ -50,29 +52,83 @@ paradigmBatch(llm::LlmEngineService *service)
     return jobs;
 }
 
+/**
+ * The paradigmBatch episodes as the per-agent private engines produced
+ * them, before every LLM call went through an engine-service session
+ * (jobs in paradigmBatch order). `sim_bits` and `llm_latency_bits` are
+ * the IEEE-754 bit patterns of sim_seconds and llm.total_latency_s.
+ */
+struct PinnedEpisode
+{
+    bool success;
+    int steps;
+    std::uint64_t sim_bits;
+    std::uint64_t llm_latency_bits;
+    std::size_t calls;
+    long tokens_in;
+    long tokens_out;
+    int messages_generated;
+    int messages_useful;
+    std::size_t token_rows;
+};
+
+constexpr PinnedEpisode kPinnedEnginePath[] = {
+    {true, 25, 0x405bdc0aedd1a3caULL, 0x4043a5e353f7ced9ULL, 25, 12888, 1820,
+     0, 0, 25},
+    {true, 64, 0x4070e155ca3955e0ULL, 0x4058bab37d235753ULL, 64, 32867, 4574,
+     0, 0, 64},
+    {true, 26, 0x40592a534a68348cULL, 0x404231c68d0ca7d5ULL, 26, 13282, 1662,
+     0, 0, 26},
+    {true, 33, 0x4080a115d6ab5e7fULL, 0x407e706d321de5daULL, 66, 134970,
+     8803, 33, 33, 66},
+    {true, 9, 0x4062e1e9b6a97f02ULL, 0x405e2c399c9a7d02ULL, 18, 23850, 2232,
+     9, 9, 18},
+    {true, 10, 0x406473d715f5c0aaULL, 0x40613fe3f491d4d3ULL, 20, 27100, 2513,
+     10, 10, 20},
+    {true, 10, 0x4073018f3f9b8ee3ULL, 0x406eff4dc36da270ULL, 60, 48203, 3941,
+     20, 4, 40},
+    {true, 10, 0x4074102804c058c5ULL, 0x406fbb559c93cf27ULL, 60, 49495, 4181,
+     20, 3, 40},
+    {true, 8, 0x406da3c35a09abb5ULL, 0x406824eda026dd84ULL, 48, 37920, 3229,
+     16, 3, 32},
+};
+
 TEST(EngineService, BitIdenticalAcrossEnginePathsAndWorkerCounts)
 {
-    // Reference: the legacy per-agent-engine path, serial.
-    const auto legacy =
-        runner::EpisodeRunner(1).run(paradigmBatch(nullptr));
+    // Reference: the serial run matches the pinned private-engine table.
+    llm::LlmEngineService serial_service;
+    const auto serial =
+        runner::EpisodeRunner(1).run(paradigmBatch(&serial_service));
+    ASSERT_EQ(serial.size(), std::size(kPinnedEnginePath));
+    for (std::size_t i = 0; i < serial.size(); ++i) {
+        SCOPED_TRACE("job " + std::to_string(i));
+        const PinnedEpisode &pinned = kPinnedEnginePath[i];
+        const auto &episode = serial[i];
+        EXPECT_EQ(episode.success, pinned.success);
+        EXPECT_EQ(episode.steps, pinned.steps);
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(episode.sim_seconds),
+                  pinned.sim_bits);
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(episode.llm.total_latency_s),
+                  pinned.llm_latency_bits);
+        EXPECT_EQ(episode.llm.calls, pinned.calls);
+        EXPECT_EQ(episode.llm.tokens_in, pinned.tokens_in);
+        EXPECT_EQ(episode.llm.tokens_out, pinned.tokens_out);
+        EXPECT_EQ(episode.messages_generated, pinned.messages_generated);
+        EXPECT_EQ(episode.messages_useful, pinned.messages_useful);
+        EXPECT_EQ(episode.token_series.size(), pinned.token_rows);
+    }
 
-    // The EBS_JOBS sweep of the acceptance contract: serial, a fixed
-    // multi-worker count, and the hardware/EBS_JOBS default.
-    const int worker_counts[] = {1, 4, runner::EpisodeRunner::defaultJobs()};
-
-    for (const bool batching : {false, true}) {
-        for (const int workers : worker_counts) {
-            llm::LlmEngineService service(
-                llm::ServiceConfig{.batching = batching, .queue = {}});
-            const auto routed = runner::EpisodeRunner(workers).run(
-                paradigmBatch(&service));
-            ASSERT_EQ(routed.size(), legacy.size());
-            for (std::size_t i = 0; i < legacy.size(); ++i) {
-                SCOPED_TRACE("batching=" + std::to_string(batching) +
-                             " workers=" + std::to_string(workers) +
-                             " job " + std::to_string(i));
-                test::expectEpisodeIdentical(legacy[i], routed[i]);
-            }
+    // The EBS_JOBS sweep of the acceptance contract: a fixed
+    // multi-worker count and the hardware/EBS_JOBS default match serial.
+    for (const int workers : {4, runner::EpisodeRunner::defaultJobs()}) {
+        llm::LlmEngineService service;
+        const auto routed =
+            runner::EpisodeRunner(workers).run(paradigmBatch(&service));
+        ASSERT_EQ(routed.size(), serial.size());
+        for (std::size_t i = 0; i < serial.size(); ++i) {
+            SCOPED_TRACE("workers=" + std::to_string(workers) + " job " +
+                         std::to_string(i));
+            test::expectEpisodeIdentical(serial[i], routed[i]);
         }
     }
 }
@@ -187,21 +243,6 @@ TEST(EngineService, SizeOneBatchesChargeExactlySequentialLatency)
     }
 }
 
-TEST(EngineService, LegacyPathProducesNoBatchLog)
-{
-    const auto legacy =
-        runner::EpisodeRunner(1).run(paradigmBatch(nullptr));
-    for (const auto &episode : legacy)
-        EXPECT_TRUE(episode.llm_batches.empty());
-
-    llm::LlmEngineService unbatched(
-        llm::ServiceConfig{.batching = false, .queue = {}});
-    const auto routed =
-        runner::EpisodeRunner(1).run(paradigmBatch(&unbatched));
-    for (const auto &episode : routed)
-        EXPECT_TRUE(episode.llm_batches.empty());
-}
-
 TEST(EngineService, BatchAssemblyIsDeterministicAcrossWorkerCounts)
 {
     llm::LlmEngineService serial_service;
@@ -280,23 +321,6 @@ TEST(EngineService, MultiAgentWorkloadsBatchAcrossAgents)
     EXPECT_GT(folded.cross_agent_batches, 0);
     EXPECT_GT(folded.occupancy(), 1.0);
     EXPECT_LT(folded.batched_s, folded.baseline_s);
-}
-
-TEST(EngineService, ChargedBatchingIsInertOnTheLegacyPath)
-{
-    // Without an engine-service session there is nothing to batch, so
-    // the ablation must not touch the clock (the old code wrongly
-    // applied the parallel-pipelines discount here).
-    auto flagged = paradigmBatch(nullptr);
-    for (auto &job : flagged)
-        job.pipeline.batch_llm_calls = true;
-    const auto legacy = runner::EpisodeRunner(1).run(paradigmBatch(nullptr));
-    const auto inert = runner::EpisodeRunner(1).run(flagged);
-    ASSERT_EQ(inert.size(), legacy.size());
-    for (std::size_t i = 0; i < legacy.size(); ++i) {
-        SCOPED_TRACE("job " + std::to_string(i));
-        test::expectEpisodeIdentical(legacy[i], inert[i]);
-    }
 }
 
 TEST(EngineService, MergeWindowFoldIsConservative)
@@ -486,28 +510,37 @@ TEST(EngineService, BackendIdsAreRegistrationOrderIndependent)
     EXPECT_EQ(local_first, local_second);
 }
 
-TEST(EngineService, DetachedHandleMatchesPrivateEngine)
+TEST(EngineService, HandleMatchesSampleCompletion)
 {
+    // A handle is sampleCompletion() on its own stream plus usage
+    // accounting: the session it joins never draws from the stream.
     const auto profile = llm::ModelProfile::gpt4Api();
-    llm::LlmEngine engine(profile, sim::Rng(42));
-    llm::EngineHandle handle(nullptr, profile, sim::Rng(42));
+    llm::LlmEngineService service;
+    llm::EngineSession session = service.openSession();
+    llm::EngineHandle handle = session.handle(profile, sim::Rng(42));
+    sim::Rng reference(42);
 
     llm::LlmRequest request;
     request.tokens_in = 900;
     request.tokens_out_mean = 80;
+    llm::LlmUsage expected;
     for (int i = 0; i < 50; ++i) {
-        const auto a = engine.complete(request);
+        const auto a = llm::sampleCompletion(profile, request, reference);
         const auto b = handle.complete(request);
+        expected.add(a);
         EXPECT_EQ(a.latency_s, b.latency_s);
         EXPECT_EQ(a.tokens_in, b.tokens_in);
         EXPECT_EQ(a.tokens_out, b.tokens_out);
+        EXPECT_EQ(a.truncated, b.truncated);
         EXPECT_EQ(a.parse_ok, b.parse_ok);
         EXPECT_EQ(a.good, b.good);
+        if (i % 7 == 6)
+            session.flush(); // batch boundaries never touch the stream
     }
-    EXPECT_EQ(engine.usage().calls, handle.usage().calls);
-    EXPECT_EQ(engine.usage().tokens_out, handle.usage().tokens_out);
-    EXPECT_EQ(engine.usage().total_latency_s,
-              handle.usage().total_latency_s);
+    EXPECT_EQ(handle.usage().calls, expected.calls);
+    EXPECT_EQ(handle.usage().tokens_in, expected.tokens_in);
+    EXPECT_EQ(handle.usage().tokens_out, expected.tokens_out);
+    EXPECT_EQ(handle.usage().total_latency_s, expected.total_latency_s);
 }
 
 TEST(EngineService, SharedServiceIsTheDefaultRoute)

@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
-#include "llm/engine.h"
+#include <cstdint>
+#include <vector>
+
+#include "llm/engine_service.h"
 #include "llm/model_profile.h"
 #include "llm/prompt.h"
 #include "llm/token.h"
@@ -120,24 +123,79 @@ TEST(Prompt, CompressionScalesTargetSectionsOnly)
     EXPECT_EQ(c.tokens(), 50 + 100);
 }
 
+/**
+ * The LLM engine under test: one handle on a session of a local service,
+ * the path every agent module's LLM call takes. complete() is a per-call
+ * completion; completeBatch() sends its requests as one batch group and
+ * returns the group's BatchRecord.
+ */
+class TestEngine
+{
+  public:
+    TestEngine(const ModelProfile &profile, std::uint64_t seed)
+        : handle_(session_.handle(profile, sim::Rng(seed)))
+    {
+    }
+
+    LlmResponse complete(const LlmRequest &request)
+    {
+        return handle_.complete(request);
+    }
+
+    BatchRecord
+    completeBatch(const std::vector<LlmRequest> &requests,
+                  std::vector<LlmResponse> *responses = nullptr)
+    {
+        for (const auto &request : requests) {
+            const LlmResponse resp = handle_.complete(request);
+            if (responses != nullptr)
+                responses->push_back(resp);
+        }
+        session_.flush();
+        return session_.log().back();
+    }
+
+    EngineHandle &handle() { return handle_; }
+    EngineSession &session() { return session_; }
+
+  private:
+    LlmEngineService service_;
+    EngineSession session_ = service_.openSession();
+    EngineHandle handle_;
+};
+
 TEST(LlmEngine, LatencyCompositionRemote)
 {
     const auto profile = ModelProfile::gpt4Api();
-    LlmEngine engine(profile, sim::Rng(1));
     LlmRequest req;
     req.tokens_in = 5000;
     req.tokens_out_mean = 110;
-    const double expected = engine.expectedLatency(req);
     // RTT + prefill + decode, using means.
-    EXPECT_NEAR(expected,
+    EXPECT_NEAR(expectedCompletionLatency(profile, req),
                 profile.api_rtt_mean_s + 5000 / profile.prefill_tok_per_s +
                     110 / profile.decode_tok_per_s,
+                1e-9);
+
+    // A sampled call pays its prefill and decode plus a positive RTT on
+    // the remote backend, and no RTT on a local one.
+    TestEngine remote(profile, 1);
+    const auto r = remote.complete(req);
+    EXPECT_GT(r.latency_s - r.tokens_in / profile.prefill_tok_per_s -
+                  r.tokens_out / profile.decode_tok_per_s,
+              0.0);
+    const auto local_profile = ModelProfile::llama3_8bLocal();
+    TestEngine local(local_profile, 1);
+    const auto l = local.complete(req);
+    EXPECT_NEAR(l.latency_s,
+                l.tokens_in / local_profile.prefill_tok_per_s +
+                    l.tokens_out / local_profile.decode_tok_per_s,
                 1e-9);
 }
 
 TEST(LlmEngine, SampledLatencyNearExpected)
 {
-    LlmEngine engine(ModelProfile::gpt4Api(), sim::Rng(2));
+    const auto profile = ModelProfile::gpt4Api();
+    TestEngine engine(profile, 2);
     LlmRequest req;
     req.tokens_in = 2000;
     req.tokens_out_mean = 100;
@@ -145,15 +203,15 @@ TEST(LlmEngine, SampledLatencyNearExpected)
     const int n = 2000;
     for (int i = 0; i < n; ++i)
         sum += engine.complete(req).latency_s;
-    EXPECT_NEAR(sum / n, engine.expectedLatency(req),
-                engine.expectedLatency(req) * 0.1);
+    const double expected = expectedCompletionLatency(profile, req);
+    EXPECT_NEAR(sum / n, expected, expected * 0.1);
 }
 
 TEST(LlmEngine, TruncatesAtContextLimit)
 {
     auto profile = ModelProfile::llama3_8bLocal();
     profile.context_limit = 1000;
-    LlmEngine engine(profile, sim::Rng(3));
+    TestEngine engine(profile, 3);
     LlmRequest req;
     req.tokens_in = 5000;
     const auto resp = engine.complete(req);
@@ -164,8 +222,8 @@ TEST(LlmEngine, TruncatesAtContextLimit)
 TEST(LlmEngine, QualityDropsWithDilution)
 {
     auto profile = ModelProfile::gpt4Api();
-    LlmEngine short_engine(profile, sim::Rng(4));
-    LlmEngine long_engine(profile, sim::Rng(4));
+    TestEngine short_engine(profile, 4);
+    TestEngine long_engine(profile, 4);
     int short_good = 0, long_good = 0;
     const int n = 4000;
     for (int i = 0; i < n; ++i) {
@@ -181,8 +239,8 @@ TEST(LlmEngine, QualityDropsWithDilution)
 
 TEST(LlmEngine, ComplexityReducesQuality)
 {
-    LlmEngine a(ModelProfile::gpt4Api(), sim::Rng(5));
-    LlmEngine b(ModelProfile::gpt4Api(), sim::Rng(5));
+    TestEngine a(ModelProfile::gpt4Api(), 5);
+    TestEngine b(ModelProfile::gpt4Api(), 5);
     int easy = 0, complex_good = 0;
     const int n = 4000;
     for (int i = 0; i < n; ++i) {
@@ -197,24 +255,23 @@ TEST(LlmEngine, ComplexityReducesQuality)
 
 TEST(LlmEngine, UsageAccounting)
 {
-    LlmEngine engine(ModelProfile::gpt4Api(), sim::Rng(6));
+    TestEngine engine(ModelProfile::gpt4Api(), 6);
     LlmRequest req;
     req.tokens_in = 100;
     req.tokens_out_mean = 10;
     engine.complete(req);
     engine.complete(req);
-    EXPECT_EQ(engine.usage().calls, 2u);
-    EXPECT_EQ(engine.usage().tokens_in, 200);
-    EXPECT_GT(engine.usage().tokens_out, 0);
-    EXPECT_GT(engine.usage().total_latency_s, 0.0);
-    engine.resetUsage();
-    EXPECT_EQ(engine.usage().calls, 0u);
+    const LlmUsage &usage = engine.handle().usage();
+    EXPECT_EQ(usage.calls, 2u);
+    EXPECT_EQ(usage.tokens_in, 200);
+    EXPECT_GT(usage.tokens_out, 0);
+    EXPECT_GT(usage.total_latency_s, 0.0);
 }
 
 TEST(LlmEngine, BatchIsFasterThanSequential)
 {
-    LlmEngine seq(ModelProfile::gpt4Api(), sim::Rng(7));
-    LlmEngine bat(ModelProfile::gpt4Api(), sim::Rng(7));
+    TestEngine seq(ModelProfile::gpt4Api(), 7);
+    TestEngine bat(ModelProfile::gpt4Api(), 7);
     std::vector<LlmRequest> requests(6);
     for (auto &r : requests) {
         r.tokens_in = 800;
@@ -223,18 +280,21 @@ TEST(LlmEngine, BatchIsFasterThanSequential)
     double sequential = 0.0;
     for (const auto &r : requests)
         sequential += seq.complete(r).latency_s;
-    const auto batched = bat.completeBatch(requests);
-    ASSERT_EQ(batched.size(), requests.size());
-    EXPECT_LT(batched.front().latency_s, sequential * 0.6);
+    const BatchRecord batch = bat.completeBatch(requests);
+    EXPECT_EQ(batch.requests, 6);
+    EXPECT_LT(batch.batched_s, sequential * 0.6);
 }
 
 TEST(LlmEngine, BatchEmptyIsEmpty)
 {
-    LlmEngine engine(ModelProfile::gpt4Api(), sim::Rng(8));
-    EXPECT_TRUE(engine.completeBatch({}).empty());
-    // An empty batch costs nothing: no usage, no RNG consumption.
-    EXPECT_EQ(engine.usage().calls, 0u);
-    LlmEngine untouched(ModelProfile::gpt4Api(), sim::Rng(8));
+    // A flush with nothing open logs nothing, costs nothing, and
+    // consumes no randomness.
+    TestEngine engine(ModelProfile::gpt4Api(), 8);
+    engine.session().flush();
+    EXPECT_TRUE(engine.session().log().empty());
+    EXPECT_EQ(engine.session().takePendingCharge(), 0.0);
+    EXPECT_EQ(engine.handle().usage().calls, 0u);
+    TestEngine untouched(ModelProfile::gpt4Api(), 8);
     LlmRequest req;
     req.tokens_in = 500;
     EXPECT_EQ(engine.complete(req).latency_s,
@@ -243,77 +303,89 @@ TEST(LlmEngine, BatchEmptyIsEmpty)
 
 TEST(LlmEngine, BatchOfOneIsExactlyComplete)
 {
+    // A group of one costs exactly its sampled latency.
     LlmRequest req;
     req.tokens_in = 1200;
     req.tokens_out_mean = 70;
 
-    LlmEngine single(ModelProfile::gpt4Api(), sim::Rng(21));
-    LlmEngine batched(ModelProfile::gpt4Api(), sim::Rng(21));
+    TestEngine single(ModelProfile::gpt4Api(), 21);
+    TestEngine batched(ModelProfile::gpt4Api(), 21);
     const auto a = single.complete(req);
-    const auto batch = batched.completeBatch({req});
-    ASSERT_EQ(batch.size(), 1u);
-    const auto &b = batch.front();
-    EXPECT_EQ(a.latency_s, b.latency_s); // bitwise: same draws, same math
+    std::vector<LlmResponse> responses;
+    const BatchRecord batch = batched.completeBatch({req}, &responses);
+    ASSERT_EQ(responses.size(), 1u);
+    const auto &b = responses.front();
+    EXPECT_EQ(batch.requests, 1);
+    EXPECT_EQ(batch.batched_s, a.latency_s); // bitwise: same draws
+    EXPECT_EQ(batch.baseline_s, a.latency_s);
+    EXPECT_EQ(a.latency_s, b.latency_s);
     EXPECT_EQ(a.tokens_in, b.tokens_in);
     EXPECT_EQ(a.tokens_out, b.tokens_out);
     EXPECT_EQ(a.parse_ok, b.parse_ok);
     EXPECT_EQ(a.good, b.good);
-    EXPECT_EQ(single.usage().calls, batched.usage().calls);
-    EXPECT_EQ(single.usage().total_latency_s,
-              batched.usage().total_latency_s);
 }
 
 TEST(LlmEngine, BatchResponseStreamMatchesSequential)
 {
-    // Batching is a latency optimization only: every non-latency response
-    // field must be bit-identical to issuing the same requests one by one
-    // on the same stream.
+    // Batching is a latency model only: every response is bit-identical
+    // to issuing the same requests one group at a time on the same
+    // stream.
     std::vector<LlmRequest> requests(5);
     for (std::size_t i = 0; i < requests.size(); ++i) {
         requests[i].tokens_in = 400 + 300 * static_cast<int>(i);
         requests[i].tokens_out_mean = 40 + 10 * static_cast<int>(i);
     }
-    LlmEngine seq(ModelProfile::gpt4Api(), sim::Rng(22));
-    LlmEngine bat(ModelProfile::gpt4Api(), sim::Rng(22));
-    const auto batched = bat.completeBatch(requests);
-    ASSERT_EQ(batched.size(), requests.size());
+    TestEngine seq(ModelProfile::gpt4Api(), 22);
+    TestEngine bat(ModelProfile::gpt4Api(), 22);
+    std::vector<LlmResponse> sequential;
+    for (const auto &r : requests)
+        seq.completeBatch({r}, &sequential);
+    std::vector<LlmResponse> batched;
+    const BatchRecord batch = bat.completeBatch(requests, &batched);
+    EXPECT_EQ(batch.requests, static_cast<int>(requests.size()));
+    ASSERT_EQ(batched.size(), sequential.size());
     for (std::size_t i = 0; i < requests.size(); ++i) {
-        const auto a = seq.complete(requests[i]);
-        EXPECT_EQ(a.tokens_in, batched[i].tokens_in);
-        EXPECT_EQ(a.tokens_out, batched[i].tokens_out);
-        EXPECT_EQ(a.parse_ok, batched[i].parse_ok);
-        EXPECT_EQ(a.good, batched[i].good);
-        EXPECT_EQ(a.truncated, batched[i].truncated);
-        // Batch members all report the shared completion time.
-        EXPECT_EQ(batched[i].latency_s, batched.front().latency_s);
+        const auto &a = sequential[i];
+        const auto &b = batched[i];
+        EXPECT_EQ(a.latency_s, b.latency_s);
+        EXPECT_EQ(a.tokens_in, b.tokens_in);
+        EXPECT_EQ(a.tokens_out, b.tokens_out);
+        EXPECT_EQ(a.parse_ok, b.parse_ok);
+        EXPECT_EQ(a.good, b.good);
+        EXPECT_EQ(a.truncated, b.truncated);
     }
+    EXPECT_EQ(seq.handle().usage().total_latency_s,
+              bat.handle().usage().total_latency_s);
 }
 
 TEST(LlmEngine, BatchTruncatesOversizedMemberOnly)
 {
     auto profile = ModelProfile::llama3_8bLocal();
     profile.context_limit = 1000;
-    LlmEngine engine(profile, sim::Rng(23));
+    TestEngine engine(profile, 23);
 
     std::vector<LlmRequest> requests(3);
     requests[0].tokens_in = 300;
     requests[1].tokens_in = 5000; // exceeds the window
     requests[2].tokens_in = 800;
-    const auto batched = engine.completeBatch(requests);
+    std::vector<LlmResponse> batched;
+    const BatchRecord batch = engine.completeBatch(requests, &batched);
     ASSERT_EQ(batched.size(), 3u);
     EXPECT_FALSE(batched[0].truncated);
     EXPECT_TRUE(batched[1].truncated);
     EXPECT_FALSE(batched[2].truncated);
     EXPECT_EQ(batched[1].tokens_in, 1000);
-    // Usage counts the clamped prompt sizes.
-    EXPECT_EQ(engine.usage().tokens_in, 300 + 1000 + 800);
-    EXPECT_EQ(engine.usage().calls, 3u);
+    // Usage and the group's prefill count the clamped prompt sizes.
+    EXPECT_EQ(engine.handle().usage().tokens_in, 300 + 1000 + 800);
+    EXPECT_EQ(engine.handle().usage().calls, 3u);
+    EXPECT_EQ(batch.requests, 3);
+    EXPECT_NEAR(batch.prefill_s, 2100 / profile.prefill_tok_per_s, 1e-12);
 }
 
 TEST(LlmEngine, BatchLatencyNeverExceedsSequentialSum)
 {
-    LlmEngine seq(ModelProfile::gpt4Api(), sim::Rng(24));
-    LlmEngine bat(ModelProfile::gpt4Api(), sim::Rng(24));
+    TestEngine seq(ModelProfile::gpt4Api(), 24);
+    TestEngine bat(ModelProfile::gpt4Api(), 24);
     for (int round = 0; round < 20; ++round) {
         std::vector<LlmRequest> requests(
             static_cast<std::size_t>(2 + round % 5));
@@ -324,8 +396,9 @@ TEST(LlmEngine, BatchLatencyNeverExceedsSequentialSum)
         double sequential = 0.0;
         for (const auto &r : requests)
             sequential += seq.complete(r).latency_s;
-        const auto batched = bat.completeBatch(requests);
-        EXPECT_LE(batched.front().latency_s, sequential);
+        const BatchRecord batch = bat.completeBatch(requests);
+        EXPECT_EQ(batch.baseline_s, sequential);
+        EXPECT_LE(batch.batched_s, sequential);
     }
 }
 
@@ -347,11 +420,11 @@ TEST(LlmEngine, ExpectedBatchLatencyMatchesSampledMean)
     EXPECT_LT(expected, 4 * expectedCompletionLatency(profile,
                                                       requests.front()));
 
-    LlmEngine engine(profile, sim::Rng(25));
+    TestEngine engine(profile, 25);
     double sum = 0.0;
     const int n = 2000;
     for (int i = 0; i < n; ++i)
-        sum += engine.completeBatch(requests).front().latency_s;
+        sum += engine.completeBatch(requests).batched_s;
     EXPECT_NEAR(sum / n, expected, expected * 0.1);
 }
 
@@ -385,7 +458,7 @@ class EngineMonotoneSweep : public ::testing::TestWithParam<int>
 
 TEST_P(EngineMonotoneSweep, ExpectedLatencyMonotone)
 {
-    LlmEngine engine(profileFor(GetParam()), sim::Rng(9));
+    const ModelProfile profile = profileFor(GetParam());
     LlmRequest small;
     small.tokens_in = 100;
     small.tokens_out_mean = 20;
@@ -393,10 +466,10 @@ TEST_P(EngineMonotoneSweep, ExpectedLatencyMonotone)
     more_in.tokens_in = 2000;
     LlmRequest more_out = small;
     more_out.tokens_out_mean = 200;
-    EXPECT_LT(engine.expectedLatency(small),
-              engine.expectedLatency(more_in));
-    EXPECT_LT(engine.expectedLatency(small),
-              engine.expectedLatency(more_out));
+    EXPECT_LT(expectedCompletionLatency(profile, small),
+              expectedCompletionLatency(profile, more_in));
+    EXPECT_LT(expectedCompletionLatency(profile, small),
+              expectedCompletionLatency(profile, more_out));
 }
 
 INSTANTIATE_TEST_SUITE_P(AllModels, EngineMonotoneSweep,

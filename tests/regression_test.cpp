@@ -71,7 +71,9 @@ TEST(Regression, StaleBeliefIsInvalidatedAfterFailedVisit)
     envs::TransportEnv env(env::Difficulty::Easy, 1, rng);
     stats::LatencyRecorder recorder;
     core::AgentConfig config;
-    core::Agent agent(0, config, &env, sim::Rng(10), &recorder);
+    llm::LlmEngineService service;
+    llm::EngineSession session = service.openSession();
+    core::Agent agent(0, config, &env, sim::Rng(10), &recorder, session);
 
     // Deterministic fixture: stand the agent in a room guaranteed to
     // contain a loose item (the spawn room may be empty), sense it, then

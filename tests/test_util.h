@@ -14,15 +14,13 @@ namespace ebs::test {
 
 /**
  * Every *simulated-result* field of two EpisodeResults must match
- * exactly — bitwise for the doubles, since both the parallel episode
- * runner and the shared LLM engine service promise bit-identical
- * results to the serial/legacy paths. Shared by runner_test and
- * engine_service_test.
+ * exactly — bitwise for the doubles, since the parallel episode runner
+ * promises results bit-identical to the serial run. Shared by
+ * runner_test, engine_service_test and the other determinism tests.
  *
  * Deliberately excluded: `llm_batches`, which is service telemetry, not
- * a simulated result — it is empty by construction on the legacy and
- * batching-off paths this helper compares against, and its own
- * worker-count determinism is asserted separately
+ * a simulated result; its own worker-count determinism is asserted
+ * separately
  * (EngineService.BatchAssemblyIsDeterministicAcrossWorkerCounts).
  */
 inline void
