@@ -350,9 +350,7 @@ Agent::plan(int step, const PlanContext &context)
         menu_tokens;
     request.tokens_out_mean = config_.lat.plan_out_tokens;
     request.complexity =
-        std::clamp(context.extra_complexity +
-                       config_.decentralized_complexity *
-                           (context.n_agents - 1) +
+        std::clamp(config_.decentralized_complexity * (context.n_agents - 1) +
                        std::min(0.2,
                                 static_cast<double>(menu.size()) / 400.0) +
                        std::min(kMaxCorruptionComplexity,
@@ -389,22 +387,10 @@ Agent::plan(int step, const PlanContext &context)
         good = good && sel.good;
     }
 
-    if (good) {
-        const auto known = knownUsefulSubgoals();
-        if (!known.empty()) {
-            decision.subgoal = known[rng_.pickIndex(known.size())];
-            decision.from_oracle = true;
-        } else {
-            // A good plan with no actionable knowledge means search.
-            decision.subgoal = searchOrExploreSubgoal();
-            decision.from_oracle = true;
-        }
-    } else if (rng_.bernoulli(config_.hallucination_rate)) {
-        decision.subgoal = hallucinatedSubgoal();
-        decision.hallucinated = true;
-    } else {
-        decision.subgoal = suboptimalSubgoal();
-    }
+    decision.from_oracle = good;
+    decision.hallucinated =
+        !good && rng_.bernoulli(config_.hallucination_rate);
+    decision.subgoal = chooseSubgoal(good, decision.hallucinated, step);
 
     decision.wants_comm =
         config_.has_communication && rng_.bernoulli(config_.message_utility);
@@ -424,6 +410,7 @@ Agent::chooseSubgoal(bool good_plan, bool hallucinate, int step)
         const auto known = knownUsefulSubgoals();
         if (!known.empty())
             return known[rng_.pickIndex(known.size())];
+        // A good plan with no actionable knowledge means search.
         return searchOrExploreSubgoal();
     }
     if (hallucinate)

@@ -30,8 +30,7 @@ struct PlanContext
 {
     int step = 0;
     int n_agents = 1;
-    double extra_complexity = 0.0; ///< paradigm-level complexity add-on
-    double compression = 1.0;      ///< context-compression ratio (Rec. 6)
+    double compression = 1.0; ///< context-compression ratio (Rec. 6)
 };
 
 /** Result of executing one subgoal. */
@@ -98,9 +97,9 @@ class Agent
     PlanDecision plan(int step, const PlanContext &context);
 
     /**
-     * Oracle-assisted subgoal choice used by centralized coordinators:
-     * same knowledge filtering as plan(), but the good/bad decision is
-     * supplied by the caller (the central planner's joint LLM call).
+     * Oracle-assisted subgoal choice behind plan() and the centralized
+     * coordinators: the good/bad decision is supplied by the caller (the
+     * agent's own planning call, or a central planner's joint LLM call).
      */
     env::Subgoal chooseSubgoal(bool good_plan, bool hallucinate, int step);
 

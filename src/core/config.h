@@ -142,10 +142,10 @@ struct PipelineOptions
 
     /**
      * Model an optimistic execute phase: each turn runs once, in agent
-     * order, with read/write-set logging on the live world, and the
-     * `spec_*` tallies record which turns a concurrent
-     * snapshot-and-commit execution would commit (read set disjoint from
-     * earlier agents' writes) and which it would re-execute. Every
+     * order, with an access log on the live world, and the `spec_*`
+     * tallies record which turns a concurrent snapshot-and-commit
+     * execution would commit (no read of state earlier agents wrote)
+     * and which it would re-execute. Every
      * result, counter and clock value is the serial schedule's. Modeled
      * only: no host threads, no snapshots. Inert for single-agent teams
      * and for environments that report !speculativeExecuteSafe().

@@ -75,8 +75,9 @@ validate(const llm::ModelProfile &model, const char *field)
 
 /**
  * Reject agent calibrations that would turn into negative or NaN
- * simulated time or plan quality, naming the field: latencies and
- * planning complexities must be finite and nonnegative, token counts
+ * simulated time or plan quality, naming the field: latencies, memory
+ * retrieval costs and planning complexities must be finite and
+ * nonnegative, token counts and the memory inconsistency onset
  * nonnegative, behavior probabilities in [0, 1], and the three model
  * profiles valid.
  */
@@ -98,6 +99,16 @@ validate(const AgentConfig &config)
     }
     requireNonnegative(lat.move_per_cell_s,
                        "ModuleLatencies::move_per_cell_s");
+    const memory::MemoryModule::Config &memory = config.memory;
+    requireNonnegative(memory.retrieval_base_s,
+                       "AgentConfig::memory.retrieval_base_s");
+    requireNonnegative(memory.retrieval_per_record_s,
+                       "AgentConfig::memory.retrieval_per_record_s");
+    requireNonnegative(memory.inconsistency_rate,
+                       "AgentConfig::memory.inconsistency_rate");
+    require(memory.inconsistency_onset >= 0,
+            "AgentConfig::memory.inconsistency_onset", ">= 0",
+            memory.inconsistency_onset);
     requireNonnegative(config.central_joint_complexity,
                        "AgentConfig::central_joint_complexity");
     requireNonnegative(config.decentralized_complexity,
@@ -190,11 +201,12 @@ struct StepPlan
  *    applied to the serial run): each turn runs once, in agent-index
  *    order, with an access log attached to the live world. An eligible
  *    (`has_execution`) turn is aborted if its log carries the abort
- *    flag, conflicting if its read set meets the writes of the agents
- *    before it (plus the cells their bodies vacated or claimed), and
- *    committed otherwise. A turn run against a phase-start snapshot
- *    reads the same values as the serial turn up to the first read of a
- *    key a predecessor wrote, and both make that read, so a turn commits
+ *    flag, conflicting if it read state an agent before it wrote (the
+ *    log decides this at each read, from first-writer stamps; a turn's
+ *    end writes the cells its body vacated or claimed), and committed
+ *    otherwise. A turn run against a phase-start snapshot reads the
+ *    same values as the serial turn up to the first read of a slot a
+ *    predecessor wrote, and both make that read, so a turn commits
  *    here exactly when a snapshot-and-commit protocol would commit it
  *    (only whether a non-committed turn counts as a conflict or an abort
  *    can differ). The episode itself is the plain serial schedule.
@@ -519,10 +531,11 @@ class Harness
         double clean_longest = 0.0;
         double serial_sum = 0.0;
         env::World &world = env_.world();
-        committed_writes_.clear();
+        if (speculate)
+            spec_log_.beginPhase();
         for (auto &agent : agents_) {
             if (speculate) {
-                spec_log_.reset();
+                spec_log_.beginTurn();
                 turn_start_pos_.clear();
                 for (const env::AgentBody &body : world.bodies())
                     turn_start_pos_.push_back(body.pos);
@@ -557,15 +570,13 @@ class Harness
     }
 
     /**
-     * Tally one logged execute turn and fold its footprint into the
-     * phase's committed write set: its logged writes plus the occupancy
+     * Tally one logged execute turn, then write the occupancy of the
      * cells its moves vacated and claimed. Returns true when the turn
      * commits clean, i.e. would have overlapped its predecessors.
      */
     bool
     settleTurn(const Agent &agent, double delta)
     {
-        spec_log_.finalize();
         ++spec_stats_.turns;
         const char *outcome = "spec.serial";
         bool clean = false;
@@ -574,8 +585,7 @@ class Harness
             if (spec_log_.aborted()) {
                 ++spec_stats_.aborted;
                 outcome = "spec.abort";
-            } else if (env::spec::conflicts(spec_log_.reads(),
-                                            committed_writes_)) {
+            } else if (spec_log_.conflicted()) {
                 ++spec_stats_.conflicts;
                 outcome = "spec.conflict";
             } else {
@@ -584,17 +594,13 @@ class Harness
                 clean = true;
             }
         }
-        env::spec::mergeKeys(committed_writes_, spec_log_.writes());
-        occ_scratch_.clear();
         const auto &bodies = env_.world().bodies();
         for (std::size_t j = 0; j < bodies.size(); ++j) {
             if (bodies[j].pos == turn_start_pos_[j])
                 continue;
-            occ_scratch_.push_back(env::spec::cellKey(turn_start_pos_[j]));
-            occ_scratch_.push_back(env::spec::cellKey(bodies[j].pos));
+            spec_log_.writeCell(turn_start_pos_[j]);
+            spec_log_.writeCell(bodies[j].pos);
         }
-        std::sort(occ_scratch_.begin(), occ_scratch_.end());
-        env::spec::mergeKeys(committed_writes_, occ_scratch_);
         if (trace_ != nullptr)
             trace_->instant("spec", outcome, clock_.now(), agent.id(),
                             {{"latency_s", delta}});
@@ -690,13 +696,11 @@ class Harness
      * the clock: `batch_llm_calls` is on, or the session queues. */
     const bool charged_batching_;
     std::vector<std::unique_ptr<Agent>> agents_;
-    /** Speculated-phase scratch, reused across phases: the current
-     * turn's access log, the body positions it started from, and the
-     * phase's committed write set. */
+    /** Speculated-phase state, kept across phases: the access log's
+     * first-writer stamps and the body positions the current turn
+     * started from. */
     env::spec::AccessLog spec_log_;
     std::vector<env::Vec2i> turn_start_pos_;
-    std::vector<env::spec::AccessKey> committed_writes_;
-    std::vector<env::spec::AccessKey> occ_scratch_;
     SpeculativeExecStats spec_stats_;
     std::vector<StepTokens> token_series_;
     int steps_ = 0;

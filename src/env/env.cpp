@@ -90,8 +90,8 @@ Environment::applyPrimitive(int agent_id, const Primitive &prim)
       case PrimOp::Mine:
       case PrimOp::Lift: {
         // Domain rules of this environment read/write env-local state no
-        // access key names, so a logged turn cannot be validated: flag it
-        // aborted, then apply the op as usual.
+        // access-log slot names, so a logged turn cannot be validated:
+        // flag it aborted, then apply the op as usual.
         spec::AccessLog *log = world_.accessLog();
         if (log != nullptr && !domainOpsSpeculationSafe())
             log->abort("domain primitive in non-speculable environment");

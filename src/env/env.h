@@ -40,7 +40,7 @@ class Environment
     /**
      * Whether the speculative execute model applies to this environment
      * at all. Environments whose motion planning consumes order-dependent
-     * mutable state no access key names (ManipulationEnv's shared RRT
+     * mutable state no access-log slot names (ManipulationEnv's shared RRT
      * stream) must opt out; their execute phase then tallies nothing.
      */
     virtual bool speculativeExecuteSafe() const { return true; }

@@ -1,6 +1,5 @@
 #include "env/grid.h"
 
-#include <cassert>
 #include <stdexcept>
 #include <string>
 
@@ -96,8 +95,16 @@ GridMap::neighbors(const Vec2i &p) const
 GridMap
 GridMap::apartment(int rooms_x, int rooms_y, int room_w, int room_h)
 {
-    assert(rooms_x >= 1 && rooms_y >= 1);
-    assert(room_w >= 3 && room_h >= 3);
+    const auto requireAtLeast = [](const char *name, int value, int min) {
+        if (value < min)
+            throw std::invalid_argument(
+                std::string("GridMap::apartment: ") + name + " must be >= " +
+                std::to_string(min) + ", got " + std::to_string(value));
+    };
+    requireAtLeast("rooms_x", rooms_x, 1);
+    requireAtLeast("rooms_y", rooms_y, 1);
+    requireAtLeast("room_w", room_w, 3);
+    requireAtLeast("room_h", room_h, 3);
 
     // +1 wall between rooms and around the border.
     const int width = rooms_x * (room_w + 1) + 1;

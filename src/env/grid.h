@@ -61,7 +61,8 @@ class GridMap
      * Build a rooms_x by rooms_y apartment: each room is room_w x room_h
      * cells, separated by one-cell walls with a centered doorway between
      * horizontally and vertically adjacent rooms. Room ids are assigned in
-     * row-major order.
+     * row-major order. Throws std::invalid_argument naming the argument
+     * unless both room counts are >= 1 and both room sizes >= 3.
      */
     static GridMap apartment(int rooms_x, int rooms_y, int room_w,
                              int room_h);

@@ -1,6 +1,7 @@
 #ifndef EBS_ENV_SPEC_H
 #define EBS_ENV_SPEC_H
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -10,105 +11,78 @@
 namespace ebs::env::spec {
 
 /**
- * Read/write-set instrumentation for the speculative execute phase.
+ * Read-time conflict detection for the speculative execute phase.
  *
  * Every piece of world state an agent's execute() turn can observe or
- * mutate is named by one 64-bit key: an object slot, an agent body slot,
- * the occupancy of one grid cell, or the whole-object-table scans
- * (objectsInRoom/contents). World accessors append keys into the log
- * attached via World::setAccessLog(); the coordinator validates an
- * agent's turn by intersecting its read set with the write sets of
- * lower-indexed agents' turns in the same phase.
+ * mutate is one slot: an object, an agent body, the occupancy of one
+ * grid cell, or the whole object table (the objects()/objectsInRoom/
+ * contents scans). Each slot holds a stamp: the serial of the first turn
+ * of the current phase that wrote it. Turns are numbered by beginTurn(),
+ * and a phase is the run of turns since the last beginPhase(), so a
+ * stamp below the phase's first serial is stale and means "unwritten".
  *
- * Keys are plain sorted uint64 vectors (never an unordered container —
- * the determinism lint bans those, and validation only needs a sorted
- * merge/intersect). The kind lives in the top two bits:
+ * A read of a slot marks the turn conflicted when a lower-serial turn of
+ * the same phase wrote it (stamp in [phase first, current turn)). The
+ * turns run one after another, so this check at the moment of each read
+ * decides exactly what intersecting the turn's whole read set with its
+ * predecessors' write sets would. The stamp keeps the *first* writer: a
+ * turn that writes object B and then scans the table must still see
+ * that an earlier turn wrote object A, which a last-writer stamp on the
+ * table slot would have overwritten with the turn's own serial.
  *
- *   00 | object id          one Object slot (any field)
- *   01 | agent id           one AgentBody slot (any field)
- *   10 | (x << 16) | y      occupancy of one grid cell (occupiedByOther
- *                           and the A* blocked-cell queries)
- *   11 | 0                  the whole object table (unkeyed scans)
- */
-using AccessKey = std::uint64_t;
-
-inline AccessKey
-objectKey(ObjectId id)
-{
-    return static_cast<AccessKey>(static_cast<std::uint32_t>(id));
-}
-
-inline AccessKey
-agentKey(int id)
-{
-    return (AccessKey{1} << 62) |
-           static_cast<AccessKey>(static_cast<std::uint32_t>(id));
-}
-
-inline AccessKey
-cellKey(const Vec2i &cell)
-{
-    return (AccessKey{2} << 62) |
-           (static_cast<AccessKey>(static_cast<std::uint16_t>(cell.x))
-            << 16) |
-           static_cast<AccessKey>(static_cast<std::uint16_t>(cell.y));
-}
-
-inline AccessKey
-allObjectsKey()
-{
-    return AccessKey{3} << 62;
-}
-
-/** Kind tag of a key (the top two bits; see the table above). */
-inline unsigned
-keyKind(AccessKey key)
-{
-    return static_cast<unsigned>(key >> 62);
-}
-
-inline constexpr unsigned kKindObject = 0;
-inline constexpr unsigned kKindAgent = 1;
-inline constexpr unsigned kKindCell = 2;
-inline constexpr unsigned kKindAllObjects = 3;
-
-/** Object/agent id of an object or agent key. */
-inline int
-keyId(AccessKey key)
-{
-    return static_cast<int>(key & 0xffffffffULL);
-}
-
-/**
- * One execute turn's footprint: what it read, what it wrote, and whether
- * it touched something no key names (world structure changes, or a
- * domain primitive of an environment whose domain rules mutate env-local
- * state). Such a turn cannot be validated, so the coordinator counts it
- * as aborted; the turn itself still runs to completion.
+ * World accessors report into the log attached via World::setAccessLog(),
+ * which also sizes the slot tables to the world (cover()).
  */
 class AccessLog
 {
   public:
+    /** Grow the slot tables to a world of this size (never shrinks). */
+    void cover(std::size_t objects, std::size_t agents, int width,
+               int height);
+
+    /** Start a new phase: every stamp written so far becomes stale. */
+    void beginPhase() { phase_first_ = turn_ + 1; }
+
+    /** Start the next turn: a fresh serial, with no conflict or abort. */
     void
-    read(AccessKey key)
+    beginTurn()
     {
-        reads_.push_back(key);
+        ++turn_;
+        conflicted_ = false;
+        aborted_ = false;
+        abort_reason_ = "";
     }
 
+    void readObject(ObjectId id) { read(objects_[slot(id)]); }
+
+    /** A write is also a read (the mutable fetch observes the slot); it
+     * stamps the whole-table slot without reading it. */
     void
-    write(AccessKey key)
+    writeObject(ObjectId id)
     {
-        writes_.push_back(key);
+        write(objects_[slot(id)]);
+        stamp(any_object_);
     }
 
+    void readAgent(int id) { read(agents_[slot(id)]); }
+    void writeAgent(int id) { write(agents_[slot(id)]); }
+
+    /** A whole-table scan: conflicts with an earlier write of any object. */
+    void readAllObjects() { read(any_object_); }
+
+    /** Occupancy read of one cell; a cell off the grid is never written. */
     void
-    readWrite(AccessKey key)
+    readCell(const Vec2i &cell)
     {
-        reads_.push_back(key);
-        writes_.push_back(key);
+        if (onGrid(cell))
+            read(cells_[cellSlot(cell)]);
     }
 
-    /** Mark the run non-isolatable; `reason` must be a string literal. */
+    /** The occupancy of a cell a body vacated or claimed (written at the
+     * turn's end, so it stamps without reading). */
+    void writeCell(const Vec2i &cell) { stamp(cells_[cellSlot(cell)]); }
+
+    /** Mark the turn non-isolatable; `reason` must be a string literal. */
     void
     abort(const char *reason)
     {
@@ -119,34 +93,62 @@ class AccessLog
     bool aborted() const { return aborted_; }
     const char *abortReason() const { return abort_reason_; }
 
-    /** Sort + dedupe both key sets (idempotent); call before reads()/
-     * writes() are consumed by validation or commit. */
-    void finalize();
-
-    const std::vector<AccessKey> &reads() const { return reads_; }
-    const std::vector<AccessKey> &writes() const { return writes_; }
-
-    /** Clear for reuse, keeping vector capacity across phases. */
-    void reset();
+    /** True once the turn read a slot an earlier turn of its phase wrote. */
+    bool conflicted() const { return conflicted_; }
 
   private:
-    std::vector<AccessKey> reads_;
-    std::vector<AccessKey> writes_;
+    /** Serial of a turn; 0 is older than every phase. */
+    using Serial = std::uint32_t;
+
+    void
+    read(Serial slot_stamp)
+    {
+        if (slot_stamp >= phase_first_ && slot_stamp < turn_)
+            conflicted_ = true;
+    }
+
+    /** Keep the first writer: only a stale stamp takes this turn's. */
+    void
+    stamp(Serial &slot_stamp)
+    {
+        if (slot_stamp < phase_first_)
+            slot_stamp = turn_;
+    }
+
+    void
+    write(Serial &slot_stamp)
+    {
+        read(slot_stamp);
+        stamp(slot_stamp);
+    }
+
+    static std::size_t slot(int id) { return static_cast<std::size_t>(id); }
+
+    bool
+    onGrid(const Vec2i &cell) const
+    {
+        return cell.x >= 0 && cell.x < width_ && cell.y >= 0 &&
+               cell.y < height_;
+    }
+
+    std::size_t
+    cellSlot(const Vec2i &cell) const
+    {
+        return static_cast<std::size_t>(cell.y * width_ + cell.x);
+    }
+
+    std::vector<Serial> objects_;
+    std::vector<Serial> agents_;
+    std::vector<Serial> cells_;
+    Serial any_object_ = 0;
+    int width_ = 0;
+    int height_ = 0;
+    Serial phase_first_ = 1;
+    Serial turn_ = 0;
+    bool conflicted_ = false;
     bool aborted_ = false;
     const char *abort_reason_ = "";
 };
-
-/**
- * True when a finalized read set overlaps a sorted-unique committed
- * write set. An AllObjects read conflicts with any object write (the
- * scan saw every object, so any object change invalidates it).
- */
-bool conflicts(const std::vector<AccessKey> &reads,
-               const std::vector<AccessKey> &writes);
-
-/** Merge sorted-unique `extra` into sorted-unique `into` (stays sorted). */
-void mergeKeys(std::vector<AccessKey> &into,
-               const std::vector<AccessKey> &extra);
 
 } // namespace ebs::env::spec
 

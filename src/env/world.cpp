@@ -12,12 +12,13 @@ World::World(GridMap grid)
 ObjectId
 World::addObject(Object obj)
 {
-    // Structural growth cannot be expressed in the fixed-slot key space.
+    // Structural growth is not a slot write the access log can validate.
     if (log_ != nullptr)
         log_->abort("object added during speculation");
     obj.id = static_cast<ObjectId>(objects_.size());
     obj.room = grid_.room(obj.pos);
     objects_.push_back(std::move(obj));
+    coverLog();
     return objects_.back().id;
 }
 
@@ -31,6 +32,7 @@ World::addAgent(const Vec2i &pos)
     body.id = static_cast<int>(agents_.size());
     body.pos = pos;
     agents_.push_back(body);
+    coverLog();
     return body.id;
 }
 
@@ -39,7 +41,7 @@ World::object(ObjectId id) const
 {
     assert(id >= 0 && id < static_cast<ObjectId>(objects_.size()));
     if (log_ != nullptr)
-        log_->read(spec::objectKey(id));
+        log_->readObject(id);
     return objects_[static_cast<std::size_t>(id)];
 }
 
@@ -47,11 +49,11 @@ Object &
 World::object(ObjectId id)
 {
     assert(id >= 0 && id < static_cast<ObjectId>(objects_.size()));
-    // A mutable fetch is logged as read+write: every World mutation path
-    // fetches its entity through here first, so any writer is also a
-    // reader and write/write overlaps surface as read/write conflicts.
+    // A mutable fetch is logged as a write, which is also a read: every
+    // World mutation path fetches its entity through here first, so a
+    // write after an earlier turn's write conflicts too.
     if (log_ != nullptr)
-        log_->readWrite(spec::objectKey(id));
+        log_->writeObject(id);
     return objects_[static_cast<std::size_t>(id)];
 }
 
@@ -60,7 +62,7 @@ World::agent(int id) const
 {
     assert(id >= 0 && id < agentCount());
     if (log_ != nullptr)
-        log_->read(spec::agentKey(id));
+        log_->readAgent(id);
     return agents_[static_cast<std::size_t>(id)];
 }
 
@@ -69,7 +71,7 @@ World::agent(int id)
 {
     assert(id >= 0 && id < agentCount());
     if (log_ != nullptr)
-        log_->readWrite(spec::agentKey(id));
+        log_->writeAgent(id);
     return agents_[static_cast<std::size_t>(id)];
 }
 
@@ -77,7 +79,7 @@ std::vector<ObjectId>
 World::objectsInRoom(int room) const
 {
     if (log_ != nullptr)
-        log_->read(spec::allObjectsKey());
+        log_->readAllObjects();
     std::vector<ObjectId> out;
     for (const auto &obj : objects_)
         if (obj.loose() && obj.room == room)
@@ -89,7 +91,7 @@ std::vector<ObjectId>
 World::contents(ObjectId container) const
 {
     if (log_ != nullptr)
-        log_->read(spec::allObjectsKey());
+        log_->readAllObjects();
     std::vector<ObjectId> out;
     for (const auto &obj : objects_)
         if (obj.inside == container)
@@ -115,10 +117,10 @@ bool
 World::occupiedByOther(int agent_id, const Vec2i &cell) const
 {
     // Logged as a read of the *cell's* occupancy, not of every agent:
-    // committers emit Occ writes for their net position delta, so this
-    // conflicts exactly with agents that vacated or claimed `cell`.
+    // each turn's end writes the cells its moves vacated and claimed, so
+    // this conflicts exactly with agents that vacated or claimed `cell`.
     if (log_ != nullptr)
-        log_->read(spec::cellKey(cell));
+        log_->readCell(cell);
     for (const auto &body : agents_)
         if (body.id != agent_id && body.pos == cell)
             return true;

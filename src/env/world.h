@@ -43,7 +43,7 @@ class World
     grid()
     {
         // Grid topology is construction-time state; a mutation during a
-        // logged turn would be invisible to the read/write sets.
+        // logged turn would be invisible to the access log.
         if (log_ != nullptr)
             log_->abort("grid mutation during speculation");
         return grid_;
@@ -63,12 +63,12 @@ class World
     Object &object(ObjectId id);
 
     /** Whole-table scan: under an access log this reads *every* object
-     * (logged as one AllObjects key, which any object write invalidates). */
+     * (the log's whole-table slot, which any object write stamps). */
     const std::vector<Object> &
     objects() const
     {
         if (log_ != nullptr)
-            log_->read(spec::allObjectsKey());
+            log_->readAllObjects();
         return objects_;
     }
 
@@ -79,7 +79,7 @@ class World
     /**
      * Raw agent-body table, deliberately *not* access-logged: for callers
      * (motion cost) that derive per-cell occupancy and log the precise
-     * Occ(cell) reads themselves instead of a read of every agent.
+     * cell-occupancy reads themselves instead of a read of every agent.
      */
     const std::vector<AgentBody> &bodies() const { return agents_; }
 
@@ -103,15 +103,29 @@ class World
 
     /**
      * Attach (or detach, with nullptr) a speculative-execution access
-     * log: every accessor call on this world is recorded into it until
-     * detached. The coordinator attaches one per execute turn of a
-     * speculated phase, and validates each turn's reads against the
-     * writes of the turns before it.
+     * log, sized to this world: every accessor call on this world reports
+     * into it until detached. The coordinator attaches it for each
+     * execute turn of a speculated phase; a read of state an earlier turn
+     * of the phase wrote marks the turn conflicted.
      */
-    void setAccessLog(spec::AccessLog *log) { log_ = log; }
+    void
+    setAccessLog(spec::AccessLog *log)
+    {
+        log_ = log;
+        coverLog();
+    }
     spec::AccessLog *accessLog() const { return log_; }
 
   private:
+    /** Size the attached log's slot tables to the current world. */
+    void
+    coverLog()
+    {
+        if (log_ != nullptr)
+            log_->cover(objects_.size(), agents_.size(), grid_.width(),
+                        grid_.height());
+    }
+
     ActionResult doMoveStep(AgentBody &agent, const Primitive &prim);
     ActionResult doPick(AgentBody &agent, const Primitive &prim);
     ActionResult doPlace(AgentBody &agent, const Primitive &prim);

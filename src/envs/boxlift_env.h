@@ -43,8 +43,8 @@ class BoxLiftEnv : public GridEnvironment
                                   const env::Primitive &prim) override;
 
     /** Lift is a genuine same-step cross-agent dependency (votes tallied
-     * in lift_votes_, which no access key names), so a logged turn that
-     * lifts is counted as aborted. */
+     * in lift_votes_, which no access-log slot names), so a logged turn
+     * that lifts is counted as aborted. */
     bool domainOpsSpeculationSafe() const override { return false; }
 
   private:

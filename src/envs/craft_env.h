@@ -80,8 +80,8 @@ class CraftEnv : public GridEnvironment
                                   const env::Primitive &prim) override;
 
     /** Mine/Craft mutate per-agent inventories and the achieved set —
-     * env-local state no access key names — so a logged turn that takes a
-     * domain primitive is counted as aborted. */
+     * env-local state no access-log slot names — so a logged turn that
+     * takes a domain primitive is counted as aborted. */
     bool domainOpsSpeculationSafe() const override { return false; }
 
   private:

@@ -53,7 +53,7 @@ GridEnvironment::motionCost(const env::Vec2i &from, const env::Vec2i &to,
                     log != nullptr ? &queried : nullptr);
     if (log != nullptr)
         for (const env::Vec2i &cell : queried)
-            log->read(env::spec::cellKey(cell));
+            log->readCell(cell);
     if (!result)
         return -1.0;
     if (path != nullptr)

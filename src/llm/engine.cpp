@@ -1,8 +1,9 @@
 #include "llm/engine.h"
 
 #include <algorithm>
-#include <cassert>
 #include <cmath>
+#include <stdexcept>
+#include <string>
 
 namespace ebs::llm {
 
@@ -47,7 +48,10 @@ LlmResponse
 sampleCompletion(const ModelProfile &profile, const LlmRequest &request,
                  sim::Rng &rng)
 {
-    assert(request.tokens_in >= 0);
+    if (request.tokens_in < 0)
+        throw std::invalid_argument(
+            "sampleCompletion: request.tokens_in must be >= 0, got " +
+            std::to_string(request.tokens_in));
 
     LlmResponse resp;
     resp.truncated = request.tokens_in > profile.context_limit;

@@ -72,7 +72,8 @@ struct LlmUsage
  * only) + prefill + decode at the profile's rates; the prompt is clamped
  * to the context window; quality is the profile's capability axis for
  * the call kind, degraded by dilution, truncation, and complexity. All
- * randomness comes from `rng`, so runs are reproducible.
+ * randomness comes from `rng`, so runs are reproducible. Throws
+ * std::invalid_argument when `request.tokens_in` is negative.
  *
  * Draw order from `rng` is part of the determinism contract (tokens_out,
  * RTT if remote, parse_ok, good): batching never draws, so a handle's

@@ -863,6 +863,35 @@ TEST(AgentConfigValidation, RejectsBadModelWindowAndDilution)
     }
 }
 
+TEST(AgentConfigValidation, RejectsBadMemoryConfig)
+{
+    // Unchecked, a retrieval base of -50 s ends this episode (with
+    // communication on) at -1198.9 simulated seconds.
+    AgentConfig probe;
+    probe.has_communication = true;
+    probe.memory.retrieval_base_s = -50.0;
+    EXPECT_NE(rejection({}, probe).find("AgentConfig::memory.retrieval_base_s"),
+              std::string::npos);
+    using Config = memory::MemoryModule::Config;
+    const std::pair<const char *, double Config::*> fields[] = {
+        {"memory.retrieval_base_s", &Config::retrieval_base_s},
+        {"memory.retrieval_per_record_s", &Config::retrieval_per_record_s},
+        {"memory.inconsistency_rate", &Config::inconsistency_rate}};
+    for (const auto &[name, field] : fields) {
+        for (const double bad : {-1e-3, std::nan(""), HUGE_VAL}) {
+            EXPECT_NE(configRejection([field = field, bad](AgentConfig &c) {
+                          c.memory.*field = bad;
+                      }).find(name),
+                      std::string::npos)
+                << name << " " << bad;
+        }
+    }
+    EXPECT_NE(configRejection([](AgentConfig &c) {
+                  c.memory.inconsistency_onset = -1;
+              }).find("AgentConfig::memory.inconsistency_onset"),
+              std::string::npos);
+}
+
 TEST(AgentConfigValidation, AcceptsBoundaryValues)
 {
     EXPECT_EQ(configRejection([](AgentConfig &c) {
@@ -878,6 +907,10 @@ TEST(AgentConfigValidation, AcceptsBoundaryValues)
                   c.reflect_model.api_rtt_cv = 0.0;
                   c.planner_model.context_limit = 1;
                   c.comm_model.dilution_onset_tokens = 0.0;
+                  c.memory.retrieval_base_s = 0.0;
+                  c.memory.retrieval_per_record_s = 0.0;
+                  c.memory.inconsistency_rate = 0.0;
+                  c.memory.inconsistency_onset = 0;
               }),
               "");
 }

@@ -4,6 +4,7 @@
 #include <memory>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "astar_reference.h"
@@ -600,29 +601,139 @@ TEST(RoomAnchor, GridEditAfterConstructionFallsBackToScan)
     EXPECT_TRUE(grid.walkable(after));
 }
 
+// ------------------------------------------------------ access-log stamps
+
+TEST(AccessLog, ScanAfterOwnWriteSeesEarlierTurnsObjectWrite)
+{
+    // An earlier turn writes object A; the current turn writes object B
+    // and then scans the table. The scan saw A's new state, so the turn
+    // conflicts even though its own write came last.
+    env::spec::AccessLog log;
+    log.cover(2, 0, 1, 1);
+    log.beginPhase();
+    log.beginTurn();
+    log.writeObject(0);
+    log.beginTurn();
+    log.writeObject(1);
+    EXPECT_FALSE(log.conflicted());
+    log.readAllObjects();
+    EXPECT_TRUE(log.conflicted());
+}
+
+TEST(AccessLog, OwnWriteDoesNotConflict)
+{
+    env::spec::AccessLog log;
+    log.cover(1, 1, 2, 2);
+    log.beginPhase();
+    log.beginTurn();
+    log.writeObject(0);
+    log.writeAgent(0);
+    log.writeCell({1, 1});
+    log.readObject(0);
+    log.readAgent(0);
+    log.readCell({1, 1});
+    log.readAllObjects();
+    EXPECT_FALSE(log.conflicted());
+    // A later turn of the same phase conflicts on each of them.
+    const auto conflictsAfter = [&log](const auto &read) {
+        log.beginTurn();
+        read();
+        return log.conflicted();
+    };
+    EXPECT_TRUE(conflictsAfter([&] { log.readObject(0); }));
+    EXPECT_TRUE(conflictsAfter([&] { log.readAgent(0); }));
+    EXPECT_TRUE(conflictsAfter([&] { log.readCell({1, 1}); }));
+    EXPECT_TRUE(conflictsAfter([&] { log.readAllObjects(); }));
+    EXPECT_FALSE(conflictsAfter([&] { log.readCell({0, 1}); }));
+}
+
+TEST(AccessLog, WriteInPreviousPhaseDoesNotConflict)
+{
+    env::spec::AccessLog log;
+    log.cover(1, 1, 2, 2);
+    log.beginPhase();
+    log.beginTurn();
+    log.writeObject(0);
+    log.writeAgent(0);
+    log.writeCell({0, 1});
+    log.beginPhase();
+    log.beginTurn();
+    log.readObject(0);
+    log.readAgent(0);
+    log.readCell({0, 1});
+    log.readAllObjects();
+    EXPECT_FALSE(log.conflicted());
+    // A write of a stale slot restamps it for the new phase.
+    log.writeObject(0);
+    log.beginTurn();
+    log.readObject(0);
+    EXPECT_TRUE(log.conflicted());
+}
+
+TEST(AccessLog, OffGridCellReadDoesNotConflict)
+{
+    env::spec::AccessLog log;
+    log.cover(0, 0, 3, 2);
+    log.beginPhase();
+    log.beginTurn();
+    for (int y = 0; y < 2; ++y)
+        for (int x = 0; x < 3; ++x)
+            log.writeCell({x, y});
+    log.beginTurn();
+    for (const env::Vec2i cell : {env::Vec2i{-1, 0}, env::Vec2i{3, 0},
+                                  env::Vec2i{0, -1}, env::Vec2i{0, 2},
+                                  env::Vec2i{-1, -1}, env::Vec2i{3, 2}})
+        log.readCell(cell);
+    EXPECT_FALSE(log.conflicted());
+}
+
+TEST(AccessLog, ObjectAddedMidTurnAbortsAndStaysInRange)
+{
+    env::World world(env::GridMap(4, 3));
+    world.addAgent({0, 0});
+    env::spec::AccessLog log;
+    world.setAccessLog(&log);
+    log.beginPhase();
+    log.beginTurn();
+    env::Object obj;
+    obj.pos = {2, 1};
+    const env::ObjectId id = world.addObject(obj);
+    EXPECT_TRUE(log.aborted());
+    // The new object has a slot: writing and reading it index in range.
+    world.object(id).pos = {3, 1};
+    EXPECT_FALSE(log.conflicted());
+    log.beginTurn();
+    EXPECT_FALSE(log.aborted());
+    EXPECT_EQ(std::as_const(world).object(id).pos, (env::Vec2i{3, 1}));
+    EXPECT_TRUE(log.conflicted());
+    world.setAccessLog(nullptr);
+}
+
 // ------------------------------------------------ motionCost's read set
 
 /**
- * With an access log attached, motionCost logs one occupancy read per
- * cell the reference A* probed — each once, in first-probe order — so
- * the finalized read set is exactly the reference's unique probed cells.
+ * motionCost reads the occupancy of exactly the cells the reference A*
+ * probed: with one cell stamped by an earlier turn of the phase, the
+ * path query conflicts exactly when the reference consulted that cell.
  */
 template <typename Env>
 void
 expectMotionReadSetMatchesReference(int agents)
 {
     Env environment(Difficulty::Hard, agents, sim::Rng(17));
-    const env::World &world = environment.world();
+    env::World &world = environment.world();
     ASSERT_EQ(world.bodies().size(), static_cast<std::size_t>(agents));
+    const env::GridMap &grid = world.grid();
     std::vector<env::Vec2i> targets;
     for (const auto &obj : world.objects())
         targets.push_back(obj.pos);
     sim::Rng rng(5);
-    const env::GridMap &grid = world.grid();
     for (int i = 0; i < 8; ++i)
         targets.push_back({rng.uniformInt(0, grid.width() - 1),
                            rng.uniformInt(0, grid.height() - 1)});
 
+    env::spec::AccessLog log;
+    world.setAccessLog(&log);
     int compared = 0;
     for (const env::AgentBody &mover : world.bodies()) {
         std::vector<env::Vec2i> blocked;
@@ -632,26 +743,31 @@ expectMotionReadSetMatchesReference(int agents)
         for (const env::Vec2i &to : targets) {
             const test::AStarOutcome want = test::referenceAStar(
                 grid, mover.pos, to, /*adjacent_ok=*/true, &blocked);
-            std::vector<env::spec::AccessKey> keys;
+            const double want_cost = want.path ? want.path->cost : -1.0;
+            std::vector<char> probed(
+                static_cast<std::size_t>(grid.width() * grid.height()), 0);
             for (const env::Vec2i &cell : want.queried)
-                keys.push_back(env::spec::cellKey(cell));
-
-            env::spec::AccessLog log;
-            environment.world().setAccessLog(&log);
-            const double cost = environment.motionCost(mover.pos, to,
-                                                       nullptr);
-            environment.world().setAccessLog(nullptr);
+                probed[static_cast<std::size_t>(cell.y * grid.width() +
+                                                cell.x)] = 1;
             SCOPED_TRACE(compared);
-            EXPECT_EQ(cost, want.path ? want.path->cost : -1.0);
-            EXPECT_EQ(log.reads(), keys);
-            EXPECT_TRUE(log.writes().empty());
-
-            log.finalize();
-            std::sort(keys.begin(), keys.end());
-            EXPECT_EQ(log.reads(), keys);
+            for (int y = 0; y < grid.height(); ++y) {
+                for (int x = 0; x < grid.width(); ++x) {
+                    log.beginPhase();
+                    log.beginTurn();
+                    log.writeCell({x, y});
+                    log.beginTurn();
+                    EXPECT_EQ(environment.motionCost(mover.pos, to, nullptr),
+                              want_cost);
+                    EXPECT_EQ(log.conflicted(),
+                              probed[static_cast<std::size_t>(
+                                  y * grid.width() + x)] != 0)
+                        << "cell (" << x << ", " << y << ")";
+                }
+            }
             ++compared;
         }
     }
+    world.setAccessLog(nullptr);
     EXPECT_GT(compared, agents * 8);
 }
 

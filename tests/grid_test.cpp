@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <queue>
 #include <set>
 #include <stdexcept>
@@ -199,6 +200,28 @@ TEST(GridMapValidation, SetRoomRejectsCellOutOfBounds)
               std::string::npos)
         << what;
     EXPECT_EQ(g.roomCount(), 1);
+}
+
+TEST(GridMapValidation, ApartmentRejectsBadRoomCountOrSize)
+{
+    // Unchecked in a Release build, rooms_x = 0 builds a grid of walls
+    // with no room at all.
+    const std::pair<std::string, std::function<void()>> cases[] = {
+        {"rooms_x must be >= 1, got 0",
+         [] { GridMap::apartment(0, 2, 4, 4); }},
+        {"rooms_y must be >= 1, got -1",
+         [] { GridMap::apartment(2, -1, 4, 4); }},
+        {"room_w must be >= 3, got 2",
+         [] { GridMap::apartment(2, 2, 2, 4); }},
+        {"room_h must be >= 3, got 0",
+         [] { GridMap::apartment(2, 2, 4, 0); }}};
+    for (const auto &[want, build] : cases) {
+        const std::string what = thrownMessage<std::invalid_argument>(build);
+        EXPECT_NE(what.find("GridMap::apartment: " + want),
+                  std::string::npos)
+            << what;
+    }
+    EXPECT_EQ(GridMap::apartment(1, 1, 3, 3).roomCount(), 1);
 }
 
 INSTANTIATE_TEST_SUITE_P(Sizes, ApartmentConnectivity,

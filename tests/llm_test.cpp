@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "llm/engine_service.h"
@@ -217,6 +219,23 @@ TEST(LlmEngine, TruncatesAtContextLimit)
     const auto resp = engine.complete(req);
     EXPECT_TRUE(resp.truncated);
     EXPECT_EQ(resp.tokens_in, 1000);
+}
+
+TEST(LlmEngine, RejectsNegativePromptTokens)
+{
+    // Unchecked in a Release build, a negative prompt is clamped to a
+    // negative prefill that subtracts from the call's latency.
+    LlmRequest req;
+    req.tokens_in = -1;
+    sim::Rng rng(4);
+    try {
+        sampleCompletion(ModelProfile::gpt4Api(), req, rng);
+        ADD_FAILURE() << "tokens_in -1 accepted";
+    } catch (const std::invalid_argument &e) {
+        EXPECT_NE(std::string(e.what()).find("tokens_in"),
+                  std::string::npos)
+            << e.what();
+    }
 }
 
 TEST(LlmEngine, QualityDropsWithDilution)
