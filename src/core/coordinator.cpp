@@ -668,6 +668,13 @@ class Harness
         m.add("spec.committed", spec_stats_.committed);
         m.add("spec.conflicts", spec_stats_.conflicts);
         m.add("spec.aborted", spec_stats_.aborted);
+        const env::PathWork path = env_.pathWork();
+        m.add("path.queries", path.queries);
+        m.add("path.astar_searches", path.searches);
+        m.add("path.astar_failed", path.failed);
+        m.add("path.fast_rejections", path.fast_rejections);
+        m.add("path.astar_expanded", path.expanded);
+        m.add("path.flood_cells", path.flood_cells);
         m.gaugeMax("episode.max_sim_seconds", result.sim_seconds);
         static constexpr double kOccupancyBounds[] = {1, 2, 4, 8, 16, 32};
         static constexpr double kDelayBounds[] = {0.1, 0.5, 2.0, 10.0,

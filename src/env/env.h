@@ -14,6 +14,18 @@
 
 namespace ebs::env {
 
+/** Path-query work of one environment since it was built: exact counts,
+ * the same at any EBS_JOBS (see GridEnvironment::motionCost). */
+struct PathWork
+{
+    long long queries = 0;         ///< motionCost calls
+    long long searches = 0;        ///< plan::aStar calls
+    long long failed = 0;          ///< searches that found no path
+    long long fast_rejections = 0; ///< queries the labels answered with -1
+    long long expanded = 0;        ///< A* nodes expanded, over all searches
+    long long flood_cells = 0;     ///< cells given a free-space label
+};
+
 /**
  * Base class for embodied environments.
  *
@@ -89,6 +101,9 @@ class Environment
      */
     virtual double motionCost(const Vec2i &from, const Vec2i &to,
                               std::vector<Vec2i> *path) const = 0;
+
+    /** What motionCost did so far (zeros where it does no grid search). */
+    virtual PathWork pathWork() const { return {}; }
 
     /**
      * Size of the currently-valid decision space for an agent; drives the

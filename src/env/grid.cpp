@@ -28,12 +28,6 @@ GridMap::GridMap(int width, int height)
 {
 }
 
-std::size_t
-GridMap::idx(const Vec2i &p) const
-{
-    return static_cast<std::size_t>(p.y) * width_ + p.x;
-}
-
 void
 GridMap::requireInBounds(const Vec2i &p, const char *op) const
 {
@@ -43,12 +37,6 @@ GridMap::requireInBounds(const Vec2i &p, const char *op) const
             std::to_string(p.x) + ", " + std::to_string(p.y) +
             ") is outside the " + std::to_string(width_) + "x" +
             std::to_string(height_) + " grid");
-}
-
-bool
-GridMap::walkable(const Vec2i &p) const
-{
-    return inBounds(p) && walkable_[idx(p)] != 0;
 }
 
 void

@@ -35,7 +35,12 @@ class GridMap
         return p.x >= 0 && p.x < width_ && p.y >= 0 && p.y < height_;
     }
 
-    bool walkable(const Vec2i &p) const;
+    bool
+    walkable(const Vec2i &p) const
+    {
+        return inBounds(p) && walkable_[idx(p)] != 0;
+    }
+
     /** Throws std::out_of_range for a cell outside the grid. */
     void setWalkable(const Vec2i &p, bool w);
 
@@ -68,7 +73,12 @@ class GridMap
                              int room_h);
 
   private:
-    std::size_t idx(const Vec2i &p) const;
+    std::size_t
+    idx(const Vec2i &p) const
+    {
+        return static_cast<std::size_t>(p.y) * width_ + p.x;
+    }
+
     void requireInBounds(const Vec2i &p, const char *op) const;
 
     int width_;

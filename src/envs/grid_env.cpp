@@ -39,23 +39,38 @@ GridEnvironment::motionCost(const env::Vec2i &from, const env::Vec2i &to,
     // logged as per-cell occupancy reads: the search result can only
     // change if one of them changes.
     const env::World &w = world();
+    env::spec::AccessLog *log = w.accessLog();
+    ++path_work_.queries;
+    if (labels_.sealed(w.grid(), w.bodies(), from, to)) {
+        // The failed search would have probed exactly these cells.
+        ++path_work_.fast_rejections;
+        if (log != nullptr)
+            labels_.readProbes(w.grid(), from, *log);
+        return -1.0;
+    }
     std::vector<env::Vec2i> &blocked = query_cells.blocked;
     blocked.clear();
     for (const env::AgentBody &body : w.bodies())
         if (!(body.pos == from))
             blocked.push_back(body.pos);
-    env::spec::AccessLog *log = w.accessLog();
     std::vector<env::Vec2i> &queried = query_cells.queried;
     queried.clear();
     const auto result =
         plan::aStar(w.grid(), from, to,
                     /*adjacent_ok=*/true, &blocked,
                     log != nullptr ? &queried : nullptr);
+    ++path_work_.searches;
+    path_work_.expanded += static_cast<long long>(plan::aStarLastExpanded());
     if (log != nullptr)
         for (const env::Vec2i &cell : queried)
             log->readCell(cell);
-    if (!result)
+    if (!result) {
+        ++path_work_.failed;
+        if (plan::aStarLastExpanded() > 0)
+            path_work_.flood_cells +=
+                labels_.fillAround(w.grid(), w.bodies(), from);
         return -1.0;
+    }
     if (path != nullptr)
         *path = result->cells;
     return result->cost;

@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "env/env.h"
+#include "envs/free_space_labels.h"
 #include "sim/rng.h"
 
 namespace ebs::envs {
@@ -17,9 +18,16 @@ namespace ebs::envs {
 class GridEnvironment : public env::Environment
 {
   public:
-    /** Motion via A* (adjacent-arrival); returns -1 when unreachable. */
+    /**
+     * Motion via A* (adjacent-arrival); returns -1 when unreachable.
+     * Once a search has failed, free-space labels answer queries whose
+     * goal the start's free space provably cannot reach with -1 and no
+     * search (see FreeSpaceLabels); every other query runs plan::aStar.
+     */
     double motionCost(const env::Vec2i &from, const env::Vec2i &to,
                       std::vector<env::Vec2i> *path) const override;
+
+    env::PathWork pathWork() const override { return path_work_; }
 
     /**
      * The base applyDomain rejects every domain op without mutating
@@ -60,6 +68,13 @@ class GridEnvironment : public env::Environment
 
     /** Spawn `count` agents at random free cells (distinct where possible). */
     void spawnAgents(int count, sim::Rng &rng);
+
+  private:
+    /** motionCost's label cache and tallies. Mutable because motionCost
+     * is a const query; unsynchronized because an environment belongs to
+     * one episode, which runs on one thread. */
+    mutable FreeSpaceLabels labels_;
+    mutable env::PathWork path_work_;
 };
 
 } // namespace ebs::envs

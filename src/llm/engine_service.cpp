@@ -333,15 +333,6 @@ LlmEngineService::backendProfile(BackendId backend) const
 }
 
 LlmUsage
-LlmEngineService::backendUsage(BackendId backend) const
-{
-    core::MutexLock lock(mu_);
-    const auto it = backends_.find(backend);
-    assert(it != backends_.end());
-    return it != backends_.end() ? it->second.usage : LlmUsage{};
-}
-
-LlmUsage
 LlmEngineService::totalUsage() const
 {
     core::MutexLock lock(mu_);

@@ -329,14 +329,11 @@ class LlmEngineService
     ModelProfile backendProfile(BackendId backend) const EBS_EXCLUDES(mu_);
 
     /**
-     * Fleet-wide usage of one backend (race-free snapshot). Sessions
-     * stage usage locally and drain it at flush/takeLog, so totals are
-     * exact once an episode finishes — mid-phase reads may lag by the
-     * calls staged since the last phase boundary.
+     * Fleet-wide usage summed over all backends (race-free snapshot).
+     * Sessions stage usage locally and drain it at flush/takeLog, so
+     * totals are exact once an episode finishes — mid-phase reads may
+     * lag by the calls staged since the last phase boundary.
      */
-    LlmUsage backendUsage(BackendId backend) const EBS_EXCLUDES(mu_);
-
-    /** Fleet-wide usage summed over all backends (same freshness). */
     LlmUsage totalUsage() const EBS_EXCLUDES(mu_);
 
     /** Aggregate batching outcome across every session so far. */

@@ -117,6 +117,7 @@ MemoryModule::recordDialogue(const DialogueRecord &record)
     if (!config_.enabled)
         return;
     dialogue_.push_back(record);
+    dialogue_tokens_ += record.tokens;
 }
 
 void
@@ -125,17 +126,17 @@ MemoryModule::advanceStep(int step)
     current_step_ = std::max(current_step_, step);
     if (!config_.enabled || config_.capacity_steps <= 0)
         return;
-    auto prune = [&](auto &store) {
-        while (!store.empty() && !insideWindow(store.front().step))
-            store.pop_front();
-    };
     while (!observations_.empty() &&
            !insideWindow(observations_.front().step)) {
         release(observations_.front().id);
         observations_.pop_front();
     }
-    prune(actions_);
-    prune(dialogue_);
+    while (!actions_.empty() && !insideWindow(actions_.front().step))
+        actions_.pop_front();
+    while (!dialogue_.empty() && !insideWindow(dialogue_.front().step)) {
+        dialogue_tokens_ -= dialogue_.front().tokens;
+        dialogue_.pop_front();
+    }
     // Room visits outside the window are forgotten too (unless dual memory
     // keeps the layout in long-term storage).
     if (!config_.dual_memory) {
@@ -244,8 +245,7 @@ MemoryModule::retrieve(int current_step)
             known * 5 + static_cast<int>(long_term_.size()) * 2;
 
     ctx.action_tokens = static_cast<int>(actions_.size()) * 7;
-    for (const auto &d : dialogue_)
-        ctx.dialogue_tokens += d.tokens;
+    ctx.dialogue_tokens = dialogue_tokens_;
 
     // Inconsistency model: past the onset, each extra live record adds a
     // small chance that retrieval surfaces a superseded belief.
@@ -304,6 +304,7 @@ MemoryModule::clear()
     observations_.clear();
     actions_.clear();
     dialogue_.clear();
+    dialogue_tokens_ = 0;
     room_visits_.clear();
     long_term_.clear();
     live_refs_.clear();

@@ -172,6 +172,10 @@ class MemoryModule
     std::deque<ObservationRecord> observations_;
     std::deque<ActionRecord> actions_;
     std::deque<DialogueRecord> dialogue_;
+    /** Sum of dialogue_'s tokens, kept on push, prune and clear so
+     * retrieve does not re-sum a window that is the whole episode when
+     * capacity_steps <= 0. */
+    int dialogue_tokens_ = 0;
     /** room id -> last step the agent stood there (long-term in dual mode) */
     std::vector<std::pair<int, int>> room_visits_;
     /** long-term static beliefs (dual memory): station/container locations */

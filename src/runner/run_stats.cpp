@@ -48,12 +48,6 @@ RunStats::queueDelayShare() const
     return sim_seconds > 0.0 ? queue_delay_s / sim_seconds : 0.0;
 }
 
-double
-RunStats::queueDelayPerEpisode() const
-{
-    return episodes > 0 ? queue_delay_s / episodes : 0.0;
-}
-
 RunStats
 foldEpisodes(std::span<const core::EpisodeResult> episodes)
 {

@@ -69,9 +69,6 @@ struct RunStats
     /** Charged queueing delay as a fraction of total simulated episode
      * time (0 when the variant ran open-loop). */
     double queueDelayShare() const;
-
-    /** Mean charged queueing delay per episode, in seconds. */
-    double queueDelayPerEpisode() const;
 };
 
 /**

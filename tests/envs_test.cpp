@@ -709,79 +709,7 @@ TEST(AccessLog, ObjectAddedMidTurnAbortsAndStaysInRange)
     world.setAccessLog(nullptr);
 }
 
-// ------------------------------------------------ motionCost's read set
-
-/**
- * motionCost reads the occupancy of exactly the cells the reference A*
- * probed: with one cell stamped by an earlier turn of the phase, the
- * path query conflicts exactly when the reference consulted that cell.
- */
-template <typename Env>
-void
-expectMotionReadSetMatchesReference(int agents)
-{
-    Env environment(Difficulty::Hard, agents, sim::Rng(17));
-    env::World &world = environment.world();
-    ASSERT_EQ(world.bodies().size(), static_cast<std::size_t>(agents));
-    const env::GridMap &grid = world.grid();
-    std::vector<env::Vec2i> targets;
-    for (const auto &obj : world.objects())
-        targets.push_back(obj.pos);
-    sim::Rng rng(5);
-    for (int i = 0; i < 8; ++i)
-        targets.push_back({rng.uniformInt(0, grid.width() - 1),
-                           rng.uniformInt(0, grid.height() - 1)});
-
-    env::spec::AccessLog log;
-    world.setAccessLog(&log);
-    int compared = 0;
-    for (const env::AgentBody &mover : world.bodies()) {
-        std::vector<env::Vec2i> blocked;
-        for (const env::AgentBody &body : world.bodies())
-            if (!(body.pos == mover.pos))
-                blocked.push_back(body.pos);
-        for (const env::Vec2i &to : targets) {
-            const test::AStarOutcome want = test::referenceAStar(
-                grid, mover.pos, to, /*adjacent_ok=*/true, &blocked);
-            const double want_cost = want.path ? want.path->cost : -1.0;
-            std::vector<char> probed(
-                static_cast<std::size_t>(grid.width() * grid.height()), 0);
-            for (const env::Vec2i &cell : want.queried)
-                probed[static_cast<std::size_t>(cell.y * grid.width() +
-                                                cell.x)] = 1;
-            SCOPED_TRACE(compared);
-            for (int y = 0; y < grid.height(); ++y) {
-                for (int x = 0; x < grid.width(); ++x) {
-                    log.beginPhase();
-                    log.beginTurn();
-                    log.writeCell({x, y});
-                    log.beginTurn();
-                    EXPECT_EQ(environment.motionCost(mover.pos, to, nullptr),
-                              want_cost);
-                    EXPECT_EQ(log.conflicted(),
-                              probed[static_cast<std::size_t>(
-                                  y * grid.width() + x)] != 0)
-                        << "cell (" << x << ", " << y << ")";
-                }
-            }
-            ++compared;
-        }
-    }
-    world.setAccessLog(nullptr);
-    EXPECT_GT(compared, agents * 8);
-}
-
-TEST(MotionReadSet, KitchenMatchesReferenceProbes)
-{
-    expectMotionReadSetMatchesReference<KitchenEnv>(6);
-}
-
-TEST(MotionReadSet, TransportMatchesReferenceProbes)
-{
-    expectMotionReadSetMatchesReference<TransportEnv>(8);
-}
-
-// ------------------------------------------------------ spawn-cell checks
+// ------------------------------------------------------ bare grid world
 
 /** A bare GridEnvironment over a given grid, exposing the spawn helpers. */
 class BareGridEnv : public GridEnvironment
@@ -805,6 +733,257 @@ class BareGridEnv : public GridEnvironment
     using GridEnvironment::randomFreeCell;
     using GridEnvironment::randomFreeCellInRoom;
 };
+
+// ------------------------------------------------ motionCost's read set
+
+/** The reference A* for motionCost(from, to): adjacent arrival, every
+ * body not standing on `from` blocked. */
+test::AStarOutcome
+referenceMotion(const env::World &world, const env::Vec2i &from,
+                const env::Vec2i &to)
+{
+    std::vector<env::Vec2i> blocked;
+    for (const env::AgentBody &body : world.bodies())
+        if (!(body.pos == from))
+            blocked.push_back(body.pos);
+    return test::referenceAStar(world.grid(), from, to,
+                                /*adjacent_ok=*/true, &blocked);
+}
+
+/**
+ * motionCost reads the occupancy of exactly the cells the reference A*
+ * probed: with one cell stamped by an earlier turn of the phase, the
+ * path query conflicts exactly when the reference consulted that cell.
+ * Re-runs the query once per grid cell with `log` attached.
+ */
+void
+expectReadSetMatches(env::Environment &environment,
+                     env::spec::AccessLog &log, const env::Vec2i &from,
+                     const env::Vec2i &to, const test::AStarOutcome &want)
+{
+    env::World &world = environment.world();
+    const env::GridMap &grid = world.grid();
+    const double want_cost = want.path ? want.path->cost : -1.0;
+    std::vector<char> probed(
+        static_cast<std::size_t>(grid.width() * grid.height()), 0);
+    for (const env::Vec2i &cell : want.queried)
+        probed[static_cast<std::size_t>(cell.y * grid.width() + cell.x)] = 1;
+    world.setAccessLog(&log);
+    for (int y = 0; y < grid.height(); ++y) {
+        for (int x = 0; x < grid.width(); ++x) {
+            log.beginPhase();
+            log.beginTurn();
+            log.writeCell({x, y});
+            log.beginTurn();
+            EXPECT_EQ(environment.motionCost(from, to, nullptr), want_cost);
+            EXPECT_EQ(log.conflicted(),
+                      probed[static_cast<std::size_t>(y * grid.width() +
+                                                      x)] != 0)
+                << "cell (" << x << ", " << y << ")";
+        }
+    }
+    world.setAccessLog(nullptr);
+}
+
+template <typename Env>
+void
+expectMotionReadSetMatchesReference(int agents)
+{
+    Env environment(Difficulty::Hard, agents, sim::Rng(17));
+    const env::World &world = environment.world();
+    ASSERT_EQ(world.bodies().size(), static_cast<std::size_t>(agents));
+    const env::GridMap &grid = world.grid();
+    std::vector<env::Vec2i> targets;
+    for (const auto &obj : world.objects())
+        targets.push_back(obj.pos);
+    sim::Rng rng(5);
+    for (int i = 0; i < 8; ++i)
+        targets.push_back({rng.uniformInt(0, grid.width() - 1),
+                           rng.uniformInt(0, grid.height() - 1)});
+
+    env::spec::AccessLog log;
+    int compared = 0;
+    for (const env::AgentBody &mover : world.bodies()) {
+        for (const env::Vec2i &to : targets) {
+            SCOPED_TRACE(compared);
+            expectReadSetMatches(environment, log, mover.pos, to,
+                                 referenceMotion(world, mover.pos, to));
+            ++compared;
+        }
+    }
+    EXPECT_GT(compared, agents * 8);
+}
+
+TEST(MotionReadSet, KitchenMatchesReferenceProbes)
+{
+    expectMotionReadSetMatchesReference<KitchenEnv>(6);
+}
+
+TEST(MotionReadSet, TransportMatchesReferenceProbes)
+{
+    expectMotionReadSetMatchesReference<TransportEnv>(8);
+}
+
+/**
+ * A failed query answered by the free-space labels, with no search, logs
+ * the same read set the failed search would have: a body in the only
+ * doorway seals the left room, a first failed query labels it, and after
+ * an unrelated move in the right room the same query takes the fast path.
+ */
+TEST(MotionReadSet, FastRejectionMatchesReferenceProbes)
+{
+    // Two 4x4 rooms; the doorway between them is (5, 3).
+    BareGridEnv environment(env::GridMap::apartment(2, 1, 4, 4));
+    env::World &world = environment.world();
+    const env::Vec2i from{2, 2};
+    const env::Vec2i to{8, 4};
+    world.addAgent(from);
+    world.addAgent({5, 3});
+    const int other = world.addAgent({7, 2});
+
+    EXPECT_EQ(environment.motionCost(from, to, nullptr), -1.0);
+    EXPECT_EQ(environment.pathWork().searches, 1);
+    EXPECT_EQ(environment.pathWork().fast_rejections, 0);
+    world.agent(other).pos = {7, 3};
+
+    EXPECT_EQ(environment.motionCost(from, to, nullptr), -1.0);
+    EXPECT_EQ(environment.pathWork().searches, 1);
+    EXPECT_EQ(environment.pathWork().fast_rejections, 1);
+    const test::AStarOutcome want = referenceMotion(world, from, to);
+    ASSERT_FALSE(want.path.has_value());
+    env::spec::AccessLog log;
+    expectReadSetMatches(environment, log, from, to, want);
+    EXPECT_EQ(environment.pathWork().searches, 1);
+}
+
+// ---------------------------------------------------- free-space labels
+
+/** A w x h grid whose cells are walls with probability `density`. */
+env::GridMap
+randomWalls(int w, int h, double density, sim::Rng &rng)
+{
+    env::GridMap grid(w, h);
+    for (int y = 0; y < h; ++y)
+        for (int x = 0; x < w; ++x)
+            if (rng.bernoulli(density))
+                grid.setWalkable({x, y}, false);
+    return grid;
+}
+
+/**
+ * motionCost stays equal to the reference A* — the -1 or the cost, the
+ * path, and the logged read set — while bodies step, teleport, stack on
+ * one cell and join, and walls change, so that the label cache answers
+ * many failed queries with no search.
+ */
+TEST(FreeSpaceLabels, MatchesReferenceUnderBodyMoves)
+{
+    sim::Rng rng(29);
+    env::spec::AccessLog log;
+    env::PathWork work;
+    int starts_by_free_neighbours[5] = {0, 0, 0, 0, 0};
+    for (int world_index = 0; world_index < 24; ++world_index) {
+        const int w = rng.uniformInt(6, 11);
+        const int h = rng.uniformInt(6, 11);
+        // Denser walls leave narrow passages that one body can seal.
+        const double density = 0.15 + 0.05 * (world_index % 6);
+        BareGridEnv environment(randomWalls(w, h, density, rng));
+        env::World &world = environment.world();
+        const int bodies = rng.uniformInt(2, 12);
+        for (int i = 0; i < bodies; ++i) {
+            // Every third body stands on a cell another already holds.
+            if (i % 3 == 2)
+                world.addAgent(world.agent(rng.uniformInt(0, i - 1)).pos);
+            else
+                world.addAgent(environment.randomFreeCell(rng));
+        }
+        auto randomCell = [&] {
+            return env::Vec2i{rng.uniformInt(0, w - 1),
+                              rng.uniformInt(0, h - 1)};
+        };
+        for (int event = 0; event < 100; ++event) {
+            SCOPED_TRACE("world " + std::to_string(world_index) +
+                         " event " + std::to_string(event));
+            if (event == 40) { // a body joins
+                world.addAgent(environment.randomFreeCell(rng));
+                continue;
+            }
+            if (event % 16 == 8) { // a wall appears or opens
+                const env::Vec2i cell = randomCell();
+                world.grid().setWalkable(cell, !world.grid().walkable(cell));
+                continue;
+            }
+            env::AgentBody &body =
+                world.agent(rng.uniformInt(0, world.agentCount() - 1));
+            const int pick = rng.uniformInt(0, 19);
+            if (pick < 6) { // a step
+                const env::Vec2i next =
+                    body.pos + env::kNeighborOffsets[rng.uniformInt(0, 3)];
+                if (world.grid().walkable(next))
+                    body.pos = next;
+                continue;
+            }
+            if (pick < 8) { // a teleport, sometimes onto another body
+                body.pos = rng.bernoulli(0.5)
+                               ? environment.randomFreeCell(rng)
+                               : world.agent(0).pos;
+                continue;
+            }
+            // A query from a body (sometimes from any free cell) to a
+            // wall, a corner, a cell near the start or anywhere.
+            const env::Vec2i from = rng.bernoulli(0.8)
+                                        ? body.pos
+                                        : environment.randomFreeCell(rng);
+            env::Vec2i to = randomCell();
+            switch (rng.uniformInt(0, 3)) {
+            case 0:
+                for (int tries = 0; tries < 20 && world.grid().walkable(to);
+                     ++tries)
+                    to = randomCell();
+                break;
+            case 1:
+                to = {rng.bernoulli(0.5) ? 0 : w - 1,
+                      rng.bernoulli(0.5) ? 0 : h - 1};
+                break;
+            case 2:
+                to = {from.x + rng.uniformInt(-2, 2),
+                      from.y + rng.uniformInt(-2, 2)};
+                break;
+            default:
+                break;
+            }
+            int free_neighbours = 0;
+            for (const env::Vec2i &d : env::kNeighborOffsets)
+                if (world.grid().walkable(from + d) &&
+                    !world.occupiedByOther(-1, from + d))
+                    ++free_neighbours;
+            ++starts_by_free_neighbours[free_neighbours];
+
+            const test::AStarOutcome want = referenceMotion(world, from, to);
+            std::vector<env::Vec2i> path;
+            EXPECT_EQ(environment.motionCost(from, to, &path),
+                      want.path ? want.path->cost : -1.0);
+            if (want.path) {
+                EXPECT_EQ(path, want.path->cells);
+            }
+            expectReadSetMatches(environment, log, from, to, want);
+        }
+        const env::PathWork env_work = environment.pathWork();
+        work.searches += env_work.searches;
+        work.failed += env_work.failed;
+        work.fast_rejections += env_work.fast_rejections;
+    }
+    // The sequence reached both answers, the fast path, and starts with
+    // every number of free neighbours.
+    EXPECT_GT(work.fast_rejections, 1000);
+    EXPECT_GT(work.failed, 20);
+    EXPECT_GT(work.searches - work.failed, 1000);
+    for (int n = 0; n <= 4; ++n)
+        EXPECT_GT(starts_by_free_neighbours[n], 0)
+            << n << " free neighbours";
+}
+
+// ------------------------------------------------------ spawn-cell checks
 
 env::GridMap
 allWalls(int w, int h)

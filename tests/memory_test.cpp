@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <deque>
 #include <set>
 #include <stdexcept>
+#include <string>
 
 #include "memory/memory.h"
 
@@ -351,6 +353,48 @@ TEST_P(MemoryKnownCountProperty, CountAndDrawsMatchReference)
 INSTANTIATE_TEST_SUITE_P(Seeded, MemoryKnownCountProperty,
                          ::testing::Combine(::testing::Bool(),
                                             ::testing::Range(1, 9)));
+
+/** retrieve's dialogue token count is kept incrementally; it must equal
+ * a fresh sum over the records the window still holds, through pushes,
+ * prunes, an unlimited window and clear(). */
+TEST(Memory, DialogueTokensMatchResumOfLiveRecords)
+{
+    for (const int capacity : {3, 0}) {
+        SCOPED_TRACE("capacity " + std::to_string(capacity));
+        auto mem = makeMemory(capacity);
+        std::deque<DialogueRecord> live;
+        auto resum = [&] {
+            int sum = 0;
+            for (const DialogueRecord &d : live)
+                sum += d.tokens;
+            return sum;
+        };
+        sim::Rng rng(11);
+        for (int step = 0; step < 30; ++step) {
+            if (step == 20) {
+                mem.clear();
+                live.clear();
+                EXPECT_EQ(mem.retrieve(step).dialogue_tokens, 0);
+            }
+            mem.advanceStep(step);
+            if (capacity > 0)
+                while (!live.empty() &&
+                       live.front().step <= step - capacity)
+                    live.pop_front();
+            for (int k = rng.uniformInt(0, 3); k > 0; --k) {
+                const DialogueRecord record{step, k, -1,
+                                            rng.uniformInt(1, 60), true};
+                mem.recordDialogue(record);
+                live.push_back(record);
+            }
+            ASSERT_EQ(mem.dialogueCount(), live.size());
+            EXPECT_EQ(mem.retrieve(step).dialogue_tokens, resum());
+        }
+        if (capacity == 0) {
+            EXPECT_GT(live.size(), 10u); // nothing was pruned since clear
+        }
+    }
+}
 
 TEST(Memory, NegativeObjectIdRejected)
 {

@@ -1,0 +1,101 @@
+/**
+ * @file
+ * Deterministic path-query work counters (the `path.*` counters of
+ * EpisodeResult::metrics) on a pipeline_opts-style batch: they repeat
+ * exactly at any worker count, and free-space labels keep A* nodes
+ * expanded well below what the same batch expanded with a search on
+ * every query.
+ */
+
+#include <cstdlib>
+#include <string>
+#include <vector>
+
+#include <gtest/gtest.h>
+
+#include "obs/metrics.h"
+#include "runner/averaged.h"
+#include "runner/episode_runner.h"
+#include "workloads/workload.h"
+
+namespace {
+
+using namespace ebs;
+
+constexpr const char *kCounters[] = {
+    "path.queries",         "path.astar_searches", "path.astar_failed",
+    "path.fast_rejections", "path.astar_expanded", "path.flood_cells"};
+
+/** MindAgent, CoELA and COMBO at 8 and 12 agents on Medium with every
+ * Sec. V-D switch on (perfbench's pipeline_opts mix), seeds 1-4. */
+std::vector<runner::EpisodeJob>
+pipelineOptsBatch()
+{
+    core::PipelineOptions pipeline;
+    pipeline.parallel_agents = true;
+    pipeline.speculative_execute = true;
+    pipeline.batch_llm_calls = true;
+    pipeline.comm_on_demand = true;
+    pipeline.plan_every_k = 2;
+    pipeline.context_compression = 0.5;
+    std::vector<runner::EpisodeJob> jobs;
+    for (const char *name : {"MindAgent", "CoELA", "COMBO"}) {
+        const auto &spec = workloads::workload(name);
+        for (const int agents : {8, 12}) {
+            for (int seed = 1; seed <= 4; ++seed) {
+                runner::EpisodeJob job;
+                job.workload = &spec;
+                job.config = spec.config;
+                job.difficulty = env::Difficulty::Medium;
+                job.seed = runner::episodeSeed(seed);
+                job.n_agents = agents;
+                job.pipeline = pipeline;
+                jobs.push_back(std::move(job));
+            }
+        }
+    }
+    return jobs;
+}
+
+/** Workers for the parallel run: EBS_JOBS when set, else 4. */
+int
+parallelWorkers()
+{
+    return std::getenv("EBS_JOBS") != nullptr
+               ? runner::EpisodeRunner::defaultJobs()
+               : 4;
+}
+
+TEST(PathWork, LabelsCutExpandedNodes)
+{
+    const auto jobs = pipelineOptsBatch();
+    const auto serial = runner::EpisodeRunner(1).run(jobs);
+    const auto parallel = runner::EpisodeRunner(parallelWorkers()).run(jobs);
+    ASSERT_EQ(serial.size(), jobs.size());
+    ASSERT_EQ(parallel.size(), jobs.size());
+    obs::MetricSet total;
+    for (std::size_t i = 0; i < jobs.size(); ++i) {
+        SCOPED_TRACE("job " + std::to_string(i));
+        for (const char *name : kCounters)
+            EXPECT_EQ(serial[i].metrics.counter(name),
+                      parallel[i].metrics.counter(name))
+                << name;
+        total.merge(serial[i].metrics);
+    }
+
+    // Batch totals, recorded when the labels landed.
+    EXPECT_EQ(total.counter("path.queries"), 5896);
+    EXPECT_EQ(total.counter("path.astar_searches"), 3963);
+    EXPECT_EQ(total.counter("path.astar_failed"), 614);
+    EXPECT_EQ(total.counter("path.fast_rejections"), 1933);
+    EXPECT_EQ(total.counter("path.astar_expanded"), 106675);
+    EXPECT_EQ(total.counter("path.flood_cells"), 50891);
+
+    // The same batch with a search on every query (no labels) expanded
+    // this many A* nodes, in 5896 searches of which 2547 failed.
+    constexpr long long kExpandedWithoutLabels = 247278;
+    EXPECT_LE(total.counter("path.astar_expanded") * 10,
+              kExpandedWithoutLabels * 6);
+}
+
+} // namespace
