@@ -3,8 +3,8 @@
  * Google-benchmark microbenchmarks of the substrate components whose
  * compute cost backs the execution-module latency story: A* grid search
  * (bare, and as motionCost calls it with other bodies and a read set),
- * RRT motion planning, memory retrieval, the token counter, and the LLM
- * engine's sampling path.
+ * RRT motion planning, memory retrieval, and the LLM engine's sampling
+ * path.
  *
  * Honors smoke mode (ctx.smoke(), set by `run_all --smoke`) by clamping
  * --benchmark_min_time to a few milliseconds so the suite stops dominating smoke runs. Full runs use
@@ -30,7 +30,6 @@
 #include "core/coordinator.h"
 #include "envs/transport_env.h"
 #include "llm/engine_service.h"
-#include "llm/token.h"
 #include "memory/memory.h"
 #include "plan/astar.h"
 #include "plan/rrt.h"
@@ -135,16 +134,6 @@ BM_MemoryRetrieve(benchmark::State &state)
     }
 }
 BENCHMARK(BM_MemoryRetrieve)->Arg(64)->Arg(512)->Arg(4096);
-
-void
-BM_TokenCounter(benchmark::State &state)
-{
-    const std::string text(static_cast<std::size_t>(state.range(0)), 'a');
-    for (auto _ : state)
-        benchmark::DoNotOptimize(llm::approxTokens(text));
-    state.SetBytesProcessed(state.iterations() * state.range(0));
-}
-BENCHMARK(BM_TokenCounter)->Arg(256)->Arg(4096)->Arg(65536);
 
 void
 BM_EngineHandleComplete(benchmark::State &state)

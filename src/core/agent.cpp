@@ -457,7 +457,6 @@ Agent::execute(int step, const env::Subgoal &subgoal)
             // The agent has verified the belief is wrong: drop it so the
             // next plan searches instead of returning here.
             memory_.invalidate(subgoal.target);
-            ++failed_subgoals_;
             return result;
         }
     }
@@ -469,7 +468,6 @@ Agent::execute(int step, const env::Subgoal &subgoal)
     if (!compiled.feasible) {
         result.success = false;
         result.fail_reason = compiled.reason;
-        ++failed_subgoals_;
         return result;
     }
     result.motion_cost = compiled.motion_cost;
@@ -549,8 +547,6 @@ Agent::execute(int step, const env::Subgoal &subgoal)
     }
 
     result.success = !failed && index == compiled.prims.size();
-    if (!result.success)
-        ++failed_subgoals_;
     return result;
 }
 
@@ -575,36 +571,30 @@ Agent::reflect(int step, const env::Subgoal &subgoal,
         detected = rng_.bernoulli(config_.env_feedback_detection);
     }
 
+    // Every outcome adds one action record. An error that goes undetected
+    // is remembered as progress: a corrupted record that raises the
+    // complexity of later plans.
+    memory_.recordAction(step);
     if (result.success) {
         repeat_intent_.reset();
-        if (plan_was_sound) {
-            memory_.recordAction(step, subgoal.describe(), true);
-            return;
-        }
-        // The action executed fine but did not advance the task (an
-        // "ineffective" operation in the paper's terms). Reflection's job
-        // is to flag these; unflagged, they pollute the context as fake
-        // progress and degrade subsequent planning.
-        if (detected) {
-            memory_.recordAction(step, subgoal.describe(), false);
-        } else {
-            memory_.recordAction(step, subgoal.describe(), true);
+        // An action that executed fine but did not advance the task is
+        // an "ineffective" operation in the paper's terms. Reflection's
+        // job is to flag these; unflagged, they pollute the context as
+        // fake progress and degrade subsequent planning.
+        if (!plan_was_sound && !detected)
             ++corrupted_records_;
-        }
         return;
     }
 
     if (detected) {
-        // Failure caught: record it honestly and replan fresh next step.
-        memory_.recordAction(step, subgoal.describe(), false);
+        // Failure caught: replan fresh next step.
         repeat_intent_.reset();
         return;
     }
 
-    // Undetected failure: memory wrongly records success, and the agent
-    // either "phantom-completes" the object or gets stuck re-issuing the
-    // same subgoal. The corrupted record also degrades future planning.
-    memory_.recordAction(step, subgoal.describe(), true);
+    // Undetected failure: the agent either "phantom-completes" the object
+    // or gets stuck re-issuing the same subgoal. The corrupted record also
+    // degrades future planning.
     ++corrupted_records_;
     if (subgoal.target != env::kNoObject &&
         rng_.bernoulli(config_.phantom_completion)) {

@@ -129,9 +129,6 @@ class Agent
         return believed_done_;
     }
 
-    /** Number of failed subgoals this episode (ground truth). */
-    int failedSubgoals() const { return failed_subgoals_; }
-
   private:
     /** Objects currently known: live percept + memory beliefs. */
     bool knows(env::ObjectId id) const;
@@ -176,7 +173,6 @@ class Agent
     std::optional<env::Subgoal> repeat_intent_; ///< stuck-loop state
     int last_plan_tokens_ = 0;
     int last_message_tokens_ = 0;
-    int failed_subgoals_ = 0;
     int corrupted_records_ = 0; ///< failures wrongly logged as successes
 };
 

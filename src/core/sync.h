@@ -104,7 +104,6 @@ class CondVar
         (void)lock;
     }
 
-    void notifyOne() { cv_.notify_one(); }
     void notifyAll() { cv_.notify_all(); }
 
   private:

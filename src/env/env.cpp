@@ -102,12 +102,6 @@ Environment::applyPrimitive(int agent_id, const Primitive &prim)
     }
 }
 
-int
-Environment::actionSpaceSize(int agent_id) const
-{
-    return static_cast<int>(validSubgoals(agent_id).size());
-}
-
 Vec2i
 Environment::roomAnchor(int room) const
 {

@@ -106,12 +106,6 @@ class Environment
     virtual PathWork pathWork() const { return {}; }
 
     /**
-     * Size of the currently-valid decision space for an agent; drives the
-     * joint-reasoning complexity penalty in the LLM capability model.
-     */
-    virtual int actionSpaceSize(int agent_id) const;
-
-    /**
      * A representative walkable cell of a room (used as the Explore
      * navigation target). Returns {-1,-1} when the room has no free cell.
      * Answers from the anchor table setTask built while the grid is

@@ -49,14 +49,6 @@ GridMap::setWalkable(const Vec2i &p, bool w)
         room_[idx(p)] = -1;
 }
 
-int
-GridMap::room(const Vec2i &p) const
-{
-    if (!inBounds(p))
-        return -1;
-    return room_[idx(p)];
-}
-
 void
 GridMap::setRoom(const Vec2i &p, int room)
 {

@@ -45,7 +45,12 @@ class GridMap
     void setWalkable(const Vec2i &p, bool w);
 
     /** Room id of a cell (-1 for walls / out of bounds). */
-    int room(const Vec2i &p) const;
+    int
+    room(const Vec2i &p) const
+    {
+        return inBounds(p) ? room_[idx(p)] : -1;
+    }
+
     /** Throws std::out_of_range for a cell outside the grid. */
     void setRoom(const Vec2i &p, int room);
 

@@ -23,9 +23,6 @@ enum class ObjectClass
     Resource,  ///< minable/harvestable node (tree, ore vein)
 };
 
-/** Display name for an ObjectClass. */
-const char *objectClassName(ObjectClass cls);
-
 /**
  * One object in the world. `kind` and `state` are environment-specific codes
  * (e.g. in KitchenEnv, kind = ingredient id, state = raw/chopped/cooked);

@@ -124,44 +124,6 @@ GridEnvironment::randomFreeCell(sim::Rng &rng) const
 }
 
 std::vector<env::ObjectId>
-GridEnvironment::looseItemsOfKind(int kind) const
-{
-    std::vector<env::ObjectId> out;
-    for (const auto &obj : world_.objects())
-        if (obj.cls == env::ObjectClass::Item && obj.kind == kind &&
-            obj.loose())
-            out.push_back(obj.id);
-    return out;
-}
-
-env::ObjectId
-GridEnvironment::nearestLooseItem(const env::Vec2i &from, int kind) const
-{
-    env::ObjectId best = env::kNoObject;
-    int best_dist = 0;
-    for (const auto &obj : world_.objects()) {
-        if (obj.cls != env::ObjectClass::Item || obj.kind != kind ||
-            !obj.loose())
-            continue;
-        const int d = env::manhattan(from, obj.pos);
-        if (best == env::kNoObject || d < best_dist) {
-            best = obj.id;
-            best_dist = d;
-        }
-    }
-    return best;
-}
-
-env::ObjectId
-GridEnvironment::findObject(env::ObjectClass cls, int kind) const
-{
-    for (const auto &obj : world_.objects())
-        if (obj.cls == cls && obj.kind == kind)
-            return obj.id;
-    return env::kNoObject;
-}
-
-std::vector<env::ObjectId>
 GridEnvironment::objectsOfClass(env::ObjectClass cls) const
 {
     std::vector<env::ObjectId> out;

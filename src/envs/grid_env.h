@@ -54,15 +54,6 @@ class GridEnvironment : public env::Environment
      * std::invalid_argument when the grid has none. */
     env::Vec2i randomFreeCell(sim::Rng &rng) const;
 
-    /** Ids of loose Items with the given kind code. */
-    std::vector<env::ObjectId> looseItemsOfKind(int kind) const;
-
-    /** Nearest loose Item of a kind to `from` (kNoObject if none). */
-    env::ObjectId nearestLooseItem(const env::Vec2i &from, int kind) const;
-
-    /** First object of a class and kind (kNoObject if none). */
-    env::ObjectId findObject(env::ObjectClass cls, int kind) const;
-
     /** All objects of a class. */
     std::vector<env::ObjectId> objectsOfClass(env::ObjectClass cls) const;
 

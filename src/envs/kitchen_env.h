@@ -33,9 +33,6 @@ class KitchenEnv : public GridEnvironment
     /** Dishes served so far. */
     int servedCount() const;
 
-    /** Dishes ordered. */
-    int orderCount() const { return orders_; }
-
     env::ObjectId board() const { return board_; }
     env::ObjectId stove() const { return stove_; }
     env::ObjectId counter() const { return counter_; }

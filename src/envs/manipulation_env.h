@@ -44,7 +44,6 @@ class ManipulationEnv : public GridEnvironment
 
     env::ObjectId targetOf(env::ObjectId block) const;
     int placedCount() const;
-    int blockCount() const { return static_cast<int>(goals_.size()); }
 
     /** RRT tree extensions accumulated across motion queries. */
     long rrtIterations() const { return rrt_iterations_; }

@@ -27,7 +27,6 @@ class WarehouseEnv : public GridEnvironment
 
     env::ObjectId depot() const { return depot_; }
     int deliveredCount() const;
-    int packageCount() const { return packages_; }
 
     static constexpr int kPackage = 1;
 

@@ -72,24 +72,6 @@ ModelProfile::llama13bLocal()
 }
 
 ModelProfile
-ModelProfile::llama70bLocal()
-{
-    ModelProfile p;
-    p.name = "Llama-70B (local)";
-    p.remote = false;
-    p.prefill_tok_per_s = 700;
-    p.decode_tok_per_s = 12;
-    p.context_limit = 8192;
-    p.plan_quality = 0.82;
-    p.comm_quality = 0.80;
-    p.reflect_quality = 0.82;
-    p.format_compliance = 0.96;
-    p.dilution_onset_tokens = 3500;
-    p.dilution_scale_tokens = 12000;
-    return p;
-}
-
-ModelProfile
 ModelProfile::llava7bLocal()
 {
     ModelProfile p = llama3_8bLocal();

@@ -52,7 +52,6 @@ struct ModelProfile
     static ModelProfile gpt4Api();
     static ModelProfile llama3_8bLocal();
     static ModelProfile llama13bLocal();
-    static ModelProfile llama70bLocal();
     static ModelProfile llava7bLocal();
     static ModelProfile llama7bLocal();
 

@@ -104,11 +104,11 @@ MemoryModule::recordSharedBelief(int step, const ObservationRecord &record)
 }
 
 void
-MemoryModule::recordAction(int step, std::string subgoal, bool success)
+MemoryModule::recordAction(int step)
 {
     if (!config_.enabled)
         return;
-    actions_.push_back({step, std::move(subgoal), success});
+    actions_.push_back(step);
 }
 
 void
@@ -131,7 +131,7 @@ MemoryModule::advanceStep(int step)
         release(observations_.front().id);
         observations_.pop_front();
     }
-    while (!actions_.empty() && !insideWindow(actions_.front().step))
+    while (!actions_.empty() && !insideWindow(actions_.front()))
         actions_.pop_front();
     while (!dialogue_.empty() && !insideWindow(dialogue_.front().step)) {
         dialogue_tokens_ -= dialogue_.front().tokens;
@@ -207,17 +207,6 @@ MemoryModule::knownObjects() const
     return out;
 }
 
-std::set<int>
-MemoryModule::visitedRooms() const
-{
-    std::set<int> out;
-    if (!config_.enabled)
-        return out;
-    for (const auto &[room, step] : room_visits_)
-        out.insert(room);
-    return out;
-}
-
 int
 MemoryModule::lastVisit(int room) const
 {
@@ -284,18 +273,6 @@ MemoryModule::liveRecords() const
 {
     return observations_.size() + actions_.size() + dialogue_.size() +
            long_term_.size();
-}
-
-int
-MemoryModule::recentConsecutiveFailures() const
-{
-    int count = 0;
-    for (auto it = actions_.rbegin(); it != actions_.rend(); ++it) {
-        if (it->success)
-            break;
-        ++count;
-    }
-    return count;
 }
 
 void

@@ -3,8 +3,6 @@
 
 #include <deque>
 #include <optional>
-#include <set>
-#include <string>
 #include <vector>
 
 #include "env/observation.h"
@@ -25,14 +23,6 @@ struct ObservationRecord
     env::ObjectId inside = env::kNoObject;
     bool openable = false;
     bool open = true;
-};
-
-/** One remembered action outcome. */
-struct ActionRecord
-{
-    int step = 0;
-    std::string subgoal; ///< rendered subgoal description
-    bool success = false;
 };
 
 /** One remembered dialogue message (content abstracted to token size). */
@@ -104,8 +94,8 @@ class MemoryModule
     /** Ingest a belief received from another agent's message. */
     void recordSharedBelief(int step, const ObservationRecord &record);
 
-    /** Log an executed subgoal and its outcome. */
-    void recordAction(int step, std::string subgoal, bool success);
+    /** Log one executed subgoal (retrieve() sizes each at 7 tokens). */
+    void recordAction(int step);
 
     /** Log a dialogue message. */
     void recordDialogue(const DialogueRecord &record);
@@ -130,9 +120,6 @@ class MemoryModule
     /** Latest belief per object (deduplicated). */
     std::vector<ObservationRecord> knownObjects() const;
 
-    /** Rooms visited within the window (plus long-term, if dual memory). */
-    std::set<int> visitedRooms() const;
-
     /** Step at which the agent last stood in a room (-1 if unknown). */
     int lastVisit(int room) const;
 
@@ -153,9 +140,6 @@ class MemoryModule
     /** Number of surviving dialogue records. */
     std::size_t dialogueCount() const { return dialogue_.size(); }
 
-    /** Consecutive failures recorded for the same subgoal recently. */
-    int recentConsecutiveFailures() const;
-
     void clear();
 
   private:
@@ -170,7 +154,7 @@ class MemoryModule
     sim::Rng rng_;
     int current_step_ = 0;
     std::deque<ObservationRecord> observations_;
-    std::deque<ActionRecord> actions_;
+    std::deque<int> actions_; ///< step of each logged action
     std::deque<DialogueRecord> dialogue_;
     /** Sum of dialogue_'s tokens, kept on push, prune and clear so
      * retrieve does not re-sum a window that is the whole episode when

@@ -26,13 +26,6 @@ struct LatencyDist
             return 0.0;
         return rng.lognormal(mean_s, cv);
     }
-
-    /** Scale the mean by a factor, keeping the relative spread. */
-    LatencyDist
-    scaled(double factor) const
-    {
-        return LatencyDist{mean_s * factor, cv};
-    }
 };
 
 } // namespace ebs::sim

@@ -117,16 +117,6 @@ Rng::lognormal(double mean, double cv)
     return std::exp(normal(mu, std::sqrt(sigma2)));
 }
 
-double
-Rng::exponential(double mean)
-{
-    assert(mean > 0.0);
-    double u = uniform();
-    if (u < 1e-300)
-        u = 1e-300;
-    return -mean * std::log(u);
-}
-
 std::size_t
 Rng::pickIndex(std::size_t n)
 {

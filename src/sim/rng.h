@@ -52,9 +52,6 @@ class Rng
      */
     double lognormal(double mean, double cv);
 
-    /** Exponential with the given mean (mean > 0). */
-    double exponential(double mean);
-
     /** Uniformly pick an index in [0, n). Requires n > 0. */
     std::size_t pickIndex(std::size_t n);
 

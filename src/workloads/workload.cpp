@@ -4,6 +4,8 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
+#include <stdexcept>
+#include <string>
 
 namespace ebs::workloads {
 
@@ -34,9 +36,15 @@ WorkloadSpec::runWithConfig(const core::AgentConfig &config_override,
                             const core::EpisodeOptions &options,
                             int n_agents) const
 {
-    int agents = n_agents > 0 ? n_agents : default_agents;
-    if (paradigm == Paradigm::SingleModular)
-        agents = 1;
+    if (n_agents == 0 || n_agents < -1)
+        throw std::invalid_argument(
+            "n_agents must be -1 (the workload default) or >= 1, got " +
+            std::to_string(n_agents));
+    if (paradigm == Paradigm::SingleModular && n_agents > 1)
+        throw std::invalid_argument(
+            "n_agents must be 1 or -1 for the single-agent workload " + name +
+            ", got " + std::to_string(n_agents));
+    const int agents = n_agents > 0 ? n_agents : default_agents;
 
     sim::Rng env_rng = sim::Rng(options.seed).fork(7);
     auto environment = make_env(difficulty, agents, env_rng);

@@ -69,8 +69,10 @@ struct WorkloadSpec
      * Run one episode at the given difficulty with the workload's default
      * configuration.
      *
-     * @param n_agents team size; -1 uses default_agents (single-agent
-     *                 workloads always run one agent)
+     * @param n_agents team size; -1 uses default_agents. Throws
+     *                 std::invalid_argument naming n_agents for 0, a value
+     *                 below -1, or a team larger than 1 on a single-agent
+     *                 workload.
      */
     core::EpisodeResult run(env::Difficulty difficulty,
                             const core::EpisodeOptions &options,

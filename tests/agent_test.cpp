@@ -192,6 +192,47 @@ TEST_F(AgentTest, SuccessfulActionsNeverPhantom)
     EXPECT_TRUE(agent->believedDone().empty());
 }
 
+TEST_F(AgentTest, EveryReflectedTurnRecordsOneAction)
+{
+    // Each outcome branch of reflect() (with raw environment feedback as
+    // the only detector) logs exactly one action, which retrieval sizes
+    // at 7 tokens.
+    struct Case
+    {
+        const char *name;
+        bool success;
+        bool plan_was_sound;
+        double detection;
+    };
+    const Case cases[] = {
+        {"sound success", true, true, 0.0},
+        {"ineffective, detected", true, false, 1.0},
+        {"ineffective, undetected", true, false, 0.0},
+        {"failed, detected", false, true, 1.0},
+        {"failed, undetected", false, true, 0.0},
+    };
+    for (const Case &c : cases) {
+        SCOPED_TRACE(c.name);
+        AgentConfig config;
+        config.has_reflection = false;
+        config.env_feedback_detection = c.detection;
+        auto agent = makeAgent(config);
+        agent->sense(0);
+        const std::size_t records = agent->memory().liveRecords();
+        const int tokens = agent->memory().retrieve(0).action_tokens;
+
+        env::Subgoal sg;
+        sg.kind = env::SubgoalKind::PickUp;
+        sg.target = 1;
+        ExecResult result;
+        result.attempted = true;
+        result.success = c.success;
+        agent->reflect(0, sg, result, c.plan_was_sound);
+        EXPECT_EQ(agent->memory().liveRecords(), records + 1);
+        EXPECT_EQ(agent->memory().retrieve(0).action_tokens, tokens + 7);
+    }
+}
+
 TEST_F(AgentTest, CommunicationDisabledProducesNoMessage)
 {
     AgentConfig config;

@@ -1,4 +1,7 @@
+#include <filesystem>
 #include <fstream>
+#include <map>
+#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -289,6 +292,51 @@ TEST(LintTree, ShippedTreeLintsClean)
     const auto findings =
         lintTree({root("src"), root("bench"), root("tests")});
     EXPECT_TRUE(findings.empty()) << joined(findings);
+}
+
+TEST(SourceTree, EveryHeaderHasANonTestIncluder)
+{
+    // A src/ module that only tests include is code the program never
+    // runs. Every src/**/*.h must be included by a file under src/
+    // (other than its own .cpp), bench/, examples/ or tools/.
+    namespace fs = std::filesystem;
+    std::map<std::string, std::set<std::string>> includers;
+    for (const char *dir : {"src", "bench", "examples", "tools"}) {
+        for (const auto &entry : fs::recursive_directory_iterator(root(dir))) {
+            const std::string ext = entry.path().extension().string();
+            if (!entry.is_regular_file() || (ext != ".h" && ext != ".cpp"))
+                continue;
+            const std::string file =
+                fs::relative(entry.path(), root("")).generic_string();
+            std::ifstream in(entry.path());
+            std::string line;
+            while (std::getline(in, line)) {
+                std::istringstream tokens(line);
+                std::string directive, target;
+                if (tokens >> directive >> target && directive == "#include" &&
+                    target.size() > 2 && target.front() == '"')
+                    includers[target.substr(1, target.find('"', 1) - 1)]
+                        .insert(file);
+            }
+        }
+    }
+
+    std::vector<std::string> orphans;
+    for (const auto &entry : fs::recursive_directory_iterator(root("src"))) {
+        if (!entry.is_regular_file() || entry.path().extension() != ".h")
+            continue;
+        const std::string header =
+            fs::relative(entry.path(), root("src")).generic_string();
+        const std::string own_cpp =
+            "src/" + header.substr(0, header.size() - 2) + ".cpp";
+        std::set<std::string> others = includers[header];
+        others.erase(own_cpp);
+        if (others.empty())
+            orphans.push_back(header);
+    }
+    EXPECT_TRUE(orphans.empty())
+        << "headers with no includer outside tests/: "
+        << ::testing::PrintToString(orphans);
 }
 
 } // namespace

@@ -78,7 +78,7 @@ TEST(Memory, DisabledStoresNothing)
 {
     auto mem = makeMemory(10, /*enabled=*/false);
     mem.recordObservation(makeObs(0, 1, {{7, {1, 1}}}));
-    mem.recordAction(0, "PickUp", true);
+    mem.recordAction(0);
     EXPECT_FALSE(mem.knowsObject(7));
     EXPECT_EQ(mem.liveRecords(), 0u);
     EXPECT_DOUBLE_EQ(mem.retrievalLatency(), 0.0);
@@ -104,9 +104,7 @@ TEST(Memory, VisitedRoomsTracked)
     auto mem = makeMemory(10);
     mem.recordObservation(makeObs(0, 2, {}));
     mem.recordObservation(makeObs(1, 3, {}));
-    const auto rooms = mem.visitedRooms();
-    EXPECT_EQ(rooms.size(), 2u);
-    EXPECT_TRUE(rooms.count(2) > 0);
+    EXPECT_EQ(mem.lastVisit(2), 0);
     EXPECT_EQ(mem.lastVisit(3), 1);
     EXPECT_EQ(mem.lastVisit(9), -1);
 }
@@ -138,7 +136,7 @@ TEST(Memory, RetrievalTokensGrowWithContent)
     EXPECT_EQ(empty.totalTokens(), 0);
 
     mem.recordObservation(makeObs(0, 1, {{1, {1, 1}}, {2, {2, 2}}}));
-    mem.recordAction(0, "PickUp(obj 1)", true);
+    mem.recordAction(0);
     mem.recordDialogue({0, 1, 0, 40, true});
     const auto ctx = mem.retrieve(1);
     EXPECT_GT(ctx.observation_tokens, 0);
@@ -224,26 +222,15 @@ TEST(Memory, DualMemoryCompressesRetrieval)
               plain.retrieve(30).observation_tokens);
 }
 
-TEST(Memory, ConsecutiveFailuresCounted)
-{
-    auto mem = makeMemory(20);
-    mem.recordAction(0, "a", true);
-    mem.recordAction(1, "b", false);
-    mem.recordAction(2, "c", false);
-    EXPECT_EQ(mem.recentConsecutiveFailures(), 2);
-    mem.recordAction(3, "d", true);
-    EXPECT_EQ(mem.recentConsecutiveFailures(), 0);
-}
-
 TEST(Memory, ClearEmptiesEverything)
 {
     auto mem = makeMemory(20);
     mem.recordObservation(makeObs(0, 1, {{1, {1, 1}}}));
-    mem.recordAction(0, "a", true);
+    mem.recordAction(0);
     mem.clear();
     EXPECT_EQ(mem.liveRecords(), 0u);
     EXPECT_FALSE(mem.knowsObject(1));
-    EXPECT_TRUE(mem.visitedRooms().empty());
+    EXPECT_EQ(mem.lastVisit(1), -1);
 }
 
 /** Property sweep: live records never exceed what the window admits. */
@@ -257,7 +244,7 @@ TEST_P(MemoryCapacitySweep, WindowBoundsRecords)
     auto mem = makeMemory(capacity);
     for (int step = 0; step < 200; ++step) {
         mem.recordObservation(makeObs(step, 1, {{1, {1, 1}}}));
-        mem.recordAction(step, "x", true);
+        mem.recordAction(step);
         mem.advanceStep(step);
     }
     // One observation + one action per step inside the window.

@@ -140,15 +140,6 @@ TEST(Regression, CentralTokenSeriesUsesSentinelAgent)
     EXPECT_TRUE(saw_central);
 }
 
-TEST(Regression, ActionSpaceSizeMatchesValidSubgoals)
-{
-    sim::Rng rng(15);
-    envs::TransportEnv env(env::Difficulty::Medium, 2, rng);
-    for (int a = 0; a < 2; ++a)
-        EXPECT_EQ(env.actionSpaceSize(a),
-                  static_cast<int>(env.validSubgoals(a).size()));
-}
-
 TEST(Regression, MessageUtilityModelKeepsUsefulBelowGenerated)
 {
     const auto &spec = workloads::workload("DMAS");

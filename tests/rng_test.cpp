@@ -124,16 +124,6 @@ TEST(Rng, LognormalZeroCvIsDeterministic)
         EXPECT_DOUBLE_EQ(rng.lognormal(2.5, 0.0), 2.5);
 }
 
-TEST(Rng, ExponentialMean)
-{
-    Rng rng(23);
-    double sum = 0.0;
-    const int n = 100000;
-    for (int i = 0; i < n; ++i)
-        sum += rng.exponential(4.0);
-    EXPECT_NEAR(sum / n, 4.0, 0.1);
-}
-
 TEST(Rng, ForkIsDeterministicAndIndependent)
 {
     Rng parent(42);
@@ -200,14 +190,6 @@ TEST(LatencyDist, ZeroMeanSamplesZero)
     Rng rng(39);
     LatencyDist dist{0.0, 0.5};
     EXPECT_DOUBLE_EQ(dist.sample(rng), 0.0);
-}
-
-TEST(LatencyDist, ScaledKeepsSpread)
-{
-    LatencyDist dist{2.0, 0.3};
-    const LatencyDist half = dist.scaled(0.5);
-    EXPECT_DOUBLE_EQ(half.mean_s, 1.0);
-    EXPECT_DOUBLE_EQ(half.cv, 0.3);
 }
 
 /** Property sweep: lognormal mean holds across parameter grid. */

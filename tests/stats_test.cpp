@@ -6,7 +6,6 @@
 
 #include "stats/aggregate.h"
 #include "stats/csv.h"
-#include "stats/histogram.h"
 #include "stats/latency_recorder.h"
 #include "stats/phase_wall.h"
 #include "stats/table.h"
@@ -63,38 +62,6 @@ TEST(Percentile, Interpolates)
 TEST(Percentile, SingleSample)
 {
     EXPECT_DOUBLE_EQ(percentile({42.0}, 99), 42.0);
-}
-
-TEST(Histogram, CountsAndClamping)
-{
-    Histogram h(0.0, 10.0, 5);
-    h.add(0.5);   // bucket 0
-    h.add(9.9);   // bucket 4
-    h.add(-3.0);  // clamped to bucket 0
-    h.add(100.0); // clamped to bucket 4
-    EXPECT_EQ(h.count(0), 2u);
-    EXPECT_EQ(h.count(4), 2u);
-    EXPECT_EQ(h.totalCount(), 4u);
-}
-
-TEST(Histogram, BucketEdges)
-{
-    Histogram h(0.0, 10.0, 5);
-    EXPECT_DOUBLE_EQ(h.bucketLo(0), 0.0);
-    EXPECT_DOUBLE_EQ(h.bucketHi(0), 2.0);
-    EXPECT_DOUBLE_EQ(h.bucketLo(4), 8.0);
-    EXPECT_DOUBLE_EQ(h.bucketHi(4), 10.0);
-}
-
-TEST(Histogram, RenderContainsBars)
-{
-    Histogram h(0.0, 2.0, 2);
-    h.add(0.5);
-    h.add(0.6);
-    h.add(1.5);
-    const std::string out = h.render(10);
-    EXPECT_NE(out.find('#'), std::string::npos);
-    EXPECT_NE(out.find("2"), std::string::npos);
 }
 
 TEST(Table, AlignedRender)

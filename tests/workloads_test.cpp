@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <stdexcept>
+#include <string>
 
 #include "workloads/workload.h"
 
@@ -82,13 +84,46 @@ TEST(Suite, BackendsMatchTableIi)
 
 TEST(Suite, SingleAgentWorkloadsForceOneAgent)
 {
+    // A single-agent system runs one agent for the default team (-1) and
+    // for an explicit 1; a larger team is rejected (RejectsBadAgentCount).
     const auto &spec = workload("JARVIS-1");
     core::EpisodeOptions options;
     options.seed = 1;
     options.max_steps_override = 2;
-    // Even if callers request more agents, single-agent systems run one.
-    const auto result = spec.run(env::Difficulty::Easy, options, 4);
-    EXPECT_GT(result.steps, 0);
+    options.record_tokens = true;
+    for (const int n_agents : {-1, 1}) {
+        const auto result = spec.run(env::Difficulty::Easy, options, n_agents);
+        EXPECT_GT(result.steps, 0);
+        ASSERT_FALSE(result.token_series.empty());
+        for (const auto &sample : result.token_series)
+            EXPECT_EQ(sample.agent, 0) << n_agents;
+    }
+}
+
+TEST(Suite, RejectsBadAgentCount)
+{
+    // 0 and values below -1 are errors, not requests for the default
+    // team, and a team on a single-agent system is an error, not one
+    // agent.
+    const struct
+    {
+        const char *system;
+        int n_agents;
+    } cases[] = {{"MindAgent", 0}, {"MindAgent", -2}, {"JARVIS-1", 0},
+                 {"JARVIS-1", -3}, {"JARVIS-1", 2}, {"JARVIS-1", 4}};
+    core::EpisodeOptions options;
+    options.seed = 1;
+    options.max_steps_override = 2;
+    for (const auto &c : cases) {
+        try {
+            workload(c.system).run(env::Difficulty::Easy, options, c.n_agents);
+            ADD_FAILURE() << c.system << " ran with n_agents " << c.n_agents;
+        } catch (const std::invalid_argument &e) {
+            EXPECT_NE(std::string(e.what()).find("n_agents"),
+                      std::string::npos)
+                << e.what();
+        }
+    }
 }
 
 /** Every registered workload's environment, at every difficulty, carries a
