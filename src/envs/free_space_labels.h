@@ -20,21 +20,28 @@ namespace ebs::envs {
  * A cell is free when it is walkable and no body stands on it. Each cell
  * is blocked (a wall or a body), unknown, or carries a component id; a
  * component stays valid while its cell set is still exactly one connected
- * component of the free space. Each component also keeps its probe list:
- * the walkable cells 4-adjacent to it, which are the cells whose blocked
- * status a failed A* from inside it consults.
+ * component of the free space. Each valid component keeps its member
+ * list, and each member its slot in that list.
  *
  * Labels depend only on the current free set, not on how bodies got
  * there, so each query diffs the body positions against the ones last
- * seen: a newly blocked cell invalidates its own component, and a newly
- * freed cell invalidates the components of its 4-neighbours. A change of
- * GridMap::version() or of the grid's size resets every label. Ids are
- * never reused, so the tables grow with every flood; once the floods
- * since the last reset have labelled kFloodsPerReset times the grid's
- * cell count, the next sync resets too. That caps the tables at
- * kFloodsPerReset ids and 4 * kFloodsPerReset probe-list entries per
- * cell, and the O(cells) reset costs a 1 / kFloodsPerReset share of the
- * flood work it follows.
+ * seen and applies each cell's net change in place:
+ *  - a freed cell joins the component of its free 4-neighbours, merges
+ *    them when they carry several ids (the smaller ones are relabelled
+ *    into the largest), or starts a one-cell component when it has none;
+ *    when a free 4-neighbour is unlabelled, their components are
+ *    invalidated and the cell stays unlabelled;
+ *  - a newly blocked cell leaves its component, which stays valid when
+ *    the cell is a simple point (Rosenfeld, J. ACM 1970): its free
+ *    4-neighbours lie in one run of free cells around its 8-ring, so
+ *    they stay joined without it. Otherwise the component is invalidated.
+ * A change of GridMap::version() or of the grid's size resets every
+ * label. Ids are never reused, so the tables grow with every flood and
+ * every new one-cell component; once those since the last reset have
+ * labelled kFloodsPerReset times the grid's cell count, the next sync
+ * resets too. That caps the tables at kFloodsPerReset ids per cell, and
+ * the O(cells) reset costs a 1 / kFloodsPerReset share of the labelling
+ * work it follows.
  *
  * Nothing is labelled until the first fillAround(), so an environment
  * whose searches never fail pays nothing.
@@ -58,12 +65,16 @@ class FreeSpaceLabels
 
     /**
      * Log, as occupancy reads, every cell the failed A* from `from` would
-     * have probed: the walkable 4-neighbours of `from` and the probe
-     * lists of their components. Some cells are read twice; a read's
-     * verdict does not depend on order or repeats. Call only right after
-     * sealed() returned true for `from`.
+     * have probed: the walkable 4-neighbours of `from`, the members of
+     * their components, and every body on a walkable cell 4-adjacent to
+     * one of those members (a walkable cell that is not free holds a
+     * body). Some cells are read twice; a read's verdict does not depend
+     * on order or repeats. Call only right after sealed() returned true
+     * for `from` with the same `bodies`.
      */
-    void readProbes(const env::GridMap &grid, const env::Vec2i &from,
+    void readProbes(const env::GridMap &grid,
+                    const std::vector<env::AgentBody> &bodies,
+                    const env::Vec2i &from,
                     env::spec::AccessLog &log) const;
 
     /**
@@ -81,11 +92,11 @@ class FreeSpaceLabels
     static constexpr std::int32_t kUnknown = -2;
     static constexpr std::size_t kFloodsPerReset = 16;
 
-    /** A component's slice of probes_, and whether its labels hold. */
+    /** A component's cells, and whether its labels hold (an invalid
+     * component's member list is released). */
     struct Component
     {
-        std::size_t first = 0;
-        std::size_t count = 0;
+        std::vector<env::Vec2i> members;
         bool valid = true;
     };
 
@@ -107,6 +118,14 @@ class FreeSpaceLabels
                    : -1;
     }
 
+    /** Whether a cell is on the grid and not blocked. */
+    bool
+    open(const env::Vec2i &p) const
+    {
+        return p.x >= 0 && p.x < width_ && p.y >= 0 && p.y < height_ &&
+               label_[index(p)] != kBlocked;
+    }
+
     /** Label every cell blocked or unknown from scratch. */
     void reset(const env::GridMap &grid,
                const std::vector<env::AgentBody> &bodies);
@@ -118,16 +137,40 @@ class FreeSpaceLabels
     /** Count a body arriving at (+1) or leaving (-1) `p`. */
     void moveBody(const env::GridMap &grid, const env::Vec2i &p, int delta);
 
+    /** Apply a blocked cell turning free. */
+    void freeCell(const env::Vec2i &p);
+
+    /** Apply a free cell turning blocked. */
+    void blockCell(const env::Vec2i &p);
+
+    /** Whether blocking free `p` keeps its free 4-neighbours joined: they
+     * lie in one run of open cells around its cyclic 8-ring. */
+    bool simplePoint(const env::Vec2i &p) const;
+
+    /** Append a cell to a component, recording its slot. */
+    void addMember(std::int32_t id, const env::Vec2i &p);
+
+    /** Drop a component's labels and release its member list. */
+    void invalidate(std::int32_t id);
+
+    /** A new valid component with no members; returns its id. */
+    std::int32_t newComponent();
+
     /**
      * The distinct component ids of `from`'s free 4-neighbours into
      * `ids`; returns how many, or -1 when one of them is unlabelled.
      */
-    int reachable(const env::GridMap &grid, const env::Vec2i &from,
-                  std::int32_t (&ids)[4]) const;
+    int reachable(const env::Vec2i &from, std::int32_t (&ids)[4]) const;
 
     /** Label the free component of `seed` with a new id; returns its
      * cell count. */
-    long long flood(const env::GridMap &grid, const env::Vec2i &seed);
+    long long flood(const env::Vec2i &seed);
+
+#ifndef NDEBUG
+    /** Every valid component's members carry its id at their slots, and
+     * every cell with a valid id is a member. */
+    void checkMembers() const;
+#endif
 
     int width_ = 0;
     int height_ = 0;
@@ -135,6 +178,8 @@ class FreeSpaceLabels
     /** Per cell: kBlocked, kUnknown, or a component id (stale once that
      * component is invalid). Empty until the first fillAround(). */
     std::vector<std::int32_t> label_;
+    /** Per cell with a valid id: its index in that component's members. */
+    std::vector<std::int32_t> slot_;
     /** Per cell: how many bodies stood there at the last sync. */
     std::vector<std::int32_t> bodies_on_;
     /** Body positions at the last sync, in body order. */
@@ -142,15 +187,9 @@ class FreeSpaceLabels
     /** Cells whose body count changed in the current sync. */
     std::vector<env::Vec2i> touched_;
     std::vector<Component> components_;
-    /** Every component's probe list, back to back. */
-    std::vector<env::Vec2i> probes_;
-    /** Cells labelled since the last reset. */
-    std::size_t flooded_ = 0;
-    /** Flood scratch: the BFS queue, and per-cell stamps marking a cell
-     * already on the current flood's probe list. */
-    std::vector<env::Vec2i> queue_;
-    std::vector<std::uint32_t> probed_at_;
-    std::uint32_t flood_epoch_ = 0;
+    /** Cells labelled by floods and new one-cell components since the
+     * last reset. */
+    std::size_t labelled_ = 0;
 };
 
 } // namespace ebs::envs

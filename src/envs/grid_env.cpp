@@ -2,6 +2,7 @@
 
 #include <stdexcept>
 #include <string>
+#include <utility>
 
 #include "plan/astar.h"
 
@@ -45,7 +46,7 @@ GridEnvironment::motionCost(const env::Vec2i &from, const env::Vec2i &to,
         // The failed search would have probed exactly these cells.
         ++path_work_.fast_rejections;
         if (log != nullptr)
-            labels_.readProbes(w.grid(), from, *log);
+            labels_.readProbes(w.grid(), w.bodies(), from, *log);
         return -1.0;
     }
     std::vector<env::Vec2i> &blocked = query_cells.blocked;
@@ -55,7 +56,7 @@ GridEnvironment::motionCost(const env::Vec2i &from, const env::Vec2i &to,
             blocked.push_back(body.pos);
     std::vector<env::Vec2i> &queried = query_cells.queried;
     queried.clear();
-    const auto result =
+    auto result =
         plan::aStar(w.grid(), from, to,
                     /*adjacent_ok=*/true, &blocked,
                     log != nullptr ? &queried : nullptr);
@@ -72,7 +73,7 @@ GridEnvironment::motionCost(const env::Vec2i &from, const env::Vec2i &to,
         return -1.0;
     }
     if (path != nullptr)
-        *path = result->cells;
+        *path = std::move(result->cells);
     return result->cost;
 }
 
@@ -88,16 +89,24 @@ env::Vec2i
 GridEnvironment::randomFreeCellInRoom(int room, sim::Rng &rng) const
 {
     const env::GridMap &grid = world_.grid();
-    std::vector<env::Vec2i> cells;
-    for (int y = 0; y < grid.height(); ++y)
-        for (int x = 0; x < grid.width(); ++x)
-            if (grid.walkable({x, y}) && grid.room({x, y}) == room)
-                cells.push_back({x, y});
-    if (cells.empty())
+    if (room_cells_.empty() || room_cells_version_ != grid.version()) {
+        // roomCount() is one past the largest label, so never 0.
+        room_cells_.assign(static_cast<std::size_t>(grid.roomCount()), {});
+        for (int y = 0; y < grid.height(); ++y) {
+            for (int x = 0; x < grid.width(); ++x) {
+                const int r = grid.room({x, y});
+                if (grid.walkable({x, y}) && r >= 0)
+                    room_cells_[static_cast<std::size_t>(r)].push_back({x, y});
+            }
+        }
+        room_cells_version_ = grid.version();
+    }
+    if (room < 0 || static_cast<std::size_t>(room) >= room_cells_.size() ||
+        room_cells_[static_cast<std::size_t>(room)].empty())
         throw std::invalid_argument("randomFreeCellInRoom: room " +
                                     std::to_string(room) +
                                     " has no free cell");
-    return rng.pick(cells);
+    return rng.pick(room_cells_[static_cast<std::size_t>(room)]);
 }
 
 env::Vec2i

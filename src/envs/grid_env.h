@@ -1,6 +1,7 @@
 #ifndef EBS_ENVS_GRID_ENV_H
 #define EBS_ENVS_GRID_ENV_H
 
+#include <cstdint>
 #include <memory>
 #include <vector>
 
@@ -46,8 +47,9 @@ class GridEnvironment : public env::Environment
     env::ActionResult applyDomain(int agent_id,
                                   const env::Primitive &prim) override;
 
-    /** A uniformly random walkable cell of a room; throws
-     * std::invalid_argument when the room has none. */
+    /** A uniformly random walkable cell of a room, drawn from its cells
+     * in row-major order; throws std::invalid_argument when the room has
+     * none (a negative id names no room). */
     env::Vec2i randomFreeCellInRoom(int room, sim::Rng &rng) const;
 
     /** A uniformly random walkable cell anywhere; throws
@@ -66,6 +68,12 @@ class GridEnvironment : public env::Environment
      * one episode, which runs on one thread. */
     mutable FreeSpaceLabels labels_;
     mutable env::PathWork path_work_;
+    /** randomFreeCellInRoom's table: per room id, its walkable cells in
+     * row-major order, built at grid version room_cells_version_ and
+     * rebuilt once the version moves (empty until the first call).
+     * Mutable and unsynchronized for the same reason as labels_. */
+    mutable std::vector<std::vector<env::Vec2i>> room_cells_;
+    mutable std::uint64_t room_cells_version_ = 0;
 };
 
 } // namespace ebs::envs

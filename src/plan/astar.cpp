@@ -1,6 +1,7 @@
 #include "plan/astar.h"
 
 #include <algorithm>
+#include <cassert>
 #include <cstdint>
 #include <functional>
 
@@ -10,53 +11,69 @@ namespace {
 
 thread_local std::size_t last_expanded = 0;
 
+/**
+ * An open-list entry. `key` packs f into the high 32 bits and ~g into the
+ * low 32, so comparing keys as integers orders entries by f and breaks
+ * ties on larger g (deeper nodes first, for faster goal pops) — the order
+ * of the reference comparator `f != o.f ? f > o.f : g < o.g`. The cell's
+ * coordinates ride along so a pop needs no division.
+ */
 struct Node
 {
-    int f;
-    int g;
-    int idx;
+    std::uint64_t key;
+    int x;
+    int y;
 
-    bool
-    operator>(const Node &o) const
+    static Node
+    make(int f, int g, const env::Vec2i &p)
     {
-        // Tie-break on larger g (deeper nodes first) for faster goal pops.
-        return f != o.f ? f > o.f : g < o.g;
+        return {(static_cast<std::uint64_t>(static_cast<std::uint32_t>(f))
+                 << 32) |
+                    static_cast<std::uint32_t>(~static_cast<std::uint32_t>(g)),
+                p.x, p.y};
     }
+
+    int g() const { return static_cast<int>(~static_cast<std::uint32_t>(key)); }
+
+    bool operator>(const Node &o) const { return key > o.key; }
 };
 
 /**
- * Search buffers reused by every aStar call on this thread (reset at the
- * start of each call, so no state crosses calls). The open list is a
- * binary heap driven by std::push_heap / std::pop_heap with the same
- * comparator std::priority_queue would use, so pops come out in exactly
- * the same order.
- *
- * `blocked_at` and `queried_at` are per-cell epoch stamps: a cell is
- * blocked in this call iff blocked_at[i] == epoch, and already reported
- * to `queried` iff queried_at[i] == epoch. Bumping the epoch retires
- * every earlier call's stamps at once, so neither array is cleared per
- * call — only when the epoch wraps to 0.
+ * What a search knows about one cell. A field holds for the current call
+ * only when its stamp equals the call's epoch: `g` and `parent` when
+ * `seen` does, blocked when `blocked` does, and already reported to
+ * `queried` when `queried` does. Bumping the epoch retires every earlier
+ * call's fields at once, so a call writes only the cells it probes.
+ */
+struct CellRecord
+{
+    std::int32_t g;
+    std::int32_t parent;
+    std::uint32_t seen;
+    std::uint32_t blocked;
+    std::uint32_t queried;
+};
+
+/**
+ * Search buffers reused by every aStar call on this thread. The open list
+ * is a binary heap driven by std::push_heap / std::pop_heap with the same
+ * ordering std::priority_queue would use, so pops come out in exactly the
+ * same order. The records are cleared only when the epoch wraps to 0.
  */
 struct Scratch
 {
-    std::vector<std::int32_t> g_score;
-    std::vector<std::int32_t> parent;
+    std::vector<CellRecord> cells;
     std::vector<Node> open;
-    std::vector<std::uint32_t> blocked_at;
-    std::vector<std::uint32_t> queried_at;
     std::uint32_t epoch = 0;
 
     /** Start a call on an n-cell grid: a fresh epoch no stamp carries. */
     std::uint32_t
     nextEpoch(std::size_t n)
     {
-        if (blocked_at.size() < n) {
-            blocked_at.resize(n, 0);
-            queried_at.resize(n, 0);
-        }
+        if (cells.size() < n)
+            cells.resize(n, CellRecord{});
         if (++epoch == 0) {
-            std::fill(blocked_at.begin(), blocked_at.end(), 0);
-            std::fill(queried_at.begin(), queried_at.end(), 0);
+            std::fill(cells.begin(), cells.end(), CellRecord{});
             epoch = 1;
         }
         return epoch;
@@ -92,54 +109,60 @@ aStar(const env::GridMap &grid, const env::Vec2i &start,
         return GridPath{{start}, 0.0};
 
     const int w = grid.width();
-    const int h = grid.height();
-    const std::size_t n = static_cast<std::size_t>(w) * h;
-    std::vector<std::int32_t> &g_score = scratch.g_score;
-    std::vector<std::int32_t> &parent = scratch.parent;
-    std::vector<Node> &open = scratch.open;
-    g_score.assign(n, -1);
-    parent.assign(n, -1);
-    open.clear();
-    std::vector<std::uint32_t> &blocked_at = scratch.blocked_at;
-    std::vector<std::uint32_t> &queried_at = scratch.queried_at;
+    const std::size_t n = static_cast<std::size_t>(w) * grid.height();
     const std::uint32_t epoch = scratch.nextEpoch(n);
+    std::vector<CellRecord> &cells = scratch.cells;
+    std::vector<Node> &open = scratch.open;
+    open.clear();
     const std::greater<Node> later;
     auto push = [&](const Node &node) {
         open.push_back(node);
         std::push_heap(open.begin(), open.end(), later);
     };
 
-    auto index = [&](const env::Vec2i &p) { return p.y * w + p.x; };
+    auto index = [&](const env::Vec2i &p) {
+        return static_cast<std::size_t>(p.y) * static_cast<std::size_t>(w) +
+               static_cast<std::size_t>(p.x);
+    };
     if (blocked != nullptr)
         for (const env::Vec2i &b : *blocked)
             if (grid.inBounds(b))
-                blocked_at[static_cast<std::size_t>(index(b))] = epoch;
+                cells[index(b)].blocked = epoch;
     auto heuristic = [&](const env::Vec2i &p) {
         const int d = env::manhattan(p, goal);
         return adjacent_ok ? std::max(0, d - 1) : d;
     };
 
-    g_score[static_cast<std::size_t>(index(start))] = 0;
-    push({heuristic(start), 0, index(start)});
+    CellRecord &origin = cells[index(start)];
+    origin.g = 0;
+    origin.parent = -1;
+    origin.seen = epoch;
+    push(Node::make(heuristic(start), 0, start));
 
     while (!open.empty()) {
         std::pop_heap(open.begin(), open.end(), later);
         const Node cur = open.back();
         open.pop_back();
-        const env::Vec2i p{cur.idx % w, cur.idx / w};
-        if (cur.g > g_score[static_cast<std::size_t>(cur.idx)])
+        const env::Vec2i p{cur.x, cur.y};
+        const std::size_t pi = index(p);
+        const int g = cur.g();
+        if (g > cells[pi].g)
             continue; // stale heap entry
         ++last_expanded;
 
         if (at_goal(p)) {
+            // g unit moves: the path has g + 1 cells, filled goal first.
             GridPath path;
-            path.cost = cur.g;
-            int idx = cur.idx;
-            while (idx >= 0) {
-                path.cells.push_back({idx % w, idx / w});
-                idx = parent[static_cast<std::size_t>(idx)];
+            path.cost = g;
+            path.cells.resize(static_cast<std::size_t>(g) + 1);
+            std::int32_t idx = static_cast<std::int32_t>(pi);
+            for (std::size_t k = path.cells.size(); k-- > 0;) {
+                path.cells[k] = {idx % w, idx / w};
+                idx = cells[static_cast<std::size_t>(idx)].parent;
             }
-            std::reverse(path.cells.begin(), path.cells.end());
+            // The heuristic is consistent, so an expanded cell's g is
+            // final and every parent link is exactly one step.
+            assert(idx < 0);
             return path;
         }
 
@@ -148,19 +171,19 @@ aStar(const env::GridMap &grid, const env::Vec2i &start,
             const env::Vec2i q = p + d;
             if (!grid.walkable(q))
                 continue;
-            const int qi = index(q);
-            const auto qs = static_cast<std::size_t>(qi);
-            if (queried != nullptr && queried_at[qs] != epoch) {
-                queried_at[qs] = epoch;
+            CellRecord &rec = cells[index(q)];
+            if (queried != nullptr && rec.queried != epoch) {
+                rec.queried = epoch;
                 queried->push_back(q);
             }
-            if (blocked_at[qs] == epoch)
+            if (rec.blocked == epoch)
                 continue;
-            const int ng = cur.g + 1;
-            if (g_score[qs] < 0 || ng < g_score[qs]) {
-                g_score[qs] = ng;
-                parent[qs] = cur.idx;
-                push({ng + heuristic(q), ng, qi});
+            const int ng = g + 1;
+            if (rec.seen != epoch || ng < rec.g) {
+                rec.seen = epoch;
+                rec.g = ng;
+                rec.parent = static_cast<std::int32_t>(pi);
+                push(Node::make(ng + heuristic(q), ng, q));
             }
         }
     }

@@ -17,9 +17,13 @@ struct GridPath
 };
 
 /**
- * A* shortest path on a GridMap (4-connected, unit edge cost, Manhattan
- * heuristic — admissible and consistent, so the first expansion of the goal
- * is optimal).
+ * A* path on a GridMap (4-connected, unit edge cost). Without
+ * `adjacent_ok` the heuristic is the Manhattan distance, admissible and
+ * consistent, so the path is a shortest one. With `adjacent_ok` it is
+ * max(0, manhattan - 1), still consistent but 1 at the goal's diagonal
+ * neighbours where the remaining cost is 0, so the path is at most one
+ * step longer than a shortest one (e.g. (1,1) -> (3,3) on an open grid
+ * costs 3, not 2).
  *
  * This is the real low-level planner used by the execution module
  * (substituting the A-star controllers of CoELA / COHERENT / DaDu-E); its

@@ -327,5 +327,84 @@ TEST(AStarEquivalence, ConcurrentCallsMatchReference)
     }
 }
 
+// ------------------------------------------------------- optimality bound
+
+/** Breadth-first distance from `start` to the nearest arrival cell, over
+ * walkable cells not in `blocked`; -1 when none is reachable. */
+int
+bfsCost(const Query &q)
+{
+    const int w = q.grid.width();
+    std::vector<int> dist(static_cast<std::size_t>(w * q.grid.height()), -1);
+    auto index = [&](const Vec2i &p) {
+        return static_cast<std::size_t>(p.y * w + p.x);
+    };
+    auto arrived = [&](const Vec2i &p) {
+        return q.adjacent_ok ? env::chebyshev(p, q.goal) <= 1 : p == q.goal;
+    };
+    std::vector<Vec2i> frontier{q.start};
+    dist[index(q.start)] = 0;
+    for (std::size_t head = 0; head < frontier.size(); ++head) {
+        const Vec2i p = frontier[head];
+        if (arrived(p))
+            return dist[index(p)];
+        for (const Vec2i &d : env::kNeighborOffsets) {
+            const Vec2i n = p + d;
+            if (!q.grid.walkable(n) || dist[index(n)] >= 0 ||
+                std::find(q.blocked.begin(), q.blocked.end(), n) !=
+                    q.blocked.end())
+                continue;
+            dist[index(n)] = dist[index(p)] + 1;
+            frontier.push_back(n);
+        }
+    }
+    return -1;
+}
+
+/**
+ * Property: with adjacent arrival the heuristic max(0, manhattan - 1)
+ * overestimates by one at the goal's diagonal neighbours, so a path may
+ * be one step longer than the optimum, never more; with exact arrival
+ * the path is optimal. Checked against breadth-first search on seeded
+ * random grids with bodies.
+ */
+TEST(AStar, AdjacentArrivalWithinOneStepOfOptimal)
+{
+    // The smallest case: the diagonal neighbour (2, 2) arrives in two
+    // steps, but A* pops (3, 2) with f = 3 first.
+    const GridMap open(5, 5);
+    const auto diagonal = aStar(open, {1, 1}, {3, 3}, /*adjacent_ok=*/true);
+    ASSERT_TRUE(diagonal.has_value());
+    EXPECT_EQ(diagonal->cost, 3.0);
+
+    sim::Rng rng(4242);
+    int compared = 0;
+    int one_over = 0;
+    for (int i = 0; i < 1500; ++i) {
+        Query q = randomQuery(rng);
+        q.adjacent_ok = i % 3 != 0;
+        const int want = bfsCost(q);
+        const auto got = aStar(q.grid, q.start, q.goal, q.adjacent_ok,
+                               &q.blocked);
+        SCOPED_TRACE(i);
+        ASSERT_EQ(got.has_value(), want >= 0);
+        if (!got)
+            continue;
+        ++compared;
+        const int cost = static_cast<int>(got->cost);
+        EXPECT_EQ(cost + 1, static_cast<int>(got->cells.size()));
+        if (q.adjacent_ok) {
+            EXPECT_GE(cost, want);
+            EXPECT_LE(cost, want + 1);
+            one_over += cost > want ? 1 : 0;
+        } else {
+            EXPECT_EQ(cost, want);
+        }
+    }
+    EXPECT_GT(compared, 500);
+    // The bound is reached, so it cannot be tightened to "optimal".
+    EXPECT_GT(one_over, 0);
+}
+
 } // namespace
 } // namespace ebs::plan

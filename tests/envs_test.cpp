@@ -983,6 +983,167 @@ TEST(FreeSpaceLabels, MatchesReferenceUnderBodyMoves)
             << n << " free neighbours";
 }
 
+/**
+ * Runs motionCost(from, to) once and checks its cost and path against the
+ * reference A*, then its per-cell read set; returns the path work of that
+ * first call alone.
+ */
+env::PathWork
+queryMatchingReference(GridEnvironment &environment, const env::Vec2i &from,
+                       const env::Vec2i &to)
+{
+    const test::AStarOutcome want =
+        referenceMotion(environment.world(), from, to);
+    const env::PathWork before = environment.pathWork();
+    std::vector<env::Vec2i> path;
+    EXPECT_EQ(environment.motionCost(from, to, &path),
+              want.path ? want.path->cost : -1.0);
+    if (want.path) {
+        EXPECT_EQ(path, want.path->cells);
+    }
+    const env::PathWork after = environment.pathWork();
+    env::spec::AccessLog log;
+    expectReadSetMatches(environment, log, from, to, want);
+    env::PathWork delta;
+    delta.queries = after.queries - before.queries;
+    delta.searches = after.searches - before.searches;
+    delta.failed = after.failed - before.failed;
+    delta.fast_rejections = after.fast_rejections - before.fast_rejections;
+    delta.expanded = after.expanded - before.expanded;
+    delta.flood_cells = after.flood_cells - before.flood_cells;
+    return delta;
+}
+
+/**
+ * A body stepping across an open room leaves the room's labels valid:
+ * each cell it enters is a simple point (its free 4-neighbours stay
+ * joined around its 8-ring) and each cell it leaves joins the room's
+ * component, so the next sealed query needs no search and no flood.
+ */
+TEST(FreeSpaceLabels, BodyStepAcrossOpenRoomKeepsLabels)
+{
+    // Two 4x4 rooms; a body in the only doorway (5, 3) seals the left one.
+    BareGridEnv environment(env::GridMap::apartment(2, 1, 4, 4));
+    env::World &world = environment.world();
+    const env::Vec2i from{2, 2};
+    const env::Vec2i to{8, 4};
+    world.addAgent(from);
+    world.addAgent({5, 3});
+    const int walker = world.addAgent({1, 4});
+
+    const env::PathWork first = queryMatchingReference(environment, from, to);
+    EXPECT_EQ(first.searches, 1);
+    EXPECT_EQ(first.failed, 1);
+    EXPECT_EQ(first.flood_cells, 14); // 16 cells less two bodies
+
+    for (const env::Vec2i &step : {env::Vec2i{2, 4}, env::Vec2i{3, 4},
+                                   env::Vec2i{3, 3}, env::Vec2i{4, 3}}) {
+        SCOPED_TRACE("step to (" + std::to_string(step.x) + ", " +
+                     std::to_string(step.y) + ")");
+        world.agent(walker).pos = step;
+        const env::PathWork work =
+            queryMatchingReference(environment, from, to);
+        EXPECT_EQ(work.searches, 0);
+        EXPECT_EQ(work.fast_rejections, 1);
+        EXPECT_EQ(work.flood_cells, 0);
+    }
+    // A query inside the room still searches, and finds the path.
+    const env::PathWork inside =
+        queryMatchingReference(environment, from, {4, 1});
+    EXPECT_EQ(inside.searches, 1);
+    EXPECT_EQ(inside.failed, 0);
+}
+
+/** Three 4x4 rooms in a row (doorways (5, 3) and (10, 3)) with a body
+ * sealing the right doorway, a body in the left room and one in the
+ * middle room; each side of the left doorway labelled by a failed query
+ * towards the right room. */
+struct ThreeRooms
+{
+    BareGridEnv environment{env::GridMap::apartment(3, 1, 4, 4)};
+    const env::Vec2i left{2, 2};
+    const env::Vec2i middle{7, 2};
+    const env::Vec2i right{13, 3};
+    int mover = -1;
+
+    ThreeRooms()
+    {
+        env::World &world = environment.world();
+        world.addAgent({10, 3});
+        world.addAgent(left);
+        world.addAgent(middle);
+        mover = world.addAgent({8, 4});
+    }
+};
+
+/**
+ * A body entering a one-cell doorway is not a simple point: the doorway's
+ * two free 4-neighbours lie in separate runs of its 8-ring, so the
+ * component is invalidated and the next query searches and refloods.
+ */
+TEST(FreeSpaceLabels, BodyEnteringDoorwayInvalidatesComponent)
+{
+    ThreeRooms rooms;
+    GridEnvironment &environment = rooms.environment;
+    const env::PathWork first =
+        queryMatchingReference(environment, rooms.left, rooms.right);
+    EXPECT_EQ(first.failed, 1);
+    EXPECT_EQ(first.flood_cells, 30); // 32 room cells + doorway - 3 bodies
+
+    // Still one component: the next query is answered from the labels.
+    EXPECT_EQ(
+        queryMatchingReference(environment, rooms.middle, rooms.right)
+            .fast_rejections,
+        1);
+
+    environment.world().agent(rooms.mover).pos = {5, 3};
+    const env::PathWork entered =
+        queryMatchingReference(environment, rooms.left, rooms.right);
+    EXPECT_EQ(entered.searches, 1);
+    EXPECT_EQ(entered.failed, 1);
+    EXPECT_EQ(entered.fast_rejections, 0);
+    EXPECT_EQ(entered.flood_cells, 15); // the left room less one body
+}
+
+/**
+ * The same body leaving the doorway frees a cell whose free 4-neighbours
+ * carry the two sides' labels: they merge into one component with no
+ * flood, and a query from either side is answered from the labels.
+ */
+TEST(FreeSpaceLabels, BodyLeavingDoorwayMergesSidesWithoutFlood)
+{
+    ThreeRooms rooms;
+    GridEnvironment &environment = rooms.environment;
+    env::World &world = environment.world();
+    EXPECT_EQ(queryMatchingReference(environment, rooms.left, rooms.right)
+                  .failed,
+              1);
+    world.agent(rooms.mover).pos = {5, 3};
+    // Relabel both sides of the occupied doorway.
+    EXPECT_EQ(queryMatchingReference(environment, rooms.left, rooms.right)
+                  .flood_cells,
+              15);
+    EXPECT_EQ(queryMatchingReference(environment, rooms.middle, rooms.right)
+                  .flood_cells,
+              15); // the middle room less one body
+
+    // Out of the doorway into the middle room's corner, next to the
+    // sealed right doorway: a simple point of the merged component.
+    world.agent(rooms.mover).pos = {9, 4};
+    for (const env::Vec2i &from : {rooms.left, rooms.middle}) {
+        const env::PathWork work =
+            queryMatchingReference(environment, from, rooms.right);
+        EXPECT_EQ(work.searches, 0);
+        EXPECT_EQ(work.fast_rejections, 1);
+        EXPECT_EQ(work.flood_cells, 0);
+    }
+    // Across the reopened doorway, the search finds the path.
+    const env::PathWork across =
+        queryMatchingReference(environment, rooms.left, {8, 1});
+    EXPECT_EQ(across.searches, 1);
+    EXPECT_EQ(across.failed, 0);
+}
+
 // ------------------------------------------------------ spawn-cell checks
 
 env::GridMap
@@ -1010,6 +1171,42 @@ TEST(SpawnCellValidation, RoomWithoutFreeCellIsRejected)
                   std::string::npos)
             << e.what();
     }
+}
+
+/**
+ * Room draws equal a pick from a fresh row-major scan of the room's
+ * walkable cells with the same generator, also after grid edits between
+ * draws; a room walled off completely is rejected.
+ */
+TEST(SpawnCellValidation, RoomDrawFollowsGridEdits)
+{
+    BareGridEnv environment(env::GridMap::apartment(2, 1, 4, 4));
+    env::GridMap &grid = environment.world().grid();
+    auto scan = [&](int room) {
+        std::vector<env::Vec2i> cells;
+        for (int y = 0; y < grid.height(); ++y)
+            for (int x = 0; x < grid.width(); ++x)
+                if (grid.walkable({x, y}) && grid.room({x, y}) == room)
+                    cells.push_back({x, y});
+        return cells;
+    };
+    sim::Rng rng(7);
+    sim::Rng want(7);
+    for (const env::Vec2i &wall :
+         {env::Vec2i{1, 1}, env::Vec2i{2, 2}, env::Vec2i{3, 3},
+          env::Vec2i{7, 2}}) {
+        for (int draw = 0; draw < 8; ++draw)
+            for (int room = 0; room < 2; ++room)
+                EXPECT_EQ(environment.randomFreeCellInRoom(room, rng),
+                          want.pick(scan(room)));
+        grid.setWalkable(wall, false);
+    }
+    for (const env::Vec2i &cell : scan(0))
+        grid.setWalkable(cell, false);
+    EXPECT_THROW(environment.randomFreeCellInRoom(0, rng),
+                 std::invalid_argument);
+    EXPECT_EQ(environment.randomFreeCellInRoom(1, rng),
+              want.pick(scan(1)));
 }
 
 TEST(SpawnCellValidation, GridWithoutWalkableCellIsRejected)

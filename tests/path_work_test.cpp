@@ -3,7 +3,7 @@
  * Deterministic path-query work counters (the `path.*` counters of
  * EpisodeResult::metrics) on a pipeline_opts-style batch: they repeat
  * exactly at any worker count, and free-space labels keep A* nodes
- * expanded well below what the same batch expanded with a search on
+ * expanded below 40% of what the same batch expanded with a search on
  * every query.
  */
 
@@ -83,19 +83,20 @@ TEST(PathWork, LabelsCutExpandedNodes)
         total.merge(serial[i].metrics);
     }
 
-    // Batch totals, recorded when the labels landed.
+    // Batch totals, recorded when the labels started to follow body moves
+    // in place (simple-point blocking, join and merge on freeing).
     EXPECT_EQ(total.counter("path.queries"), 5896);
-    EXPECT_EQ(total.counter("path.astar_searches"), 3963);
-    EXPECT_EQ(total.counter("path.astar_failed"), 614);
-    EXPECT_EQ(total.counter("path.fast_rejections"), 1933);
-    EXPECT_EQ(total.counter("path.astar_expanded"), 106675);
-    EXPECT_EQ(total.counter("path.flood_cells"), 50891);
+    EXPECT_EQ(total.counter("path.astar_searches"), 3723);
+    EXPECT_EQ(total.counter("path.astar_failed"), 374);
+    EXPECT_EQ(total.counter("path.fast_rejections"), 2173);
+    EXPECT_EQ(total.counter("path.astar_expanded"), 88111);
+    EXPECT_EQ(total.counter("path.flood_cells"), 32216);
 
     // The same batch with a search on every query (no labels) expanded
     // this many A* nodes, in 5896 searches of which 2547 failed.
     constexpr long long kExpandedWithoutLabels = 247278;
     EXPECT_LE(total.counter("path.astar_expanded") * 10,
-              kExpandedWithoutLabels * 6);
+              kExpandedWithoutLabels * 4);
 }
 
 } // namespace
