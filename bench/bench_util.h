@@ -31,23 +31,6 @@ jsonNum(double v, int precision)
     return buf;
 }
 
-/** Escape a string for embedding in a JSON string literal. */
-inline std::string
-jsonEscape(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size());
-    for (const char c : s) {
-        if (c == '"' || c == '\\')
-            out += '\\';
-        if (static_cast<unsigned char>(c) < 0x20)
-            out += ' ';
-        else
-            out += c;
-    }
-    return out;
-}
-
 /**
  * Fraction of sequential step latency saved by the charged-batching
  * ablation (`batch_llm_calls`), from the two runs' s/step. Sub-epsilon

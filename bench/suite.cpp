@@ -3,7 +3,22 @@
 #include <algorithm>
 #include <cstdarg>
 
+#include "obs/json.h"
+
 namespace ebs::bench {
+
+namespace {
+
+/** `text` as a JSON string literal, quotes included. */
+std::string
+quoted(const std::string &text)
+{
+    std::string out;
+    obs::appendJsonString(out, text);
+    return out;
+}
+
+} // namespace
 
 SuiteContext::SuiteContext(const Config &config)
     : out_(config.out), err_(config.err), smoke_(config.smoke),
@@ -113,12 +128,12 @@ SuiteContext::run(const runner::EpisodeRunner &custom_runner,
 void
 SuiteContext::emitMetric(const std::string &bench_case, const RunStats &r)
 {
-    this->printf("EBS_METRIC {\"case\":\"%s\",\"episodes\":%d,"
+    this->printf("EBS_METRIC {\"case\":%s,\"episodes\":%d,"
            "\"success_rate\":%s,\"avg_steps\":%s,"
            "\"s_per_step\":%s,\"runtime_min\":%s,"
            "\"llm_calls_per_episode\":%s,"
            "\"tokens_per_episode\":%s}\n",
-           jsonEscape(bench_case).c_str(), r.episodes,
+           quoted(bench_case).c_str(), r.episodes,
            jsonNum(r.success_rate, 4).c_str(),
            jsonNum(r.avg_steps, 2).c_str(),
            jsonNum(r.avg_step_latency_s, 3).c_str(),
@@ -131,8 +146,8 @@ void
 SuiteContext::emitScalarMetric(const std::string &bench_case,
                                const std::string &name, double value)
 {
-    this->printf("EBS_METRIC {\"case\":\"%s\",\"%s\":%s}\n",
-           jsonEscape(bench_case).c_str(), jsonEscape(name).c_str(),
+    this->printf("EBS_METRIC {\"case\":%s,%s:%s}\n",
+           quoted(bench_case).c_str(), quoted(name).c_str(),
            jsonNum(value, 6).c_str());
 }
 

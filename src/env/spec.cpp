@@ -17,6 +17,7 @@ AccessLog::cover(std::size_t objects, std::size_t agents, int width,
         cells_.assign(static_cast<std::size_t>(width) *
                           static_cast<std::size_t>(height),
                       0);
+        written_cells_.clear();
     }
 }
 

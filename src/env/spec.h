@@ -41,7 +41,12 @@ class AccessLog
                int height);
 
     /** Start a new phase: every stamp written so far becomes stale. */
-    void beginPhase() { phase_first_ = turn_ + 1; }
+    void
+    beginPhase()
+    {
+        phase_first_ = turn_ + 1;
+        written_cells_.clear();
+    }
 
     /** Start the next turn: a fresh serial, with no conflict or abort. */
     void
@@ -80,7 +85,19 @@ class AccessLog
 
     /** The occupancy of a cell a body vacated or claimed (written at the
      * turn's end, so it stamps without reading). */
-    void writeCell(const Vec2i &cell) { stamp(cells_[cellSlot(cell)]); }
+    void
+    writeCell(const Vec2i &cell)
+    {
+        Serial &slot_stamp = cells_[cellSlot(cell)];
+        if (slot_stamp < phase_first_)
+            written_cells_.push_back(cell);
+        stamp(slot_stamp);
+    }
+
+    /** The cells stamped in the current phase, each once, in stamp
+     * order: readCell() of any other cell cannot mark a turn
+     * conflicted. */
+    const std::vector<Vec2i> &writtenCells() const { return written_cells_; }
 
     /** Mark the turn non-isolatable; `reason` must be a string literal. */
     void
@@ -140,6 +157,7 @@ class AccessLog
     std::vector<Serial> objects_;
     std::vector<Serial> agents_;
     std::vector<Serial> cells_;
+    std::vector<Vec2i> written_cells_;
     Serial any_object_ = 0;
     int width_ = 0;
     int height_ = 0;

@@ -46,33 +46,27 @@ FreeSpaceLabels::sealed(const env::GridMap &grid,
 
 void
 FreeSpaceLabels::readProbes(const env::GridMap &grid,
-                            const std::vector<env::AgentBody> &bodies,
                             const env::Vec2i &from,
                             env::spec::AccessLog &log) const
 {
-    for (const env::Vec2i &d : env::kNeighborOffsets)
-        if (grid.walkable(from + d))
-            log.readCell(from + d);
     std::int32_t ids[4];
     const int n = reachable(from, ids);
     assert(n >= 0);
-    auto reached = [&](std::int32_t id) {
+    auto reached = [&](const env::Vec2i &p) {
+        if (!open(p))
+            return false;
+        const std::int32_t id = componentOf(index(p));
         return id >= 0 && std::find(ids, ids + n, id) != ids + n;
     };
-    for (int k = 0; k < n; ++k)
-        for (const env::Vec2i &cell :
-             components_[static_cast<std::size_t>(ids[k])].members)
-            log.readCell(cell);
-    for (const env::AgentBody &body : bodies) {
-        if (!grid.walkable(body.pos))
+    for (const env::Vec2i &cell : log.writtenCells()) {
+        if (!grid.walkable(cell))
             continue;
-        for (const env::Vec2i &d : env::kNeighborOffsets) {
-            const env::Vec2i q = body.pos + d;
-            if (open(q) && reached(componentOf(index(q)))) {
-                log.readCell(body.pos);
-                break;
-            }
-        }
+        bool probed = env::manhattan(cell, from) == 1 || reached(cell);
+        if (!probed && bodies_on_[index(cell)] > 0)
+            for (const env::Vec2i &d : env::kNeighborOffsets)
+                probed = probed || reached(cell + d);
+        if (probed)
+            log.readCell(cell);
     }
 }
 

@@ -64,17 +64,15 @@ class FreeSpaceLabels
                 const env::Vec2i &from, const env::Vec2i &to);
 
     /**
-     * Log, as occupancy reads, every cell the failed A* from `from` would
-     * have probed: the walkable 4-neighbours of `from`, the members of
-     * their components, and every body on a walkable cell 4-adjacent to
-     * one of those members (a walkable cell that is not free holds a
-     * body). Some cells are read twice; a read's verdict does not depend
-     * on order or repeats. Call only right after sealed() returned true
-     * for `from` with the same `bodies`.
+     * Log, as occupancy reads, the cells the failed A* from `from` would
+     * have probed that `log` holds as written in the current phase (no
+     * other read can mark the turn conflicted). A probed cell is
+     * walkable and either a 4-neighbour of `from`, a member of one of
+     * their components, or holds a body 4-adjacent to such a member (a
+     * walkable cell that is not free holds a body). Call only right
+     * after sealed() returned true for `from`, with the bodies unmoved.
      */
-    void readProbes(const env::GridMap &grid,
-                    const std::vector<env::AgentBody> &bodies,
-                    const env::Vec2i &from,
+    void readProbes(const env::GridMap &grid, const env::Vec2i &from,
                     env::spec::AccessLog &log) const;
 
     /**

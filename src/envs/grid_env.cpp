@@ -43,10 +43,11 @@ GridEnvironment::motionCost(const env::Vec2i &from, const env::Vec2i &to,
     env::spec::AccessLog *log = w.accessLog();
     ++path_work_.queries;
     if (labels_.sealed(w.grid(), w.bodies(), from, to)) {
-        // The failed search would have probed exactly these cells.
+        // Read the cells the failed search would have probed, of those
+        // written earlier in the phase (no other read can conflict).
         ++path_work_.fast_rejections;
         if (log != nullptr)
-            labels_.readProbes(w.grid(), w.bodies(), from, *log);
+            labels_.readProbes(w.grid(), from, *log);
         return -1.0;
     }
     std::vector<env::Vec2i> &blocked = query_cells.blocked;

@@ -6,6 +6,8 @@
 #include <cstdlib>
 #include <limits>
 
+#include "obs/json.h"
+
 namespace ebs::obs {
 
 namespace {
@@ -38,32 +40,6 @@ appendf(std::string &out, const char *fmt, double value)
     char buf[64];
     std::snprintf(buf, sizeof(buf), fmt, value);
     out += buf;
-}
-
-void
-appendJsonString(std::string &out, const std::string &text)
-{
-    out += '"';
-    for (const char c : text) {
-        switch (c) {
-          case '"': out += "\\\""; break;
-          case '\\': out += "\\\\"; break;
-          case '\n': out += "\\n"; break;
-          case '\r': out += "\\r"; break;
-          case '\t': out += "\\t"; break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x",
-                              static_cast<unsigned>(
-                                  static_cast<unsigned char>(c)));
-                out += buf;
-            } else {
-                out += c;
-            }
-        }
-    }
-    out += '"';
 }
 
 /** Human-readable track label of one episode id (see nextBatchBase). */

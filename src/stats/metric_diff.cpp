@@ -1,358 +1,31 @@
 #include "stats/metric_diff.h"
 
-#include <cctype>
 #include <cmath>
-#include <cstdlib>
 #include <utility>
+
+#include "obs/json.h"
 
 namespace ebs::stats {
 
 namespace {
 
-/**
- * Minimal strict JSON reader covering the grammar run_all emits:
- * objects, arrays, strings (all standard escapes including \uXXXX with
- * surrogate pairs), numbers, true, false, null. Values are materialized
- * only where the caller asks; everything else is validated and skipped.
- */
-class JsonReader
-{
-  public:
-    JsonReader(const std::string &text, std::string *error)
-        : text_(text), error_(error)
-    {
-    }
-
-    bool failed() const { return failed_; }
-
-    void
-    skipWs()
-    {
-        while (pos_ < text_.size() &&
-               std::isspace(static_cast<unsigned char>(text_[pos_])))
-            ++pos_;
-    }
-
-    bool
-    consume(char c)
-    {
-        skipWs();
-        if (pos_ < text_.size() && text_[pos_] == c) {
-            ++pos_;
-            return true;
-        }
-        return false;
-    }
-
-    char
-    peek()
-    {
-        skipWs();
-        return pos_ < text_.size() ? text_[pos_] : '\0';
-    }
-
-    bool
-    atEnd()
-    {
-        skipWs();
-        return pos_ >= text_.size();
-    }
-
-    void
-    fail(const std::string &what)
-    {
-        if (!failed_ && error_ != nullptr)
-            *error_ = what + " at offset " + std::to_string(pos_);
-        failed_ = true;
-    }
-
-    /** Parse a JSON string literal (after the opening quote position). */
-    std::string
-    parseString()
-    {
-        std::string out;
-        if (!consume('"')) {
-            fail("expected string");
-            return out;
-        }
-        while (pos_ < text_.size()) {
-            const char c = text_[pos_++];
-            if (c == '"')
-                return out;
-            if (c == '\\') {
-                if (pos_ >= text_.size())
-                    break;
-                const char esc = text_[pos_++];
-                switch (esc) {
-                  case '"':
-                  case '\\':
-                  case '/':
-                    out += esc;
-                    break;
-                  case 'b':
-                    out += '\b';
-                    break;
-                  case 'f':
-                    out += '\f';
-                    break;
-                  case 'n':
-                    out += '\n';
-                    break;
-                  case 'r':
-                    out += '\r';
-                    break;
-                  case 't':
-                    out += '\t';
-                    break;
-                  case 'u':
-                    // Decode \uXXXX (and surrogate pairs) to UTF-8.
-                    // Substituting a placeholder here would alias two
-                    // distinct metric keys ("kA" and "kB"
-                    // both becoming "k?") and make the diff compare the
-                    // wrong baseline value — so a malformed escape
-                    // fails the parse instead.
-                    appendUnicodeEscape(out);
-                    if (failed_)
-                        return out;
-                    break;
-                  default:
-                    fail(std::string("invalid string escape '\\") + esc +
-                         "'");
-                    return out;
-                }
-            } else {
-                out += c;
-            }
-        }
-        fail("unterminated string");
-        return out;
-    }
-
-    /**
-     * Parse any JSON value. When `number_out`/`is_number` are given and
-     * the value is numeric, report it; `null` reports as non-number.
-     */
-    void
-    parseValue(double *number_out, bool *is_number)
-    {
-        if (is_number != nullptr)
-            *is_number = false;
-        skipWs();
-        if (pos_ >= text_.size()) {
-            fail("unexpected end of input");
-            return;
-        }
-        const char c = text_[pos_];
-        if (c == '"') {
-            parseString();
-        } else if (c == '{') {
-            skipObject();
-        } else if (c == '[') {
-            skipArray();
-        } else if (c == 't') {
-            expectWord("true");
-        } else if (c == 'f') {
-            expectWord("false");
-        } else if (c == 'n') {
-            expectWord("null");
-        } else {
-            const char *start = text_.c_str() + pos_;
-            char *end = nullptr;
-            const double v = std::strtod(start, &end);
-            if (end == start) {
-                fail("expected a JSON value");
-                return;
-            }
-            pos_ += static_cast<std::size_t>(end - start);
-            if (number_out != nullptr)
-                *number_out = v;
-            if (is_number != nullptr)
-                *is_number = true;
-        }
-    }
-
-    /**
-     * Parse an object; for each member calls `member(key)` — which must
-     * consume the member's value — when non-null, else skips the value.
-     */
-    template <typename Fn>
-    void
-    parseObjectWith(Fn &&member)
-    {
-        if (!consume('{')) {
-            fail("expected object");
-            return;
-        }
-        if (consume('}'))
-            return;
-        for (;;) {
-            const std::string key = parseString();
-            if (failed_)
-                return;
-            if (!consume(':')) {
-                fail("expected ':'");
-                return;
-            }
-            member(key);
-            if (failed_)
-                return;
-            if (consume(','))
-                continue;
-            if (consume('}'))
-                return;
-            fail("expected ',' or '}'");
-            return;
-        }
-    }
-
-    void
-    skipObject()
-    {
-        parseObjectWith([&](const std::string &) {
-            parseValue(nullptr, nullptr);
-        });
-    }
-
-    /** Parse an array; `element()` (when non-null semantics needed) must
-     * consume each element. */
-    template <typename Fn>
-    void
-    parseArrayWith(Fn &&element)
-    {
-        if (!consume('[')) {
-            fail("expected array");
-            return;
-        }
-        if (consume(']'))
-            return;
-        for (;;) {
-            element();
-            if (failed_)
-                return;
-            if (consume(','))
-                continue;
-            if (consume(']'))
-                return;
-            fail("expected ',' or ']'");
-            return;
-        }
-    }
-
-    void
-    skipArray()
-    {
-        parseArrayWith([&] { parseValue(nullptr, nullptr); });
-    }
-
-  private:
-    /** Read exactly four hex digits; returns false (and fails) on
-     * anything shorter or non-hex. */
-    bool
-    readHex4(unsigned &out)
-    {
-        if (pos_ + 4 > text_.size()) {
-            fail("truncated \\u escape");
-            return false;
-        }
-        out = 0;
-        for (int i = 0; i < 4; ++i) {
-            const char h = text_[pos_ + static_cast<std::size_t>(i)];
-            unsigned digit = 0;
-            if (h >= '0' && h <= '9')
-                digit = static_cast<unsigned>(h - '0');
-            else if (h >= 'a' && h <= 'f')
-                digit = static_cast<unsigned>(h - 'a') + 10u;
-            else if (h >= 'A' && h <= 'F')
-                digit = static_cast<unsigned>(h - 'A') + 10u;
-            else {
-                fail("invalid hex digit in \\u escape");
-                return false;
-            }
-            out = (out << 4) | digit;
-        }
-        pos_ += 4;
-        return true;
-    }
-
-    /** Decode one \\uXXXX escape (cursor just past the 'u'), combining
-     * surrogate pairs, and append the code point as UTF-8. */
-    void
-    appendUnicodeEscape(std::string &out)
-    {
-        unsigned code = 0;
-        if (!readHex4(code))
-            return;
-        if (code >= 0xD800u && code <= 0xDBFFu) {
-            // High surrogate: a \uDC00-\uDFFF low surrogate must follow.
-            if (pos_ + 2 > text_.size() || text_[pos_] != '\\' ||
-                text_[pos_ + 1] != 'u') {
-                fail("unpaired high surrogate in \\u escape");
-                return;
-            }
-            pos_ += 2;
-            unsigned low = 0;
-            if (!readHex4(low))
-                return;
-            if (low < 0xDC00u || low > 0xDFFFu) {
-                fail("invalid low surrogate in \\u escape");
-                return;
-            }
-            code = 0x10000u + ((code - 0xD800u) << 10) + (low - 0xDC00u);
-        } else if (code >= 0xDC00u && code <= 0xDFFFu) {
-            fail("unpaired low surrogate in \\u escape");
-            return;
-        }
-        if (code < 0x80u) {
-            out += static_cast<char>(code);
-        } else if (code < 0x800u) {
-            out += static_cast<char>(0xC0u | (code >> 6));
-            out += static_cast<char>(0x80u | (code & 0x3Fu));
-        } else if (code < 0x10000u) {
-            out += static_cast<char>(0xE0u | (code >> 12));
-            out += static_cast<char>(0x80u | ((code >> 6) & 0x3Fu));
-            out += static_cast<char>(0x80u | (code & 0x3Fu));
-        } else {
-            out += static_cast<char>(0xF0u | (code >> 18));
-            out += static_cast<char>(0x80u | ((code >> 12) & 0x3Fu));
-            out += static_cast<char>(0x80u | ((code >> 6) & 0x3Fu));
-            out += static_cast<char>(0x80u | (code & 0x3Fu));
-        }
-    }
-
-    void
-    expectWord(const char *word)
-    {
-        for (const char *p = word; *p != '\0'; ++p) {
-            if (pos_ >= text_.size() || text_[pos_] != *p) {
-                fail(std::string("expected '") + word + "'");
-                return;
-            }
-            ++pos_;
-        }
-    }
-
-    const std::string &text_;
-    std::string *error_;
-    std::size_t pos_ = 0;
-    bool failed_ = false;
-};
-
-/** Parse one paper_metrics element into a MetricEntry. */
+/** Parse one paper_metrics element into a MetricEntry: the "case"
+ * string plus every finite numeric member. */
 MetricEntry
-parseMetricObject(JsonReader &reader, const std::string &suite)
+parseMetricObject(obs::JsonReader &reader, const std::string &suite)
 {
     MetricEntry entry;
     entry.suite = suite;
     reader.parseObjectWith([&](const std::string &key) {
         if (key == "case") {
             entry.case_name = reader.parseString();
-            return;
+        } else if (!reader.peekNumber()) {
+            reader.skipValue();
+        } else {
+            const double value = reader.parseNumber();
+            if (std::isfinite(value))
+                entry.values[key] = value;
         }
-        double value = 0.0;
-        bool is_number = false;
-        reader.parseValue(&value, &is_number);
-        if (is_number && std::isfinite(value))
-            entry.values[key] = value;
     });
     return entry;
 }
@@ -365,17 +38,17 @@ parseBenchResults(const std::string &json_text, std::string *error)
     if (error != nullptr)
         error->clear();
     std::vector<MetricEntry> entries;
-    JsonReader reader(json_text, error);
+    obs::JsonReader reader(json_text, error);
 
     reader.parseObjectWith([&](const std::string &top_key) {
         if (top_key != "suites") {
-            reader.parseValue(nullptr, nullptr);
+            reader.skipValue();
             return;
         }
         reader.parseObjectWith([&](const std::string &suite) {
             reader.parseObjectWith([&](const std::string &field) {
                 if (field != "paper_metrics") {
-                    reader.parseValue(nullptr, nullptr);
+                    reader.skipValue();
                     return;
                 }
                 reader.parseArrayWith([&] {
@@ -386,13 +59,8 @@ parseBenchResults(const std::string &json_text, std::string *error)
             });
         });
     });
-    if (!reader.atEnd())
-        reader.fail("trailing content");
-
-    if (reader.failed()) {
+    if (!reader.finish())
         entries.clear();
-        return entries;
-    }
     return entries;
 }
 

@@ -14,9 +14,9 @@ namespace ebs::stats {
  * The parser understands exactly the JSON run_all emits: a top-level
  * object with a "suites" map, each suite carrying a "paper_metrics"
  * array of flat objects whose "case" string names the measurement and
- * whose remaining numeric fields are the metrics. It is a small strict
- * recursive-descent parser, not a general JSON library — unknown
- * structure is skipped, malformed input is an error.
+ * whose remaining numeric fields are the metrics. It reads the document
+ * with the repo's strict JSON reader (obs::JsonReader): unknown structure
+ * is skipped, malformed input is an error.
  */
 
 /** One measurement: (suite, case) plus its numeric metric fields. */

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "llm/engine_service.h"
+#include "stats/metric_diff.h"
 #include "stats/phase_wall.h"
 #include "suite.h"
 
@@ -150,6 +151,30 @@ TEST(SuiteContext, MetricEmissionFormat)
               "EBS_METRIC {\"case\":\"demo/case\","
               "\"spec_exec_speedup\":1.250000}\n");
     std::fclose(out);
+
+    // A case name with a tab, a quote and a backslash reads back
+    // byte-equal through the BENCH_results.json parser.
+    const std::string awkward = "demo\tcase \"q\" \\";
+    std::FILE *again = std::tmpfile();
+    ASSERT_NE(again, nullptr);
+    config.out = again;
+    SuiteContext escaping(config);
+    escaping.emitScalarMetric(awkward, "speedup", 2.0);
+    std::string line = drained(again);
+    std::fclose(again);
+    const std::string prefix = "EBS_METRIC ";
+    ASSERT_EQ(line.rfind(prefix, 0), 0u) << line;
+    ASSERT_EQ(line.back(), '\n');
+    const std::string payload =
+        line.substr(prefix.size(), line.size() - prefix.size() - 1);
+    std::string error;
+    const auto entries = ebs::stats::parseBenchResults(
+        "{\"suites\":{\"s\":{\"paper_metrics\":[" + payload + "]}}}",
+        &error);
+    EXPECT_TRUE(error.empty()) << error;
+    ASSERT_EQ(entries.size(), 1u);
+    EXPECT_EQ(entries[0].case_name, awkward);
+    EXPECT_DOUBLE_EQ(entries[0].values.at("speedup"), 2.0);
 }
 
 } // namespace

@@ -1,10 +1,10 @@
 /**
  * @file
- * Tests for tools/trace_summarize: the self-contained trace-JSON parser,
- * the track invariants `--validate` enforces, the rollup shape, and a
- * writer/checker round trip — obs::Tracer::writeChromeJson output must
- * parse and validate clean, since CI runs the validator against every
- * merged BENCH_trace.json.
+ * Tests for tools/trace_summarize: the trace-JSON parser (callbacks
+ * over obs::JsonReader), the track invariants `--validate` enforces,
+ * the rollup shape, and a writer/checker round trip —
+ * obs::Tracer::writeChromeJson output must parse and validate clean,
+ * since CI runs the validator against every merged BENCH_trace.json.
  */
 
 #include <cstdio>
@@ -64,7 +64,19 @@ TEST(TraceParse, RejectsMalformedInput)
     EXPECT_FALSE(parseTraceFile("no/such/trace.json").ok);
     for (const auto &bad :
          {std::string("{ \"traceEvents\": [ 7 ] }"),
-          std::string("{ \"traceEvents\": { } }")}) {
+          std::string("{ \"traceEvents\": { } }"),
+          // The string rules of the one JSON reader: a truncated \u,
+          // an unpaired surrogate, an unknown escape, a raw control byte.
+          wrap(R"({"ph":"i","name":"x\u12"})"),
+          wrap(R"({"ph":"i","name":"x\ud800"})"),
+          wrap(R"({"ph":"i","name":"x\udc00"})"),
+          wrap(R"({"ph":"i","name":"x\q"})"),
+          wrap("{\"ph\":\"i\",\"name\":\"a\tb\"}"),
+          // Numbers outside JSON's grammar, which strtod would take.
+          wrap(R"({"ph":"i","ts":+1})"), wrap(R"({"ph":"i","ts":.5})"),
+          wrap(R"({"ph":"i","ts":1.})"), wrap(R"({"ph":"i","ts":0x10})"),
+          wrap(R"({"ph":"i","ts":-inf})"),
+          wrap(R"({"ph":"i","args":{"v":nan}})")}) {
         const auto result = parseTraceText(bad);
         EXPECT_FALSE(result.ok) << bad;
         EXPECT_FALSE(result.error.empty()) << bad;
@@ -79,6 +91,17 @@ TEST(TraceParse, UnknownFieldsAndEscapesAreTolerated)
     ASSERT_TRUE(result.ok) << result.error;
     ASSERT_EQ(result.events.size(), 1u);
     EXPECT_EQ(result.events[0].name, "qA \"x\"");
+
+    // Escapes outside ASCII decode to UTF-8, surrogate pairs combined;
+    // numbers take JSON's fraction and exponent forms.
+    const auto wide = parseTraceText(
+        wrap(R"({"ph":"i","name":"caf\u00e9 \ud83d\ude00",)"
+             R"("ts":-1.5e-3,"dur":2E+2})"));
+    ASSERT_TRUE(wide.ok) << wide.error;
+    ASSERT_EQ(wide.events.size(), 1u);
+    EXPECT_EQ(wide.events[0].name, "caf\xC3\xA9 \xF0\x9F\x98\x80");
+    EXPECT_DOUBLE_EQ(wide.events[0].ts_us, -1.5e-3);
+    EXPECT_DOUBLE_EQ(wide.events[0].dur_us, 200.0);
 }
 
 TEST(TraceValidate, CleanNestedTracksPass)
@@ -215,6 +238,11 @@ TEST(TraceRoundTrip, TracerJsonParsesAndValidatesClean)
     log.beginSpan("episode", "b1.e0", 0.0, 100.0);
     log.beginSpan("phase", "plan", 0.5, 100.1, 0);
     log.instant("llm", "batch sim", 0.75, -1, {{"requests", 2.0}});
+    // Every byte the escaper rewrites must read back unchanged.
+    std::string awkward = "q\"b\\s";
+    for (char c = 0x01; c < 0x20; ++c)
+        awkward += c;
+    log.instant("llm", awkward, 0.8);
     log.endSpan(1.5, 100.4);
     log.closeOpenSpans(2.0, 100.5);
     tracer.adopt(std::move(log));
@@ -247,6 +275,10 @@ TEST(TraceRoundTrip, TracerJsonParsesAndValidatesClean)
     EXPECT_TRUE(saw_sim);
     EXPECT_TRUE(saw_host);
     EXPECT_TRUE(saw_sched);
+    bool saw_awkward = false;
+    for (const auto &event : result.events)
+        saw_awkward |= event.name == awkward;
+    EXPECT_TRUE(saw_awkward);
 
     EXPECT_NE(summarize(result.events).find("episode;plan"),
               std::string::npos);

@@ -1,371 +1,56 @@
 #include "trace_summarize/summarize_core.h"
 
 #include <cstdio>
-#include <cstdlib>
 #include <map>
 #include <string>
 #include <vector>
+
+#include "obs/json.h"
 
 namespace ebs::tracetool {
 
 namespace {
 
-/**
- * Minimal recursive-descent JSON reader. General enough for any JSON,
- * but the caller only keeps the fields an event object carries; unknown
- * keys and value shapes are parsed (so malformed text is still caught)
- * and discarded.
- */
-class Parser
+/** Read one event object, keeping the fields Event carries. */
+Event
+parseEvent(obs::JsonReader &reader)
 {
-  public:
-    explicit Parser(const std::string &text) : text_(text) {}
-
-    bool
-    parse(std::vector<Event> &events, std::string &error)
-    {
-        skipWs();
-        if (!parseTopLevel(events)) {
-            error = error_.empty() ? fail("malformed JSON") : error_;
-            return false;
+    Event event;
+    reader.parseObjectWith([&](const std::string &key) {
+        if (key == "name") {
+            event.name = reader.parseString();
+        } else if (key == "cat") {
+            event.cat = reader.parseString();
+        } else if (key == "ph") {
+            const std::string ph = reader.parseString();
+            event.ph = ph.empty() ? '?' : ph[0];
+        } else if (key == "s") {
+            reader.parseString();
+        } else if (key == "ts") {
+            event.ts_us = reader.parseNumber();
+            event.has_ts = true;
+        } else if (key == "dur") {
+            event.dur_us = reader.parseNumber();
+            event.has_dur = true;
+        } else if (key == "pid") {
+            event.pid = static_cast<long long>(reader.parseNumber());
+        } else if (key == "tid") {
+            event.tid = static_cast<long long>(reader.parseNumber());
+        } else if (key == "args") {
+            reader.parseObjectWith([&](const std::string &arg) {
+                if (reader.peek() == '"')
+                    event.str_args.emplace_back(arg, reader.parseString());
+                else if (reader.peekNumber())
+                    event.num_args.emplace_back(arg, reader.parseNumber());
+                else
+                    reader.skipValue();
+            });
+        } else {
+            reader.skipValue();
         }
-        skipWs();
-        if (pos_ != text_.size()) {
-            error = fail("trailing content after the top-level object");
-            return false;
-        }
-        return true;
-    }
-
-  private:
-    std::string
-    fail(const std::string &what)
-    {
-        if (error_.empty())
-            error_ = "offset " + std::to_string(pos_) + ": " + what;
-        return error_;
-    }
-
-    void
-    skipWs()
-    {
-        while (pos_ < text_.size()) {
-            const char c = text_[pos_];
-            if (c != ' ' && c != '\t' && c != '\n' && c != '\r')
-                break;
-            ++pos_;
-        }
-    }
-
-    bool
-    consume(char expected)
-    {
-        skipWs();
-        if (pos_ >= text_.size() || text_[pos_] != expected) {
-            fail(std::string("expected '") + expected + "'");
-            return false;
-        }
-        ++pos_;
-        return true;
-    }
-
-    bool
-    peekIs(char c)
-    {
-        skipWs();
-        return pos_ < text_.size() && text_[pos_] == c;
-    }
-
-    bool
-    parseString(std::string &out)
-    {
-        if (!consume('"'))
-            return false;
-        out.clear();
-        while (pos_ < text_.size()) {
-            const char c = text_[pos_++];
-            if (c == '"')
-                return true;
-            if (c == '\\') {
-                if (pos_ >= text_.size())
-                    break;
-                const char esc = text_[pos_++];
-                switch (esc) {
-                case '"': out.push_back('"'); break;
-                case '\\': out.push_back('\\'); break;
-                case '/': out.push_back('/'); break;
-                case 'b': out.push_back('\b'); break;
-                case 'f': out.push_back('\f'); break;
-                case 'n': out.push_back('\n'); break;
-                case 'r': out.push_back('\r'); break;
-                case 't': out.push_back('\t'); break;
-                case 'u': {
-                    if (pos_ + 4 > text_.size()) {
-                        fail("truncated \\u escape");
-                        return false;
-                    }
-                    // Decode into a single byte when it fits (the writer
-                    // only emits \u00xx control escapes); wider code
-                    // points degrade to '?' — the tool never needs them.
-                    unsigned value = 0;
-                    for (int i = 0; i < 4; ++i) {
-                        const char h = text_[pos_++];
-                        value <<= 4U;
-                        if (h >= '0' && h <= '9')
-                            value |= static_cast<unsigned>(h - '0');
-                        else if (h >= 'a' && h <= 'f')
-                            value |= static_cast<unsigned>(h - 'a' + 10);
-                        else if (h >= 'A' && h <= 'F')
-                            value |= static_cast<unsigned>(h - 'A' + 10);
-                        else {
-                            fail("bad \\u escape digit");
-                            return false;
-                        }
-                    }
-                    out.push_back(value < 0x80 ? static_cast<char>(value)
-                                               : '?');
-                    break;
-                }
-                default: fail("unknown escape"); return false;
-                }
-                continue;
-            }
-            out.push_back(c);
-        }
-        fail("unterminated string");
-        return false;
-    }
-
-    bool
-    parseNumber(double &out)
-    {
-        skipWs();
-        const char *start = text_.c_str() + pos_;
-        char *end = nullptr;
-        out = std::strtod(start, &end);
-        if (end == start) {
-            fail("expected a number");
-            return false;
-        }
-        pos_ += static_cast<std::size_t>(end - start);
-        return true;
-    }
-
-    /** Parse and discard any JSON value. */
-    bool
-    skipValue()
-    {
-        skipWs();
-        if (pos_ >= text_.size()) {
-            fail("unexpected end of input");
-            return false;
-        }
-        const char c = text_[pos_];
-        if (c == '"') {
-            std::string ignored;
-            return parseString(ignored);
-        }
-        if (c == '{') {
-            ++pos_;
-            if (peekIs('}')) {
-                ++pos_;
-                return true;
-            }
-            for (;;) {
-                std::string key;
-                if (!parseString(key) || !consume(':') || !skipValue())
-                    return false;
-                if (peekIs(',')) {
-                    ++pos_;
-                    continue;
-                }
-                return consume('}');
-            }
-        }
-        if (c == '[') {
-            ++pos_;
-            if (peekIs(']')) {
-                ++pos_;
-                return true;
-            }
-            for (;;) {
-                if (!skipValue())
-                    return false;
-                if (peekIs(',')) {
-                    ++pos_;
-                    continue;
-                }
-                return consume(']');
-            }
-        }
-        if (text_.compare(pos_, 4, "true") == 0) {
-            pos_ += 4;
-            return true;
-        }
-        if (text_.compare(pos_, 5, "false") == 0) {
-            pos_ += 5;
-            return true;
-        }
-        if (text_.compare(pos_, 4, "null") == 0) {
-            pos_ += 4;
-            return true;
-        }
-        double ignored = 0.0;
-        return parseNumber(ignored);
-    }
-
-    bool
-    parseArgs(Event &event)
-    {
-        if (!consume('{'))
-            return false;
-        if (peekIs('}')) {
-            ++pos_;
-            return true;
-        }
-        for (;;) {
-            std::string key;
-            if (!parseString(key) || !consume(':'))
-                return false;
-            skipWs();
-            if (pos_ < text_.size() && text_[pos_] == '"') {
-                std::string value;
-                if (!parseString(value))
-                    return false;
-                event.str_args.emplace_back(std::move(key),
-                                            std::move(value));
-            } else if (pos_ < text_.size() &&
-                       (text_[pos_] == '-' ||
-                        (text_[pos_] >= '0' && text_[pos_] <= '9'))) {
-                double value = 0.0;
-                if (!parseNumber(value))
-                    return false;
-                event.num_args.emplace_back(std::move(key), value);
-            } else {
-                if (!skipValue())
-                    return false;
-            }
-            if (peekIs(',')) {
-                ++pos_;
-                continue;
-            }
-            return consume('}');
-        }
-    }
-
-    bool
-    parseEvent(Event &event)
-    {
-        if (!consume('{'))
-            return false;
-        if (peekIs('}')) {
-            ++pos_;
-            return true;
-        }
-        for (;;) {
-            std::string key;
-            if (!parseString(key) || !consume(':'))
-                return false;
-            if (key == "name" || key == "cat" || key == "ph" ||
-                key == "s") {
-                std::string value;
-                if (!parseString(value))
-                    return false;
-                if (key == "name")
-                    event.name = std::move(value);
-                else if (key == "cat")
-                    event.cat = std::move(value);
-                else if (key == "ph")
-                    event.ph = value.empty() ? '?' : value[0];
-            } else if (key == "ts" || key == "dur" || key == "pid" ||
-                       key == "tid") {
-                double value = 0.0;
-                if (!parseNumber(value))
-                    return false;
-                if (key == "ts") {
-                    event.ts_us = value;
-                    event.has_ts = true;
-                } else if (key == "dur") {
-                    event.dur_us = value;
-                    event.has_dur = true;
-                } else if (key == "pid") {
-                    event.pid = static_cast<long long>(value);
-                } else {
-                    event.tid = static_cast<long long>(value);
-                }
-            } else if (key == "args") {
-                if (!parseArgs(event))
-                    return false;
-            } else {
-                if (!skipValue())
-                    return false;
-            }
-            if (peekIs(',')) {
-                ++pos_;
-                continue;
-            }
-            return consume('}');
-        }
-    }
-
-    bool
-    parseTopLevel(std::vector<Event> &events)
-    {
-        if (!consume('{'))
-            return false;
-        bool saw_events = false;
-        if (peekIs('}')) {
-            fail("top-level object has no \"traceEvents\" array");
-            return false;
-        }
-        for (;;) {
-            std::string key;
-            if (!parseString(key) || !consume(':'))
-                return false;
-            if (key == "traceEvents") {
-                saw_events = true;
-                if (!consume('['))
-                    return false;
-                if (peekIs(']')) {
-                    ++pos_;
-                } else {
-                    for (;;) {
-                        Event event;
-                        if (!parseEvent(event))
-                            return false;
-                        events.push_back(std::move(event));
-                        if (peekIs(',')) {
-                            ++pos_;
-                            continue;
-                        }
-                        if (!consume(']'))
-                            return false;
-                        break;
-                    }
-                }
-            } else {
-                if (!skipValue())
-                    return false;
-            }
-            if (peekIs(',')) {
-                ++pos_;
-                continue;
-            }
-            if (!consume('}'))
-                return false;
-            break;
-        }
-        if (!saw_events) {
-            fail("top-level object has no \"traceEvents\" array");
-            return false;
-        }
-        return true;
-    }
-
-    const std::string &text_;
-    std::size_t pos_ = 0;
-    std::string error_;
-};
+    });
+    return event;
+}
 
 std::string
 trackLabel(long long pid, long long tid)
@@ -402,8 +87,20 @@ ParseResult
 parseTraceText(const std::string &text)
 {
     ParseResult result;
-    Parser parser(text);
-    result.ok = parser.parse(result.events, result.error);
+    obs::JsonReader reader(text, &result.error);
+    bool saw_events = false;
+    reader.parseObjectWith([&](const std::string &key) {
+        if (key != "traceEvents") {
+            reader.skipValue();
+            return;
+        }
+        saw_events = true;
+        reader.parseArrayWith(
+            [&] { result.events.push_back(parseEvent(reader)); });
+    });
+    if (reader.finish() && !saw_events)
+        reader.fail("top-level object has no \"traceEvents\" array");
+    result.ok = !reader.failed();
     if (!result.ok)
         result.events.clear();
     return result;

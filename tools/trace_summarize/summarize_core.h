@@ -14,9 +14,9 @@
  *
  * Split out as a library (mirroring tools/ebs_lint) so tests can call
  * the parser/validator directly on Finding-level data instead of
- * scraping CLI output. The parser is deliberately self-contained — a
- * minimal recursive-descent JSON reader — because the repo's other JSON
- * consumer (tools in bench/) is shape-specialized to metric files.
+ * scraping CLI output. The parser walks the file with obs::JsonReader,
+ * the same strict reader the paper-metric diff uses, keeping only the
+ * event fields below.
  */
 namespace ebs::tracetool {
 
@@ -45,8 +45,11 @@ struct ParseResult
     std::vector<Event> events;
 };
 
-/** Parse trace JSON from a string (must be a top-level object with a
- * "traceEvents" array of event objects). */
+/** Parse trace JSON from a string: a top-level object with a
+ * "traceEvents" array of event objects, whose "name", "cat", "ph" and
+ * "s" must be strings and "ts", "dur", "pid" and "tid" numbers. Other
+ * members are checked and dropped; "args" keeps its string and numeric
+ * entries. */
 ParseResult parseTraceText(const std::string &text);
 
 /** Read and parse a trace file. */
