@@ -124,13 +124,7 @@ Agent::sense(int step)
 void
 Agent::receiveMessage(const Message &message, int step)
 {
-    memory::DialogueRecord rec;
-    rec.step = step;
-    rec.from_agent = message.from_agent;
-    rec.to_agent = message.to_agent;
-    rec.tokens = message.tokens;
-    rec.useful = message.useful;
-    memory_.recordDialogue(rec);
+    memory_.recordDialogue({step, message.tokens});
 
     if (message.useful) {
         for (const auto &belief : message.shared_beliefs)
@@ -143,7 +137,6 @@ Agent::generateMessage(int step, int n_agents)
 {
     Message message;
     message.from_agent = id_;
-    message.step = step;
     if (!config_.has_communication)
         return message;
 
@@ -165,16 +158,12 @@ Agent::generateMessage(int step, int n_agents)
     last_message_tokens_ = request.tokens_in + response.tokens_out;
     message.useful = response.good && rng_.bernoulli(config_.message_utility);
     if (message.useful) {
-        // Share the freshest sightings and the current intent.
+        // Share the freshest sightings.
         auto known = memory_.knownObjects();
         const std::size_t share =
             std::min<std::size_t>(known.size(), 8);
         message.shared_beliefs.assign(known.begin(),
                                       known.begin() + share);
-        if (repeat_intent_.has_value()) {
-            message.intent = *repeat_intent_;
-            message.has_intent = true;
-        }
     }
     return message;
 }
@@ -362,8 +351,7 @@ Agent::plan(int step, const PlanContext &context)
                    0.0, 0.95);
     const auto response = planner_engine_.complete(request);
     charge(stats::ModuleKind::Planning, response.latency_s);
-    last_plan_tokens_ = request.tokens_in + response.tokens_out;
-    decision.prompt_tokens = last_plan_tokens_;
+    decision.prompt_tokens = request.tokens_in + response.tokens_out;
 
     // Stuck-loop: an undetected failure makes the agent re-issue the same
     // subgoal (its context claims it should work).
@@ -388,9 +376,9 @@ Agent::plan(int step, const PlanContext &context)
     }
 
     decision.from_oracle = good;
-    decision.hallucinated =
+    const bool hallucinated =
         !good && rng_.bernoulli(config_.hallucination_rate);
-    decision.subgoal = chooseSubgoal(good, decision.hallucinated, step);
+    decision.subgoal = chooseSubgoal(good, hallucinated, step);
 
     decision.wants_comm =
         config_.has_communication && rng_.bernoulli(config_.message_utility);
@@ -418,12 +406,10 @@ Agent::chooseSubgoal(bool good_plan, bool hallucinate, int step)
     return suboptimalSubgoal();
 }
 
-ExecResult
+bool
 Agent::execute(int step, const env::Subgoal &subgoal)
 {
     (void)step;
-    ExecResult result;
-    result.attempted = true;
 
     // Stale-belief check: if the agent's belief about the target's location
     // is wrong, it navigates to the remembered spot and comes up empty.
@@ -449,15 +435,13 @@ Agent::execute(int step, const env::Subgoal &subgoal)
                         break;
                     charge(stats::ModuleKind::Execution,
                            config_.lat.move_per_cell_s);
-                    ++result.primitives;
                 }
             }
-            result.success = false;
-            result.fail_reason = "object not at remembered location";
-            // The agent has verified the belief is wrong: drop it so the
-            // next plan searches instead of returning here.
+            // The object is not at the remembered location. The agent has
+            // verified the belief is wrong: drop it so the next plan
+            // searches instead of returning here.
             memory_.invalidate(subgoal.target);
-            return result;
+            return false;
         }
     }
 
@@ -465,17 +449,12 @@ Agent::execute(int step, const env::Subgoal &subgoal)
     plan::Compiled compiled = plan::compileSubgoal(*env_, id_, subgoal);
     charge(stats::ModuleKind::Execution,
            config_.lat.motion_planner.sample(rng_));
-    if (!compiled.feasible) {
-        result.success = false;
-        result.fail_reason = compiled.reason;
-        return result;
-    }
-    result.motion_cost = compiled.motion_cost;
+    if (!compiled.feasible)
+        return false;
 
     const bool llm_direct = !config_.has_execution;
     int recompiles = 0;
     std::size_t index = 0;
-    bool failed = false;
     while (index < compiled.prims.size()) {
         env::Primitive prim = compiled.prims[index];
 
@@ -493,12 +472,8 @@ Agent::execute(int step, const env::Subgoal &subgoal)
             const double reliability =
                 config_.planner_model.format_compliance *
                 kDirectControlReliability;
-            if (!rng_.bernoulli(reliability)) {
-                // Corrupted primitive: the sequence derails here.
-                result.fail_reason = "llm-direct control error";
-                failed = true;
-                break;
-            }
+            if (!rng_.bernoulli(reliability))
+                return false; // corrupted primitive: the sequence derails
         }
 
         // Actuation slip: interactions occasionally fail at the hardware
@@ -508,10 +483,7 @@ Agent::execute(int step, const env::Subgoal &subgoal)
         if (interaction && rng_.bernoulli(config_.actuation_failure)) {
             charge(stats::ModuleKind::Execution,
                    config_.lat.actuation.sample(rng_));
-            ++result.primitives;
-            result.fail_reason = "actuation slip";
-            failed = true;
-            break;
+            return false;
         }
 
         const auto applied = env_->applyPrimitive(id_, prim);
@@ -522,7 +494,6 @@ Agent::execute(int step, const env::Subgoal &subgoal)
             charge(stats::ModuleKind::Execution,
                    config_.lat.actuation.sample(rng_));
         }
-        ++result.primitives;
 
         if (!applied.ok) {
             if (prim.op == env::PrimOp::MoveStep && recompiles < 2) {
@@ -531,28 +502,21 @@ Agent::execute(int step, const env::Subgoal &subgoal)
                 compiled = plan::compileSubgoal(*env_, id_, subgoal);
                 charge(stats::ModuleKind::Execution,
                        config_.lat.motion_planner.sample(rng_));
-                if (!compiled.feasible) {
-                    result.fail_reason = compiled.reason;
-                    failed = true;
-                    break;
-                }
+                if (!compiled.feasible)
+                    return false;
                 index = 0;
                 continue;
             }
-            result.fail_reason = applied.reason;
-            failed = true;
-            break;
+            return false;
         }
         ++index;
     }
-
-    result.success = !failed && index == compiled.prims.size();
-    return result;
+    return true;
 }
 
 void
-Agent::reflect(int step, const env::Subgoal &subgoal,
-               const ExecResult &result, bool plan_was_sound)
+Agent::reflect(int step, const env::Subgoal &subgoal, bool succeeded,
+               bool plan_was_sound)
 {
     // Even without a reflection module, raw environment feedback reveals
     // some failures (a grasp that comes up empty is hard to miss); the
@@ -575,7 +539,7 @@ Agent::reflect(int step, const env::Subgoal &subgoal,
     // is remembered as progress: a corrupted record that raises the
     // complexity of later plans.
     memory_.recordAction(step);
-    if (result.success) {
+    if (succeeded) {
         repeat_intent_.reset();
         // An action that executed fine but did not advance the task is
         // an "ineffective" operation in the paper's terms. Reflection's

@@ -19,10 +19,9 @@ namespace ebs::core {
 struct PlanDecision
 {
     env::Subgoal subgoal;
-    bool from_oracle = false;  ///< the model picked a genuinely useful goal
-    bool hallucinated = false; ///< the model invented an impossible action
-    int prompt_tokens = 0;     ///< planning prompt size (Fig. 6 series)
-    bool wants_comm = false;   ///< planning flagged communication as needed
+    bool from_oracle = false; ///< the model picked a genuinely useful goal
+    int prompt_tokens = 0;    ///< planning prompt size (Fig. 6 series)
+    bool wants_comm = false;  ///< planning flagged communication as needed
 };
 
 /** Context the coordinator passes into a planning call. */
@@ -31,16 +30,6 @@ struct PlanContext
     int step = 0;
     int n_agents = 1;
     double compression = 1.0; ///< context-compression ratio (Rec. 6)
-};
-
-/** Result of executing one subgoal. */
-struct ExecResult
-{
-    bool attempted = false;
-    bool success = false;
-    int primitives = 0;
-    double motion_cost = 0.0;
-    std::string fail_reason;
 };
 
 /**
@@ -103,22 +92,20 @@ class Agent
      */
     env::Subgoal chooseSubgoal(bool good_plan, bool hallucinate, int step);
 
-    /** Run the execution module on a subgoal. */
-    ExecResult execute(int step, const env::Subgoal &subgoal);
+    /** Run the execution module on a subgoal; true when it succeeded. */
+    bool execute(int step, const env::Subgoal &subgoal);
 
     /**
      * Run the reflection module on an executed subgoal; updates memory and
      * intent state. The module judges two kinds of errors: *failed*
-     * actions and *ineffective* ones (executed fine but not advancing the
-     * task, `plan_was_sound == false`). Undetected errors get logged as
-     * successes, corrupting the planning context, and failed ones
-     * additionally trigger phantom-completion / repeat-loop behavior.
+     * actions (`succeeded == false`) and *ineffective* ones (executed fine
+     * but not advancing the task, `plan_was_sound == false`). Undetected
+     * errors get logged as successes, corrupting the planning context,
+     * and failed ones additionally trigger phantom-completion /
+     * repeat-loop behavior.
      */
-    void reflect(int step, const env::Subgoal &subgoal,
-                 const ExecResult &result, bool plan_was_sound = true);
-
-    /** Planning prompt size of the most recent plan() call. */
-    int lastPlanTokens() const { return last_plan_tokens_; }
+    void reflect(int step, const env::Subgoal &subgoal, bool succeeded,
+                 bool plan_was_sound = true);
 
     /** Message size of the most recent generateMessage() call. */
     int lastMessageTokens() const { return last_message_tokens_; }
@@ -171,7 +158,6 @@ class Agent
     env::Observation percept_;          ///< most recent observation
     std::set<env::ObjectId> believed_done_;
     std::optional<env::Subgoal> repeat_intent_; ///< stuck-loop state
-    int last_plan_tokens_ = 0;
     int last_message_tokens_ = 0;
     int corrupted_records_ = 0; ///< failures wrongly logged as successes
 };

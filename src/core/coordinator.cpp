@@ -170,14 +170,15 @@ validated(const EpisodeOptions &options, const AgentConfig &config)
 /**
  * One step's per-agent decisions, indexed by agent id: a coordinator's
  * plan stage sets every agent's `subgoals` and `sound` entry, and the
- * shared execute phase fills `execs`. It lives for the whole episode, so
- * a plan stage still sees the previous step's `execs`.
+ * shared execute phase sets `execs` (nonzero = the subgoal succeeded).
+ * It lives for the whole episode, so a plan stage still sees the
+ * previous step's `execs`.
  */
 struct StepPlan
 {
     std::vector<env::Subgoal> subgoals;
     std::vector<char> sound;
-    std::vector<ExecResult> execs;
+    std::vector<char> execs;
 };
 
 /**
@@ -267,7 +268,7 @@ class Harness
     {
         const std::size_t n = agents_.size();
         StepPlan plan{std::vector<env::Subgoal>(n), std::vector<char>(n, 1),
-                      std::vector<ExecResult>(n)};
+                      std::vector<char>(n, 0)};
         for (int step = 0; step < maxSteps(); ++step) {
             env_.beginStep();
             setSteps(step + 1);
@@ -279,7 +280,7 @@ class Harness
             });
             phase("reflect", [&](Agent &a) {
                 const auto idx = static_cast<std::size_t>(a.id());
-                a.reflect(step, plan.subgoals[idx], plan.execs[idx],
+                a.reflect(step, plan.subgoals[idx], plan.execs[idx] != 0,
                           plan.sound[idx] != 0);
             });
             if (stepDone())
@@ -422,7 +423,7 @@ class Harness
         result.messages_useful = messages_useful_;
         result.token_series = std::move(token_series_);
         result.spec_exec = spec_stats_;
-        fillMetrics(result);
+        result.path_work = env_.pathWork();
         options_.phase_wall->addEpisode();
         return result;
     }
@@ -643,51 +644,6 @@ class Harness
                            0.15 * (cost.total - cost.longest));
         } else {
             clock_.advance(cost.total);
-        }
-    }
-
-    /**
-     * Populate the episode's typed metrics registry from the tallies
-     * the rest of finish() assembled. Always on (a handful of map
-     * inserts per episode, nowhere near a hot path); every source value
-     * is already worker-count-independent, so the registry folds
-     * through runner::RunStats like the existing tallies.
-     */
-    void
-    fillMetrics(EpisodeResult &result) const
-    {
-        obs::MetricSet &m = result.metrics;
-        m.add("episode.count");
-        m.add("episode.steps", result.steps);
-        m.add("episode.success", result.success ? 1 : 0);
-        m.add("episode.messages", result.messages_generated);
-        m.add("episode.messages_useful", result.messages_useful);
-        m.add("llm.calls", static_cast<long long>(result.llm.calls));
-        m.add("spec.turns", spec_stats_.turns);
-        m.add("spec.speculated", spec_stats_.speculated);
-        m.add("spec.committed", spec_stats_.committed);
-        m.add("spec.conflicts", spec_stats_.conflicts);
-        m.add("spec.aborted", spec_stats_.aborted);
-        const env::PathWork path = env_.pathWork();
-        m.add("path.queries", path.queries);
-        m.add("path.astar_searches", path.searches);
-        m.add("path.astar_failed", path.failed);
-        m.add("path.fast_rejections", path.fast_rejections);
-        m.add("path.astar_expanded", path.expanded);
-        m.add("path.flood_cells", path.flood_cells);
-        m.gaugeMax("episode.max_sim_seconds", result.sim_seconds);
-        static constexpr double kOccupancyBounds[] = {1, 2, 4, 8, 16, 32};
-        static constexpr double kDelayBounds[] = {0.1, 0.5, 2.0, 10.0,
-                                                  60.0};
-        for (const auto &batch : result.llm_batches) {
-            m.add("llm.batches");
-            m.add("llm.batched_requests", batch.requests);
-            m.observe("llm.batch_occupancy", batch.requests,
-                      kOccupancyBounds);
-            m.gaugeMax("llm.max_batch_kv_tokens", batch.kv_tokens);
-            if (llm_session_.queueing())
-                m.observe("llm.queue_delay_s", batch.queue_delay_s,
-                          kDelayBounds);
         }
     }
 
@@ -950,7 +906,7 @@ runDecentralized(env::Environment &environment, const AgentConfig &config,
         harness.phase(comm_during_planning ? "plan.comm" : "plan",
                       [&](Agent &a) {
             const auto idx = static_cast<std::size_t>(a.id());
-            if (!plan.execs[idx].success)
+            if (plan.execs[idx] == 0)
                 guided_left[idx] = 0; // guided execution aborts on failure
             if (guided_left[idx] > 0) {
                 // Plan-guided multi-step execution (Rec. 7): follow the

@@ -3,9 +3,9 @@
 
 #include <vector>
 
+#include "env/env.h"
 #include "llm/engine.h"
 #include "llm/engine_service.h"
-#include "obs/metrics.h"
 #include "stats/latency_recorder.h"
 
 namespace ebs::core {
@@ -57,8 +57,8 @@ struct EpisodeResult
     std::vector<StepTokens> token_series; ///< filled when requested
 
     /**
-     * LLM batches the engine service assembled for this episode (empty
-     * when the episode ran without a service or with batching off).
+     * LLM batches the engine service assembled for this episode: every
+     * phase flush logs its groups, with or without `batch_llm_calls`.
      * Deterministic per seed, so post-join folds over a runner batch —
      * runner::foldEpisodes-style — reproduce at any EBS_JOBS.
      */
@@ -68,10 +68,10 @@ struct EpisodeResult
      * with speculative_execute off). */
     SpeculativeExecStats spec_exec;
 
-    /** Typed per-episode metrics (counters/gauges/histograms), populated
-     * at episode finish from the tallies above and folded through
-     * runner::RunStats. Deterministic like everything else here. */
-    obs::MetricSet metrics;
+    /** The environment's path-query work (A* searches, nodes expanded,
+     * label floods) over the episode; zeros where motion does no grid
+     * search. Deterministic like everything else here. */
+    env::PathWork path_work;
 
     /** Average simulated seconds per step (0 when no steps ran). */
     double

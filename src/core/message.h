@@ -3,30 +3,23 @@
 
 #include <vector>
 
-#include "env/subgoal.h"
 #include "memory/memory.h"
 
 namespace ebs::core {
 
 /**
- * One inter-agent message. Content is abstracted to its information value:
- * shared object beliefs, the sender's declared intent, and a token size
- * (which is what the latency/prompt models consume).
+ * One inter-agent message. Content is abstracted to its information
+ * value: shared object beliefs and a token size (which is what the
+ * latency/prompt models consume).
  */
 struct Message
 {
     int from_agent = -1;
-    int to_agent = -1; ///< -1 = broadcast
-    int step = 0;
     int tokens = 0;
     bool useful = false; ///< carries task-relevant information
 
     /** Object sightings the sender shares. */
     std::vector<memory::ObservationRecord> shared_beliefs;
-
-    /** The sender's declared next subgoal (for coordination). */
-    env::Subgoal intent;
-    bool has_intent = false;
 };
 
 } // namespace ebs::core

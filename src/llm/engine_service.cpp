@@ -30,8 +30,8 @@ jointCompletionTime(const BatchRecord &record)
  * double. Backend equality and identity below both consume exactly this
  * enumeration, so the two can never drift apart: a same-name,
  * same-latency profile with e.g. a workload-tweaked reflect_quality is
- * a differently-calibrated model and must not merge into another
- * backend's usage accounting. When ModelProfile gains a field, extend
+ * a differently-calibrated model and must not join another backend's
+ * batch groups. When ModelProfile gains a field, extend
  * this list (the size guard below fails loudly until you do). */
 template <typename Fn>
 void
@@ -336,10 +336,7 @@ LlmUsage
 LlmEngineService::totalUsage() const
 {
     core::MutexLock lock(mu_);
-    LlmUsage total;
-    for (const auto &[id, backend] : backends_)
-        total += backend.usage;
-    return total;
+    return total_;
 }
 
 BatchStats
@@ -353,8 +350,7 @@ void
 LlmEngineService::reset()
 {
     core::MutexLock lock(mu_);
-    for (auto &[id, backend] : backends_)
-        backend.usage = LlmUsage{};
+    total_ = LlmUsage{};
     stats_ = BatchStats{};
 }
 
@@ -364,10 +360,7 @@ LlmEngineService::accountFlush(
 {
     core::MutexLock lock(mu_);
     for (const auto &group : groups) {
-        const auto it = backends_.find(group.record.backend);
-        assert(it != backends_.end());
-        if (it != backends_.end())
-            it->second.usage += group.usage;
+        total_ += group.usage;
         stats_.add(group.record);
     }
 }

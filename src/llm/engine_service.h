@@ -30,7 +30,7 @@ class LlmEngineService;
  * (an FNV-1a hash over every field), never a registration-order index.
  * Episodes racing to register profiles on the EpisodeRunner pool always
  * agree on a profile's id, which is what keeps BatchRecord.backend, the
- * cross-episode fold key, and per-backend usage slots bit-identical at
+ * cross-episode fold key, and the backend registry bit-identical at
  * any EBS_JOBS. See LlmEngineService::backendFor().
  */
 using BackendId = std::uint64_t;
@@ -288,9 +288,9 @@ class EngineSession
  * the hot path contention-free. Everything stochastic stays in
  * episode-confined handles, so the service never serializes RNG state
  * and never perturbs a sampled stream. The contract is compiler-checked:
- * `backends_` and `stats_` carry EBS_GUARDED_BY(mu_), so the CI Clang
- * `-Wthread-safety` build hard-errors on any drain or query path that
- * touches them without the lock.
+ * `backends_`, `total_` and `stats_` carry EBS_GUARDED_BY(mu_), so the
+ * CI Clang `-Wthread-safety` build hard-errors on any drain or query
+ * path that touches them without the lock.
  *
  * Determinism contract: an episode's EpisodeResult is bit-identical at
  * any worker count, however many episodes share the service. The
@@ -316,8 +316,8 @@ class LlmEngineService
      * always agree on it regardless of thread scheduling. Keying on the
      * full profile also means a quantized or differently-calibrated
      * variant (e.g. a workload-tweaked reflect_quality) gets its own
-     * backend even under a reused name, so usage accounting never
-     * silently merges differently-calibrated models.
+     * backend even under a reused name, so batch groups never silently
+     * merge differently-calibrated models.
      */
     BackendId backendFor(const ModelProfile &profile) EBS_EXCLUDES(mu_);
 
@@ -329,7 +329,7 @@ class LlmEngineService
     ModelProfile backendProfile(BackendId backend) const EBS_EXCLUDES(mu_);
 
     /**
-     * Fleet-wide usage summed over all backends (race-free snapshot).
+     * Fleet-wide usage over all backends (race-free snapshot).
      * Sessions stage usage locally and drain it at flush/takeLog, so
      * totals are exact once an episode finishes — mid-phase reads may
      * lag by the calls staged since the last phase boundary.
@@ -364,15 +364,15 @@ class LlmEngineService
     {
         std::string name;
         ModelProfile profile;
-        LlmUsage usage;
     };
 
     mutable core::Mutex mu_;
     /** Set at construction, immutable after — safe to read lock-free. */
     ServiceConfig config_;
-    /** Keyed (and therefore iterated) by stable id, so aggregate float
-     * sums over backends accumulate in a scheduling-independent order. */
+    /** Keyed by stable id (see backendFor). */
     std::map<BackendId, Backend> backends_ EBS_GUARDED_BY(mu_);
+    /** Usage drained by every flush so far, in flush order. */
+    LlmUsage total_ EBS_GUARDED_BY(mu_);
     BatchStats stats_ EBS_GUARDED_BY(mu_);
 };
 

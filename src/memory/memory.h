@@ -25,14 +25,12 @@ struct ObservationRecord
     bool open = true;
 };
 
-/** One remembered dialogue message (content abstracted to token size). */
+/** One remembered dialogue message (content abstracted to token size):
+ * its step decides pruning, its tokens the retrieved dialogue size. */
 struct DialogueRecord
 {
     int step = 0;
-    int from_agent = -1;
-    int to_agent = -1; ///< -1 = broadcast
     int tokens = 0;
-    bool useful = false; ///< carried task-relevant information
 };
 
 /** What a retrieval returns, sized for prompt construction. */

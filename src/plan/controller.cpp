@@ -38,7 +38,6 @@ navigate(const env::Environment &environment, int agent_id, const Vec2i &goal,
         out.reason = "unreachable goal cell";
         return false;
     }
-    out.motion_cost += cost;
     appendMoves(out, path);
     return true;
 }

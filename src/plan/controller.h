@@ -15,7 +15,6 @@ struct Compiled
     bool feasible = false;
     std::string reason;                 ///< why compilation failed
     std::vector<env::Primitive> prims;  ///< primitives to execute in order
-    double motion_cost = 0.0;           ///< path length in grid steps
 };
 
 /**

@@ -72,7 +72,6 @@ foldEpisodes(std::span<const core::EpisodeResult> episodes)
         out.spec_exec.aborted += r.spec_exec.aborted;
         out.spec_exec.exec_total_s += r.spec_exec.exec_total_s;
         out.spec_exec.exec_critical_s += r.spec_exec.exec_critical_s;
-        out.metrics.merge(r.metrics);
     }
     out.episodes = static_cast<int>(episodes.size());
     if (out.episodes > 0) {

@@ -42,11 +42,6 @@ struct RunStats
     double queue_delay_s = 0.0;
     double sim_seconds = 0.0;
 
-    /** Typed metrics merged across episodes (counters sum, gauges max,
-     * histograms add bucket-wise) — see obs/metrics.h. Deterministic
-     * like every other field here: merged in fold (= submission) order. */
-    obs::MetricSet metrics;
-
     /** LLM calls averaged per episode (0 when nothing folded). */
     double llmCallsPerEpisode() const;
 

@@ -1,14 +1,18 @@
 #include "stats/aggregate.h"
 
-#include <cassert>
+#include <stdexcept>
+#include <string>
 
 namespace ebs::stats {
 
 double
 percentile(std::vector<double> samples, double p)
 {
-    assert(!samples.empty());
-    assert(p >= 0.0 && p <= 100.0);
+    if (samples.empty())
+        throw std::invalid_argument("percentile: samples must not be empty");
+    if (!(p >= 0.0 && p <= 100.0)) // NaN fails
+        throw std::invalid_argument(
+            "percentile: p must be in [0, 100], got " + std::to_string(p));
     std::sort(samples.begin(), samples.end());
     if (samples.size() == 1)
         return samples.front();

@@ -55,6 +55,8 @@ class RunningStat
  *
  * @param samples non-empty set of samples (copied and sorted internally)
  * @param p       percentile in [0, 100]
+ * @throws std::invalid_argument for empty `samples` or a `p` outside
+ *         [0, 100] (NaN included), in every build
  */
 double percentile(std::vector<double> samples, double p);
 

@@ -62,7 +62,6 @@ TEST_F(AgentTest, PlanChargesPlanningAndMemory)
     EXPECT_GT(recorder_.total(stats::ModuleKind::Planning), 0.0);
     EXPECT_GT(recorder_.total(stats::ModuleKind::Memory), 0.0);
     EXPECT_GT(decision.prompt_tokens, 0);
-    EXPECT_EQ(agent->lastPlanTokens(), decision.prompt_tokens);
 }
 
 TEST_F(AgentTest, ActionSelectionAddsSecondPlanningCall)
@@ -93,7 +92,6 @@ TEST_F(AgentTest, GoodPlansComeFromOracle)
     for (int i = 0; i < 20; ++i) {
         const auto decision = agent->plan(0, PlanContext{});
         EXPECT_TRUE(decision.from_oracle);
-        EXPECT_FALSE(decision.hallucinated);
     }
 }
 
@@ -115,9 +113,7 @@ TEST_F(AgentTest, ExecuteCompletesOracleSubgoal)
     auto agent = makeAgent(config);
     agent->sense(0);
     const auto decision = agent->plan(0, PlanContext{});
-    const auto exec = agent->execute(0, decision.subgoal);
-    EXPECT_TRUE(exec.attempted);
-    EXPECT_TRUE(exec.success) << exec.fail_reason;
+    EXPECT_TRUE(agent->execute(0, decision.subgoal));
     EXPECT_GT(recorder_.total(stats::ModuleKind::Execution), 0.0);
 }
 
@@ -148,10 +144,7 @@ TEST_F(AgentTest, ReflectionChargesLatencyAndDetectsFailures)
     env::Subgoal sg;
     sg.kind = env::SubgoalKind::PickUp;
     sg.target = 0; // the goal zone object: pick fails (not graspable)
-    ExecResult fail;
-    fail.attempted = true;
-    fail.success = false;
-    agent->reflect(0, sg, fail);
+    agent->reflect(0, sg, false);
     EXPECT_GT(recorder_.total(stats::ModuleKind::Reflection), 0.0);
     // Detected failure: no phantom completion recorded.
     EXPECT_TRUE(agent->believedDone().empty());
@@ -169,10 +162,7 @@ TEST_F(AgentTest, UndetectedFailuresCausePhantomOrLoop)
     env::Subgoal sg;
     sg.kind = env::SubgoalKind::PickUp;
     sg.target = 1;
-    ExecResult fail;
-    fail.attempted = true;
-    fail.success = false;
-    agent->reflect(0, sg, fail);
+    agent->reflect(0, sg, false);
     EXPECT_EQ(agent->believedDone().count(1), 1u);
 }
 
@@ -185,10 +175,7 @@ TEST_F(AgentTest, SuccessfulActionsNeverPhantom)
     agent->sense(0);
     env::Subgoal sg;
     sg.kind = env::SubgoalKind::Wait;
-    ExecResult ok;
-    ok.attempted = true;
-    ok.success = true;
-    agent->reflect(0, sg, ok);
+    agent->reflect(0, sg, true);
     EXPECT_TRUE(agent->believedDone().empty());
 }
 
@@ -224,10 +211,7 @@ TEST_F(AgentTest, EveryReflectedTurnRecordsOneAction)
         env::Subgoal sg;
         sg.kind = env::SubgoalKind::PickUp;
         sg.target = 1;
-        ExecResult result;
-        result.attempted = true;
-        result.success = c.success;
-        agent->reflect(0, sg, result, c.plan_was_sound);
+        agent->reflect(0, sg, c.success, c.plan_was_sound);
         EXPECT_EQ(agent->memory().liveRecords(), records + 1);
         EXPECT_EQ(agent->memory().retrieve(0).action_tokens, tokens + 7);
     }
@@ -369,8 +353,7 @@ TEST_F(AgentTest, CarriedObjectSurvivesDetectorMisses)
     env::Subgoal pick;
     pick.kind = env::SubgoalKind::PickUp;
     pick.target = item;
-    const auto exec = agent->execute(0, pick);
-    ASSERT_TRUE(exec.success) << exec.fail_reason;
+    ASSERT_TRUE(agent->execute(0, pick));
     ASSERT_EQ(env_.world().agent(0).carrying, item);
 
     // ...then degrade perception completely: proprioception still reports

@@ -125,19 +125,5 @@ TEST_F(ControllerTest, PlaceWithoutDestIsInfeasible)
     EXPECT_FALSE(compiled.feasible);
 }
 
-TEST_F(ControllerTest, MotionCostMatchesMoveCount)
-{
-    const env::ObjectId item = looseGoalItem();
-    env::Subgoal sg;
-    sg.kind = env::SubgoalKind::PickUp;
-    sg.target = item;
-    const auto compiled = compileSubgoal(env_, 0, sg);
-    ASSERT_TRUE(compiled.feasible);
-    int moves = 0;
-    for (const auto &prim : compiled.prims)
-        moves += prim.op == env::PrimOp::MoveStep;
-    EXPECT_DOUBLE_EQ(compiled.motion_cost, moves);
-}
-
 } // namespace
 } // namespace ebs::plan

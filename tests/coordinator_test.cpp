@@ -537,7 +537,7 @@ TEST(SpeculativeExecute, MatchesSerialAndCommitsCleanTurns)
     options.pipeline.speculative_execute = true;
     const auto spec = runDecentralized(env_spec, goodConfig(), options);
 
-    test::expectEpisodeIdentical(serial, spec);
+    test::expectSameSimulation(serial, spec);
     const auto &tally = spec.spec_exec;
     EXPECT_EQ(tally.turns, static_cast<long long>(serial.steps) * 4);
     EXPECT_GT(tally.committed, 0);
@@ -565,7 +565,7 @@ TEST(SpeculativeExecute, FullyConflictingTeamDegradesToSerialSchedule)
     options.pipeline.speculative_execute = true;
     const auto spec = runDecentralized(env_spec, goodConfig(), options);
 
-    test::expectEpisodeIdentical(serial, spec);
+    test::expectSameSimulation(serial, spec);
     ASSERT_TRUE(spec.success);
     EXPECT_GT(spec.spec_exec.aborted, 0); // lifts cannot be validated
     EXPECT_EQ(spec.spec_exec.speculated,
@@ -588,7 +588,7 @@ TEST(SpeculativeExecute, FullyConflictingTeamDegradesToSerialSchedule)
                                      sim::Rng(options.seed).fork(2));
     const auto direct_spec =
         runDecentralized(env_direct_spec, config, direct);
-    test::expectEpisodeIdentical(direct_serial, direct_spec);
+    test::expectSameSimulation(direct_serial, direct_spec);
     EXPECT_EQ(direct_spec.spec_exec.speculated, 0);
     EXPECT_EQ(direct_spec.spec_exec.committed, 0);
     EXPECT_DOUBLE_EQ(direct_spec.spec_exec.exec_critical_s,

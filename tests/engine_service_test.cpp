@@ -433,8 +433,9 @@ TEST(EngineService, UsageAccountingIsExactSerial)
     EXPECT_EQ(total.calls, summed.calls);
     EXPECT_EQ(total.tokens_in, summed.tokens_in);
     EXPECT_EQ(total.tokens_out, summed.tokens_out);
-    // Accumulation order differs (per-backend vs. per-episode), so the
-    // float sum is compared to relative precision, not bitwise.
+    // Accumulation order differs (the service adds each flushed group in
+    // flush order, this loop adds per-episode totals), so the float sum
+    // is compared to relative precision, not bitwise.
     EXPECT_NEAR(total.total_latency_s, summed.total_latency_s,
                 1e-9 * summed.total_latency_s);
 

@@ -137,7 +137,7 @@ TEST(Memory, RetrievalTokensGrowWithContent)
 
     mem.recordObservation(makeObs(0, 1, {{1, {1, 1}}, {2, {2, 2}}}));
     mem.recordAction(0);
-    mem.recordDialogue({0, 1, 0, 40, true});
+    mem.recordDialogue({0, 40});
     const auto ctx = mem.retrieve(1);
     EXPECT_GT(ctx.observation_tokens, 0);
     EXPECT_GT(ctx.action_tokens, 0);
@@ -369,8 +369,7 @@ TEST(Memory, DialogueTokensMatchResumOfLiveRecords)
                        live.front().step <= step - capacity)
                     live.pop_front();
             for (int k = rng.uniformInt(0, 3); k > 0; --k) {
-                const DialogueRecord record{step, k, -1,
-                                            rng.uniformInt(1, 60), true};
+                const DialogueRecord record{step, rng.uniformInt(1, 60)};
                 mem.recordDialogue(record);
                 live.push_back(record);
             }

@@ -1,11 +1,9 @@
 /**
  * @file
- * Tests for src/obs (dual-clock tracing + metrics registry): metric
- * merge semantics, episode trace log begin/end balance, and the
- * subsystem's headline contracts — the sim-time span stream is
- * byte-identical at EBS_JOBS 1 vs 8, simulated results are untouched by
- * tracing, and per-episode metrics fold through runner::RunStats like
- * every other tally.
+ * Tests for src/obs dual-clock tracing: episode trace log begin/end
+ * balance, and the subsystem's headline contracts — the sim-time span
+ * stream is byte-identical at EBS_JOBS 1 vs 8, and simulated results are
+ * untouched by tracing.
  */
 
 #include <cstddef>
@@ -14,11 +12,9 @@
 
 #include <gtest/gtest.h>
 
-#include "obs/metrics.h"
 #include "obs/trace.h"
 #include "runner/averaged.h"
 #include "runner/episode_runner.h"
-#include "runner/run_stats.h"
 #include "test_util.h"
 #include "workloads/workload.h"
 
@@ -70,71 +66,6 @@ tracedGrid()
         }
     }
     return jobs;
-}
-
-TEST(MetricSet, CountersGaugesHistograms)
-{
-    obs::MetricSet m;
-    EXPECT_TRUE(m.empty());
-    m.add("calls");
-    m.add("calls", 2);
-    EXPECT_EQ(m.counter("calls"), 3);
-    EXPECT_EQ(m.counter("absent"), 0);
-
-    m.gaugeMax("peak", 2.0);
-    m.gaugeMax("peak", 1.0); // lower value must not regress the gauge
-    EXPECT_EQ(m.gauges().at("peak"), 2.0);
-
-    const double bounds[] = {1.0, 2.0, 4.0};
-    m.observe("occ", 0.5, bounds); // bucket 0
-    m.observe("occ", 2.0, bounds); // inclusive upper bound -> bucket 1
-    m.observe("occ", 9.0, bounds); // overflow
-    const auto &hist = m.histograms().at("occ");
-    ASSERT_EQ(hist.counts.size(), 4u);
-    EXPECT_EQ(hist.counts[0], 1);
-    EXPECT_EQ(hist.counts[1], 1);
-    EXPECT_EQ(hist.counts[2], 0);
-    EXPECT_EQ(hist.counts[3], 1);
-    EXPECT_EQ(hist.total, 3);
-    EXPECT_EQ(hist.sum, 11.5);
-    EXPECT_FALSE(m.empty());
-}
-
-TEST(MetricSet, MergeAddsMaxesAndNeverLosesObservations)
-{
-    const double bounds[] = {1.0, 2.0};
-    const double other_bounds[] = {5.0};
-
-    obs::MetricSet a;
-    a.add("n", 2);
-    a.gaugeMax("g", 1.0);
-    a.observe("h", 0.5, bounds);
-    a.observe("mismatch", 0.5, bounds);
-
-    obs::MetricSet b;
-    b.add("n", 3);
-    b.gaugeMax("g", 4.0);
-    b.observe("h", 1.5, bounds);
-    b.observe("mismatch", 0.5, other_bounds);
-    b.observe("fresh", 7.0, bounds);
-
-    a.merge(b);
-    EXPECT_EQ(a.counter("n"), 5);
-    EXPECT_EQ(a.gauges().at("g"), 4.0);
-
-    const auto &h = a.histograms().at("h");
-    EXPECT_EQ(h.counts[0], 1);
-    EXPECT_EQ(h.counts[1], 1);
-    EXPECT_EQ(h.total, 2);
-
-    // Disagreeing bounds (never happens for in-tree names) land in the
-    // overflow bucket rather than disappearing.
-    const auto &mismatch = a.histograms().at("mismatch");
-    EXPECT_EQ(mismatch.counts.back(), 1);
-    EXPECT_EQ(mismatch.total, 2);
-
-    // A histogram only the other side has is adopted wholesale.
-    EXPECT_EQ(a.histograms().at("fresh").total, 1);
 }
 
 TEST(EpisodeTraceLog, SpansBalanceAndHostFlagsPropagate)
@@ -214,33 +145,6 @@ TEST(Tracer, TracingDoesNotPerturbSimulatedResults)
         SCOPED_TRACE("job " + std::to_string(i));
         test::expectEpisodeIdentical(plain[i], traced[i]);
     }
-}
-
-TEST(Metrics, FoldThroughRunStats)
-{
-    // Metrics are always on (no EBS_TRACE needed): every episode fills
-    // its MetricSet at finish and foldEpisodes merges them.
-    const auto jobs = tracedGrid();
-    const auto results = runner::EpisodeRunner(2).run(jobs);
-    ASSERT_EQ(results.size(), jobs.size());
-    for (const auto &r : results)
-        EXPECT_FALSE(r.metrics.empty());
-
-    const auto stats = runner::foldEpisodes(results);
-    EXPECT_EQ(stats.metrics.counter("episode.count"),
-              static_cast<long long>(jobs.size()));
-    EXPECT_GT(stats.metrics.counter("episode.steps"), 0);
-    EXPECT_GT(stats.metrics.counter("llm.calls"), 0);
-    EXPECT_GT(stats.metrics.counter("llm.batches"), 0);
-    EXPECT_GT(stats.metrics.counter("spec.turns"), 0);
-    EXPECT_GT(stats.metrics.histograms().at("llm.batch_occupancy").total,
-              0);
-
-    // The metric mirrors of existing tallies must agree with them.
-    long long steps = 0;
-    for (const auto &r : results)
-        steps += r.steps;
-    EXPECT_EQ(stats.metrics.counter("episode.steps"), steps);
 }
 
 } // namespace

@@ -1,10 +1,9 @@
 /**
  * @file
- * Deterministic path-query work counters (the `path.*` counters of
- * EpisodeResult::metrics) on a pipeline_opts-style batch: they repeat
- * exactly at any worker count, and free-space labels keep A* nodes
- * expanded below 40% of what the same batch expanded with a search on
- * every query.
+ * Deterministic path-query work counters (EpisodeResult::path_work) on a
+ * pipeline_opts-style batch: they repeat exactly at any worker count, and
+ * free-space labels keep A* nodes expanded below 40% of what the same
+ * batch expanded with a search on every query.
  */
 
 #include <cstdlib>
@@ -13,18 +12,14 @@
 
 #include <gtest/gtest.h>
 
-#include "obs/metrics.h"
 #include "runner/averaged.h"
 #include "runner/episode_runner.h"
+#include "test_util.h"
 #include "workloads/workload.h"
 
 namespace {
 
 using namespace ebs;
-
-constexpr const char *kCounters[] = {
-    "path.queries",         "path.astar_searches", "path.astar_failed",
-    "path.fast_rejections", "path.astar_expanded", "path.flood_cells"};
 
 /** MindAgent, CoELA and COMBO at 8 and 12 agents on Medium with every
  * Sec. V-D switch on (perfbench's pipeline_opts mix), seeds 1-4. */
@@ -73,30 +68,33 @@ TEST(PathWork, LabelsCutExpandedNodes)
     const auto parallel = runner::EpisodeRunner(parallelWorkers()).run(jobs);
     ASSERT_EQ(serial.size(), jobs.size());
     ASSERT_EQ(parallel.size(), jobs.size());
-    obs::MetricSet total;
+    env::PathWork total;
     for (std::size_t i = 0; i < jobs.size(); ++i) {
         SCOPED_TRACE("job " + std::to_string(i));
-        for (const char *name : kCounters)
-            EXPECT_EQ(serial[i].metrics.counter(name),
-                      parallel[i].metrics.counter(name))
-                << name;
-        total.merge(serial[i].metrics);
+        test::expectPathWorkIdentical(serial[i].path_work,
+                                      parallel[i].path_work);
+        const env::PathWork &w = serial[i].path_work;
+        total.queries += w.queries;
+        total.searches += w.searches;
+        total.failed += w.failed;
+        total.fast_rejections += w.fast_rejections;
+        total.expanded += w.expanded;
+        total.flood_cells += w.flood_cells;
     }
 
     // Batch totals, recorded when the labels started to follow body moves
     // in place (simple-point blocking, join and merge on freeing).
-    EXPECT_EQ(total.counter("path.queries"), 5896);
-    EXPECT_EQ(total.counter("path.astar_searches"), 3723);
-    EXPECT_EQ(total.counter("path.astar_failed"), 374);
-    EXPECT_EQ(total.counter("path.fast_rejections"), 2173);
-    EXPECT_EQ(total.counter("path.astar_expanded"), 88111);
-    EXPECT_EQ(total.counter("path.flood_cells"), 32216);
+    EXPECT_EQ(total.queries, 5896);
+    EXPECT_EQ(total.searches, 3723);
+    EXPECT_EQ(total.failed, 374);
+    EXPECT_EQ(total.fast_rejections, 2173);
+    EXPECT_EQ(total.expanded, 88111);
+    EXPECT_EQ(total.flood_cells, 32216);
 
     // The same batch with a search on every query (no labels) expanded
     // this many A* nodes, in 5896 searches of which 2547 failed.
     constexpr long long kExpandedWithoutLabels = 247278;
-    EXPECT_LE(total.counter("path.astar_expanded") * 10,
-              kExpandedWithoutLabels * 4);
+    EXPECT_LE(total.expanded * 10, kExpandedWithoutLabels * 4);
 }
 
 } // namespace

@@ -103,8 +103,7 @@ TEST(Regression, StaleBeliefIsInvalidatedAfterFailedVisit)
     env::Subgoal pick;
     pick.kind = env::SubgoalKind::PickUp;
     pick.target = item;
-    const auto result = agent.execute(1, pick);
-    EXPECT_FALSE(result.success);
+    EXPECT_FALSE(agent.execute(1, pick));
     EXPECT_FALSE(agent.memory().knowsObject(item))
         << "stale belief should be dropped after the failed visit";
 }

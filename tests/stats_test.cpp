@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <sstream>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
@@ -62,6 +64,14 @@ TEST(Percentile, Interpolates)
 TEST(Percentile, SingleSample)
 {
     EXPECT_DOUBLE_EQ(percentile({42.0}, 99), 42.0);
+}
+
+TEST(Percentile, RejectsEmptySamplesAndOutOfRangeP)
+{
+    EXPECT_THROW(percentile({}, 50), std::invalid_argument);
+    const std::vector<double> v = {1.0, 2.0};
+    for (const double p : {-1.0, 101.0, std::nan("")})
+        EXPECT_THROW(percentile(v, p), std::invalid_argument) << p;
 }
 
 TEST(Table, AlignedRender)

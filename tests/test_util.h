@@ -12,11 +12,24 @@
 
 namespace ebs::test {
 
+/** Every path-query work counter of two episodes must match exactly. */
+inline void
+expectPathWorkIdentical(const env::PathWork &a, const env::PathWork &b)
+{
+    EXPECT_EQ(a.queries, b.queries);
+    EXPECT_EQ(a.searches, b.searches);
+    EXPECT_EQ(a.failed, b.failed);
+    EXPECT_EQ(a.fast_rejections, b.fast_rejections);
+    EXPECT_EQ(a.expanded, b.expanded);
+    EXPECT_EQ(a.flood_cells, b.flood_cells);
+}
+
 /**
  * Every *simulated-result* field of two EpisodeResults must match
- * exactly — bitwise for the doubles, since the parallel episode runner
- * promises results bit-identical to the serial run. Shared by
- * runner_test, engine_service_test and the other determinism tests.
+ * exactly — bitwise for the doubles — including the path-query work.
+ * The speculative-execute tests compare a run with speculation on
+ * against one with it off this way: speculation analyses the one serial
+ * run, so only its own tallies (`spec_exec`) may differ.
  *
  * Deliberately excluded: `llm_batches`, which is service telemetry, not
  * a simulated result; its own worker-count determinism is asserted
@@ -24,8 +37,8 @@ namespace ebs::test {
  * (EngineService.BatchAssemblyIsDeterministicAcrossWorkerCounts).
  */
 inline void
-expectEpisodeIdentical(const core::EpisodeResult &a,
-                       const core::EpisodeResult &b)
+expectSameSimulation(const core::EpisodeResult &a,
+                     const core::EpisodeResult &b)
 {
     EXPECT_EQ(a.success, b.success);
     EXPECT_EQ(a.steps, b.steps);
@@ -42,6 +55,7 @@ expectEpisodeIdentical(const core::EpisodeResult &a,
     EXPECT_EQ(a.llm.total_latency_s, b.llm.total_latency_s);
     EXPECT_EQ(a.messages_generated, b.messages_generated);
     EXPECT_EQ(a.messages_useful, b.messages_useful);
+    expectPathWorkIdentical(a.path_work, b.path_work);
     ASSERT_EQ(a.token_series.size(), b.token_series.size());
     for (std::size_t i = 0; i < a.token_series.size(); ++i) {
         EXPECT_EQ(a.token_series[i].step, b.token_series[i].step);
@@ -51,6 +65,26 @@ expectEpisodeIdentical(const core::EpisodeResult &a,
         EXPECT_EQ(a.token_series[i].message_tokens,
                   b.token_series[i].message_tokens);
     }
+}
+
+/**
+ * expectSameSimulation plus the speculation tallies: two runs of the
+ * same options must agree on everything, at any worker count, pool size
+ * or tracing setting. Shared by runner_test, engine_service_test and
+ * the other determinism tests.
+ */
+inline void
+expectEpisodeIdentical(const core::EpisodeResult &a,
+                       const core::EpisodeResult &b)
+{
+    expectSameSimulation(a, b);
+    EXPECT_EQ(a.spec_exec.turns, b.spec_exec.turns);
+    EXPECT_EQ(a.spec_exec.speculated, b.spec_exec.speculated);
+    EXPECT_EQ(a.spec_exec.committed, b.spec_exec.committed);
+    EXPECT_EQ(a.spec_exec.conflicts, b.spec_exec.conflicts);
+    EXPECT_EQ(a.spec_exec.aborted, b.spec_exec.aborted);
+    EXPECT_EQ(a.spec_exec.exec_total_s, b.spec_exec.exec_total_s);
+    EXPECT_EQ(a.spec_exec.exec_critical_s, b.spec_exec.exec_critical_s);
 }
 
 /**
