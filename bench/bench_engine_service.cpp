@@ -1,7 +1,7 @@
 /**
  * @file
  * Engine-service batching + serving bench (Recommendation 1 at system
- * scope): runs multi-agent workloads through the shared LlmEngineService
+ * scope): runs multi-agent workloads through the shared engine service
  * with batch assembly on and reports what cross-agent batching buys —
  * batch occupancy (completions per assembled batch) and the modeled
  * latency of batched versus sequential inference — plus the additional
@@ -243,17 +243,14 @@ run(ebs::bench::SuiteContext &ctx)
 
     // Pooled per-episode material of the multi-tenant offered-load
     // sweep: base episode durations, batch logs, and the profile of
-    // every backend the logs reference (to rebuild queue configs).
+    // every backend the workloads' agents use (to rebuild queue
+    // configs).
     std::vector<double> pooled_sim_s;
     std::vector<std::vector<llm::BatchRecord>> pooled_logs;
     std::map<llm::BackendId, llm::ModelProfile> profiles;
 
     for (const char *name : names) {
         const auto &spec = workloads::workload(name);
-
-        // Fresh service per workload so occupancy and usage are
-        // attributable; the suite default would fold every row together.
-        llm::LlmEngineService service;
 
         std::vector<runner::EpisodeJob> jobs;
         for (int seed = 1; seed <= kSeeds; ++seed) {
@@ -262,7 +259,6 @@ run(ebs::bench::SuiteContext &ctx)
             job.config = spec.config;
             job.difficulty = difficulty;
             job.seed = runner::episodeSeed(seed);
-            job.engine_service = &service;
             jobs.push_back(std::move(job));
         }
         const auto episodes = ctx.run(jobs);
@@ -271,12 +267,9 @@ run(ebs::bench::SuiteContext &ctx)
         // The charged ablation: same seeds, same responses, but the
         // episode clock pays jointBatchTime per batch (Rec. 1
         // end-to-end). Only sim_seconds — and thus s/step — moves.
-        llm::LlmEngineService charged_service;
         std::vector<runner::EpisodeJob> charged_jobs = jobs;
-        for (auto &job : charged_jobs) {
-            job.engine_service = &charged_service;
+        for (auto &job : charged_jobs)
             job.pipeline.batch_llm_calls = true;
-        }
         const auto charged_episodes = ctx.run(std::move(charged_jobs));
         const auto charged_stats = runner::foldEpisodes(charged_episodes);
 
@@ -376,20 +369,6 @@ run(ebs::bench::SuiteContext &ctx)
                              "queue_delay_share",
                              queued_stats.queueDelayShare());
 
-        // The service's own tally must agree with the per-episode fold —
-        // a cheap standing check that the mutex-guarded accounting loses
-        // nothing under the worker pool.
-        const auto svc = service.stats();
-        if (svc.batches != per_episode.batches ||
-            svc.requests != per_episode.requests) {
-            ctx.eprintf("engine service tally mismatch on %s: "
-                        "%lld/%lld batches, %lld/%lld requests\n",
-                        spec.name.c_str(), svc.batches,
-                        per_episode.batches, svc.requests,
-                        per_episode.requests);
-            return 1;
-        }
-
         // Charging never perturbs behavior: same steps, same responses,
         // never a slower clock.
         for (std::size_t i = 0; i < episodes.size(); ++i) {
@@ -421,11 +400,11 @@ run(ebs::bench::SuiteContext &ctx)
         for (const auto &episode : episodes) {
             pooled_sim_s.push_back(episode.sim_seconds);
             pooled_logs.push_back(episode.llm_batches);
-            for (const auto &record : episode.llm_batches)
-                if (profiles.count(record.backend) == 0)
-                    profiles.emplace(record.backend,
-                                     service.backendProfile(record.backend));
         }
+        for (const auto *model : {&spec.config.planner_model,
+                                  &spec.config.comm_model,
+                                  &spec.config.reflect_model})
+            profiles.emplace(llm::backendId(*model), *model);
     }
 
     ctx.printf("\n%s\n", table.render().c_str());
@@ -464,7 +443,7 @@ run(ebs::bench::SuiteContext &ctx)
     for (const auto &[backend, busy] : busy_per_episode) {
         if (busy <= 0.0)
             continue;
-        const auto config = llm::defaultQueueConfig(profiles[backend]);
+        const auto config = llm::defaultQueueConfig(profiles.at(backend));
         const double rate = config.slots / busy;
         if (lambda_star == 0.0 || rate < lambda_star) {
             lambda_star = rate;
@@ -493,7 +472,7 @@ run(ebs::bench::SuiteContext &ctx)
                "arrives at t / rate and replays pooled episode t mod "
                "%zu\n\n",
                lambda_star, busy_per_episode[bottleneck],
-               llm::defaultQueueConfig(profiles[bottleneck]).slots,
+               llm::defaultQueueConfig(profiles.at(bottleneck)).slots,
                pooled_sim_s.size());
 
     const double levels[] = {0.5, 1.0, 2.0, 4.0};

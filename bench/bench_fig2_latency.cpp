@@ -80,15 +80,10 @@ run(ebs::bench::SuiteContext &ctx)
     // jointBatchTime per (phase, backend) batch to the simulated clock.
     // Responses and step counts are identical — only s/step moves, by
     // the cross-agent batching each workload's team actually exposes
-    // (single-agent pipelines batch nothing and stay put). The re-run
-    // gets a private service so the shared fleet summary below keeps
-    // measuring exactly the main suite's traffic.
-    llm::LlmEngineService charged_service;
+    // (single-agent pipelines batch nothing and stay put).
     std::vector<runner::RunVariant> charged_variants = variants;
-    for (auto &v : charged_variants) {
+    for (auto &v : charged_variants)
         v.pipeline.batch_llm_calls = true;
-        v.engine_service = &charged_service;
-    }
     const auto charged = ctx.runAveragedMany(charged_variants);
 
     ctx.printf("=== Fig. 2 ablation: batched inference charged to the "
@@ -115,7 +110,7 @@ run(ebs::bench::SuiteContext &ctx)
     ctx.emitScalarMetric("aggregate", "batch_charge_saved_pct",
                             saved_sum / n * 100.0);
 
-    ctx.emitSharedServiceSummary("fig2 suite fleet");
+    ctx.emitSharedServiceSummary("fig2 suite fleet", results);
     return 0;
 }
 

@@ -10,6 +10,7 @@
 #include <fstream>
 #include <iterator>
 #include <memory>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -48,10 +49,6 @@ run(ebs::bench::SuiteContext &ctx)
     // Three grids fan out as one batch, so their long 12-agent tails
     // overlap: the system × difficulty × team-size main grid, then the
     // medium-difficulty grid re-run twice for the two ablations below.
-    // Each ablation gets a private service so the shared fleet summary
-    // at the end keeps measuring exactly the main grid's traffic.
-    llm::LlmEngineService charged_service;
-    llm::LlmEngineService spec_service;
     std::vector<runner::RunVariant> variants;
     for (const char *name : systems) {
         const auto &spec = workloads::workload(name);
@@ -82,10 +79,7 @@ run(ebs::bench::SuiteContext &ctx)
     // drift into a hard failure instead of a silently-merged wrong value.
     core::PipelineOptions spec_pipeline;
     spec_pipeline.speculative_execute = true;
-    const std::pair<core::PipelineOptions, llm::LlmEngineService *>
-        ablations[] = {{charged_pipeline, &charged_service},
-                       {spec_pipeline, &spec_service}};
-    for (const auto &[pipeline, service] : ablations) {
+    for (const auto &pipeline : {charged_pipeline, spec_pipeline}) {
         for (const char *name : systems) {
             const auto &spec = workloads::workload(name);
             for (const int n : agent_counts) {
@@ -96,7 +90,6 @@ run(ebs::bench::SuiteContext &ctx)
                 v.seeds = kSeeds;
                 v.n_agents = n;
                 v.pipeline = pipeline;
-                v.engine_service = service;
                 variants.push_back(std::move(v));
             }
         }
@@ -214,7 +207,10 @@ run(ebs::bench::SuiteContext &ctx)
         ctx.printf("--- %s ---\n%s\n", name, spec_table.render().c_str());
     }
 
-    ctx.emitSharedServiceSummary("fig7 scalability fleet");
+    // The shared-service summary covers the main grid only.
+    ctx.emitSharedServiceSummary(
+        "fig7 scalability fleet",
+        std::span(results).first(main_count));
     return 0;
 }
 

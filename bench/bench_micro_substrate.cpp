@@ -140,8 +140,8 @@ BM_EngineHandleComplete(benchmark::State &state)
 {
     // The call every agent module makes: a handle on an attached
     // session, each completion joining the session's open batch group.
-    llm::LlmEngineService service;
-    llm::EngineSession session = service.openSession();
+    llm::EngineSession session =
+        llm::LlmEngineService::shared().openSession();
     llm::EngineHandle handle =
         session.handle(llm::ModelProfile::gpt4Api(), sim::Rng(9));
     llm::LlmRequest req;

@@ -91,7 +91,7 @@ run(ebs::bench::SuiteContext &ctx)
         // Same stream on both sides: the sequential session's handle
         // pays each sampled latency; the batched session's handle joins
         // one group per flush, priced at its joint completion time.
-        llm::LlmEngineService service;
+        const auto &service = llm::LlmEngineService::shared();
         llm::EngineSession seq_session = service.openSession();
         llm::EngineSession bat_session = service.openSession();
         llm::EngineHandle seq = seq_session.handle(

@@ -15,9 +15,9 @@
  * Exit codes: 0 within tolerance, 1 regressions (or missing cases /
  * missing per-case metric keys with --fail-on-missing, or
  * out-of-tolerance improvements with --fail-on-improvement), 2
- * usage/IO/parse errors — including a comparison that covers zero
- * metrics, which would otherwise pass vacuously on a corrupted or
- * empty baseline.
+ * usage/IO/parse errors — including a negative or non-finite
+ * tolerance, and a comparison that covers zero metrics, which would
+ * otherwise pass vacuously on a corrupted or empty baseline.
  */
 
 #include <cstdio>
@@ -25,6 +25,7 @@
 #include <cstring>
 #include <fstream>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 
 #include "stats/metric_diff.h"
@@ -145,8 +146,13 @@ main(int argc, char **argv)
         return 2;
     }
 
-    const auto report =
-        ebs::stats::diffMetrics(old_entries, new_entries, options);
+    ebs::stats::DiffReport report;
+    try {
+        report = ebs::stats::diffMetrics(old_entries, new_entries, options);
+    } catch (const std::invalid_argument &bad_option) {
+        std::fprintf(stderr, "diff_metrics: %s\n", bad_option.what());
+        return 2;
+    }
 
     if (report.compared_values == 0) {
         // A gate that compared nothing proves nothing: an empty or

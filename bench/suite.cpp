@@ -61,8 +61,6 @@ SuiteContext::write(const std::string &text)
 runner::EpisodeJob
 SuiteContext::stamped(runner::EpisodeJob job)
 {
-    if (job.engine_service == &llm::LlmEngineService::shared())
-        job.engine_service = &service_;
     if (job.phase_wall == &stats::PhaseWallClock::shared())
         job.phase_wall = &phase_wall_;
     if (job.tracer == nullptr)
@@ -73,8 +71,6 @@ SuiteContext::stamped(runner::EpisodeJob job)
 runner::RunVariant
 SuiteContext::stamped(runner::RunVariant variant)
 {
-    if (variant.engine_service == &llm::LlmEngineService::shared())
-        variant.engine_service = &service_;
     if (variant.phase_wall == &stats::PhaseWallClock::shared())
         variant.phase_wall = &phase_wall_;
     return variant;
@@ -175,13 +171,18 @@ SuiteContext::emitSpeculativeMetrics(const std::string &bench_case,
 }
 
 void
-SuiteContext::emitSharedServiceSummary(const std::string &bench_case)
+SuiteContext::emitSharedServiceSummary(const std::string &bench_case,
+                                       std::span<const RunStats> rows)
 {
-    const auto usage = service_.totalUsage();
-    const auto stats = service_.stats();
-    this->printf("shared engine service: %zu calls, %lld batches "
+    long long calls = 0;
+    llm::BatchStats stats;
+    for (const RunStats &row : rows) {
+        calls += row.llm_calls;
+        stats.merge(row.batching);
+    }
+    this->printf("shared engine service: %lld calls, %lld batches "
            "(%lld cross-agent), occupancy %.2f\n",
-           usage.calls, stats.batches, stats.cross_agent_batches,
+           calls, stats.batches, stats.cross_agent_batches,
            stats.occupancy());
     emitScalarMetric(bench_case, "batch_occupancy", stats.occupancy());
 }

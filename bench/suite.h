@@ -2,11 +2,11 @@
 #define EBS_BENCH_SUITE_H
 
 #include <cstdio>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "bench_util.h"
-#include "llm/engine_service.h"
 #include "obs/trace.h"
 #include "runner/averaged.h"
 #include "runner/episode_runner.h"
@@ -31,11 +31,10 @@
  *  - **smoke mode** and the suite's **arguments** (`run_all -- ARGS`);
  *  - the **scheduler** episodes fan out on (one shared pool for the
  *    whole fleet — stragglers absorb freed capacity);
- *  - a per-suite **LlmEngineService**, **PhaseWallClock**, and
- *    **Tracer**, substituted for the process-wide defaults when a
- *    variant/job left them at `::shared()`, so service summaries,
- *    phase-wall splits, and trace tracks stay per-suite while every
- *    suite shares one process.
+ *  - a per-suite **PhaseWallClock** and **Tracer**, substituted for the
+ *    process-wide defaults when a variant/job left them at their
+ *    defaults, so phase-wall splits and trace tracks stay per-suite
+ *    while every suite shares one process.
  */
 namespace ebs::bench {
 
@@ -103,14 +102,10 @@ class SuiteContext
     /** The suite's episode runner: bound to scheduler() and tracer(). */
     const runner::EpisodeRunner &runner() const { return runner_; }
 
-    /** The suite's engine service. Variants/jobs left at
-     * LlmEngineService::shared() are re-pointed here by the stamping
-     * runners below. */
-    llm::LlmEngineService &engineService() { return service_; }
-
-    /** The suite's phase-wall accumulator (see engineService()); run_all
-     * reads its snapshot into the phase-wall summary and
-     * BENCH_timeline.json once the suite finished. */
+    /** The suite's phase-wall accumulator. Variants/jobs left at
+     * PhaseWallClock::shared() are re-pointed here by the stamping
+     * runners below; run_all reads its snapshot into the phase-wall
+     * summary and BENCH_timeline.json once the suite finished. */
     stats::PhaseWallClock &phaseWall() { return phase_wall_; }
 
     /** The suite's trace sink; run_all merges its chromeLines() into
@@ -119,11 +114,9 @@ class SuiteContext
 
     /**
      * Re-point a job's process-global defaults at this suite's
-     * instances: an engine_service left at LlmEngineService::shared()
-     * becomes engineService(), a phase_wall left at
-     * PhaseWallClock::shared() becomes phaseWall(), and an unset tracer
-     * becomes tracer(). Deliberately stamped fields (a bench's private
-     * charged/queued service) pass through untouched.
+     * instances: a phase_wall left at PhaseWallClock::shared() becomes
+     * phaseWall(), and an unset tracer becomes tracer(). Deliberately
+     * stamped fields pass through untouched.
      */
     runner::EpisodeJob stamped(runner::EpisodeJob job);
 
@@ -173,12 +166,12 @@ class SuiteContext
                                 const RunStats &r);
 
     /**
-     * Report what this suite's engine service saw (call volume,
-     * cross-agent batch occupancy). "Shared" means shared across the
-     * suite's agents and episodes: engineService() sees exactly one
-     * suite's traffic.
+     * Report what the shared engine service served across `rows` (call
+     * volume, cross-agent batch occupancy), folded from their
+     * RunStats::llm_calls and RunStats::batching.
      */
-    void emitSharedServiceSummary(const std::string &bench_case);
+    void emitSharedServiceSummary(const std::string &bench_case,
+                                  std::span<const RunStats> rows);
 
   private:
     std::FILE *out_;
@@ -187,7 +180,6 @@ class SuiteContext
     std::vector<std::string> args_;
     sched::FleetScheduler *scheduler_;
     obs::Tracer tracer_;
-    llm::LlmEngineService service_;
     stats::PhaseWallClock phase_wall_;
     runner::EpisodeRunner runner_;
 };

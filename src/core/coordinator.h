@@ -24,12 +24,13 @@ struct EpisodeOptions
 
     /**
      * LLM engine service every agent module routes through (not owned);
-     * defaults to the process-wide shared service. The episode opens one
-     * session on it, and every LLM call is a handle on that session.
-     * Never null: the run functions throw std::invalid_argument naming
-     * this field.
+     * defaults to the process-wide open-loop service. The episode opens
+     * one session on it, and every LLM call is a handle on that session;
+     * all usage and batch tallies land in the EpisodeResult. Never null:
+     * the run functions throw std::invalid_argument naming this field.
      */
-    llm::LlmEngineService *engine_service = &llm::LlmEngineService::shared();
+    const llm::LlmEngineService *engine_service =
+        &llm::LlmEngineService::shared();
 
     /**
      * Host-wall accumulator the harness reports its compute/execute

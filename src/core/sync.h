@@ -17,7 +17,8 @@ namespace ebs::core {
  * fields could be touched lock-free without a diagnostic. Every mutex in
  * the library therefore is an ebs::core::Mutex, locked through MutexLock
  * below — that pair is what turns the EBS_GUARDED_BY annotations on
- * FleetScheduler and LlmEngineService state into compile-time checks.
+ * FleetScheduler, Tracer and PhaseWallClock state into compile-time
+ * checks.
  * The wrapper adds no state and no behavior over std::mutex.
  */
 class EBS_CAPABILITY("mutex") Mutex

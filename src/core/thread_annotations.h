@@ -8,7 +8,8 @@
  * The repo's load-bearing guarantee — paper metrics bit-identical at any
  * EBS_JOBS — rests on a small set of documented lock contracts: the
  * FleetScheduler's single mutex over all execution state, and the
- * LlmEngineService's mutex over backend usage and batch tallies. These
+ * Tracer's and PhaseWallClock's mutexes over their adopted logs and
+ * host-time tallies. These
  * macros turn those prose contracts into compiler-checked properties:
  * the CI `static-analysis` job builds the tree with Clang's
  * `-Wthread-safety -Wthread-safety-beta -Werror`, so touching a guarded

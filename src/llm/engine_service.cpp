@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <cassert>
 #include <cmath>
 #include <limits>
 #include <map>
@@ -27,12 +26,10 @@ jointCompletionTime(const BatchRecord &record)
 }
 
 /** Feed every ModelProfile field except the name to `field`, as a
- * double. Backend equality and identity below both consume exactly this
- * enumeration, so the two can never drift apart: a same-name,
- * same-latency profile with e.g. a workload-tweaked reflect_quality is
- * a differently-calibrated model and must not join another backend's
- * batch groups. When ModelProfile gains a field, extend
- * this list (the size guard below fails loudly until you do). */
+ * double: a same-name, same-latency profile with e.g. a workload-tweaked
+ * reflect_quality is a differently-calibrated model and must not join
+ * another backend's batch groups. When ModelProfile gains a field,
+ * extend this list (the size guard below fails loudly until you do). */
 template <typename Fn>
 void
 forEachProfileField(const ModelProfile &p, Fn &&field)
@@ -58,21 +55,6 @@ static_assert(sizeof(ModelProfile) == 128,
               "this size) so backend identity keeps covering every field");
 #endif
 
-/** Full-profile backend equality (same name, same field stream). Only
- * the debug-build collision assert calls this — the identity hash below
- * consumes the same enumeration — hence maybe_unused. */
-[[maybe_unused]] bool
-sameBackend(const ModelProfile &a, const ModelProfile &b)
-{
-    if (a.name != b.name)
-        return false;
-    std::vector<double> fields_a;
-    std::vector<double> fields_b;
-    forEachProfileField(a, [&](double v) { fields_a.push_back(v); });
-    forEachProfileField(b, [&](double v) { fields_b.push_back(v); });
-    return fields_a == fields_b;
-}
-
 std::uint64_t
 fnv1aBytes(std::uint64_t hash, const void *data, std::size_t size)
 {
@@ -87,23 +69,19 @@ fnv1aBytes(std::uint64_t hash, const void *data, std::size_t size)
 std::uint64_t
 fnv1aField(std::uint64_t hash, double value)
 {
-    // Normalize so the hash agrees with the operator== comparison in
-    // sameBackend(): -0.0 must hash like +0.0. (NaN fields would break
-    // both functions and never occur in a profile.)
+    // Normalize so profiles that compare equal field by field hash
+    // alike: -0.0 must hash like +0.0. (NaN fields never occur in a
+    // profile.)
     if (value == 0.0)
         value = 0.0;
     const auto bits = std::bit_cast<std::uint64_t>(value);
     return fnv1aBytes(hash, &bits, sizeof bits);
 }
 
-/** The stable BackendId of a profile: FNV-1a over the name and the
- * field stream sameBackend() compares, so the id is a pure function of
- * the profile and never depends on which thread registered a backend
- * first. Two distinct profiles colliding on the full 64 bits is
- * astronomically improbable for the handful of backends a run touches;
- * backendFor() still asserts against it. */
+} // namespace
+
 BackendId
-backendIdentity(const ModelProfile &p)
+backendId(const ModelProfile &p)
 {
     std::uint64_t hash = 1469598103934665603ULL;
     hash = fnv1aBytes(hash, p.name.data(), p.name.size());
@@ -113,8 +91,6 @@ backendIdentity(const ModelProfile &p)
     });
     return hash;
 }
-
-} // namespace
 
 // ---------------------------------------------------------------- stats
 
@@ -144,7 +120,7 @@ BatchStats::merge(const BatchStats &other)
 
 EngineHandle::EngineHandle(EngineSession &session, ModelProfile profile,
                            sim::Rng rng)
-    : session_(&session), backend_(session.service_.backendFor(profile)),
+    : session_(&session), backend_(backendId(profile)),
       profile_(std::move(profile)), rng_(rng)
 {
 }
@@ -160,9 +136,9 @@ EngineHandle::complete(const LlmRequest &request)
 
 // --------------------------------------------------------------- session
 
-EngineSession::EngineSession(LlmEngineService &service) : service_(service)
+EngineSession::EngineSession(const ServiceConfig &config)
 {
-    if (service_.config().queue)
+    if (config.queue)
         queue_ = std::make_unique<BackendQueueModel>();
 }
 
@@ -186,37 +162,37 @@ void
 EngineSession::note(BackendId backend, const ModelProfile &profile,
                     const LlmResponse &resp)
 {
-    OpenGroup *group = nullptr;
+    BatchRecord *record = nullptr;
     for (auto &open : open_)
-        if (open.record.backend == backend)
-            group = &open;
-    if (group == nullptr) {
-        OpenGroup fresh;
-        fresh.record.step = step_;
-        fresh.record.phase = phase_;
-        fresh.record.backend = backend;
-        fresh.record.remote = profile.remote;
-        fresh.record.rtt_mean_s = profile.api_rtt_mean_s;
+        if (open.backend == backend)
+            record = &open;
+    if (record == nullptr) {
+        BatchRecord fresh;
+        fresh.step = step_;
+        fresh.phase = phase_;
+        fresh.backend = backend;
+        fresh.remote = profile.remote;
+        fresh.rtt_mean_s = profile.api_rtt_mean_s;
         open_.push_back(fresh);
-        group = &open_.back();
+        open_names_.push_back(profile.name);
+        record = &open_.back();
         if (queue_ != nullptr)
             queue_->ensureBackend(backend, profile);
     }
-    BatchRecord &record = group->record;
-    ++record.requests;
-    record.prefill_s += resp.tokens_in / profile.prefill_tok_per_s;
-    record.max_decode_s = std::max(
-        record.max_decode_s, resp.tokens_out / profile.decode_tok_per_s);
-    record.baseline_s += resp.latency_s;
-    record.kv_tokens += static_cast<double>(resp.tokens_in + resp.tokens_out);
-    group->usage.add(resp);
+    ++record->requests;
+    record->prefill_s += resp.tokens_in / profile.prefill_tok_per_s;
+    record->max_decode_s = std::max(
+        record->max_decode_s, resp.tokens_out / profile.decode_tok_per_s);
+    record->baseline_s += resp.latency_s;
+    record->kv_tokens +=
+        static_cast<double>(resp.tokens_in + resp.tokens_out);
 }
 
 void
 EngineSession::flush()
 {
-    for (auto &open : open_) {
-        BatchRecord &group = open.record;
+    for (std::size_t i = 0; i < open_.size(); ++i) {
+        BatchRecord &group = open_[i];
         group.batched_s = jointCompletionTime(group);
         group.sim_time_s = now_s_;
         QueueAdmission admission;
@@ -234,7 +210,7 @@ EngineSession::flush()
         }
         pending_charge_s_ += group.batched_s + group.queue_delay_s;
         if (trace_ != nullptr) {
-            const std::string backend = service_.backendName(group.backend);
+            const std::string &backend = open_names_[i];
             trace_->instant(
                 "llm", "batch " + backend, now_s_, -1,
                 {{"requests", static_cast<double>(group.requests)},
@@ -257,9 +233,8 @@ EngineSession::flush()
         }
         log_.push_back(group);
     }
-    if (!open_.empty())
-        service_.accountFlush(open_);
     open_.clear();
+    open_names_.clear();
     ++phase_;
 }
 
@@ -268,7 +243,7 @@ EngineSession::phaseBaseline() const
 {
     double baseline = 0.0;
     for (const auto &group : open_)
-        baseline += group.record.baseline_s;
+        baseline += group.baseline_s;
     return baseline;
 }
 
@@ -291,84 +266,10 @@ EngineSession::takeLog()
 
 // --------------------------------------------------------------- service
 
-BackendId
-LlmEngineService::backendFor(const ModelProfile &profile)
-{
-    const BackendId id = backendIdentity(profile);
-    core::MutexLock lock(mu_);
-    auto [it, inserted] = backends_.try_emplace(id);
-    if (inserted) {
-        it->second.name = profile.name;
-        it->second.profile = profile;
-    } else {
-        assert(sameBackend(it->second.profile, profile) &&
-               "64-bit backend identity collision");
-    }
-    return id;
-}
-
-int
-LlmEngineService::backendCount() const
-{
-    core::MutexLock lock(mu_);
-    return static_cast<int>(backends_.size());
-}
-
-std::string
-LlmEngineService::backendName(BackendId backend) const
-{
-    core::MutexLock lock(mu_);
-    const auto it = backends_.find(backend);
-    assert(it != backends_.end());
-    return it != backends_.end() ? it->second.name : std::string();
-}
-
-ModelProfile
-LlmEngineService::backendProfile(BackendId backend) const
-{
-    core::MutexLock lock(mu_);
-    const auto it = backends_.find(backend);
-    assert(it != backends_.end());
-    return it != backends_.end() ? it->second.profile : ModelProfile{};
-}
-
-LlmUsage
-LlmEngineService::totalUsage() const
-{
-    core::MutexLock lock(mu_);
-    return total_;
-}
-
-BatchStats
-LlmEngineService::stats() const
-{
-    core::MutexLock lock(mu_);
-    return stats_;
-}
-
-void
-LlmEngineService::reset()
-{
-    core::MutexLock lock(mu_);
-    total_ = LlmUsage{};
-    stats_ = BatchStats{};
-}
-
-void
-LlmEngineService::accountFlush(
-    std::span<const EngineSession::OpenGroup> groups)
-{
-    core::MutexLock lock(mu_);
-    for (const auto &group : groups) {
-        total_ += group.usage;
-        stats_.add(group.record);
-    }
-}
-
-LlmEngineService &
+const LlmEngineService &
 LlmEngineService::shared()
 {
-    static LlmEngineService instance;
+    static const LlmEngineService instance;
     return instance;
 }
 

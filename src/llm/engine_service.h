@@ -1,16 +1,12 @@
 #ifndef EBS_LLM_ENGINE_SERVICE_H
 #define EBS_LLM_ENGINE_SERVICE_H
 
-#include <cstddef>
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <span>
 #include <string>
 #include <vector>
 
-#include "core/sync.h"
-#include "core/thread_annotations.h"
 #include "llm/engine.h"
 #include "llm/model_profile.h"
 #include "sim/rng.h"
@@ -27,13 +23,22 @@ class LlmEngineService;
 
 /**
  * Stable backend identity: a pure function of the full ModelProfile
- * (an FNV-1a hash over every field), never a registration-order index.
- * Episodes racing to register profiles on the EpisodeRunner pool always
- * agree on a profile's id, which is what keeps BatchRecord.backend, the
- * cross-episode fold key, and the backend registry bit-identical at
- * any EBS_JOBS. See LlmEngineService::backendFor().
+ * (see backendId()), never a registration-order index, so
+ * BatchRecord.backend and the cross-episode fold key are bit-identical
+ * at any EBS_JOBS.
  */
 using BackendId = std::uint64_t;
+
+/**
+ * The backend id of a profile: an FNV-1a hash over its name and every
+ * other field. One backend per distinct profile — the GPT-4 API endpoint
+ * and each local-GPU model are single shared resources, not per-agent
+ * copies. Keying on the full profile means a quantized or
+ * differently-calibrated variant (e.g. a workload-tweaked
+ * reflect_quality) gets its own backend even under a reused name, so
+ * batch groups never silently merge differently-calibrated models.
+ */
+BackendId backendId(const ModelProfile &profile);
 
 /** Build-time switch of an LlmEngineService. */
 struct ServiceConfig
@@ -126,8 +131,7 @@ struct BatchStats
  * The handle keeps the module's RNG stream and usage counters (so
  * per-agent accounting and determinism are untouched) and routes every
  * completion through its session: the completion joins the session's
- * currently open batch group, and its usage is staged for the shared
- * backend's race-free fleet-wide counters. Sampling is
+ * currently open batch group. Sampling is
  * sampleCompletion() on the handle's own stream, so the response stream
  * does not depend on what else the session batches. Handles are
  * episode-confined and single-threaded, like the agents that own them.
@@ -243,23 +247,12 @@ class EngineSession
     friend class EngineHandle;
     friend class LlmEngineService;
 
-    explicit EngineSession(LlmEngineService &service);
-
-    /** One backend's batch group of the current phase, with the usage
-     * its members staged for the backend; the usage drains to the
-     * service at the next flush so the hot path never takes the
-     * service mutex. */
-    struct OpenGroup
-    {
-        BatchRecord record;
-        LlmUsage usage;
-    };
+    explicit EngineSession(const ServiceConfig &config);
 
     /** Join `resp` to the open batch group of `backend`. */
     void note(BackendId backend, const ModelProfile &profile,
               const LlmResponse &resp);
 
-    LlmEngineService &service_;
     /** Episode trace log for flush-time instants; null (the default)
      * when tracing is off. Not owned. */
     obs::EpisodeTraceLog *trace_ = nullptr;
@@ -270,31 +263,20 @@ class EngineSession
     int phase_ = 0;
     double now_s_ = 0.0;           ///< arrival stamp for the next flush
     double pending_charge_s_ = 0.0; ///< flushed batched_s not yet claimed
-    std::vector<OpenGroup> open_; ///< one open group per touched backend
+    /** One open batch group per backend touched this phase, and each
+     * group's profile name (its flush-time trace label). */
+    std::vector<BatchRecord> open_;
+    std::vector<std::string> open_names_;
     std::vector<BatchRecord> log_;
 };
 
 /**
- * Process-wide simulated LLM inference service (the tentpole of
- * Recommendation 1): one backend per distinct ModelProfile — the GPT-4
- * API endpoint and each local-GPU model are single shared resources, not
- * per-agent copies — plus the batching machinery above.
- *
- * Thread-safety contract: every cross-thread touchpoint — backend
- * registration, usage aggregation, batch tallies, usage()/stats()/reset()
- * — takes the service mutex, so concurrent episodes on the EpisodeRunner
- * pool aggregate race-free by construction. Sessions stage usage locally
- * and drain one lock per coordinator phase (not per completion), keeping
- * the hot path contention-free. Everything stochastic stays in
- * episode-confined handles, so the service never serializes RNG state
- * and never perturbs a sampled stream. The contract is compiler-checked:
- * `backends_`, `total_` and `stats_` carry EBS_GUARDED_BY(mu_), so the
- * CI Clang `-Wthread-safety` build hard-errors on any drain or query
- * path that touches them without the lock.
- *
- * Determinism contract: an episode's EpisodeResult is bit-identical at
- * any worker count, however many episodes share the service. The
- * service's aggregate counters are exact once every episode finished.
+ * The simulated LLM inference service (the tentpole of
+ * Recommendation 1): an immutable ServiceConfig from which episodes open
+ * their sessions. Everything stochastic stays in episode-confined
+ * handles and every tally in the episode's own EpisodeResult (`llm`,
+ * `llm_batches`), so the service holds no mutable state and any number
+ * of concurrent episodes may share one instance.
  */
 class LlmEngineService
 {
@@ -303,77 +285,14 @@ class LlmEngineService
     {
     }
 
-    LlmEngineService(const LlmEngineService &) = delete;
-    LlmEngineService &operator=(const LlmEngineService &) = delete;
-
     /** Open an episode-local session (cheap; one per episode). */
-    EngineSession openSession() { return EngineSession(*this); }
+    EngineSession openSession() const { return EngineSession(config_); }
 
-    /**
-     * Backend id for a profile, registering it on first sight. The id is
-     * a pure function of the profile — an FNV-1a hash over every field —
-     * NOT a registration-order index, so concurrently racing episodes
-     * always agree on it regardless of thread scheduling. Keying on the
-     * full profile also means a quantized or differently-calibrated
-     * variant (e.g. a workload-tweaked reflect_quality) gets its own
-     * backend even under a reused name, so batch groups never silently
-     * merge differently-calibrated models.
-     */
-    BackendId backendFor(const ModelProfile &profile) EBS_EXCLUDES(mu_);
-
-    int backendCount() const EBS_EXCLUDES(mu_);
-    std::string backendName(BackendId backend) const EBS_EXCLUDES(mu_);
-
-    /** Registered profile of a backend (the id's preimage), so a bench
-     * replay can rebuild per-backend queue configs from record logs. */
-    ModelProfile backendProfile(BackendId backend) const EBS_EXCLUDES(mu_);
-
-    /**
-     * Fleet-wide usage over all backends (race-free snapshot).
-     * Sessions stage usage locally and drain it at flush/takeLog, so
-     * totals are exact once an episode finishes — mid-phase reads may
-     * lag by the calls staged since the last phase boundary.
-     */
-    LlmUsage totalUsage() const EBS_EXCLUDES(mu_);
-
-    /** Aggregate batching outcome across every session so far. */
-    BatchStats stats() const EBS_EXCLUDES(mu_);
-
-    /** Clear usage counters and batch tallies (backends persist). */
-    void reset() EBS_EXCLUDES(mu_);
-
-    const ServiceConfig &config() const { return config_; }
-
-    /**
-     * Process-wide instance shared by the bench fleet and the default
-     * EpisodeOptions, so every episode of every suite hits the same
-     * simulated endpoints (one EBS_JOBS-wide view of API traffic).
-     */
-    static LlmEngineService &shared();
+    /** Open-loop default instance of EpisodeOptions and EpisodeJob. */
+    static const LlmEngineService &shared();
 
   private:
-    friend class EngineSession;
-
-    /** Fold one session flush — the phase's assembled batches and
-     * their staged usage — into the shared tallies under a single
-     * lock. */
-    void accountFlush(std::span<const EngineSession::OpenGroup> groups)
-        EBS_EXCLUDES(mu_);
-
-    struct Backend
-    {
-        std::string name;
-        ModelProfile profile;
-    };
-
-    mutable core::Mutex mu_;
-    /** Set at construction, immutable after — safe to read lock-free. */
     ServiceConfig config_;
-    /** Keyed by stable id (see backendFor). */
-    std::map<BackendId, Backend> backends_ EBS_GUARDED_BY(mu_);
-    /** Usage drained by every flush so far, in flush order. */
-    LlmUsage total_ EBS_GUARDED_BY(mu_);
-    BatchStats stats_ EBS_GUARDED_BY(mu_);
 };
 
 /** Fold one episode's batch log into aggregate stats. */

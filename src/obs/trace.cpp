@@ -207,8 +207,6 @@ Tracer::simStream() const
             out += " name=" + event.name;
             out += " agent=" + std::to_string(event.agent);
             appendf(out, " t=%.17g", event.sim_s);
-            if (event.ph == 'X')
-                appendf(out, " dur=%.17g", event.sim_dur_s);
             for (const auto &[key, value] : event.args) {
                 out += ' ';
                 out += key;

@@ -50,16 +50,15 @@ bool traceEnabled();
 /** Test hook: force tracing on/off for the current process. */
 void setTraceEnabled(bool on);
 
-/** One recorded event. `ph` follows the Chrome trace-event phases this
- * subsystem emits: 'B'/'E' nested spans, 'X' complete spans, 'i'
- * instants. `host_s` < 0 means the event has no host-time projection. */
+/** One recorded event. `ph` follows the Chrome trace-event phases an
+ * episode log records: 'B'/'E' nested spans and 'i' instants. `host_s`
+ * < 0 means the event has no host-time projection. */
 struct TraceEvent
 {
     char ph = 'i';
     const char *cat = ""; ///< static string (track grouping)
     std::string name;
-    double sim_s = 0.0;     ///< sim-clock timestamp (begin for 'X')
-    double sim_dur_s = 0.0; ///< 'X' only
+    double sim_s = 0.0;     ///< sim-clock timestamp
     double host_s = -1.0;   ///< host-clock timestamp via stats::hostNow()
     int agent = -1;         ///< agent index; -1 = episode-level
     std::uint64_t seq = 0;  ///< per-episode recording sequence

@@ -24,8 +24,10 @@ struct RunVariant
     int n_agents = -1;
     core::PipelineOptions pipeline;
 
-    /** Engine service for every episode of the variant (see EpisodeJob). */
-    llm::LlmEngineService *engine_service = &llm::LlmEngineService::shared();
+    /** Engine service (its ServiceConfig) for every episode of the
+     * variant (see EpisodeJob). */
+    const llm::LlmEngineService *engine_service =
+        &llm::LlmEngineService::shared();
 
     /** Phase-wall accumulator for every episode of the variant (see
      * EpisodeJob::phase_wall). */

@@ -43,11 +43,11 @@ struct EpisodeJob
      * Engine service the episode's LLM calls route through (not owned;
      * never null — the episode rejects null, see
      * EpisodeOptions::engine_service). Defaults to the process-wide
-     * shared service so the whole fleet shares backends; results are
-     * bit-identical whichever service an episode uses, and its
-     * accounting and batch assembly are race-free under the worker pool.
+     * open-loop service; only its ServiceConfig matters, so episodes
+     * sharing one instance stay independent and bit-identical.
      */
-    llm::LlmEngineService *engine_service = &llm::LlmEngineService::shared();
+    const llm::LlmEngineService *engine_service =
+        &llm::LlmEngineService::shared();
 
     /**
      * Ignored: episodes run entirely on the thread that executes them.
@@ -91,8 +91,7 @@ struct EpisodeJob
  * count. The runner therefore owns no lock and carries no capability
  * annotations (core/thread_annotations.h): disjoint result slots need no
  * mutex, and the cross-thread machinery it leans on — the FleetScheduler
- * pool and the LlmEngineService tallies — is annotated and
- * `-Wthread-safety`-checked at its own layer.
+ * pool — is annotated and `-Wthread-safety`-checked at its own layer.
  *
  * `jobs` caps how many of this runner's episodes are in flight at once
  * (the scheduler's pool size always caps globally); for the default

@@ -45,7 +45,7 @@ RunStats::specExecSpeedup() const
 double
 RunStats::queueDelayShare() const
 {
-    return sim_seconds > 0.0 ? queue_delay_s / sim_seconds : 0.0;
+    return sim_seconds > 0.0 ? batching.queue_delay_s / sim_seconds : 0.0;
 }
 
 RunStats
@@ -58,7 +58,7 @@ foldEpisodes(std::span<const core::EpisodeResult> episodes)
         out.avg_runtime_min += r.sim_seconds / 60.0;
         out.sim_seconds += r.sim_seconds;
         for (const auto &batch : r.llm_batches)
-            out.queue_delay_s += batch.queue_delay_s;
+            out.batching.add(batch);
         out.avg_step_latency_s += r.secondsPerStep();
         out.latency.merge(r.latency);
         out.msgs_generated += r.messages_generated;

@@ -35,11 +35,10 @@ struct RunStats
      * zero when the variant ran with speculative_execute off). */
     core::SpeculativeExecStats spec_exec;
 
-    /** Charged backend queueing + admission delay summed across the
-     * episodes' batch logs (0 on the open-loop, infinite-capacity
-     * path), and the total simulated seconds those episodes spent —
-     * the pair behind queueDelayShare(). */
-    double queue_delay_s = 0.0;
+    /** Every record of the episodes' batch logs, added in episode then
+     * log order (its queue_delay_s is 0 on the open-loop path). */
+    llm::BatchStats batching;
+    /** Total simulated seconds the episodes spent. */
     double sim_seconds = 0.0;
 
     /** LLM calls averaged per episode (0 when nothing folded). */

@@ -1,6 +1,8 @@
 #include "stats/metric_diff.h"
 
 #include <cmath>
+#include <stdexcept>
+#include <string>
 #include <utility>
 
 #include "obs/json.h"
@@ -119,6 +121,17 @@ indexByCase(const std::vector<MetricEntry> &entries)
     return index;
 }
 
+/** A tolerance of inf, NaN or below 0 would switch the gate off (or
+ * make every comparison flag), so it is a caller error, not a setting. */
+void
+requireTolerance(double value, const char *field)
+{
+    if (!std::isfinite(value) || value < 0.0)
+        throw std::invalid_argument(std::string("DiffOptions::") + field +
+                                    " must be finite and >= 0, got " +
+                                    std::to_string(value));
+}
+
 } // namespace
 
 DiffReport
@@ -126,6 +139,8 @@ diffMetrics(const std::vector<MetricEntry> &old_entries,
             const std::vector<MetricEntry> &new_entries,
             const DiffOptions &options)
 {
+    requireTolerance(options.abs_tol, "abs_tol");
+    requireTolerance(options.rel_tol, "rel_tol");
     DiffReport report;
 
     const CaseIndex old_index = indexByCase(old_entries);

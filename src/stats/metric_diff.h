@@ -98,7 +98,9 @@ struct DiffReport
  * Compare two parsed metric sets. A change flags when it exceeds BOTH
  * the absolute and the relative tolerance; whether a flagged change is a
  * regression or an improvement follows metricDirection(). Cases are
- * matched by (suite, case); Informational keys never flag.
+ * matched by (suite, case); Informational keys never flag. Throws
+ * std::invalid_argument naming the field when a tolerance is negative
+ * or not finite.
  */
 DiffReport diffMetrics(const std::vector<MetricEntry> &old_entries,
                        const std::vector<MetricEntry> &new_entries,

@@ -249,9 +249,10 @@ TEST(BackendQueue, QueueingChargesTheClockButNeverPerturbsBehavior)
     // The iteration-boundary quantization alone guarantees some charge.
     EXPECT_GT(total_delay, 0.0);
 
-    // And the fold surfaces it: RunStats picks the delay off the logs.
+    // And the fold surfaces it: RunStats adds the logs' records in the
+    // same order as the loop above, so the sums agree bit for bit.
     const auto stats = runner::foldEpisodes(queued);
-    EXPECT_GT(stats.queue_delay_s, 0.0);
+    EXPECT_EQ(stats.batching.queue_delay_s, total_delay);
     EXPECT_GT(stats.queueDelayShare(), 0.0);
     EXPECT_LT(stats.queueDelayShare(), 1.0);
 }

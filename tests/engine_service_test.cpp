@@ -3,9 +3,8 @@
  * Determinism harness for the shared LLM engine service, the one path
  * every LLM call takes: episodes routed through LlmEngineService match
  * the pinned per-agent-engine reference (kPinnedEnginePath) bit for bit,
- * serial or fanned across EpisodeRunner workers, while the service's
- * usage aggregation stays exact and its batch assembly stays
- * reproducible at any worker count.
+ * serial or fanned across EpisodeRunner workers, and batch assembly
+ * stays reproducible at any worker count.
  */
 
 #include <bit>
@@ -13,6 +12,8 @@
 #include <iterator>
 #include <limits>
 #include <string>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -276,15 +277,6 @@ TEST(EngineService, BatchAssemblyIsDeterministicAcrossWorkerCounts)
             EXPECT_EQ(a[r].sim_time_s, b[r].sim_time_s);
         }
     }
-
-    // The service-side tallies agree with the per-episode logs no matter
-    // how the episodes were scheduled.
-    const auto serial_stats = serial_service.stats();
-    const auto parallel_stats = parallel_service.stats();
-    EXPECT_EQ(serial_stats.batches, parallel_stats.batches);
-    EXPECT_EQ(serial_stats.requests, parallel_stats.requests);
-    EXPECT_EQ(serial_stats.cross_agent_batches,
-              parallel_stats.cross_agent_batches);
 }
 
 TEST(EngineService, MultiAgentWorkloadsBatchAcrossAgents)
@@ -415,100 +407,80 @@ TEST(EngineService, CrossEpisodeFoldMergesLockstepBatches)
     EXPECT_EQ(again.batched_s, cross.batched_s);
 }
 
-TEST(EngineService, UsageAccountingIsExactSerial)
+/** Field-by-field ModelProfile equality (the profile has no
+ * operator==). */
+bool
+sameProfile(const llm::ModelProfile &a, const llm::ModelProfile &b)
 {
-    llm::LlmEngineService service;
-    const auto episodes =
-        runner::EpisodeRunner(1).run(paradigmBatch(&service));
-
-    llm::LlmUsage summed;
-    for (const auto &episode : episodes) {
-        summed.calls += episode.llm.calls;
-        summed.tokens_in += episode.llm.tokens_in;
-        summed.tokens_out += episode.llm.tokens_out;
-        summed.total_latency_s += episode.llm.total_latency_s;
-    }
-
-    const auto total = service.totalUsage();
-    EXPECT_EQ(total.calls, summed.calls);
-    EXPECT_EQ(total.tokens_in, summed.tokens_in);
-    EXPECT_EQ(total.tokens_out, summed.tokens_out);
-    // Accumulation order differs (the service adds each flushed group in
-    // flush order, this loop adds per-episode totals), so the float sum
-    // is compared to relative precision, not bitwise.
-    EXPECT_NEAR(total.total_latency_s, summed.total_latency_s,
-                1e-9 * summed.total_latency_s);
-
-    service.reset();
-    const auto cleared = service.totalUsage();
-    EXPECT_EQ(cleared.calls, 0u);
-    EXPECT_EQ(cleared.tokens_in, 0);
-    EXPECT_EQ(service.stats().batches, 0);
-}
-
-TEST(EngineService, UsageAccountingLosesNothingUnderWorkers)
-{
-    llm::LlmEngineService service;
-    const auto episodes =
-        runner::EpisodeRunner(4).run(paradigmBatch(&service));
-
-    llm::LlmUsage summed;
-    for (const auto &episode : episodes) {
-        summed.calls += episode.llm.calls;
-        summed.tokens_in += episode.llm.tokens_in;
-        summed.tokens_out += episode.llm.tokens_out;
-    }
-    const auto total = service.totalUsage();
-    EXPECT_EQ(total.calls, summed.calls);
-    EXPECT_EQ(total.tokens_in, summed.tokens_in);
-    EXPECT_EQ(total.tokens_out, summed.tokens_out);
+    const auto fields = [](const llm::ModelProfile &p) {
+        return std::tie(p.name, p.remote, p.api_rtt_mean_s, p.api_rtt_cv,
+                        p.prefill_tok_per_s, p.decode_tok_per_s,
+                        p.context_limit, p.plan_quality, p.comm_quality,
+                        p.reflect_quality, p.format_compliance,
+                        p.dilution_onset_tokens, p.dilution_scale_tokens);
+    };
+    return fields(a) == fields(b);
 }
 
 TEST(EngineService, BackendsAreSharedPerProfile)
 {
-    llm::LlmEngineService service;
-    const auto gpt4 = llm::ModelProfile::gpt4Api();
-    const auto local = llm::ModelProfile::llama3_8bLocal();
+    // Every profile the tree defines: each preset with its quantized and
+    // LoRA-tuned variants, and every workload's three agent models.
+    using llm::ModelProfile;
+    std::vector<std::pair<std::string, ModelProfile>> profiles;
+    for (const auto &preset :
+         {ModelProfile::gpt4Api(), ModelProfile::llama3_8bLocal(),
+          ModelProfile::llama13bLocal(), ModelProfile::llava7bLocal(),
+          ModelProfile::llama7bLocal()}) {
+        profiles.emplace_back(preset.name, preset);
+        profiles.emplace_back(preset.name + " quantized",
+                              ModelProfile::quantized(preset));
+        profiles.emplace_back(preset.name + " LoRA",
+                              ModelProfile::loraTuned(preset));
+    }
+    for (const auto &spec : workloads::suite()) {
+        profiles.emplace_back(spec.name + " planner",
+                              spec.config.planner_model);
+        profiles.emplace_back(spec.name + " comm", spec.config.comm_model);
+        profiles.emplace_back(spec.name + " reflect",
+                              spec.config.reflect_model);
+    }
 
-    const auto a = service.backendFor(gpt4);
-    const auto b = service.backendFor(gpt4);
-    const auto c = service.backendFor(local);
-    EXPECT_EQ(a, b);
-    EXPECT_NE(a, c);
-    EXPECT_EQ(service.backendCount(), 2);
-    EXPECT_EQ(service.backendName(a), gpt4.name);
+    // Equal profiles share one backend; distinct profiles never do.
+    int shared_pairs = 0;
+    int distinct_pairs = 0;
+    for (std::size_t i = 0; i < profiles.size(); ++i) {
+        for (std::size_t j = i + 1; j < profiles.size(); ++j) {
+            const auto &[label_a, a] = profiles[i];
+            const auto &[label_b, b] = profiles[j];
+            if (sameProfile(a, b)) {
+                ++shared_pairs;
+                EXPECT_EQ(llm::backendId(a), llm::backendId(b))
+                    << label_a << " vs " << label_b;
+            } else {
+                ++distinct_pairs;
+                EXPECT_NE(llm::backendId(a), llm::backendId(b))
+                    << label_a << " vs " << label_b;
+            }
+        }
+    }
+    EXPECT_GT(shared_pairs, 0);
+    EXPECT_GT(distinct_pairs, 0);
 
-    // A quantized variant is a different endpoint even under one name.
-    auto tweaked = gpt4;
+    // A same-name recalibration is a different backend: JARVIS-1's
+    // reflection model keeps Llama-13B's name with its own
+    // reflect_quality, and must not merge into Llama-13B's batches.
+    const auto llama13b = ModelProfile::llama13bLocal();
+    const auto &jarvis = workloads::workload("JARVIS-1").config.reflect_model;
+    ASSERT_EQ(jarvis.name, llama13b.name);
+    ASSERT_NE(jarvis.reflect_quality, llama13b.reflect_quality);
+    EXPECT_NE(llm::backendId(jarvis), llm::backendId(llama13b));
+
+    // So is a faster endpoint under one name.
+    auto tweaked = ModelProfile::gpt4Api();
     tweaked.decode_tok_per_s *= 2.0;
-    EXPECT_NE(service.backendFor(tweaked), a);
-
-    // So is a differently-calibrated one (same name, same latency):
-    // workloads tweak quality axes in place, and those must not merge
-    // into another backend's usage accounting.
-    auto recalibrated = local;
-    recalibrated.reflect_quality = 0.99;
-    EXPECT_NE(service.backendFor(recalibrated), c);
-}
-
-TEST(EngineService, BackendIdsAreRegistrationOrderIndependent)
-{
-    // Backend ids are pure functions of the profile, so two services
-    // that discover the same profiles in opposite orders — the scheduler
-    // race when concurrent episodes mix model mixes — agree on every id.
-    const auto gpt4 = llm::ModelProfile::gpt4Api();
-    const auto local = llm::ModelProfile::llama3_8bLocal();
-
-    llm::LlmEngineService first;
-    const auto gpt4_first = first.backendFor(gpt4);
-    const auto local_first = first.backendFor(local);
-
-    llm::LlmEngineService second;
-    const auto local_second = second.backendFor(local);
-    const auto gpt4_second = second.backendFor(gpt4);
-
-    EXPECT_EQ(gpt4_first, gpt4_second);
-    EXPECT_EQ(local_first, local_second);
+    EXPECT_NE(llm::backendId(tweaked),
+              llm::backendId(ModelProfile::gpt4Api()));
 }
 
 TEST(EngineService, HandleMatchesSampleCompletion)

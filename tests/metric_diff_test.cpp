@@ -6,6 +6,8 @@
  * missing-case handling. bench/diff_metrics is a thin CLI over this.
  */
 
+#include <limits>
+#include <stdexcept>
 #include <string>
 
 #include <gtest/gtest.h>
@@ -248,6 +250,44 @@ TEST(MetricDiff, ToleranceSuppressesSmallDrift)
     options.rel_tol = 0.02;
     EXPECT_FALSE(
         diffMetrics(old_entries, new_entries, options).ok);
+}
+
+TEST(MetricDiff, NonFiniteOrNegativeTolerancesAreRejected)
+{
+    std::string error;
+    const auto old_entries =
+        parseBenchResults(benchJson(0.80, 10.0, 20000), &error);
+    const auto new_entries =
+        parseBenchResults(benchJson(0.20, 40.0, 90000), &error);
+    // Each of these would switch the gate off (or trip it on any
+    // change), so the differ refuses them and names the field.
+    for (const double bad : {std::numeric_limits<double>::infinity(),
+                             std::numeric_limits<double>::quiet_NaN(),
+                             -1.0}) {
+        SCOPED_TRACE(bad);
+        for (const bool abs_field : {true, false}) {
+            DiffOptions options;
+            (abs_field ? options.abs_tol : options.rel_tol) = bad;
+            try {
+                diffMetrics(old_entries, new_entries, options);
+                ADD_FAILURE() << "accepted a tolerance of " << bad;
+            } catch (const std::invalid_argument &e) {
+                EXPECT_NE(std::string(e.what()).find(
+                              abs_field ? "DiffOptions::abs_tol"
+                                        : "DiffOptions::rel_tol"),
+                          std::string::npos)
+                    << e.what();
+            }
+        }
+    }
+
+    // Zero and the defaults stay valid, and a zero tolerance still
+    // flags the regression the inf tolerance hid.
+    EXPECT_TRUE(diffMetrics(old_entries, old_entries, DiffOptions{}).ok);
+    DiffOptions exact;
+    exact.abs_tol = 0.0;
+    exact.rel_tol = 0.0;
+    EXPECT_FALSE(diffMetrics(old_entries, new_entries, exact).ok);
 }
 
 TEST(MetricDiff, MissingCasesWarnByDefaultFailOnRequest)

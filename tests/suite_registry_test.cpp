@@ -1,10 +1,10 @@
 #include <cstdio>
+#include <span>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
-#include "llm/engine_service.h"
 #include "stats/metric_diff.h"
 #include "stats/phase_wall.h"
 #include "suite.h"
@@ -12,9 +12,9 @@
 /**
  * Unit tests for the in-process suite registry and SuiteContext
  * (bench/suite.h): registration order vs. sorted listing, sink capture,
- * smoke-mode seed clamping, and the stamping that re-points
- * process-global service/clock/tracer defaults at the per-suite
- * instances.
+ * smoke-mode seed clamping, the stamping that re-points
+ * process-global clock/tracer defaults at the per-suite instances, and
+ * the shared-service summary folded from the rows a suite passes.
  */
 
 namespace {
@@ -116,24 +116,19 @@ TEST(SuiteContext, StampingRepointsSharedDefaultsOnly)
 
     // A job left at the process-global defaults gets the per-suite
     // instances — the substitution that keeps per-suite accounting
-    // (service summaries, phase-wall splits, trace tracks) intact
-    // without process isolation.
+    // (phase-wall splits, trace tracks) intact without process
+    // isolation.
     ebs::runner::EpisodeJob defaulted;
-    ASSERT_EQ(defaulted.engine_service,
-              &ebs::llm::LlmEngineService::shared());
     const auto stamped = ctx.stamped(defaulted);
-    EXPECT_EQ(stamped.engine_service, &ctx.engineService());
     EXPECT_EQ(stamped.phase_wall, &ctx.phaseWall());
     EXPECT_EQ(stamped.tracer, &ctx.tracer());
 
-    // Deliberately-private services pass through untouched (the
-    // charged/queued ablation pattern in bench_engine_service).
-    ebs::llm::LlmEngineService private_service;
+    // Deliberately-stamped fields pass through untouched.
+    ebs::stats::PhaseWallClock private_wall;
     ebs::runner::EpisodeJob pinned;
-    pinned.engine_service = &private_service;
-    pinned.tracer = &ctx.tracer();
+    pinned.phase_wall = &private_wall;
     const auto kept = ctx.stamped(pinned);
-    EXPECT_EQ(kept.engine_service, &private_service);
+    EXPECT_EQ(kept.phase_wall, &private_wall);
 
     // The context owns a private tracer (per-suite trace tracks).
     EXPECT_NE(&ctx.tracer(), &ebs::obs::Tracer::shared());
@@ -175,6 +170,41 @@ TEST(SuiteContext, MetricEmissionFormat)
     ASSERT_EQ(entries.size(), 1u);
     EXPECT_EQ(entries[0].case_name, awkward);
     EXPECT_DOUBLE_EQ(entries[0].values.at("speedup"), 2.0);
+}
+
+TEST(SuiteContext, SharedServiceSummaryFoldsTheGivenRows)
+{
+    std::FILE *out = std::tmpfile();
+    ASSERT_NE(out, nullptr);
+    SuiteContext::Config config;
+    config.out = out;
+    SuiteContext ctx(config);
+
+    // Two rows: 5 + 7 calls in 3 + 1 batches of 2/1/1 and 8 requests.
+    ebs::runner::RunStats a;
+    a.llm_calls = 5;
+    for (const int requests : {2, 1, 1}) {
+        ebs::llm::BatchRecord record;
+        record.requests = requests;
+        a.batching.add(record);
+    }
+    ebs::runner::RunStats b;
+    b.llm_calls = 7;
+    ebs::llm::BatchRecord record;
+    record.requests = 8;
+    b.batching.add(record);
+    // A row outside the span never counts.
+    ebs::runner::RunStats outside = b;
+
+    const std::vector<ebs::runner::RunStats> rows = {a, b, outside};
+    ctx.emitSharedServiceSummary("demo fleet",
+                                 std::span(rows).first(2));
+    EXPECT_EQ(drained(out),
+              "shared engine service: 12 calls, 4 batches "
+              "(2 cross-agent), occupancy 3.00\n"
+              "EBS_METRIC {\"case\":\"demo fleet\","
+              "\"batch_occupancy\":3.000000}\n");
+    std::fclose(out);
 }
 
 } // namespace
