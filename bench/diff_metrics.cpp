@@ -16,8 +16,9 @@
  * missing per-case metric keys with --fail-on-missing, or
  * out-of-tolerance improvements with --fail-on-improvement), 2
  * usage/IO/parse errors — including a negative or non-finite
- * tolerance, and a comparison that covers zero metrics, which would
- * otherwise pass vacuously on a corrupted or empty baseline.
+ * tolerance, a --rel-tol above 1, and a comparison that covers zero
+ * metrics, which would otherwise pass vacuously on a corrupted or
+ * empty baseline.
  */
 
 #include <cstdio>

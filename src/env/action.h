@@ -49,10 +49,11 @@ struct Primitive
 struct ActionResult
 {
     bool ok = false;
-    std::string reason; ///< failure reason when !ok (empty on success)
+    /** Failure reason when !ok, a string literal ("" on success). */
+    const char *reason = "";
 
-    static ActionResult success() { return {true, {}}; }
-    static ActionResult failure(std::string why) { return {false, std::move(why)}; }
+    static ActionResult success() { return {true, ""}; }
+    static ActionResult failure(const char *why) { return {false, why}; }
 };
 
 } // namespace ebs::env

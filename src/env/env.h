@@ -23,7 +23,9 @@ struct PathWork
     long long failed = 0;          ///< searches that found no path
     long long fast_rejections = 0; ///< queries the labels answered with -1
     long long expanded = 0;        ///< A* nodes expanded, over all searches
-    long long flood_cells = 0;     ///< cells given a free-space label
+    /** Cells given a free-space component id by a flood (the labels'
+     * start or a reset), a split or a merge. */
+    long long labelled_cells = 0;
 };
 
 /**

@@ -44,6 +44,10 @@ class GridMap
     /** Throws std::out_of_range for a cell outside the grid. */
     void setWalkable(const Vec2i &p, bool w);
 
+    /** The walkable flags, row by row: cell (x, y) is entry
+     * y * width() + x, nonzero when walkable. */
+    const std::uint8_t *walkableRows() const { return walkable_.data(); }
+
     /** Room id of a cell (-1 for walls / out of bounds). */
     int
     room(const Vec2i &p) const

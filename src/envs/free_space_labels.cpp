@@ -12,6 +12,10 @@ namespace {
 constexpr env::Vec2i kRing[8] = {{0, -1}, {1, -1}, {1, 0},  {1, 1},
                                  {0, 1},  {-1, 1}, {-1, 0}, {-1, -1}};
 
+/** The largest split stamp that still leaves room for a search index in
+ * the low two bits of a 32-bit mark. */
+constexpr std::uint32_t kMaxStamp = 0xffffffffu >> 2;
+
 } // namespace
 
 bool
@@ -27,8 +31,6 @@ FreeSpaceLabels::sealed(const env::GridMap &grid,
         return false;
     std::int32_t ids[4];
     const int n = reachable(from, ids);
-    if (n < 0)
-        return false;
     // A failed A* expands exactly `from` plus these components, and it
     // succeeds once it expands a cell of the goal's 3x3 neighbourhood.
     for (int y = to.y - 1; y <= to.y + 1; ++y) {
@@ -36,8 +38,8 @@ FreeSpaceLabels::sealed(const env::GridMap &grid,
             const env::Vec2i cell{x, y};
             if (!grid.inBounds(cell))
                 continue;
-            const std::int32_t id = componentOf(index(cell));
-            if (id >= 0 && std::find(ids, ids + n, id) != ids + n)
+            const std::int32_t id = label_[index(cell)];
+            if (std::find(ids, ids + n, id) != ids + n)
                 return false;
         }
     }
@@ -51,12 +53,9 @@ FreeSpaceLabels::readProbes(const env::GridMap &grid,
 {
     std::int32_t ids[4];
     const int n = reachable(from, ids);
-    assert(n >= 0);
     auto reached = [&](const env::Vec2i &p) {
-        if (!open(p))
-            return false;
-        const std::int32_t id = componentOf(index(p));
-        return id >= 0 && std::find(ids, ids + n, id) != ids + n;
+        return open(p) &&
+               std::find(ids, ids + n, label_[index(p)]) != ids + n;
     };
     for (const env::Vec2i &cell : log.writtenCells()) {
         if (!grid.walkable(cell))
@@ -70,19 +69,12 @@ FreeSpaceLabels::readProbes(const env::GridMap &grid,
     }
 }
 
-long long
-FreeSpaceLabels::fillAround(const env::GridMap &grid,
-                            const std::vector<env::AgentBody> &bodies,
-                            const env::Vec2i &from)
+void
+FreeSpaceLabels::start(const env::GridMap &grid,
+                       const std::vector<env::AgentBody> &bodies)
 {
-    sync(grid, bodies);
-    long long cells = 0;
-    for (const env::Vec2i &d : env::kNeighborOffsets) {
-        const env::Vec2i q = from + d;
-        if (open(q) && componentOf(index(q)) < 0)
-            cells += flood(q);
-    }
-    return cells;
+    if (label_.empty())
+        reset(grid, bodies);
 }
 
 void
@@ -94,7 +86,7 @@ FreeSpaceLabels::reset(const env::GridMap &grid,
     version_ = grid.version();
     const std::size_t cells = static_cast<std::size_t>(width_) *
                               static_cast<std::size_t>(height_);
-    label_.assign(cells, kUnknown);
+    label_.assign(cells, kUnlabelled);
     for (int y = 0; y < height_; ++y)
         for (int x = 0; x < width_; ++x)
             if (!grid.walkable({x, y}))
@@ -109,18 +101,26 @@ FreeSpaceLabels::reset(const env::GridMap &grid,
             label_[index(body.pos)] = kBlocked;
         }
     }
-    components_.clear();
+    members_.clear();
     labelled_ = 0;
+    reached_.assign(cells, 0);
+    stamp_ = 0;
+    for (int y = 0; y < height_; ++y)
+        for (int x = 0; x < width_; ++x)
+            if (label_[index({x, y})] == kUnlabelled)
+                flood({x, y});
+#ifndef NDEBUG
+    checkMembers(grid);
+#endif
 }
 
 void
 FreeSpaceLabels::sync(const env::GridMap &grid,
                       const std::vector<env::AgentBody> &bodies)
 {
-    if (label_.empty() || grid.version() != version_ ||
-        grid.width() != width_ || grid.height() != height_ ||
-        bodies.size() < seen_.size() ||
-        labelled_ > kFloodsPerReset * label_.size()) {
+    if (grid.version() != version_ || grid.width() != width_ ||
+        grid.height() != height_ || bodies.size() < seen_.size() ||
+        labelled_ > kRelabelsPerReset * label_.size()) {
         reset(grid, bodies);
         return;
     }
@@ -150,7 +150,7 @@ FreeSpaceLabels::sync(const env::GridMap &grid,
             freeCell(p);
     }
 #ifndef NDEBUG
-    checkMembers();
+    checkMembers(grid);
 #endif
 }
 
@@ -168,28 +168,9 @@ void
 FreeSpaceLabels::freeCell(const env::Vec2i &p)
 {
     std::int32_t ids[4];
-    int n = 0;
-    bool unlabelled = false;
-    for (const env::Vec2i &d : env::kNeighborOffsets) {
-        const env::Vec2i q = p + d;
-        if (!open(q))
-            continue;
-        const std::int32_t id = componentOf(index(q));
-        if (id < 0)
-            unlabelled = true;
-        else if (std::find(ids, ids + n, id) == ids + n)
-            ids[n++] = id;
-    }
-    if (unlabelled) {
-        // The cell joins a component that is not (fully) labelled.
-        for (int k = 0; k < n; ++k)
-            invalidate(ids[k]);
-        label_[index(p)] = kUnknown;
-        return;
-    }
+    const int n = reachable(p, ids);
     if (n == 0) {
-        const std::int32_t id = newComponent();
-        addMember(id, p);
+        addMember(newComponent(), p);
         ++labelled_;
         return;
     }
@@ -197,16 +178,18 @@ FreeSpaceLabels::freeCell(const env::Vec2i &p)
     // smaller ones into the largest.
     std::int32_t into = ids[0];
     for (int k = 1; k < n; ++k)
-        if (components_[static_cast<std::size_t>(ids[k])].members.size() >
-            components_[static_cast<std::size_t>(into)].members.size())
+        if (members_[static_cast<std::size_t>(ids[k])].size() >
+            members_[static_cast<std::size_t>(into)].size())
             into = ids[k];
     for (int k = 0; k < n; ++k) {
         if (ids[k] == into)
             continue;
-        for (const env::Vec2i &cell :
-             components_[static_cast<std::size_t>(ids[k])].members)
+        std::vector<env::Vec2i> &merged =
+            members_[static_cast<std::size_t>(ids[k])];
+        for (const env::Vec2i &cell : merged)
             addMember(into, cell);
-        invalidate(ids[k]);
+        labelled_cells_ += static_cast<long long>(merged.size());
+        std::vector<env::Vec2i>().swap(merged);
     }
     addMember(into, p);
 }
@@ -215,24 +198,17 @@ void
 FreeSpaceLabels::blockCell(const env::Vec2i &p)
 {
     const std::size_t cell = index(p);
-    const std::int32_t id = componentOf(cell);
+    const std::int32_t id = label_[cell];
+    removeMember(cell);
     label_[cell] = kBlocked;
-    if (id < 0)
-        return; // no valid component borders an unlabelled cell
-    // O(1) removal: the last member takes the cell's slot.
-    std::vector<env::Vec2i> &members =
-        components_[static_cast<std::size_t>(id)].members;
-    const std::int32_t slot = slot_[cell];
-    const env::Vec2i last = members.back();
-    members[static_cast<std::size_t>(slot)] = last;
-    slot_[index(last)] = slot;
-    members.pop_back();
-    if (!simplePoint(p))
-        invalidate(id);
+    env::Vec2i seeds[4];
+    const int runs = ringRuns(p, seeds);
+    if (runs > 1)
+        split(id, seeds, runs);
 }
 
-bool
-FreeSpaceLabels::simplePoint(const env::Vec2i &p) const
+int
+FreeSpaceLabels::ringRuns(const env::Vec2i &p, env::Vec2i (&seeds)[4]) const
 {
     bool free_at[8];
     int start = -1;
@@ -241,10 +217,12 @@ FreeSpaceLabels::simplePoint(const env::Vec2i &p) const
         if (!free_at[k] && start < 0)
             start = k;
     }
-    if (start < 0)
-        return true; // the whole ring is free
-    // Walk the ring from a blocked cell, counting the runs of free cells
-    // that hold a 4-neighbour.
+    if (start < 0) { // the whole ring is free
+        seeds[0] = p + kRing[0];
+        return 1;
+    }
+    // Walk the ring from a blocked cell, keeping the first 4-neighbour
+    // of each run of free cells that holds one.
     int runs = 0;
     bool in_run = false;
     bool counted = false;
@@ -260,17 +238,120 @@ FreeSpaceLabels::simplePoint(const env::Vec2i &p) const
         }
         if (k % 2 == 0 && !counted) {
             counted = true;
-            ++runs;
+            seeds[runs++] = p + kRing[k];
         }
     }
-    return runs <= 1;
+    return runs;
+}
+
+void
+FreeSpaceLabels::split([[maybe_unused]] std::int32_t id,
+                       const env::Vec2i (&seeds)[4], int runs)
+{
+    if (++stamp_ > kMaxStamp) {
+        std::fill(reached_.begin(), reached_.end(), 0u);
+        stamp_ = 1;
+    }
+    for (int s = 0; s < runs; ++s) {
+        Search &search = searches_[s];
+        search.cells.assign(1, seeds[s]);
+        search.head = 0;
+        search.group = s;
+        reached_[index(seeds[s])] = stamp_ * 4 + static_cast<std::uint32_t>(s);
+    }
+    auto join = [&](int a, int b) {
+        const int ga = searches_[a].group;
+        const int gb = searches_[b].group;
+        for (int s = 0; s < runs; ++s)
+            if (searches_[s].group == std::max(ga, gb))
+                searches_[s].group = std::min(ga, gb);
+    };
+    int keep = -1;
+    // Only a join or a search running out of cells can end the walk, so
+    // the groups are recounted only after one.
+    bool changed = true;
+    for (;;) {
+        if (changed) {
+            bool present[4] = {false, false, false, false};
+            bool live[4] = {false, false, false, false};
+            for (int s = 0; s < runs; ++s) {
+                present[searches_[s].group] = true;
+                live[searches_[s].group] =
+                    live[searches_[s].group] || searches_[s].open();
+            }
+            int groups = 0;
+            int live_groups = 0;
+            int live_group = -1;
+            for (int g = 0; g < runs; ++g) {
+                groups += present[g] ? 1 : 0;
+                if (live[g]) {
+                    ++live_groups;
+                    live_group = g;
+                }
+            }
+            if (groups == 1)
+                return; // the component is still connected
+            if (live_groups <= 1) {
+                keep = live_group;
+                break;
+            }
+            changed = false;
+        }
+        for (int s = 0; s < runs; ++s) {
+            Search &search = searches_[s];
+            if (!search.open())
+                continue;
+            const env::Vec2i p = search.cells[search.head++];
+            for (const env::Vec2i &d : env::kNeighborOffsets) {
+                const env::Vec2i q = p + d;
+                if (!open(q))
+                    continue;
+                // A free cell next to the component is in it.
+                assert(label_[index(q)] == id);
+                std::uint32_t &mark = reached_[index(q)];
+                if (mark >> 2 != stamp_) {
+                    mark = stamp_ * 4 + static_cast<std::uint32_t>(s);
+                    search.cells.push_back(q);
+                } else if (searches_[mark & 3].group != search.group) {
+                    join(s, static_cast<int>(mark & 3));
+                    changed = true;
+                }
+            }
+            changed = changed || !search.open();
+        }
+    }
+    // Every group that ran out of cells holds a whole side. The one still
+    // searching (else the largest) keeps the id; each other side moves to
+    // a new one.
+    std::size_t size[4] = {0, 0, 0, 0};
+    for (int s = 0; s < runs; ++s)
+        size[searches_[s].group] += searches_[s].cells.size();
+    if (keep < 0)
+        for (int g = 0; g < runs; ++g)
+            if (keep < 0 || size[g] > size[keep])
+                keep = g;
+    for (int g = 0; g < runs; ++g) {
+        if (g == keep || size[g] == 0)
+            continue;
+        const std::int32_t side = newComponent();
+        for (int s = 0; s < runs; ++s) {
+            if (searches_[s].group != g)
+                continue;
+            for (const env::Vec2i &cell : searches_[s].cells) {
+                removeMember(index(cell));
+                addMember(side, cell);
+            }
+        }
+        labelled_ += size[g];
+        labelled_cells_ += static_cast<long long>(size[g]);
+    }
 }
 
 void
 FreeSpaceLabels::addMember(std::int32_t id, const env::Vec2i &p)
 {
     std::vector<env::Vec2i> &members =
-        components_[static_cast<std::size_t>(id)].members;
+        members_[static_cast<std::size_t>(id)];
     const std::size_t cell = index(p);
     label_[cell] = id;
     slot_[cell] = static_cast<std::int32_t>(members.size());
@@ -278,18 +359,22 @@ FreeSpaceLabels::addMember(std::int32_t id, const env::Vec2i &p)
 }
 
 void
-FreeSpaceLabels::invalidate(std::int32_t id)
+FreeSpaceLabels::removeMember(std::size_t cell)
 {
-    Component &comp = components_[static_cast<std::size_t>(id)];
-    comp.valid = false;
-    std::vector<env::Vec2i>().swap(comp.members);
+    std::vector<env::Vec2i> &members =
+        members_[static_cast<std::size_t>(label_[cell])];
+    const std::int32_t slot = slot_[cell];
+    const env::Vec2i last = members.back();
+    members[static_cast<std::size_t>(slot)] = last;
+    slot_[index(last)] = slot;
+    members.pop_back();
 }
 
 std::int32_t
 FreeSpaceLabels::newComponent()
 {
-    components_.emplace_back();
-    return static_cast<std::int32_t>(components_.size() - 1);
+    members_.emplace_back();
+    return static_cast<std::int32_t>(members_.size() - 1);
 }
 
 int
@@ -301,60 +386,78 @@ FreeSpaceLabels::reachable(const env::Vec2i &from,
         const env::Vec2i q = from + d;
         if (!open(q))
             continue;
-        const std::int32_t id = componentOf(index(q));
-        if (id < 0)
-            return -1;
+        const std::int32_t id = label_[index(q)];
         if (std::find(ids, ids + n, id) == ids + n)
             ids[n++] = id;
     }
     return n;
 }
 
-long long
+void
 FreeSpaceLabels::flood(const env::Vec2i &seed)
 {
     const std::int32_t id = newComponent();
     // The member list doubles as the BFS queue.
-    const std::vector<env::Vec2i> &members = components_.back().members;
+    const std::vector<env::Vec2i> &members = members_.back();
     addMember(id, seed);
     for (std::size_t head = 0; head < members.size(); ++head) {
         const env::Vec2i p = members[head];
         for (const env::Vec2i &d : env::kNeighborOffsets) {
             const env::Vec2i q = p + d;
-            if (!open(q) || label_[index(q)] == id)
-                continue;
-            // A free cell next to this component is in it, so no valid
-            // label can be here.
-            assert(componentOf(index(q)) < 0);
-            addMember(id, q);
+            if (open(q) && label_[index(q)] == kUnlabelled)
+                addMember(id, q);
         }
     }
-    labelled_ += members.size();
-    return static_cast<long long>(members.size());
+    labelled_cells_ += static_cast<long long>(members.size());
 }
 
 #ifndef NDEBUG
 void
-FreeSpaceLabels::checkMembers() const
+FreeSpaceLabels::checkMembers(const env::GridMap &grid) const
 {
     std::size_t members = 0;
-    for (std::size_t id = 0; id < components_.size(); ++id) {
-        const Component &comp = components_[id];
-        if (!comp.valid)
-            continue;
-        members += comp.members.size();
-        for (std::size_t k = 0; k < comp.members.size(); ++k) {
-            const std::size_t cell = index(comp.members[k]);
+    std::vector<char> visited(label_.size(), 0);
+    for (std::size_t id = 0; id < members_.size(); ++id) {
+        const std::vector<env::Vec2i> &list = members_[id];
+        members += list.size();
+        for (std::size_t k = 0; k < list.size(); ++k) {
+            const std::size_t cell = index(list[k]);
             assert(label_[cell] == static_cast<std::int32_t>(id));
             assert(slot_[cell] == static_cast<std::int32_t>(k));
         }
+        if (list.empty())
+            continue;
+        // Connected: a walk from the first member reaches every member.
+        std::vector<env::Vec2i> queue{list.front()};
+        visited[index(list.front())] = 1;
+        for (std::size_t head = 0; head < queue.size(); ++head)
+            for (const env::Vec2i &d : env::kNeighborOffsets) {
+                const env::Vec2i q = queue[head] + d;
+                if (open(q) && !visited[index(q)] &&
+                    label_[index(q)] == static_cast<std::int32_t>(id)) {
+                    visited[index(q)] = 1;
+                    queue.push_back(q);
+                }
+            }
+        assert(queue.size() == list.size());
     }
     // Each member was matched to its own cell above, so equal counts
-    // leave no labelled cell outside its component's list.
+    // leave no labelled cell outside its component's list. Maximal: free
+    // 4-neighbours share an id.
     std::size_t labelled = 0;
-    for (std::size_t cell = 0; cell < label_.size(); ++cell)
-        if (componentOf(cell) >= 0)
+    for (int y = 0; y < height_; ++y) {
+        for (int x = 0; x < width_; ++x) {
+            const env::Vec2i p{x, y};
+            const std::size_t cell = index(p);
+            const bool free = grid.walkable(p) && bodies_on_[cell] == 0;
+            assert(free == (label_[cell] >= 0));
+            if (!free)
+                continue;
             ++labelled;
+            for (const env::Vec2i &d : env::kNeighborOffsets)
+                assert(!open(p + d) || label_[index(p + d)] == label_[cell]);
+        }
+    }
     assert(labelled == members);
 }
 #endif

@@ -69,8 +69,7 @@ GridEnvironment::motionCost(const env::Vec2i &from, const env::Vec2i &to,
     if (!result) {
         ++path_work_.failed;
         if (plan::aStarLastExpanded() > 0)
-            path_work_.flood_cells +=
-                labels_.fillAround(w.grid(), w.bodies(), from);
+            labels_.start(w.grid(), w.bodies());
         return -1.0;
     }
     if (path != nullptr)
@@ -79,11 +78,9 @@ GridEnvironment::motionCost(const env::Vec2i &from, const env::Vec2i &to,
 }
 
 env::ActionResult
-GridEnvironment::applyDomain(int, const env::Primitive &prim)
+GridEnvironment::applyDomain(int, const env::Primitive &)
 {
-    return env::ActionResult::failure(
-        std::string("domain op not supported here: ") +
-        env::primOpName(prim.op));
+    return env::ActionResult::failure("domain op not supported here");
 }
 
 env::Vec2i

@@ -21,14 +21,21 @@ class GridEnvironment : public env::Environment
   public:
     /**
      * Motion via A* (adjacent-arrival); returns -1 when unreachable.
-     * Once a search has failed, free-space labels answer queries whose
-     * goal the start's free space provably cannot reach with -1 and no
-     * search (see FreeSpaceLabels); every other query runs plan::aStar.
+     * Once a search has failed, free-space labels answer every later
+     * query whose goal the start's free space cannot reach with -1 and
+     * no search (see FreeSpaceLabels); every other query runs
+     * plan::aStar.
      */
     double motionCost(const env::Vec2i &from, const env::Vec2i &to,
                       std::vector<env::Vec2i> *path) const override;
 
-    env::PathWork pathWork() const override { return path_work_; }
+    env::PathWork
+    pathWork() const override
+    {
+        env::PathWork work = path_work_;
+        work.labelled_cells = labels_.labelledCells();
+        return work;
+    }
 
     /**
      * The base applyDomain rejects every domain op without mutating

@@ -3,13 +3,18 @@
 #include <algorithm>
 #include <cassert>
 #include <cstdint>
-#include <functional>
 
 namespace ebs::plan {
 
 namespace {
 
 thread_local std::size_t last_expanded = 0;
+
+static_assert(env::kNeighborOffsets[0] == env::Vec2i{1, 0} &&
+                  env::kNeighborOffsets[1] == env::Vec2i{-1, 0} &&
+                  env::kNeighborOffsets[2] == env::Vec2i{0, 1} &&
+                  env::kNeighborOffsets[3] == env::Vec2i{0, -1},
+              "aStar probes neighbours by index in this order");
 
 /**
  * An open-list entry. `key` packs f into the high 32 bits and ~g into the
@@ -34,8 +39,6 @@ struct Node
     }
 
     int g() const { return static_cast<int>(~static_cast<std::uint32_t>(key)); }
-
-    bool operator>(const Node &o) const { return key > o.key; }
 };
 
 /**
@@ -55,10 +58,72 @@ struct CellRecord
 };
 
 /**
+ * Move the hole at `hole` up towards `top` past every parent that pops
+ * later than `value`, then put `value` there: libstdc++'s __push_heap
+ * under std::greater, step for step.
+ */
+void
+siftUp(Node *heap, std::size_t hole, std::size_t top, const Node &value)
+{
+    while (hole > top) {
+        const std::size_t parent = (hole - 1) / 2;
+        if (!(heap[parent].key > value.key))
+            break;
+        heap[hole] = heap[parent];
+        hole = parent;
+    }
+    heap[hole] = value;
+}
+
+/** std::push_heap(..., std::greater<Node>()) after a push_back. */
+void
+heapPush(std::vector<Node> &heap, const Node &node)
+{
+    heap.push_back(node);
+    siftUp(heap.data(), heap.size() - 1, 0, node);
+}
+
+/**
+ * Remove and return the earliest entry, as std::pop_heap with
+ * std::greater<Node> followed by pop_back: libstdc++'s __pop_heap and
+ * __adjust_heap step for step. The root's hole sinks to a leaf along the
+ * earlier child (the right one on equal keys), takes the lone left child
+ * at an even-length tail, and the last entry sifts up from there. Equal
+ * keys therefore pop in the same order as from std::priority_queue.
+ */
+Node
+heapPop(std::vector<Node> &heap)
+{
+    const Node top = heap.front();
+    const Node value = heap.back();
+    heap.pop_back();
+    const std::size_t len = heap.size();
+    if (len == 0)
+        return top;
+    Node *first = heap.data();
+    std::size_t hole = 0;
+    std::size_t child = 0;
+    while (child < (len - 1) / 2) {
+        child = 2 * (child + 1);
+        child -= static_cast<std::size_t>(first[child].key >
+                                          first[child - 1].key);
+        first[hole] = first[child];
+        hole = child;
+    }
+    if ((len & 1) == 0 && child == (len - 2) / 2) {
+        child = 2 * (child + 1);
+        first[hole] = first[child - 1];
+        hole = child - 1;
+    }
+    siftUp(first, hole, 0, value);
+    return top;
+}
+
+/**
  * Search buffers reused by every aStar call on this thread. The open list
- * is a binary heap driven by std::push_heap / std::pop_heap with the same
- * ordering std::priority_queue would use, so pops come out in exactly the
- * same order. The records are cleared only when the epoch wraps to 0.
+ * is a binary heap kept by heapPush / heapPop, which order it exactly as
+ * std::priority_queue would, so pops come out in exactly the same order.
+ * The records are cleared only when the epoch wraps to 0.
  */
 struct Scratch
 {
@@ -109,19 +174,17 @@ aStar(const env::GridMap &grid, const env::Vec2i &start,
         return GridPath{{start}, 0.0};
 
     const int w = grid.width();
-    const std::size_t n = static_cast<std::size_t>(w) * grid.height();
+    const int h = grid.height();
+    const std::size_t row = static_cast<std::size_t>(w);
+    const std::size_t n = row * static_cast<std::size_t>(h);
+    const std::uint8_t *walkable = grid.walkableRows();
     const std::uint32_t epoch = scratch.nextEpoch(n);
     std::vector<CellRecord> &cells = scratch.cells;
     std::vector<Node> &open = scratch.open;
     open.clear();
-    const std::greater<Node> later;
-    auto push = [&](const Node &node) {
-        open.push_back(node);
-        std::push_heap(open.begin(), open.end(), later);
-    };
 
     auto index = [&](const env::Vec2i &p) {
-        return static_cast<std::size_t>(p.y) * static_cast<std::size_t>(w) +
+        return static_cast<std::size_t>(p.y) * row +
                static_cast<std::size_t>(p.x);
     };
     if (blocked != nullptr)
@@ -137,12 +200,10 @@ aStar(const env::GridMap &grid, const env::Vec2i &start,
     origin.g = 0;
     origin.parent = -1;
     origin.seen = epoch;
-    push(Node::make(heuristic(start), 0, start));
+    heapPush(open, Node::make(heuristic(start), 0, start));
 
     while (!open.empty()) {
-        std::pop_heap(open.begin(), open.end(), later);
-        const Node cur = open.back();
-        open.pop_back();
+        const Node cur = heapPop(open);
         const env::Vec2i p{cur.x, cur.y};
         const std::size_t pi = index(p);
         const int g = cur.g();
@@ -166,26 +227,32 @@ aStar(const env::GridMap &grid, const env::Vec2i &start,
             return path;
         }
 
-        // GridMap::neighbors, without its per-call vector.
-        for (const auto &d : env::kNeighborOffsets) {
-            const env::Vec2i q = p + d;
-            if (!grid.walkable(q))
-                continue;
-            CellRecord &rec = cells[index(q)];
+        auto probe = [&](const env::Vec2i &q, std::size_t qi) {
+            CellRecord &rec = cells[qi];
             if (queried != nullptr && rec.queried != epoch) {
                 rec.queried = epoch;
                 queried->push_back(q);
             }
             if (rec.blocked == epoch)
-                continue;
+                return;
             const int ng = g + 1;
             if (rec.seen != epoch || ng < rec.g) {
                 rec.seen = epoch;
                 rec.g = ng;
                 rec.parent = static_cast<std::int32_t>(pi);
-                push(Node::make(ng + heuristic(q), ng, q));
+                heapPush(open, Node::make(ng + heuristic(q), ng, q));
             }
-        }
+        };
+        // GridMap::neighbors' walkable 4-neighbours in kNeighborOffsets
+        // order, probed by index with one bounds test each.
+        if (p.x + 1 < w && walkable[pi + 1] != 0)
+            probe({p.x + 1, p.y}, pi + 1);
+        if (p.x > 0 && walkable[pi - 1] != 0)
+            probe({p.x - 1, p.y}, pi - 1);
+        if (p.y + 1 < h && walkable[pi + row] != 0)
+            probe({p.x, p.y + 1}, pi + row);
+        if (p.y > 0 && walkable[pi - row] != 0)
+            probe({p.x, p.y - 1}, pi - row);
     }
     return std::nullopt;
 }

@@ -14,10 +14,12 @@ using env::Subgoal;
 using env::SubgoalKind;
 using env::Vec2i;
 
-/** Append MoveStep primitives along a path (path[0] = current pos). */
+/** Append MoveStep primitives along a path (path[0] = current pos),
+ * with room for the two interaction primitives that may follow. */
 void
 appendMoves(Compiled &out, const std::vector<Vec2i> &path)
 {
+    out.prims.reserve(out.prims.size() + path.size() + 1);
     for (std::size_t i = 1; i < path.size(); ++i) {
         Primitive prim;
         prim.op = PrimOp::MoveStep;

@@ -1,7 +1,6 @@
 #ifndef EBS_PLAN_CONTROLLER_H
 #define EBS_PLAN_CONTROLLER_H
 
-#include <string>
 #include <vector>
 
 #include "env/env.h"
@@ -13,7 +12,7 @@ namespace ebs::plan {
 struct Compiled
 {
     bool feasible = false;
-    std::string reason;                 ///< why compilation failed
+    const char *reason = "";            ///< why compilation failed (a literal)
     std::vector<env::Primitive> prims;  ///< primitives to execute in order
 };
 

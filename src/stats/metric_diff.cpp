@@ -122,7 +122,9 @@ indexByCase(const std::vector<MetricEntry> &entries)
 }
 
 /** A tolerance of inf, NaN or below 0 would switch the gate off (or
- * make every comparison flag), so it is a caller error, not a setting. */
+ * make every comparison flag), and a relative one above 1 passes a
+ * change larger than the old value itself, so each is a caller error,
+ * not a setting. */
 void
 requireTolerance(double value, const char *field)
 {
@@ -141,6 +143,9 @@ diffMetrics(const std::vector<MetricEntry> &old_entries,
 {
     requireTolerance(options.abs_tol, "abs_tol");
     requireTolerance(options.rel_tol, "rel_tol");
+    if (options.rel_tol > 1.0)
+        throw std::invalid_argument("DiffOptions::rel_tol must be <= 1, got " +
+                                    std::to_string(options.rel_tol));
     DiffReport report;
 
     const CaseIndex old_index = indexByCase(old_entries);

@@ -54,7 +54,8 @@ struct DiffOptions
 {
     /** Absolute change below this never flags (per metric). */
     double abs_tol = 0.05;
-    /** Relative change below this never flags (vs. the old magnitude). */
+    /** Relative change below this never flags (vs. the old magnitude);
+     * at most 1. */
     double rel_tol = 0.10;
     /** Treat cases — and individual metric keys of still-present cases —
      * present in old but missing in new as regressions. */
@@ -100,7 +101,7 @@ struct DiffReport
  * regression or an improvement follows metricDirection(). Cases are
  * matched by (suite, case); Informational keys never flag. Throws
  * std::invalid_argument naming the field when a tolerance is negative
- * or not finite.
+ * or not finite, or rel_tol is above 1.
  */
 DiffReport diffMetrics(const std::vector<MetricEntry> &old_entries,
                        const std::vector<MetricEntry> &new_entries,

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdlib>
 #include <cstdint>
 #include <thread>
 
@@ -287,6 +288,66 @@ TEST(AStarEquivalence, MatchesReferenceOnRandomGrids)
             ++detours;
     }
     EXPECT_GT(detours, 0);
+}
+
+/** Property: the same equality on the workloads' own layouts (kitchen's
+ * apartment(2, 1, 9, 9), craft's (3, 3, 8, 8) and transport's Medium
+ * (3, 2, 7, 7)) with 8-12 bodies and the start on one of them, as
+ * motionCost queries it, and on open grids of 48x48 and more. There,
+ * many entries tie on their key, and a goal walled in by bodies makes
+ * the search expand the whole grid, so every branch of the pop (the
+ * even-length tail included) runs on long heaps. */
+TEST(AStarEquivalence, MatchesReferenceOnWorkloadLayoutsAndOpenGrids)
+{
+    const GridMap layouts[] = {GridMap::apartment(2, 1, 9, 9),
+                               GridMap::apartment(3, 3, 8, 8),
+                               GridMap::apartment(3, 2, 7, 7),
+                               GridMap(48, 48), GridMap(64, 56)};
+    sim::Rng rng(909);
+    int found = 0;
+    int walled_in = 0;
+    std::size_t most_expanded = 0;
+    for (int i = 0; i < 500; ++i) {
+        Query q;
+        q.grid = layouts[i % 5];
+        const bool open_grid = i % 5 >= 3;
+        auto cell = [&] {
+            return Vec2i{rng.uniformInt(0, q.grid.width() - 1),
+                         rng.uniformInt(0, q.grid.height() - 1)};
+        };
+        const int bodies = rng.uniformInt(8, 12);
+        for (int b = 0; b < bodies; ++b) {
+            Vec2i body = cell();
+            while (!q.grid.walkable(body))
+                body = cell();
+            q.blocked.push_back(body);
+        }
+        // motionCost passes every body but those on the start.
+        q.start = q.blocked.front();
+        q.blocked.erase(
+            std::remove(q.blocked.begin(), q.blocked.end(), q.start),
+            q.blocked.end());
+        q.goal = cell();
+        q.adjacent_ok = i % 4 != 0;
+        if (open_grid && i % 3 == 0) {
+            // Bodies on the ring two cells out from the goal.
+            for (int dy = -2; dy <= 2; ++dy)
+                for (int dx = -2; dx <= 2; ++dx)
+                    if (std::max(std::abs(dx), std::abs(dy)) == 2)
+                        q.blocked.push_back(q.goal + Vec2i{dx, dy});
+            ++walled_in;
+        }
+        const AStarOutcome want = referenceAStar(
+            q.grid, q.start, q.goal, q.adjacent_ok, &q.blocked);
+        SCOPED_TRACE(i);
+        expectSameOutcome(want, runAStar(q));
+        found += want.path.has_value() ? 1 : 0;
+        most_expanded = std::max(most_expanded, want.expanded);
+    }
+    EXPECT_GT(found, 250);
+    EXPECT_LT(found, 500);
+    EXPECT_GT(walled_in, 50);
+    EXPECT_GT(most_expanded, std::size_t{2000});
 }
 
 /** Property: concurrent calls on different grids, each on its own thread,

@@ -114,7 +114,7 @@ TEST_F(ControllerTest, MissingTargetIsInfeasible)
     sg.kind = env::SubgoalKind::PickUp; // no target set
     const auto compiled = compileSubgoal(env_, 0, sg);
     EXPECT_FALSE(compiled.feasible);
-    EXPECT_FALSE(compiled.reason.empty());
+    EXPECT_STRNE(compiled.reason, "");
 }
 
 TEST_F(ControllerTest, PlaceWithoutDestIsInfeasible)

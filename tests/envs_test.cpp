@@ -874,7 +874,9 @@ randomWalls(int w, int h, double density, sim::Rng &rng)
  * motionCost stays equal to the reference A* — the -1 or the cost, the
  * path, and the logged read set — while bodies step, teleport, stack on
  * one cell and join, and walls change, so that the label cache answers
- * many failed queries with no search.
+ * many failed queries with no search. Once an environment's first search
+ * has failed, no later query whose start is walkable and whose goal is
+ * on the grid fails in a search: the labels answer every one of them.
  */
 TEST(FreeSpaceLabels, MatchesReferenceUnderBodyMoves)
 {
@@ -882,6 +884,7 @@ TEST(FreeSpaceLabels, MatchesReferenceUnderBodyMoves)
     env::spec::AccessLog log;
     env::PathWork work;
     int starts_by_free_neighbours[5] = {0, 0, 0, 0, 0};
+    int checked_after_start = 0;
     for (int world_index = 0; world_index < 24; ++world_index) {
         const int w = rng.uniformInt(6, 11);
         const int h = rng.uniformInt(6, 11);
@@ -889,6 +892,7 @@ TEST(FreeSpaceLabels, MatchesReferenceUnderBodyMoves)
         const double density = 0.15 + 0.05 * (world_index % 6);
         BareGridEnv environment(randomWalls(w, h, density, rng));
         env::World &world = environment.world();
+        bool started = false;
         const int bodies = rng.uniformInt(2, 12);
         for (int i = 0; i < bodies; ++i) {
             // Every third body stands on a cell another already holds.
@@ -960,12 +964,21 @@ TEST(FreeSpaceLabels, MatchesReferenceUnderBodyMoves)
             ++starts_by_free_neighbours[free_neighbours];
 
             const test::AStarOutcome want = referenceMotion(world, from, to);
+            const env::PathWork before = environment.pathWork();
             std::vector<env::Vec2i> path;
             EXPECT_EQ(environment.motionCost(from, to, &path),
                       want.path ? want.path->cost : -1.0);
             if (want.path) {
                 EXPECT_EQ(path, want.path->cells);
             }
+            const env::PathWork after = environment.pathWork();
+            if (started && world.grid().walkable(from) &&
+                world.grid().inBounds(to)) {
+                EXPECT_EQ(after.failed, before.failed);
+                ++checked_after_start;
+            }
+            started = started || (after.failed > before.failed &&
+                                  after.expanded > before.expanded);
             expectReadSetMatches(environment, log, from, to, want);
         }
         const env::PathWork env_work = environment.pathWork();
@@ -976,6 +989,7 @@ TEST(FreeSpaceLabels, MatchesReferenceUnderBodyMoves)
     // The sequence reached both answers, the fast path, and starts with
     // every number of free neighbours.
     EXPECT_GT(work.fast_rejections, 1000);
+    EXPECT_GT(checked_after_start, 500);
     EXPECT_GT(work.failed, 20);
     EXPECT_GT(work.searches - work.failed, 1000);
     for (int n = 0; n <= 4; ++n)
@@ -1010,15 +1024,15 @@ queryMatchingReference(GridEnvironment &environment, const env::Vec2i &from,
     delta.failed = after.failed - before.failed;
     delta.fast_rejections = after.fast_rejections - before.fast_rejections;
     delta.expanded = after.expanded - before.expanded;
-    delta.flood_cells = after.flood_cells - before.flood_cells;
+    delta.labelled_cells = after.labelled_cells - before.labelled_cells;
     return delta;
 }
 
 /**
- * A body stepping across an open room leaves the room's labels valid:
- * each cell it enters is a simple point (its free 4-neighbours stay
- * joined around its 8-ring) and each cell it leaves joins the room's
- * component, so the next sealed query needs no search and no flood.
+ * A body stepping across an open room keeps every label: each cell it
+ * enters is a simple point (its free 4-neighbours stay joined around its
+ * 8-ring) and each cell it leaves joins the room's component, so the next
+ * sealed query needs no search and relabels nothing.
  */
 TEST(FreeSpaceLabels, BodyStepAcrossOpenRoomKeepsLabels)
 {
@@ -1034,7 +1048,9 @@ TEST(FreeSpaceLabels, BodyStepAcrossOpenRoomKeepsLabels)
     const env::PathWork first = queryMatchingReference(environment, from, to);
     EXPECT_EQ(first.searches, 1);
     EXPECT_EQ(first.failed, 1);
-    EXPECT_EQ(first.flood_cells, 14); // 16 cells less two bodies
+    // The start labels every free cell: 32 room cells and the doorway,
+    // less three bodies.
+    EXPECT_EQ(first.labelled_cells, 30);
 
     for (const env::Vec2i &step : {env::Vec2i{2, 4}, env::Vec2i{3, 4},
                                    env::Vec2i{3, 3}, env::Vec2i{4, 3}}) {
@@ -1045,7 +1061,7 @@ TEST(FreeSpaceLabels, BodyStepAcrossOpenRoomKeepsLabels)
             queryMatchingReference(environment, from, to);
         EXPECT_EQ(work.searches, 0);
         EXPECT_EQ(work.fast_rejections, 1);
-        EXPECT_EQ(work.flood_cells, 0);
+        EXPECT_EQ(work.labelled_cells, 0);
     }
     // A query inside the room still searches, and finds the path.
     const env::PathWork inside =
@@ -1055,9 +1071,9 @@ TEST(FreeSpaceLabels, BodyStepAcrossOpenRoomKeepsLabels)
 }
 
 /** Three 4x4 rooms in a row (doorways (5, 3) and (10, 3)) with a body
- * sealing the right doorway, a body in the left room and one in the
- * middle room; each side of the left doorway labelled by a failed query
- * towards the right room. */
+ * sealing the right doorway, one body in the left room and two in the
+ * middle room, so the middle side of the left doorway is the smaller;
+ * the labels are started by a failed query towards the right room. */
 struct ThreeRooms
 {
     BareGridEnv environment{env::GridMap::apartment(3, 1, 4, 4)};
@@ -1072,24 +1088,26 @@ struct ThreeRooms
         world.addAgent({10, 3});
         world.addAgent(left);
         world.addAgent(middle);
+        world.addAgent({6, 4});
         mover = world.addAgent({8, 4});
+        const env::PathWork first =
+            queryMatchingReference(environment, left, right);
+        EXPECT_EQ(first.failed, 1);
+        // Every free cell: 48 room cells and two doorways, less 5 bodies.
+        EXPECT_EQ(first.labelled_cells, 45);
     }
 };
 
 /**
  * A body entering a one-cell doorway is not a simple point: the doorway's
- * two free 4-neighbours lie in separate runs of its 8-ring, so the
- * component is invalidated and the next query searches and refloods.
+ * two free 4-neighbours lie in separate runs of its 8-ring. The labels
+ * split the component in place, moving only the smaller side to a new
+ * id, so no later query from either side searches.
  */
-TEST(FreeSpaceLabels, BodyEnteringDoorwayInvalidatesComponent)
+TEST(FreeSpaceLabels, BodyEnteringDoorwaySplitsComponentInPlace)
 {
     ThreeRooms rooms;
     GridEnvironment &environment = rooms.environment;
-    const env::PathWork first =
-        queryMatchingReference(environment, rooms.left, rooms.right);
-    EXPECT_EQ(first.failed, 1);
-    EXPECT_EQ(first.flood_cells, 30); // 32 room cells + doorway - 3 bodies
-
     // Still one component: the next query is answered from the labels.
     EXPECT_EQ(
         queryMatchingReference(environment, rooms.middle, rooms.right)
@@ -1099,33 +1117,40 @@ TEST(FreeSpaceLabels, BodyEnteringDoorwayInvalidatesComponent)
     environment.world().agent(rooms.mover).pos = {5, 3};
     const env::PathWork entered =
         queryMatchingReference(environment, rooms.left, rooms.right);
-    EXPECT_EQ(entered.searches, 1);
-    EXPECT_EQ(entered.failed, 1);
-    EXPECT_EQ(entered.fast_rejections, 0);
-    EXPECT_EQ(entered.flood_cells, 15); // the left room less one body
+    EXPECT_EQ(entered.searches, 0);
+    EXPECT_EQ(entered.failed, 0);
+    EXPECT_EQ(entered.fast_rejections, 1);
+    // The middle room less two bodies moved; the left room's 15 did not.
+    EXPECT_EQ(entered.labelled_cells, 14);
+
+    // Each side now rejects a goal on the other with no search.
+    const env::PathWork back =
+        queryMatchingReference(environment, rooms.middle, {2, 4});
+    EXPECT_EQ(back.searches, 0);
+    EXPECT_EQ(back.fast_rejections, 1);
+    EXPECT_EQ(back.labelled_cells, 0);
+    // A query inside the left room still searches, and finds the path.
+    const env::PathWork inside =
+        queryMatchingReference(environment, rooms.left, {4, 4});
+    EXPECT_EQ(inside.searches, 1);
+    EXPECT_EQ(inside.failed, 0);
 }
 
 /**
  * The same body leaving the doorway frees a cell whose free 4-neighbours
- * carry the two sides' labels: they merge into one component with no
- * flood, and a query from either side is answered from the labels.
+ * carry the two sides' ids: they merge into one component with no
+ * search (the smaller side moves into the larger), and a query from
+ * either side is answered from the labels.
  */
 TEST(FreeSpaceLabels, BodyLeavingDoorwayMergesSidesWithoutFlood)
 {
     ThreeRooms rooms;
     GridEnvironment &environment = rooms.environment;
     env::World &world = environment.world();
-    EXPECT_EQ(queryMatchingReference(environment, rooms.left, rooms.right)
-                  .failed,
-              1);
     world.agent(rooms.mover).pos = {5, 3};
-    // Relabel both sides of the occupied doorway.
     EXPECT_EQ(queryMatchingReference(environment, rooms.left, rooms.right)
-                  .flood_cells,
-              15);
-    EXPECT_EQ(queryMatchingReference(environment, rooms.middle, rooms.right)
-                  .flood_cells,
-              15); // the middle room less one body
+                  .labelled_cells,
+              14); // the split moves the middle side
 
     // Out of the doorway into the middle room's corner, next to the
     // sealed right doorway: a simple point of the merged component.
@@ -1135,7 +1160,9 @@ TEST(FreeSpaceLabels, BodyLeavingDoorwayMergesSidesWithoutFlood)
             queryMatchingReference(environment, from, rooms.right);
         EXPECT_EQ(work.searches, 0);
         EXPECT_EQ(work.fast_rejections, 1);
-        EXPECT_EQ(work.flood_cells, 0);
+        // The first query merges: the middle side's 14 cells move into
+        // the left side's id.
+        EXPECT_EQ(work.labelled_cells, from == rooms.left ? 14 : 0);
     }
     // Across the reopened doorway, the search finds the path.
     const env::PathWork across =

@@ -259,27 +259,36 @@ TEST(MetricDiff, NonFiniteOrNegativeTolerancesAreRejected)
         parseBenchResults(benchJson(0.80, 10.0, 20000), &error);
     const auto new_entries =
         parseBenchResults(benchJson(0.20, 40.0, 90000), &error);
+    auto expectRejected = [&](bool abs_field, double bad) {
+        SCOPED_TRACE(bad);
+        DiffOptions options;
+        (abs_field ? options.abs_tol : options.rel_tol) = bad;
+        try {
+            diffMetrics(old_entries, new_entries, options);
+            ADD_FAILURE() << "accepted a tolerance of " << bad;
+        } catch (const std::invalid_argument &e) {
+            EXPECT_NE(std::string(e.what()).find(
+                          abs_field ? "DiffOptions::abs_tol"
+                                    : "DiffOptions::rel_tol"),
+                      std::string::npos)
+                << e.what();
+        }
+    };
     // Each of these would switch the gate off (or trip it on any
     // change), so the differ refuses them and names the field.
     for (const double bad : {std::numeric_limits<double>::infinity(),
                              std::numeric_limits<double>::quiet_NaN(),
                              -1.0}) {
-        SCOPED_TRACE(bad);
-        for (const bool abs_field : {true, false}) {
-            DiffOptions options;
-            (abs_field ? options.abs_tol : options.rel_tol) = bad;
-            try {
-                diffMetrics(old_entries, new_entries, options);
-                ADD_FAILURE() << "accepted a tolerance of " << bad;
-            } catch (const std::invalid_argument &e) {
-                EXPECT_NE(std::string(e.what()).find(
-                              abs_field ? "DiffOptions::abs_tol"
-                                        : "DiffOptions::rel_tol"),
-                          std::string::npos)
-                    << e.what();
-            }
-        }
+        expectRejected(true, bad);
+        expectRejected(false, bad);
     }
+    // A relative tolerance above 1 passes a change larger than the old
+    // value itself; 1 is still a setting.
+    for (const double bad : {1.0000001, 2.0, 1e308})
+        expectRejected(false, bad);
+    DiffOptions whole;
+    whole.rel_tol = 1.0;
+    EXPECT_NO_THROW(diffMetrics(old_entries, new_entries, whole));
 
     // Zero and the defaults stay valid, and a zero tolerance still
     // flags the regression the inf tolerance hid.

@@ -21,7 +21,7 @@ expectPathWorkIdentical(const env::PathWork &a, const env::PathWork &b)
     EXPECT_EQ(a.failed, b.failed);
     EXPECT_EQ(a.fast_rejections, b.fast_rejections);
     EXPECT_EQ(a.expanded, b.expanded);
-    EXPECT_EQ(a.flood_cells, b.flood_cells);
+    EXPECT_EQ(a.labelled_cells, b.labelled_cells);
 }
 
 /**
