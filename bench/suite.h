@@ -127,26 +127,9 @@ class SuiteContext
     std::vector<RunStats>
     runAveragedMany(std::vector<runner::RunVariant> variants);
 
-    /** Single-variant convenience over runAveragedMany(). */
-    RunStats runAveraged(runner::RunVariant variant);
-
-    /** Grid-free convenience: build the variant inline (the historical
-     * bench_util runAveraged signature). */
-    RunStats runAveraged(const workloads::WorkloadSpec &spec,
-                         const core::AgentConfig &config,
-                         env::Difficulty difficulty, int seeds,
-                         int n_agents = -1,
-                         const core::PipelineOptions &pipeline = {});
-
     /** Stamp every job and run the batch on the suite's runner. */
     std::vector<core::EpisodeResult>
     run(std::vector<runner::EpisodeJob> jobs);
-
-    /** Stamp every job and run the batch on a caller-built runner (the
-     * serial timing-measurement paths). */
-    std::vector<core::EpisodeResult>
-    run(const runner::EpisodeRunner &custom_runner,
-        std::vector<runner::EpisodeJob> jobs);
 
     /** Emit one EBS_METRIC headline line (see bench_util.h history). */
     void emitMetric(const std::string &bench_case, const RunStats &r);

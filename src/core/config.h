@@ -54,7 +54,6 @@ struct AgentConfig
 {
     // --- module composition (ablation switches, Fig. 3) ---
     bool has_sensing = true;
-    bool has_planning = true;
     bool has_communication = false;
     bool has_memory = true;
     bool has_reflection = true;

@@ -2,6 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <stdexcept>
+#include <string>
+#include <utility>
 
 #include "plan/controller.h"
 #include "sim/clock.h"
@@ -42,10 +45,52 @@ VlaProfile::diffusionPolicy()
     return p;
 }
 
+namespace {
+
+/**
+ * Reject a profile that would turn into NaN or negative simulated time or
+ * a silently clamped quality, naming the field: latencies that feed
+ * Rng::lognormal finite and > 0, the latency jitter and per-cell motion
+ * time finite and >= 0, and the three probabilities in [0, 1].
+ */
+void
+validate(const VlaProfile &profile)
+{
+    // "VlaProfile::actuation_s [RT-2 (55B VLA)] must be ..."
+    const auto require = [&](bool ok, const char *member, const char *rule,
+                             double value) {
+        if (!ok)
+            throw std::invalid_argument(
+                std::string("VlaProfile::") + member + " [" + profile.name +
+                "] must be " + rule + ", got " + std::to_string(value));
+    };
+    const std::pair<const char *, double> positive[] = {
+        {"tick_latency_mean_s", profile.tick_latency_mean_s},
+        {"actuation_s", profile.actuation_s}};
+    for (const auto &[member, value] : positive)
+        require(std::isfinite(value) && value > 0.0, member,
+                "finite and > 0", value);
+    const std::pair<const char *, double> nonnegative[] = {
+        {"tick_latency_cv", profile.tick_latency_cv},
+        {"move_per_cell_s", profile.move_per_cell_s}};
+    for (const auto &[member, value] : nonnegative)
+        require(std::isfinite(value) && value >= 0.0, member,
+                "finite and >= 0", value);
+    const std::pair<const char *, double> probabilities[] = {
+        {"primitive_quality", profile.primitive_quality},
+        {"horizon_decay", profile.horizon_decay},
+        {"out_of_sight_follow", profile.out_of_sight_follow}};
+    for (const auto &[member, p] : probabilities)
+        require(p >= 0.0 && p <= 1.0, member, "in [0, 1]", p); // NaN fails
+}
+
+} // namespace
+
 EpisodeResult
 runEndToEnd(env::Environment &environment, const VlaProfile &profile,
             const EpisodeOptions &options)
 {
+    validate(profile);
     sim::Rng rng = sim::Rng(options.seed).fork(500);
     sim::SimClock clock;
     stats::LatencyRecorder recorder;

@@ -66,6 +66,12 @@ struct VlaProfile
  * Tick budget: `options.max_steps_override` when given, otherwise
  * 6x the task's step budget (ticks are much finer-grained than the
  * modular paradigm's plan-act steps).
+ *
+ * Throws std::invalid_argument naming the VlaProfile field for a tick
+ * latency or actuation time that is not finite and > 0, a latency cv or
+ * per-cell motion time that is not finite and >= 0, or a
+ * primitive_quality, horizon_decay or out_of_sight_follow outside
+ * [0, 1].
  */
 EpisodeResult runEndToEnd(env::Environment &environment,
                           const VlaProfile &profile,

@@ -1,7 +1,7 @@
 #include "env/env.h"
 
-#include <cassert>
 #include <cstdlib>
+#include <utility>
 
 namespace ebs::env {
 
@@ -25,20 +25,11 @@ Environment::Environment(GridMap grid)
 }
 
 void
-Environment::setTask(std::unique_ptr<Task> task)
+Environment::setTask(Task task)
 {
-    assert(task != nullptr);
-    assert(task_ == nullptr && "task installed twice");
     task_ = std::move(task);
     anchors_ = roomAnchorTable(world_.grid());
     anchors_version_ = world_.grid().version();
-}
-
-const Task &
-Environment::task() const
-{
-    assert(task_ != nullptr && "environment has no task installed");
-    return *task_;
 }
 
 Observation
@@ -94,7 +85,7 @@ Environment::applyPrimitive(int agent_id, const Primitive &prim)
         // flag it aborted, then apply the op as usual.
         spec::AccessLog *log = world_.accessLog();
         if (log != nullptr && !domainOpsSpeculationSafe())
-            log->abort("domain primitive in non-speculable environment");
+            log->abort();
         return applyDomain(agent_id, prim);
       }
       default:

@@ -2,8 +2,6 @@
 #define EBS_ENV_ENV_H
 
 #include <cstdint>
-#include <memory>
-#include <string>
 #include <vector>
 
 #include "env/action.h"
@@ -44,9 +42,6 @@ class Environment
   public:
     virtual ~Environment() = default;
 
-    /** Short domain name ("transport", "kitchen", ...). */
-    virtual std::string domainName() const = 0;
-
     /** The ground-truth world. */
     World &world() { return world_; }
     const World &world() const { return world_; }
@@ -70,8 +65,8 @@ class Environment
      */
     virtual bool domainOpsSpeculationSafe() const { return false; }
 
-    /** The task instance; must have been set by the concrete environment. */
-    const Task &task() const;
+    /** The task instance, set by the concrete environment. */
+    const Task &task() const { return task_; }
 
     /** Partial observation for one agent (default: current-room view). */
     virtual Observation observe(int agent_id, int step) const;
@@ -121,16 +116,15 @@ class Environment
      * environment once the world is populated (object ids are then known). */
     explicit Environment(GridMap grid);
 
-    /** Install the task instance (non-null, once) and build the room
-     * anchor table — so it must be the last construction step, after any
-     * grid carving. */
-    void setTask(std::unique_ptr<Task> task);
+    /** Install the task instance and build the room anchor table — so
+     * it must be the last construction step, after any grid carving. */
+    void setTask(Task task);
 
     /** Apply a domain primitive (Chop/Cook/Craft/Mine/Lift). */
     virtual ActionResult applyDomain(int agent_id, const Primitive &prim) = 0;
 
     World world_;
-    std::unique_ptr<Task> task_;
+    Task task_;
 
   private:
     /** roomAnchorTable(world_.grid()), valid while the grid's version

@@ -55,7 +55,6 @@ class AccessLog
         ++turn_;
         conflicted_ = false;
         aborted_ = false;
-        abort_reason_ = "";
     }
 
     void readObject(ObjectId id) { read(objects_[slot(id)]); }
@@ -99,16 +98,10 @@ class AccessLog
      * conflicted. */
     const std::vector<Vec2i> &writtenCells() const { return written_cells_; }
 
-    /** Mark the turn non-isolatable; `reason` must be a string literal. */
-    void
-    abort(const char *reason)
-    {
-        aborted_ = true;
-        abort_reason_ = reason;
-    }
+    /** Mark the turn non-isolatable. */
+    void abort() { aborted_ = true; }
 
     bool aborted() const { return aborted_; }
-    const char *abortReason() const { return abort_reason_; }
 
     /** True once the turn read a slot an earlier turn of its phase wrote. */
     bool conflicted() const { return conflicted_; }
@@ -165,7 +158,6 @@ class AccessLog
     Serial turn_ = 0;
     bool conflicted_ = false;
     bool aborted_ = false;
-    const char *abort_reason_ = "";
 };
 
 } // namespace ebs::env::spec

@@ -14,7 +14,7 @@ World::addObject(Object obj)
 {
     // Structural growth is not a slot write the access log can validate.
     if (log_ != nullptr)
-        log_->abort("object added during speculation");
+        log_->abort();
     obj.id = static_cast<ObjectId>(objects_.size());
     obj.room = grid_.room(obj.pos);
     objects_.push_back(std::move(obj));
@@ -27,7 +27,7 @@ World::addAgent(const Vec2i &pos)
 {
     assert(grid_.walkable(pos));
     if (log_ != nullptr)
-        log_->abort("agent added during speculation");
+        log_->abort(); // structural growth, as in addObject
     AgentBody body;
     body.id = static_cast<int>(agents_.size());
     body.pos = pos;

@@ -45,7 +45,7 @@ class World
         // Grid topology is construction-time state; a mutation during a
         // logged turn would be invisible to the access log.
         if (log_ != nullptr)
-            log_->abort("grid mutation during speculation");
+            log_->abort();
         return grid_;
     }
 

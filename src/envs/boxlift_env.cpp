@@ -1,9 +1,6 @@
 #include "envs/boxlift_env.h"
 
 #include <algorithm>
-#include <memory>
-
-#include "envs/predicate_task.h"
 
 namespace ebs::envs {
 
@@ -57,10 +54,10 @@ BoxLiftEnv::BoxLiftEnv(env::Difficulty difficulty, int n_agents, sim::Rng rng)
 
     const env::ObjectId truck_id = truck_;
     const auto boxes = boxes_;
-    setTask(std::make_unique<PredicateTask>(
+    setTask(env::Task(
         "Jointly lift all " + std::to_string(boxes.size()) +
             " heavy crates onto the truck",
-        difficulty, layout.max_steps,
+        layout.max_steps,
         [truck_id, boxes](const env::World &world) {
             int lifted = 0;
             for (const auto box : boxes)
@@ -69,16 +66,6 @@ BoxLiftEnv::BoxLiftEnv(env::Difficulty difficulty, int n_agents, sim::Rng rng)
             return static_cast<double>(lifted) /
                    static_cast<double>(boxes.size());
         }));
-}
-
-int
-BoxLiftEnv::liftedCount() const
-{
-    int lifted = 0;
-    for (const auto box : boxes_)
-        if (world_.object(box).inside == truck_)
-            ++lifted;
-    return lifted;
 }
 
 int

@@ -3,7 +3,6 @@
 
 #include <map>
 #include <set>
-#include <string>
 #include <vector>
 
 #include "envs/grid_env.h"
@@ -24,16 +23,12 @@ class BoxLiftEnv : public GridEnvironment
      * Box weights are clamped to the agent count so tasks stay feasible. */
     BoxLiftEnv(env::Difficulty difficulty, int n_agents, sim::Rng rng);
 
-    std::string domainName() const override { return "boxlift"; }
-
     void beginStep() override { lift_votes_.clear(); }
 
     std::vector<env::Subgoal> usefulSubgoals(int agent_id) const override;
     std::vector<env::Subgoal> validSubgoals(int agent_id) const override;
 
     env::ObjectId truck() const { return truck_; }
-    int liftedCount() const;
-    int boxCount() const { return static_cast<int>(boxes_.size()); }
 
     /** Current lift votes on a box (for tests). */
     int votesOn(env::ObjectId box) const;

@@ -1,9 +1,5 @@
 #include "envs/boxnet_env.h"
 
-#include <memory>
-
-#include "envs/predicate_task.h"
-
 namespace ebs::envs {
 
 namespace {
@@ -66,10 +62,10 @@ BoxNetEnv::BoxNetEnv(env::Difficulty difficulty, int n_agents, sim::Rng rng)
     spawnAgents(n_agents, rng);
 
     const auto goals = goals_;
-    setTask(std::make_unique<PredicateTask>(
+    setTask(env::Task(
         "Move each of the " + std::to_string(goals.size()) +
             " boxes to its colored target zone",
-        difficulty, layout.max_steps,
+        layout.max_steps,
         [goals](const env::World &world) {
             int placed = 0;
             for (const auto &[box, target] : goals)
@@ -87,16 +83,6 @@ BoxNetEnv::targetOf(env::ObjectId box) const
         if (b == box)
             return t;
     return env::kNoObject;
-}
-
-int
-BoxNetEnv::placedCount() const
-{
-    int placed = 0;
-    for (const auto &[box, target] : goals_)
-        if (world_.object(box).inside == target)
-            ++placed;
-    return placed;
 }
 
 std::vector<env::Subgoal>
@@ -156,16 +142,7 @@ BoxNetEnv::validSubgoals(int agent_id) const
         }
     }
 
-    for (int room = 0; room < world_.grid().roomCount(); ++room) {
-        env::Subgoal sg;
-        sg.kind = env::SubgoalKind::Explore;
-        sg.dest = roomAnchor(room);
-        sg.param = room;
-        out.push_back(sg);
-    }
-    env::Subgoal wait;
-    wait.kind = env::SubgoalKind::Wait;
-    out.push_back(wait);
+    appendExploreAndWait(out);
     return out;
 }
 

@@ -1,7 +1,6 @@
 #ifndef EBS_ENVS_BOXNET_ENV_H
 #define EBS_ENVS_BOXNET_ENV_H
 
-#include <string>
 #include <vector>
 
 #include "envs/grid_env.h"
@@ -24,15 +23,11 @@ class BoxNetEnv : public GridEnvironment
      */
     BoxNetEnv(env::Difficulty difficulty, int n_agents, sim::Rng rng);
 
-    std::string domainName() const override { return "boxnet"; }
-
     std::vector<env::Subgoal> usefulSubgoals(int agent_id) const override;
     std::vector<env::Subgoal> validSubgoals(int agent_id) const override;
 
     /** Target zone object for a box (kNoObject if not a box). */
     env::ObjectId targetOf(env::ObjectId box) const;
-
-    int placedCount() const;
     int boxCount() const { return static_cast<int>(goals_.size()); }
 
   private:

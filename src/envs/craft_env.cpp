@@ -2,10 +2,6 @@
 
 #include <algorithm>
 #include <functional>
-#include <cassert>
-#include <memory>
-
-#include "envs/predicate_task.h"
 
 namespace ebs::envs {
 
@@ -136,13 +132,13 @@ CraftEnv::CraftEnv(env::Difficulty difficulty, int n_agents, sim::Rng rng)
 
     const std::set<int> *achieved = &achieved_;
     const auto milestones = milestones_;
-    setTask(std::make_unique<PredicateTask>(
+    setTask(env::Task(
         std::string("Obtain a ") +
             (goal_kind_ == kWoodenPick  ? "wooden"
              : goal_kind_ == kIronPick ? "iron"
                                        : "diamond") +
             " pickaxe",
-        difficulty, maxStepsFor(difficulty),
+        maxStepsFor(difficulty),
         [achieved, milestones](const env::World &) {
             int done = 0;
             for (int kind : milestones)
@@ -343,8 +339,6 @@ std::vector<env::Subgoal>
 CraftEnv::validSubgoals(int agent_id) const
 {
     std::vector<env::Subgoal> out = usefulSubgoals(agent_id);
-    const env::AgentBody &body = world_.agent(agent_id);
-    (void)body;
 
     // Any live resource node may be attempted.
     for (const auto &obj : world_.objects()) {
@@ -365,16 +359,7 @@ CraftEnv::validSubgoals(int agent_id) const
         if (std::find(out.begin(), out.end(), sg) == out.end())
             out.push_back(sg);
     }
-    for (int room = 0; room < world_.grid().roomCount(); ++room) {
-        env::Subgoal sg;
-        sg.kind = env::SubgoalKind::Explore;
-        sg.dest = roomAnchor(room);
-        sg.param = room;
-        out.push_back(sg);
-    }
-    env::Subgoal wait;
-    wait.kind = env::SubgoalKind::Wait;
-    out.push_back(wait);
+    appendExploreAndWait(out);
     return out;
 }
 

@@ -3,7 +3,6 @@
 
 #include <map>
 #include <set>
-#include <string>
 #include <vector>
 
 #include "envs/grid_env.h"
@@ -54,8 +53,6 @@ class CraftEnv : public GridEnvironment
      *                   hard: diamond pickaxe
      */
     CraftEnv(env::Difficulty difficulty, int n_agents, sim::Rng rng);
-
-    std::string domainName() const override { return "craft"; }
 
     std::vector<env::Subgoal> usefulSubgoals(int agent_id) const override;
     std::vector<env::Subgoal> validSubgoals(int agent_id) const override;

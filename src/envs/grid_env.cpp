@@ -152,4 +152,19 @@ GridEnvironment::spawnAgents(int count, sim::Rng &rng)
     }
 }
 
+void
+GridEnvironment::appendExploreAndWait(std::vector<env::Subgoal> &out) const
+{
+    for (int room = 0; room < world_.grid().roomCount(); ++room) {
+        env::Subgoal sg;
+        sg.kind = env::SubgoalKind::Explore;
+        sg.dest = roomAnchor(room);
+        sg.param = room;
+        out.push_back(sg);
+    }
+    env::Subgoal wait;
+    wait.kind = env::SubgoalKind::Wait;
+    out.push_back(wait);
+}
+
 } // namespace ebs::envs

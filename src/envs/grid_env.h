@@ -2,7 +2,6 @@
 #define EBS_ENVS_GRID_ENV_H
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "env/env.h"
@@ -68,6 +67,10 @@ class GridEnvironment : public env::Environment
 
     /** Spawn `count` agents at random free cells (distinct where possible). */
     void spawnAgents(int count, sim::Rng &rng);
+
+    /** Append the navigation tail of a validSubgoals menu: Explore of
+     * every room (in room order, toward its roomAnchor), then Wait. */
+    void appendExploreAndWait(std::vector<env::Subgoal> &out) const;
 
   private:
     /** motionCost's label cache and tallies. Mutable because motionCost

@@ -1,9 +1,5 @@
 #include "envs/household_env.h"
 
-#include <memory>
-
-#include "envs/predicate_task.h"
-
 namespace ebs::envs {
 
 namespace {
@@ -96,10 +92,10 @@ HouseholdEnv::HouseholdEnv(env::Difficulty difficulty, int n_agents,
     spawnAgents(n_agents, rng);
 
     const auto goals = goals_;
-    setTask(std::make_unique<PredicateTask>(
+    setTask(env::Task(
         "Set the table and put the groceries away (" +
             std::to_string(goals.size()) + " items)",
-        difficulty, layout.max_steps,
+        layout.max_steps,
         [goals](const env::World &world) {
             int placed = 0;
             for (const auto &[item, dest] : goals)
@@ -108,16 +104,6 @@ HouseholdEnv::HouseholdEnv(env::Difficulty difficulty, int n_agents,
             return static_cast<double>(placed) /
                    static_cast<double>(goals.size());
         }));
-}
-
-int
-HouseholdEnv::placedCount() const
-{
-    int placed = 0;
-    for (const auto &[item, dest] : goals_)
-        if (world_.object(item).inside == dest)
-            ++placed;
-    return placed;
 }
 
 env::ObjectId
@@ -195,16 +181,7 @@ HouseholdEnv::validSubgoals(int agent_id) const
         }
     }
 
-    for (int room = 0; room < world_.grid().roomCount(); ++room) {
-        env::Subgoal sg;
-        sg.kind = env::SubgoalKind::Explore;
-        sg.dest = roomAnchor(room);
-        sg.param = room;
-        out.push_back(sg);
-    }
-    env::Subgoal wait;
-    wait.kind = env::SubgoalKind::Wait;
-    out.push_back(wait);
+    appendExploreAndWait(out);
     return out;
 }
 

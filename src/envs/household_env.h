@@ -1,7 +1,6 @@
 #ifndef EBS_ENVS_HOUSEHOLD_ENV_H
 #define EBS_ENVS_HOUSEHOLD_ENV_H
 
-#include <string>
 #include <utility>
 #include <vector>
 
@@ -25,16 +24,8 @@ class HouseholdEnv : public GridEnvironment
      */
     HouseholdEnv(env::Difficulty difficulty, int n_agents, sim::Rng rng);
 
-    std::string domainName() const override { return "household"; }
-
     std::vector<env::Subgoal> usefulSubgoals(int agent_id) const override;
     std::vector<env::Subgoal> validSubgoals(int agent_id) const override;
-
-    /** Number of goal items currently at their destination. */
-    int placedCount() const;
-
-    /** Total goal items. */
-    int goalCount() const { return static_cast<int>(goals_.size()); }
 
     /** Destination for a goal item (kNoObject if not a goal item). */
     env::ObjectId destinationOf(env::ObjectId item) const;

@@ -1,9 +1,5 @@
 #include "envs/kitchen_env.h"
 
-#include <memory>
-
-#include "envs/predicate_task.h"
-
 namespace ebs::envs {
 
 namespace {
@@ -65,9 +61,9 @@ KitchenEnv::KitchenEnv(env::Difficulty difficulty, int n_agents, sim::Rng rng)
 
     const env::ObjectId counter = counter_;
     const int orders = orders_;
-    setTask(std::make_unique<PredicateTask>(
+    setTask(env::Task(
         "Prepare and serve " + std::to_string(orders) + " dishes",
-        difficulty, layout.max_steps,
+        layout.max_steps,
         [counter, orders](const env::World &world) {
             int served = 0;
             for (const auto &obj : world.objects())
@@ -199,16 +195,7 @@ KitchenEnv::validSubgoals(int agent_id) const
         out.push_back(serve);
     }
 
-    for (int room = 0; room < world_.grid().roomCount(); ++room) {
-        env::Subgoal sg;
-        sg.kind = env::SubgoalKind::Explore;
-        sg.dest = roomAnchor(room);
-        sg.param = room;
-        out.push_back(sg);
-    }
-    env::Subgoal wait;
-    wait.kind = env::SubgoalKind::Wait;
-    out.push_back(wait);
+    appendExploreAndWait(out);
     return out;
 }
 

@@ -1,7 +1,6 @@
 #ifndef EBS_ENVS_KITCHEN_ENV_H
 #define EBS_ENVS_KITCHEN_ENV_H
 
-#include <string>
 #include <vector>
 
 #include "envs/grid_env.h"
@@ -24,8 +23,6 @@ class KitchenEnv : public GridEnvironment
      * @param n_agents   cooks to spawn
      */
     KitchenEnv(env::Difficulty difficulty, int n_agents, sim::Rng rng);
-
-    std::string domainName() const override { return "kitchen"; }
 
     std::vector<env::Subgoal> usefulSubgoals(int agent_id) const override;
     std::vector<env::Subgoal> validSubgoals(int agent_id) const override;

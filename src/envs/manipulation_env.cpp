@@ -1,9 +1,5 @@
 #include "envs/manipulation_env.h"
 
-#include <memory>
-
-#include "envs/predicate_task.h"
-
 namespace ebs::envs {
 
 namespace {
@@ -83,10 +79,10 @@ ManipulationEnv::ManipulationEnv(env::Difficulty difficulty, int n_agents,
     spawnAgents(n_agents, rng);
 
     const auto goals = goals_;
-    setTask(std::make_unique<PredicateTask>(
+    setTask(env::Task(
         "Sort all " + std::to_string(goals.size()) +
             " blocks into their goal zones",
-        difficulty, layout.max_steps,
+        layout.max_steps,
         [goals](const env::World &world) {
             int placed = 0;
             for (const auto &[block, target] : goals)
@@ -131,16 +127,6 @@ ManipulationEnv::targetOf(env::ObjectId block) const
         if (b == block)
             return t;
     return env::kNoObject;
-}
-
-int
-ManipulationEnv::placedCount() const
-{
-    int placed = 0;
-    for (const auto &[block, target] : goals_)
-        if (world_.object(block).inside == target)
-            ++placed;
-    return placed;
 }
 
 std::vector<env::Subgoal>

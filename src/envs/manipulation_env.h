@@ -1,7 +1,6 @@
 #ifndef EBS_ENVS_MANIPULATION_ENV_H
 #define EBS_ENVS_MANIPULATION_ENV_H
 
-#include <string>
 #include <vector>
 
 #include "envs/grid_env.h"
@@ -26,8 +25,6 @@ class ManipulationEnv : public GridEnvironment
     /** easy: 3 blocks; medium: 5; hard: 8 (more obstacles) */
     ManipulationEnv(env::Difficulty difficulty, int n_agents, sim::Rng rng);
 
-    std::string domainName() const override { return "manipulation"; }
-
     /** A* path + RRT pricing; cost reflects continuous path length and
      * sampling effort. */
     double motionCost(const env::Vec2i &from, const env::Vec2i &to,
@@ -43,7 +40,6 @@ class ManipulationEnv : public GridEnvironment
     std::vector<env::Subgoal> validSubgoals(int agent_id) const override;
 
     env::ObjectId targetOf(env::ObjectId block) const;
-    int placedCount() const;
 
     /** RRT tree extensions accumulated across motion queries. */
     long rrtIterations() const { return rrt_iterations_; }

@@ -1,9 +1,5 @@
 #include "envs/transport_env.h"
 
-#include <memory>
-
-#include "envs/predicate_task.h"
-
 namespace ebs::envs {
 
 namespace {
@@ -101,10 +97,10 @@ TransportEnv::TransportEnv(env::Difficulty difficulty, int n_agents,
 
     const env::ObjectId zone = zone_;
     const int total = goal_count_;
-    setTask(std::make_unique<PredicateTask>(
+    setTask(env::Task(
         "Transport all " + std::to_string(total) +
             " target items to the goal zone",
-        difficulty, layout.max_steps,
+        layout.max_steps,
         [zone, total](const env::World &world) {
             int delivered = 0;
             for (const auto &obj : world.objects())
@@ -112,16 +108,6 @@ TransportEnv::TransportEnv(env::Difficulty difficulty, int n_agents,
                     ++delivered;
             return static_cast<double>(delivered) / total;
         }));
-}
-
-int
-TransportEnv::deliveredCount() const
-{
-    int delivered = 0;
-    for (const auto &obj : world_.objects())
-        if (obj.kind == kGoalItem && obj.inside == zone_)
-            ++delivered;
-    return delivered;
 }
 
 std::vector<env::Subgoal>
@@ -204,16 +190,7 @@ TransportEnv::validSubgoals(int agent_id) const
     }
 
     // Navigation is always available.
-    for (int room = 0; room < world_.grid().roomCount(); ++room) {
-        env::Subgoal sg;
-        sg.kind = env::SubgoalKind::Explore;
-        sg.dest = roomAnchor(room);
-        sg.param = room;
-        out.push_back(sg);
-    }
-    env::Subgoal wait;
-    wait.kind = env::SubgoalKind::Wait;
-    out.push_back(wait);
+    appendExploreAndWait(out);
     return out;
 }
 

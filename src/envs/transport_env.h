@@ -1,7 +1,6 @@
 #ifndef EBS_ENVS_TRANSPORT_ENV_H
 #define EBS_ENVS_TRANSPORT_ENV_H
 
-#include <string>
 #include <vector>
 
 #include "envs/grid_env.h"
@@ -29,16 +28,11 @@ class TransportEnv : public GridEnvironment
      */
     TransportEnv(env::Difficulty difficulty, int n_agents, sim::Rng rng);
 
-    std::string domainName() const override { return "transport"; }
-
     std::vector<env::Subgoal> usefulSubgoals(int agent_id) const override;
     std::vector<env::Subgoal> validSubgoals(int agent_id) const override;
 
     /** The delivery zone object. */
     env::ObjectId goalZone() const { return zone_; }
-
-    /** Items delivered so far. */
-    int deliveredCount() const;
 
     /** Total goal items. */
     int goalCount() const { return goal_count_; }

@@ -1,9 +1,5 @@
 #include "envs/warehouse_env.h"
 
-#include <memory>
-
-#include "envs/predicate_task.h"
-
 namespace ebs::envs {
 
 namespace {
@@ -64,7 +60,6 @@ WarehouseEnv::WarehouseEnv(env::Difficulty difficulty, int n_agents,
     : GridEnvironment(warehouseFloor(layoutFor(difficulty)))
 {
     const Layout layout = layoutFor(difficulty);
-    packages_ = layout.packages;
 
     env::Object depot;
     depot.name = "depot";
@@ -85,10 +80,10 @@ WarehouseEnv::WarehouseEnv(env::Difficulty difficulty, int n_agents,
     spawnAgents(n_agents, rng);
 
     const env::ObjectId dep = depot_;
-    const int total = packages_;
-    setTask(std::make_unique<PredicateTask>(
+    const int total = layout.packages;
+    setTask(env::Task(
         "Deliver all " + std::to_string(total) + " packages to the depot",
-        difficulty, layout.max_steps,
+        layout.max_steps,
         [dep, total](const env::World &world) {
             int delivered = 0;
             for (const auto &obj : world.objects())
@@ -96,16 +91,6 @@ WarehouseEnv::WarehouseEnv(env::Difficulty difficulty, int n_agents,
                     ++delivered;
             return static_cast<double>(delivered) / total;
         }));
-}
-
-int
-WarehouseEnv::deliveredCount() const
-{
-    int delivered = 0;
-    for (const auto &obj : world_.objects())
-        if (obj.kind == kPackage && obj.inside == depot_)
-            ++delivered;
-    return delivered;
 }
 
 std::vector<env::Subgoal>

@@ -1,7 +1,6 @@
 #ifndef EBS_ENVS_WAREHOUSE_ENV_H
 #define EBS_ENVS_WAREHOUSE_ENV_H
 
-#include <string>
 #include <vector>
 
 #include "envs/grid_env.h"
@@ -20,19 +19,15 @@ class WarehouseEnv : public GridEnvironment
     /** easy: 3 packages; medium: 6; hard: 10 (bigger floor) */
     WarehouseEnv(env::Difficulty difficulty, int n_agents, sim::Rng rng);
 
-    std::string domainName() const override { return "warehouse"; }
-
     std::vector<env::Subgoal> usefulSubgoals(int agent_id) const override;
     std::vector<env::Subgoal> validSubgoals(int agent_id) const override;
 
     env::ObjectId depot() const { return depot_; }
-    int deliveredCount() const;
 
     static constexpr int kPackage = 1;
 
   private:
     env::ObjectId depot_ = env::kNoObject;
-    int packages_ = 0;
 };
 
 } // namespace ebs::envs

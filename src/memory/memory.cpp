@@ -243,8 +243,6 @@ MemoryModule::retrieve(int current_step)
         const double excess =
             static_cast<double>(live) - config_.inconsistency_onset;
         double p = excess * config_.inconsistency_rate;
-        if (!config_.multimodal_retrieval)
-            p *= 2.0; // text-embedding-only retrieval confuses more easily
         if (config_.dual_memory)
             p *= 0.3;
         // Exactly one draw per known object keeps RNG streams stable.

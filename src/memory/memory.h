@@ -67,7 +67,6 @@ class MemoryModule
     {
         bool enabled = true;        ///< ablation switch (Fig. 3 "w/o Memory")
         int capacity_steps = 40;    ///< window size; <=0 means unlimited
-        bool multimodal_retrieval = true; ///< vs. text-embedding-only
         bool dual_memory = false;   ///< Rec. 5: static facts never pruned
         double retrieval_base_s = 0.03;       ///< fixed lookup latency
         double retrieval_per_record_s = 8e-4; ///< linear scan component

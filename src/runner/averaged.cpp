@@ -24,7 +24,6 @@ runAveragedMany(const EpisodeRunner &runner,
             job.seed = episodeSeed(seed);
             job.n_agents = variant.n_agents;
             job.pipeline = variant.pipeline;
-            job.engine_service = variant.engine_service;
             job.phase_wall = variant.phase_wall;
             job.custom = variant.custom;
             jobs.push_back(std::move(job));
@@ -45,12 +44,6 @@ runAveragedMany(const EpisodeRunner &runner,
         offset += n;
     }
     return stats;
-}
-
-RunStats
-runAveraged(const EpisodeRunner &runner, const RunVariant &variant)
-{
-    return runAveragedMany(runner, {variant}).front();
 }
 
 } // namespace ebs::runner

@@ -24,11 +24,6 @@ struct RunVariant
     int n_agents = -1;
     core::PipelineOptions pipeline;
 
-    /** Engine service (its ServiceConfig) for every episode of the
-     * variant (see EpisodeJob). */
-    const llm::LlmEngineService *engine_service =
-        &llm::LlmEngineService::shared();
-
     /** Phase-wall accumulator for every episode of the variant (see
      * EpisodeJob::phase_wall). */
     stats::PhaseWallClock *phase_wall = &stats::PhaseWallClock::shared();
@@ -57,9 +52,6 @@ episodeSeed(int seed_index)
  */
 std::vector<RunStats> runAveragedMany(const EpisodeRunner &runner,
                                       const std::vector<RunVariant> &variants);
-
-/** Single-variant convenience over runAveragedMany(). */
-RunStats runAveraged(const EpisodeRunner &runner, const RunVariant &variant);
 
 } // namespace ebs::runner
 

@@ -1,6 +1,3 @@
-#include <memory>
-
-#include "envs/boxnet_env.h"
 #include "workloads/calibration.h"
 #include "workloads/workload.h"
 
@@ -42,11 +39,6 @@ makeCmas()
     cfg.lat.state_tokens_per_agent = 80;
     spec.step_budget_factor = 0.7;
     spec.config = cfg;
-
-    spec.make_env = [](env::Difficulty difficulty, int n_agents,
-                       sim::Rng rng) -> std::unique_ptr<env::Environment> {
-        return std::make_unique<envs::BoxNetEnv>(difficulty, n_agents, rng);
-    };
     return spec;
 }
 

@@ -1,6 +1,3 @@
-#include <memory>
-
-#include "envs/transport_env.h"
 #include "workloads/calibration.h"
 #include "workloads/workload.h"
 
@@ -46,12 +43,6 @@ makeCoela()
     cfg.lat.action_select_out_tokens = 28;
     spec.step_budget_factor = 0.5;
     spec.config = cfg;
-
-    spec.make_env = [](env::Difficulty difficulty, int n_agents,
-                       sim::Rng rng) -> std::unique_ptr<env::Environment> {
-        return std::make_unique<envs::TransportEnv>(difficulty, n_agents,
-                                                    rng);
-    };
     return spec;
 }
 

@@ -1,6 +1,3 @@
-#include <memory>
-
-#include "envs/household_env.h"
 #include "workloads/calibration.h"
 #include "workloads/workload.h"
 
@@ -48,12 +45,6 @@ makeCoherent()
     cfg.lat.comm_out_tokens = 160;
     spec.step_budget_factor = 0.5;
     spec.config = cfg;
-
-    spec.make_env = [](env::Difficulty difficulty, int n_agents,
-                       sim::Rng rng) -> std::unique_ptr<env::Environment> {
-        return std::make_unique<envs::HouseholdEnv>(difficulty, n_agents,
-                                                    rng);
-    };
     return spec;
 }
 

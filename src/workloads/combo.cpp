@@ -1,6 +1,3 @@
-#include <memory>
-
-#include "envs/kitchen_env.h"
 #include "workloads/calibration.h"
 #include "workloads/workload.h"
 
@@ -48,11 +45,6 @@ makeCombo()
     cfg.lat.comm_out_tokens = 60;
     spec.step_budget_factor = 0.7;
     spec.config = cfg;
-
-    spec.make_env = [](env::Difficulty difficulty, int n_agents,
-                       sim::Rng rng) -> std::unique_ptr<env::Environment> {
-        return std::make_unique<envs::KitchenEnv>(difficulty, n_agents, rng);
-    };
     return spec;
 }
 

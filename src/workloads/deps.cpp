@@ -1,6 +1,3 @@
-#include <memory>
-
-#include "envs/craft_env.h"
 #include "workloads/calibration.h"
 #include "workloads/workload.h"
 
@@ -45,11 +42,6 @@ makeDeps()
     cfg.lat.reflect_out_tokens = 8; // CLIP similarity scoring
     spec.step_budget_factor = 0.5;
     spec.config = cfg;
-
-    spec.make_env = [](env::Difficulty difficulty, int n_agents,
-                       sim::Rng rng) -> std::unique_ptr<env::Environment> {
-        return std::make_unique<envs::CraftEnv>(difficulty, n_agents, rng);
-    };
     return spec;
 }
 

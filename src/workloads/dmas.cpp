@@ -1,6 +1,3 @@
-#include <memory>
-
-#include "envs/boxnet_env.h"
 #include "workloads/calibration.h"
 #include "workloads/workload.h"
 
@@ -43,11 +40,6 @@ makeDmas()
     cfg.lat.comm_out_tokens = 55; // turn-taking keeps messages short
     spec.step_budget_factor = 0.5;
     spec.config = cfg;
-
-    spec.make_env = [](env::Difficulty difficulty, int n_agents,
-                       sim::Rng rng) -> std::unique_ptr<env::Environment> {
-        return std::make_unique<envs::BoxNetEnv>(difficulty, n_agents, rng);
-    };
     return spec;
 }
 

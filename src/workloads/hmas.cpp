@@ -1,6 +1,3 @@
-#include <memory>
-
-#include "envs/boxlift_env.h"
 #include "workloads/calibration.h"
 #include "workloads/workload.h"
 
@@ -45,11 +42,6 @@ makeHmas()
     cfg.lat.comm_out_tokens = 70;
     spec.step_budget_factor = 0.18;
     spec.config = cfg;
-
-    spec.make_env = [](env::Difficulty difficulty, int n_agents,
-                       sim::Rng rng) -> std::unique_ptr<env::Environment> {
-        return std::make_unique<envs::BoxLiftEnv>(difficulty, n_agents, rng);
-    };
     return spec;
 }
 

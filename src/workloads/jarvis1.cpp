@@ -1,6 +1,3 @@
-#include <memory>
-
-#include "envs/craft_env.h"
 #include "workloads/calibration.h"
 #include "workloads/workload.h"
 
@@ -44,11 +41,6 @@ makeJarvis1()
     cfg.lat.reflect_out_tokens = 48;
     spec.step_budget_factor = 0.55;
     spec.config = cfg;
-
-    spec.make_env = [](env::Difficulty difficulty, int n_agents,
-                       sim::Rng rng) -> std::unique_ptr<env::Environment> {
-        return std::make_unique<envs::CraftEnv>(difficulty, n_agents, rng);
-    };
     return spec;
 }
 

@@ -1,6 +1,3 @@
-#include <memory>
-
-#include "envs/kitchen_env.h"
 #include "workloads/calibration.h"
 #include "workloads/workload.h"
 
@@ -43,11 +40,6 @@ makeMindAgent()
     cfg.lat.state_tokens_per_agent = 110;
     spec.step_budget_factor = 0.6;
     spec.config = cfg;
-
-    spec.make_env = [](env::Difficulty difficulty, int n_agents,
-                       sim::Rng rng) -> std::unique_ptr<env::Environment> {
-        return std::make_unique<envs::KitchenEnv>(difficulty, n_agents, rng);
-    };
     return spec;
 }
 

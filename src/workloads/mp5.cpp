@@ -1,6 +1,3 @@
-#include <memory>
-
-#include "envs/craft_env.h"
 #include "workloads/calibration.h"
 #include "workloads/workload.h"
 
@@ -41,11 +38,6 @@ makeMp5()
     cfg.lat.reflect_prompt_base = 420;
     cfg.lat.reflect_out_tokens = 60;
     spec.config = cfg;
-
-    spec.make_env = [](env::Difficulty difficulty, int n_agents,
-                       sim::Rng rng) -> std::unique_ptr<env::Environment> {
-        return std::make_unique<envs::CraftEnv>(difficulty, n_agents, rng);
-    };
     return spec;
 }
 

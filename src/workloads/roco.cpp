@@ -1,6 +1,3 @@
-#include <memory>
-
-#include "envs/manipulation_env.h"
 #include "workloads/calibration.h"
 #include "workloads/workload.h"
 
@@ -46,12 +43,6 @@ makeRoco()
     cfg.lat.comm_out_tokens = 90;
     spec.step_budget_factor = 0.25;
     spec.config = cfg;
-
-    spec.make_env = [](env::Difficulty difficulty, int n_agents,
-                       sim::Rng rng) -> std::unique_ptr<env::Environment> {
-        return std::make_unique<envs::ManipulationEnv>(difficulty, n_agents,
-                                                       rng);
-    };
     return spec;
 }
 

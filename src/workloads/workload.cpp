@@ -1,11 +1,17 @@
 #include "workloads/workload.h"
 
-#include <cassert>
 #include <algorithm>
-#include <cstdio>
-#include <cstdlib>
 #include <stdexcept>
 #include <string>
+#include <utility>
+
+#include "envs/boxlift_env.h"
+#include "envs/boxnet_env.h"
+#include "envs/craft_env.h"
+#include "envs/household_env.h"
+#include "envs/kitchen_env.h"
+#include "envs/manipulation_env.h"
+#include "envs/transport_env.h"
 
 namespace ebs::workloads {
 
@@ -21,6 +27,41 @@ paradigmName(Paradigm paradigm)
         return "Multi-Agent Decentralized";
     }
     return "?";
+}
+
+namespace {
+
+template <typename Env>
+std::unique_ptr<env::Environment>
+build(env::Difficulty difficulty, int n_agents, sim::Rng rng)
+{
+    return std::make_unique<Env>(difficulty, n_agents, rng);
+}
+
+/** The task domains of the suite, by env_name. */
+constexpr std::pair<const char *, decltype(&build<envs::CraftEnv>)>
+    kDomains[] = {
+        {"household", &build<envs::HouseholdEnv>},
+        {"craft", &build<envs::CraftEnv>},
+        {"transport", &build<envs::TransportEnv>},
+        {"kitchen", &build<envs::KitchenEnv>},
+        {"boxnet", &build<envs::BoxNetEnv>},
+        {"manipulation", &build<envs::ManipulationEnv>},
+        {"boxlift", &build<envs::BoxLiftEnv>},
+};
+
+} // namespace
+
+std::unique_ptr<env::Environment>
+WorkloadSpec::make_env(env::Difficulty difficulty, int n_agents,
+                       sim::Rng rng) const
+{
+    for (const auto &[domain, builder] : kDomains)
+        if (env_name == domain)
+            return builder(difficulty, n_agents, rng);
+    throw std::invalid_argument("WorkloadSpec::env_name of " + name +
+                                " names no domain, got \"" + env_name +
+                                "\"");
 }
 
 core::EpisodeResult
@@ -47,8 +88,7 @@ WorkloadSpec::runWithConfig(const core::AgentConfig &config_override,
     const int agents = n_agents > 0 ? n_agents : default_agents;
 
     sim::Rng env_rng = sim::Rng(options.seed).fork(7);
-    auto environment = make_env(difficulty, agents, env_rng);
-    assert(environment != nullptr);
+    const auto environment = make_env(difficulty, agents, env_rng);
 
     core::EpisodeOptions effective = options;
     if (effective.max_steps_override <= 0 && step_budget_factor < 1.0) {
@@ -99,8 +139,7 @@ workload(const std::string &name)
     for (const auto &spec : suite())
         if (spec.name == name)
             return spec;
-    std::fprintf(stderr, "unknown workload: %s\n", name.c_str());
-    std::abort();
+    throw std::invalid_argument("unknown workload \"" + name + "\"");
 }
 
 } // namespace ebs::workloads

@@ -1,7 +1,6 @@
 #ifndef EBS_WORKLOADS_WORKLOAD_H
 #define EBS_WORKLOADS_WORKLOAD_H
 
-#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -60,10 +59,14 @@ struct WorkloadSpec
      * says so). */
     core::AgentConfig config;
 
-    /** Build a fresh task instance. */
-    std::function<std::unique_ptr<env::Environment>(
-        env::Difficulty, int n_agents, sim::Rng rng)>
-        make_env;
+    /**
+     * Build a fresh task instance of the domain env_name names
+     * ("household", "craft", "transport", "kitchen", "boxnet",
+     * "manipulation" or "boxlift"). Throws std::invalid_argument naming
+     * WorkloadSpec::env_name for any other name.
+     */
+    std::unique_ptr<env::Environment>
+    make_env(env::Difficulty difficulty, int n_agents, sim::Rng rng) const;
 
     /**
      * Run one episode at the given difficulty with the workload's default
@@ -88,7 +91,8 @@ struct WorkloadSpec
 /** The 14-workload suite of paper Table II, in paper order. */
 const std::vector<WorkloadSpec> &suite();
 
-/** Lookup by name; aborts on unknown names (programming error). */
+/** Lookup by name; throws std::invalid_argument naming an unknown
+ * workload. */
 const WorkloadSpec &workload(const std::string &name);
 
 // Factories for each system (defined one per .cpp).

@@ -30,10 +30,8 @@ TEST(TransportEnv, ConstructionAndTask)
 {
     sim::Rng rng(1);
     TransportEnv env(Difficulty::Medium, 2, rng);
-    EXPECT_EQ(env.domainName(), "transport");
     EXPECT_EQ(env.goalCount(), 8);
     EXPECT_EQ(env.world().agentCount(), 2);
-    EXPECT_EQ(env.deliveredCount(), 0);
     EXPECT_FALSE(env.task().satisfied(env.world()));
     EXPECT_DOUBLE_EQ(env.task().progress(env.world()), 0.0);
 }
@@ -402,10 +400,12 @@ TEST(BoxLiftEnv, JointLiftRequiresEnoughAgents)
     lift.op = env::PrimOp::Lift;
     lift.target = crate;
     ASSERT_TRUE(env.applyPrimitive(0, lift).ok);
-    EXPECT_EQ(env.liftedCount(), 0); // one lifter is not enough
+    // One lifter is not enough.
+    EXPECT_NE(env.world().object(crate).inside, env.truck());
     EXPECT_EQ(env.votesOn(crate), 1);
     ASSERT_TRUE(env.applyPrimitive(1, lift).ok);
-    EXPECT_EQ(env.liftedCount(), 1); // second lifter completes the lift
+    // The second lifter completes the lift.
+    EXPECT_EQ(env.world().object(crate).inside, env.truck());
 }
 
 TEST(BoxLiftEnv, LoggedLiftIsFlaggedAbortedAndStillApplies)
@@ -417,7 +417,7 @@ TEST(BoxLiftEnv, LoggedLiftIsFlaggedAbortedAndStillApplies)
     struct Outcome
     {
         bool first_ok, second_ok;
-        int lifted;
+        bool on_truck;
         env::Object crate;
     };
     const auto lift_twice = [](env::spec::AccessLog *log) {
@@ -439,7 +439,7 @@ TEST(BoxLiftEnv, LoggedLiftIsFlaggedAbortedAndStillApplies)
         out.first_ok = env.applyPrimitive(0, lift).ok;
         out.second_ok = env.applyPrimitive(1, lift).ok;
         env.world().setAccessLog(nullptr);
-        out.lifted = env.liftedCount();
+        out.on_truck = env.world().object(crate).inside == env.truck();
         out.crate = env.world().object(crate);
         return out;
     };
@@ -449,10 +449,10 @@ TEST(BoxLiftEnv, LoggedLiftIsFlaggedAbortedAndStillApplies)
     const Outcome logged = lift_twice(&log);
     EXPECT_TRUE(log.aborted());
     ASSERT_TRUE(plain.first_ok && plain.second_ok);
-    EXPECT_EQ(plain.lifted, 1);
+    EXPECT_TRUE(plain.on_truck);
     EXPECT_EQ(logged.first_ok, plain.first_ok);
     EXPECT_EQ(logged.second_ok, plain.second_ok);
-    EXPECT_EQ(logged.lifted, plain.lifted);
+    EXPECT_EQ(logged.on_truck, plain.on_truck);
     EXPECT_EQ(logged.crate.inside, plain.crate.inside);
     EXPECT_EQ(logged.crate.pos, plain.crate.pos);
     EXPECT_EQ(logged.crate.room, plain.crate.room);
@@ -720,7 +720,6 @@ class BareGridEnv : public GridEnvironment
     {
     }
 
-    std::string domainName() const override { return "bare"; }
     std::vector<env::Subgoal> usefulSubgoals(int) const override
     {
         return {};

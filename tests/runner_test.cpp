@@ -194,10 +194,11 @@ TEST(RunStats, AveragedManySlicesPerVariant)
 
     // Each variant's stats match an isolated serial run of that variant.
     const runner::EpisodeRunner serial(1);
-    EXPECT_EQ(many[0].success_rate,
-              runner::runAveraged(serial, va).success_rate);
-    EXPECT_EQ(many[1].avg_steps, runner::runAveraged(serial, vb).avg_steps);
-    EXPECT_EQ(many[1].tokens, runner::runAveraged(serial, vb).tokens);
+    const auto only_a = runner::runAveragedMany(serial, {va}).front();
+    const auto only_b = runner::runAveragedMany(serial, {vb}).front();
+    EXPECT_EQ(many[0].success_rate, only_a.success_rate);
+    EXPECT_EQ(many[1].avg_steps, only_b.avg_steps);
+    EXPECT_EQ(many[1].tokens, only_b.tokens);
 }
 
 } // namespace

@@ -1,5 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <initializer_list>
+#include <limits>
+#include <stdexcept>
+#include <string>
+#include <utility>
+
 #include "core/vla.h"
 #include "envs/craft_env.h"
 #include "envs/manipulation_env.h"
@@ -24,6 +31,73 @@ TEST(VlaProfile, PresetsAreDistinctAndSane)
         EXPECT_LT(p.horizon_decay, 1.0);
         EXPECT_FALSE(p.name.empty());
     }
+}
+
+constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
+constexpr double kInf = std::numeric_limits<double>::infinity();
+
+/** A 3-tick end-to-end episode of RT-2 with `member` set to `value`. */
+EpisodeResult
+runWith(double VlaProfile::*member, double value)
+{
+    envs::ManipulationEnv environment(env::Difficulty::Easy, 1,
+                                      sim::Rng(1).fork(7));
+    VlaProfile profile = VlaProfile::rt2();
+    profile.*member = value;
+    EpisodeOptions options;
+    options.seed = 1;
+    options.max_steps_override = 3;
+    return runEndToEnd(environment, profile, options);
+}
+
+/** Each of `bad` is rejected at entry naming `field`; each of `good` runs. */
+void
+expectValidated(double VlaProfile::*member, const std::string &field,
+                std::initializer_list<double> bad,
+                std::initializer_list<double> good)
+{
+    for (const double value : bad) {
+        try {
+            (void)runWith(member, value);
+            ADD_FAILURE() << field << " = " << value << " was accepted";
+        } catch (const std::invalid_argument &e) {
+            EXPECT_NE(std::string(e.what()).find("VlaProfile::" + field),
+                      std::string::npos)
+                << e.what();
+        }
+    }
+    for (const double value : good) {
+        const EpisodeResult r = runWith(member, value);
+        EXPECT_TRUE(std::isfinite(r.sim_seconds)) << field << " = " << value;
+        EXPECT_GE(r.sim_seconds, 0.0) << field << " = " << value;
+    }
+}
+
+TEST(EndToEndValidation, LatenciesMustBeFiniteAndPositive)
+{
+    expectValidated(&VlaProfile::tick_latency_mean_s, "tick_latency_mean_s",
+                    {-0.3, 0.0, kNan, kInf}, {1e-6, 0.33});
+    expectValidated(&VlaProfile::actuation_s, "actuation_s",
+                    {-0.5, 0.0, kNan, kInf}, {1e-6, 0.5});
+}
+
+TEST(EndToEndValidation, JitterAndMotionTimeMustBeFiniteAndNonnegative)
+{
+    expectValidated(&VlaProfile::tick_latency_cv, "tick_latency_cv",
+                    {-0.2, kNan, kInf}, {0.0, 0.2});
+    expectValidated(&VlaProfile::move_per_cell_s, "move_per_cell_s",
+                    {-0.12, kNan, kInf}, {0.0, 0.12});
+}
+
+TEST(EndToEndValidation, QualitiesMustLieInUnitInterval)
+{
+    for (const auto &[member, field] :
+         {std::pair{&VlaProfile::primitive_quality, "primitive_quality"},
+          std::pair{&VlaProfile::horizon_decay, "horizon_decay"},
+          std::pair{&VlaProfile::out_of_sight_follow,
+                    "out_of_sight_follow"}})
+        expectValidated(member, field, {-0.1, 1.0000001, 7.0, kNan, kInf},
+                        {0.0, 1.0});
 }
 
 TEST(EndToEnd, SolvesShortHorizonManipulation)

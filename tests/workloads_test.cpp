@@ -4,6 +4,13 @@
 #include <stdexcept>
 #include <string>
 
+#include "envs/boxlift_env.h"
+#include "envs/boxnet_env.h"
+#include "envs/craft_env.h"
+#include "envs/household_env.h"
+#include "envs/kitchen_env.h"
+#include "envs/manipulation_env.h"
+#include "envs/transport_env.h"
 #include "workloads/workload.h"
 
 namespace ebs::workloads {
@@ -21,6 +28,70 @@ TEST(Suite, NamesAreUniqueAndLookupWorks)
         EXPECT_TRUE(names.insert(spec.name).second)
             << "duplicate workload " << spec.name;
         EXPECT_EQ(&workload(spec.name), &spec);
+    }
+}
+
+TEST(Workloads, UnknownNameThrows)
+{
+    EXPECT_THROW(workload("NoSuchSystem"), std::invalid_argument);
+    try {
+        (void)workload("NoSuchSystem");
+    } catch (const std::invalid_argument &e) {
+        EXPECT_NE(std::string(e.what()).find("NoSuchSystem"),
+                  std::string::npos)
+            << e.what();
+    }
+}
+
+/** The concrete class of `environment` is the domain `env_name` names. */
+bool
+isDomain(const env::Environment &environment, const std::string &env_name)
+{
+    const env::Environment *e = &environment;
+    if (env_name == "household")
+        return dynamic_cast<const envs::HouseholdEnv *>(e) != nullptr;
+    if (env_name == "craft")
+        return dynamic_cast<const envs::CraftEnv *>(e) != nullptr;
+    if (env_name == "transport")
+        return dynamic_cast<const envs::TransportEnv *>(e) != nullptr;
+    if (env_name == "kitchen")
+        return dynamic_cast<const envs::KitchenEnv *>(e) != nullptr;
+    if (env_name == "boxnet")
+        return dynamic_cast<const envs::BoxNetEnv *>(e) != nullptr;
+    if (env_name == "manipulation")
+        return dynamic_cast<const envs::ManipulationEnv *>(e) != nullptr;
+    if (env_name == "boxlift")
+        return dynamic_cast<const envs::BoxLiftEnv *>(e) != nullptr;
+    return false;
+}
+
+TEST(Workloads, MakeEnvBuildsTheDomainEnvNameNames)
+{
+    std::set<std::string> domains;
+    for (const auto &spec : suite()) {
+        const auto environment =
+            spec.make_env(env::Difficulty::Easy, spec.default_agents,
+                          sim::Rng(3));
+        ASSERT_NE(environment, nullptr) << spec.name;
+        EXPECT_TRUE(isDomain(*environment, spec.env_name))
+            << spec.name << " built no " << spec.env_name << " environment";
+        EXPECT_EQ(environment->world().agentCount(), spec.default_agents)
+            << spec.name;
+        domains.insert(spec.env_name);
+    }
+    EXPECT_EQ(domains.size(), 7u); // the paper's seven task domains
+
+    WorkloadSpec spec = workload("CoELA");
+    for (const char *bad : {"", "Transport", "warehouse", "no-such-domain"}) {
+        spec.env_name = bad;
+        try {
+            (void)spec.make_env(env::Difficulty::Easy, 2, sim::Rng(3));
+            ADD_FAILURE() << "env_name \"" << bad << "\" built a domain";
+        } catch (const std::invalid_argument &e) {
+            EXPECT_NE(std::string(e.what()).find("WorkloadSpec::env_name"),
+                      std::string::npos)
+                << e.what();
+        }
     }
 }
 
